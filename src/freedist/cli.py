@@ -37,31 +37,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of generic rank-l free distributions")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print progress to stderr")
+    # The flag is also accepted after the subcommand; SUPPRESS keeps an
+    # absent subcommand flag from resetting one given before it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-v", "--verbose", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="print progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze",
+    p = sub.add_parser("analyze", parents=[common],
                        help="full curvature analysis of a frame file")
     p.add_argument("path", help="frame file (l: header, then X1..Xl lines)")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("algebra-check",
+    p = sub.add_parser("algebra-check", parents=[common],
                        help="run the graded-algebra invariant battery")
     p.add_argument("--l", type=int, required=True)
 
-    p = sub.add_parser("cohomology",
+    p = sub.add_parser("cohomology", parents=[common],
                        help="harmonic cochain dimensions over a range")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, choices=(1, 2), required=True)
     p.add_argument("--h", required=True, metavar="A..B",
                    help="inclusive homogeneity range, e.g. 0..3")
 
-    p = sub.add_parser("spinor",
+    p = sub.add_parser("spinor", parents=[common],
                        help="skew matrix, Pfaffian, and cone membership")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--vector", required=True,
                    help='JSON {"v": {"1": "...", "[2,3]": "..."}}')
 
-    sub.add_parser("inclusions", help="print the inclusions table")
+    sub.add_parser("inclusions", parents=[common],
+                   help="print the inclusions table")
     return parser
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import (DegenerateFrameError, NotFreeDistributionError,
-                     UnsupportedFrameError)
-from .linalg import poly_adjugate, poly_det
+from .errors import (DegenerateFrameError, FreeDistError,
+                     NotFreeDistributionError, UnsupportedFrameError)
+from .linalg import invert_scalar_matrix, poly_det, poly_inverse
 from .polynomials import Chart, Polynomial
 from .scalars import ExactScalar, ScalarLike
 
@@ -268,6 +268,9 @@ class Frame:
         self.det = det
         self.point = point
         self._coframe: Optional["Coframe"] = None
+        # Inverse of the frame matrix at the origin, when build_frame has
+        # reduced it there; dual_coframe starts from it and then drops it.
+        self._x0: Optional[List[List[ExactScalar]]] = None
 
     def keys(self) -> List[FrameKey]:
         return frame_keys(self.l)
@@ -291,29 +294,6 @@ class Coframe:
         if key[0] == "s":
             return self.cosingles[key[1] - 1]
         return self.copairs[key[1]]
-
-
-def _const_det(m: List[List[ExactScalar]]) -> ExactScalar:
-    """Determinant of a scalar matrix by exact Gaussian elimination."""
-    n = len(m)
-    a = [row[:] for row in m]
-    det = ExactScalar.one()
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return ExactScalar.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k]
-        inv = a[k][k].inverse()
-        for r in range(k + 1, n):
-            f = a[r][k] * inv
-            if not f:
-                continue
-            for c in range(k, n):
-                a[r][c] = a[r][c] - f * a[k][c]
-    return det
 
 
 def _assemble(fields: Sequence[VectorField]
@@ -349,21 +329,35 @@ def build_frame(fields: Sequence[VectorField],
     point (default: origin), then UnsupportedFrameError if its determinant
     is not a nonzero constant.
     """
+    frame = _certified_frame(fields, point)
+    if isinstance(frame, FreeDistError):
+        # Raised here, once _certified_frame has returned, so that the
+        # rejection's traceback does not keep the Jacobian alive.
+        raise frame
+    return frame
+
+
+def _certified_frame(fields: Sequence[VectorField],
+                     point: Optional[Dict[int, ExactScalar]]
+                     ) -> Union[Frame, FreeDistError]:
+    """build_frame's work: the Frame, or the rejection to raise."""
     chart, l, singles, pairs, jac = _assemble(fields)
-    n = chart.ncoords
     if point is None:
-        point = {idx: ExactScalar.zero() for idx in range(n)}
-    base = [[e.evaluate(point) for e in row] for row in jac]
-    if not _const_det(base):
-        raise DegenerateFrameError(
+        point = {idx: ExactScalar.zero() for idx in range(chart.ncoords)}
+    det, base_inverse = invert_scalar_matrix(
+        [[e.evaluate(point) for e in row] for row in jac])
+    if base_inverse is None:
+        return DegenerateFrameError(
             "frame and its pair fields fail to span the tangent space at "
             "the base point")
-    det_poly = poly_det(jac)
-    if not det_poly.is_constant():
-        raise UnsupportedFrameError(
+    if not poly_det(jac).is_constant():
+        return UnsupportedFrameError(
             "frame determinant is not constant; only unimodular frames "
             "are supported")
-    return Frame(chart, l, singles, pairs, det_poly.constant_value(), point)
+    frame = Frame(chart, l, singles, pairs, det, point)
+    if not any(point.values()):
+        frame._x0 = base_inverse
+    return frame
 
 
 def check_nondegenerate(frame_or_fields) -> bool:
@@ -384,8 +378,10 @@ def check_nondegenerate(frame_or_fields) -> bool:
 def dual_coframe(frame: Frame) -> Coframe:
     """The coframe dual to the full frame, with polynomial coefficients.
 
-    Verifies the duality identity (value delta on every frame pair) exactly
-    before returning; the result is cached on the frame.
+    The coefficient matrix is the inverse X of the frame matrix J, Newton
+    lifted by poly_inverse, which returns only once X*J = I holds exactly:
+    that is the duality identity (value delta on every frame pair).  The
+    result is cached on the frame.
     """
     if frame._coframe is not None:
         return frame._coframe
@@ -394,19 +390,15 @@ def dual_coframe(frame: Frame) -> Coframe:
     keys = frame.keys()
     cols = [frame.field(key) for key in keys]
     jac = [[cols[a].components[c] for a in range(n)] for c in range(n)]
-    adj = poly_adjugate(jac)
-    inv_det = frame.det.inverse()
-    coforms: List[DifferentialForm] = []
-    for a in range(n):
-        terms = {(c,): adj[a][c].scale(inv_det) for c in range(n)
-                 if not adj[a][c].is_zero()}
-        coforms.append(DifferentialForm(chart, 1, terms))
-    for a in range(n):
-        for b in range(n):
-            val = coforms[a].evaluate(cols[b])
-            want = ExactScalar.one() if a == b else ExactScalar.zero()
-            if val != Polynomial.const(chart, want):
-                raise AssertionError("coframe duality identity failed")
+    try:
+        inv = poly_inverse(jac, frame._x0)
+    except ValueError as exc:
+        # build_frame certified a nonzero constant determinant, for which
+        # the inverse exists within the degree bound.
+        raise AssertionError(f"dual_coframe: {exc}") from None
+    frame._x0 = None
+    coforms = [DifferentialForm(chart, 1, {(c,): p for c, p in enumerate(row)})
+               for row in inv]
     cosingles = coforms[:frame.l]
     copairs = {key[1]: coforms[a] for a, key in enumerate(keys)
                if key[0] == "p"}

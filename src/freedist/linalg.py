@@ -1,14 +1,17 @@
 """Exact linear algebra over Q(sqrt2) and its polynomial ring.
 
 Everything here is dense-free where it matters: kernels and linear systems
-work on sparse dicts, and determinants/adjugates of polynomial matrices use a
+work on sparse dicts; determinants of polynomial matrices use a
 column-by-column bitmask dynamic program so the common near-triangular frames
-stay cheap.
+stay cheap; and inverses of polynomial matrices with constant determinant are
+Newton-lifted from the inverse of their constant term, which a scalar
+Gauss-Jordan reduction also gives together with its determinant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from operator import add
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .polynomials import Polynomial
 from .scalars import ExactScalar
@@ -237,23 +240,109 @@ def poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return states.get((1 << n) - 1, Polynomial.zero(chart))
 
 
-def poly_adjugate(m: Sequence[Sequence[Polynomial]]
-                  ) -> List[List[Polynomial]]:
-    """Adjugate matrix: adj[i][j] = (-1)^(i+j) * minor(j, i)."""
+def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
+                         ) -> Tuple[ExactScalar,
+                                    Optional[List[List[ExactScalar]]]]:
+    """Determinant and inverse of a square scalar matrix, by one exact
+    Gauss-Jordan reduction of [m | I]; the inverse is None when the
+    determinant is zero."""
     n = len(m)
+    a = [list(row) + [ExactScalar.one() if j == i else ExactScalar.zero()
+                      for j in range(n)] for i, row in enumerate(m)]
+    det = ExactScalar.one()
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return ExactScalar.zero(), None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k]
+        inv = a[k][k].inverse()
+        a[k] = [v * inv for v in a[k]]
+        for r in range(n):
+            f = a[r][k]
+            if r == k or not f:
+                continue
+            a[r] = [v - f * w for v, w in zip(a[r], a[k])]
+    return det, [row[n:] for row in a]
+
+
+def _mat_mul(a: Sequence[Sequence[Polynomial]],
+             b: Sequence[Sequence[Polynomial]],
+             below: Optional[int] = None) -> List[List[Polynomial]]:
+    """Product of square polynomial matrices, skipping zero entries; with
+    ``below``, only the terms of total degree < below are formed."""
+    n = len(a)
+    chart = a[0][0].chart
+    b_terms = [[[(e, sum(e), c) for e, c in b[k][j].terms.items()]
+                for j in range(n)] for k in range(n)]
+    out = []
+    for i in range(n):
+        a_terms = [(k, [(e, sum(e), c) for e, c in a[i][k].terms.items()])
+                   for k in range(n) if a[i][k].terms]
+        row = []
+        for j in range(n):
+            acc: Dict[Tuple[int, ...], ExactScalar] = {}
+            for k, ta in a_terms:
+                tb = b_terms[k][j]
+                for e1, d1, c1 in ta:
+                    for e2, d2, c2 in tb:
+                        if below is not None and d1 + d2 >= below:
+                            continue
+                        e = tuple(map(add, e1, e2))
+                        v = c1 * c2
+                        s = acc.get(e)
+                        acc[e] = v if s is None else s + v
+            row.append(Polynomial(chart, acc))
+        out.append(row)
+    return out
+
+
+def poly_inverse(m: Sequence[Sequence[Polynomial]],
+                 x0: Optional[Sequence[Sequence[ExactScalar]]] = None
+                 ) -> List[List[Polynomial]]:
+    """Inverse of a square polynomial matrix whose determinant is a nonzero
+    constant, by Newton iteration (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 9).
+
+    Starts from X = m(0)^-1 (``x0`` when the caller has it already) and
+    repeats: E = I - X*m exactly; return X when E = 0, otherwise double the
+    precision p and set X = X + E*X truncated to total degree < p.  The
+    returned X satisfies X*m = I exactly.  An inverse that exists has
+    degree at most (n-1)*deg(m); raises ValueError when m(0) is singular or
+    the iteration passes that bound (the determinant is not constant).
+    """
+    n = len(m)
+    if n == 0:
+        raise ValueError("empty matrix")
     chart = m[0][0].chart
-    if n == 1:
-        return [[Polynomial.const(chart, ExactScalar.one())]]
-    adj = [[Polynomial.zero(chart) for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            minor = [[m[i][j] for j in range(n) if j != c]
-                     for i in range(n) if i != r]
-            d = poly_det(minor)
-            if (r + c) % 2:
-                d = -d
-            adj[c][r] = d
-    return adj
+    zeros = (0,) * chart.ncoords
+    if x0 is None:
+        _, x0 = invert_scalar_matrix(
+            [[e.terms.get(zeros, ExactScalar.zero()) for e in row]
+             for row in m])
+        if x0 is None:
+            raise ValueError("constant term of the matrix is singular; "
+                             "no polynomial inverse")
+    bound = (n - 1) * max((sum(e) for row in m for p in row
+                           for e in p.terms), default=0)
+    one = Polynomial.const(chart, ExactScalar.one())
+    zero = Polynomial.zero(chart)
+    x = [[Polynomial(chart, {zeros: v}) for v in row] for row in x0]
+    precision = 1
+    while True:
+        e = [[(one if i == j else zero) - p for j, p in enumerate(row)]
+             for i, row in enumerate(_mat_mul(x, m))]
+        if not any(p.terms for row in e for p in row):
+            return x
+        if precision > bound:
+            raise ValueError(
+                f"Newton inverse passed the degree bound {bound} without "
+                "X*m = I; the determinant is not a nonzero constant")
+        precision *= 2
+        x = [[p + q for p, q in zip(xr, er)]
+             for xr, er in zip(x, _mat_mul(e, x, precision))]
 
 
 def signature_of_symmetric(m: Sequence[Sequence[ExactScalar]]

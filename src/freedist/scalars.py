@@ -12,12 +12,16 @@ from typing import Union
 
 _RatLike = Union[int, Fraction]
 
+# The rational zero shared by every rational scalar's sqrt2 part; arithmetic
+# takes its rational fast path when both operands' ``b`` is this object.
+_Q0 = Fraction(0)
+
 
 def _frac(v: _RatLike) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
-        return Fraction(v)
+        return Fraction(v) if v else _Q0
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
@@ -27,8 +31,8 @@ class ExactScalar:
     __slots__ = ("a", "b")
 
     def __init__(self, a: _RatLike = 0, b: _RatLike = 0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
+        _set_a(self, _frac(a))
+        _set_b(self, _frac(b))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("ExactScalar is immutable")
@@ -54,36 +58,46 @@ class ExactScalar:
 
     # --- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and (self.b is _Q0 or not self.b)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.b is _Q0 or not self.b
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     # --- arithmetic ---------------------------------------------------
+    # +, - and * skip the sqrt2 parts when both operands are rational with
+    # the shared zero ``b``; otherwise they apply the generic formula.
     def __add__(self, other: "ScalarLike") -> "ExactScalar":
-        o = ExactScalar.of(other)
-        return ExactScalar(self.a + o.a, self.b + o.b)
+        o = other if type(other) is ExactScalar else ExactScalar.of(other)
+        if self.b is _Q0 and o.b is _Q0:
+            return _rational(self.a + o.a)
+        return _make(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.a, -self.b)
+        if self.b is _Q0:
+            return _rational(-self.a)
+        return _make(-self.a, -self.b)
 
     def __sub__(self, other: "ScalarLike") -> "ExactScalar":
-        o = ExactScalar.of(other)
-        return ExactScalar(self.a - o.a, self.b - o.b)
+        o = other if type(other) is ExactScalar else ExactScalar.of(other)
+        if self.b is _Q0 and o.b is _Q0:
+            return _rational(self.a - o.a)
+        return _make(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other: "ScalarLike") -> "ExactScalar":
         return ExactScalar.of(other) - self
 
     def __mul__(self, other: "ScalarLike") -> "ExactScalar":
-        o = ExactScalar.of(other)
+        o = other if type(other) is ExactScalar else ExactScalar.of(other)
+        if self.b is _Q0 and o.b is _Q0:
+            return _rational(self.a * o.a)
         # (a + b r)(c + d r) = ac + 2bd + (ad + bc) r   with r^2 = 2
-        return ExactScalar(self.a * o.a + 2 * self.b * o.b,
-                           self.a * o.b + self.b * o.a)
+        return _make(self.a * o.a + 2 * self.b * o.b,
+                     self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
@@ -92,8 +106,10 @@ class ExactScalar:
         # nonzero elements because sqrt(2) is irrational.
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
+        if self.b is _Q0:
+            return _rational(1 / self.a)
         n = self.a * self.a - 2 * self.b * self.b
-        return ExactScalar(self.a / n, -self.b / n)
+        return _make(self.a / n, -self.b / n)
 
     def __truediv__(self, other: "ScalarLike") -> "ExactScalar":
         return self * ExactScalar.of(other).inverse()
@@ -165,6 +181,27 @@ class ExactScalar:
 
     def __repr__(self) -> str:
         return f"ExactScalar({self.to_expr()})"
+
+
+_set_a = ExactScalar.a.__set__
+_set_b = ExactScalar.b.__set__
+_new = object.__new__
+
+
+def _rational(a: Fraction) -> ExactScalar:
+    """The scalar a + 0*sqrt2, with the shared zero sqrt2 part."""
+    s = _new(ExactScalar)
+    _set_a(s, a)
+    _set_b(s, _Q0)
+    return s
+
+
+def _make(a: Fraction, b: Fraction) -> ExactScalar:
+    """The scalar a + b*sqrt2; a zero ``b`` becomes the shared zero."""
+    s = _new(ExactScalar)
+    _set_a(s, a)
+    _set_b(s, b if b else _Q0)
+    return s
 
 
 def _frac_str(f: Fraction) -> str:

@@ -86,6 +86,22 @@ def test_analyze_verbose_goes_to_stderr(capsys):
     json.loads(out)  # stdout stays pure JSON
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{path}", "--verbose"),
+    ("analyze", "-v", "{path}", "--format", "text"),
+    ("--verbose", "analyze", "{path}", "-v")])
+def test_analyze_verbose_after_the_subcommand(capsys, argv):
+    path = data_path("armstrong_l4.frame")
+    argv = [a.format(path=path) for a in argv]
+    quiet = [a for a in argv if a not in ("-v", "--verbose")]
+    code, plain, err = run(capsys, *quiet)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == plain  # stdout is byte-identical with and without
+    assert "frame parsed" in err
+
+
 def test_algebra_check_pass_lines(capsys):
     code, out, _ = run(capsys, "algebra-check", "--l", "3")
     assert code == 0

@@ -167,6 +167,63 @@ def test_nonconstant_determinant_rejected():
     assert not check_nondegenerate(scaled)
 
 
+def nonunimodular_fields():
+    """flat_fields(3) with the first field scaled by 1 + x1: it spans at
+    the origin, but its determinant is not constant."""
+    fields = flat_fields(3)
+    one_plus_x1 = Polynomial.const(CH, ExactScalar.one()) + coord_poly(
+        CH.x_index(1))
+    fields[0] = fields[0].scale(one_plus_x1)
+    return fields
+
+
+def degenerate_fields():
+    return [VectorField.coordinate_x(CH, i) for i in range(1, 4)]
+
+
+def is_polynomial_matrix(value):
+    return (isinstance(value, list) and value and isinstance(value[0], list)
+            and value[0] and isinstance(value[0][0], Polynomial))
+
+
+@pytest.mark.parametrize("make_fields, error", [
+    (degenerate_fields, DegenerateFrameError),
+    (nonunimodular_fields, UnsupportedFrameError)])
+def test_rejection_traceback_holds_no_jacobian(make_fields, error):
+    try:
+        build_frame(make_fields())
+    except error as exc:
+        tb = exc.__traceback__
+    names = []
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        for key, value in tb.tb_frame.f_locals.items():
+            assert key not in ("jac", "det_poly", "pairs"), key
+            assert not is_polynomial_matrix(value), key
+        tb = tb.tb_next
+    assert "build_frame" in names
+
+
+def test_dual_coframe_degree_guard_names_itself():
+    # A Frame built by hand skips build_frame's unimodularity check, so
+    # the Newton inverse runs past its degree bound.
+    singles = nonunimodular_fields()
+    pairs = {(j, k): -lie_bracket(singles[j - 1], singles[k - 1])
+             for j in range(1, 4) for k in range(j + 1, 4)}
+    point = {i: ExactScalar.zero() for i in range(CH.ncoords)}
+    frame = Frame(CH, 3, singles, pairs, ExactScalar.one(), point)
+    with pytest.raises(AssertionError, match="^dual_coframe: .*degree bound"):
+        dual_coframe(frame)
+
+
+def test_dual_coframe_at_shifted_base_point():
+    point = {i: ExactScalar.of(1) for i in range(chart(4).ncoords)}
+    shifted = dual_coframe(build_frame(armstrong_fields(4), point))
+    origin = dual_coframe(build_frame(armstrong_fields(4)))
+    assert shifted.cosingles == origin.cosingles
+    assert shifted.copairs == origin.copairs
+
+
 def test_doctored_pair_fields_are_not_free():
     fr = build_frame(flat_fields(3))
     pairs = dict(fr.pairs)

@@ -1,4 +1,4 @@
-"""Exact kernels, linear solves, determinants, and inertia."""
+"""Exact kernels, linear solves, determinants, inverses, and inertia."""
 
 from fractions import Fraction
 
@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freedist.linalg import (FactoredSystem, kernel_of_columns, poly_adjugate,
-                             poly_det, signature_of_symmetric, solve_linear)
+from freedist.linalg import (FactoredSystem, invert_scalar_matrix,
+                             kernel_of_columns, poly_det, poly_inverse,
+                             signature_of_symmetric, solve_linear)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -111,21 +112,117 @@ def test_factored_system_checks_consistency_per_solve():
         fs.solve([const(4), const(5)])
 
 
+def identity(n):
+    return [[const(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = Polynomial.zero(CH)
+            for k in range(n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def cofactor_inverse(m):
+    """Test oracle: inv[i][j] = (-1)^(i+j) * minor(j, i) / det."""
+    n = len(m)
+    inv_det = poly_det(m).constant_value().inverse()
+    out = [[None] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            minor = [[m[i][j] for j in range(n) if j != c]
+                     for i in range(n) if i != r]
+            d = poly_det(minor).scale(inv_det)
+            out[c][r] = -d if (r + c) % 2 else d
+    return out
+
+
+@st.composite
+def small_polys(draw):
+    """A polynomial of degree <= 2 in x1..x3 with small integer terms."""
+    p = Polynomial.zero(CH)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        term = const(draw(st.integers(min_value=-3, max_value=3)))
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            term = term * Polynomial.coordinate(
+                CH, draw(st.integers(min_value=0, max_value=2)))
+        p = p + term
+    return p
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary matrices I + p*e_ij (i != j) with polynomial
+    p and of constant diagonal scalings, so the determinant is a nonzero
+    constant."""
+    n = 3
+    m = identity(n)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            i, j = draw(st.sampled_from([(i, j) for i in range(n)
+                                         for j in range(n) if i != j]))
+            factor = identity(n)
+            factor[i][j] = draw(small_polys())
+        else:
+            factor = identity(n)
+            i = draw(st.integers(min_value=0, max_value=n - 1))
+            factor[i][i] = const(draw(st.sampled_from([-2, -1, 2, 3])))
+        m = mat_mul(m, factor)
+    return m
+
+
+@given(unimodular_matrices())
+@settings(deadline=None, max_examples=40)
+def test_poly_inverse_matches_cofactor_oracle(m):
+    inv = poly_inverse(m)
+    assert mat_mul(m, inv) == identity(3)
+    assert mat_mul(inv, m) == identity(3)
+    assert inv == cofactor_inverse(m)
+
+
+def test_poly_inverse_degree_guard_rejects_nonconstant_determinant():
+    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x2 = Polynomial.coordinate(CH, CH.x_index(2))
+    # det = 1 - x1*x2: m(0) = I is invertible, but the inverse is a power
+    # series, so the iteration passes the degree bound (n-1)*deg = 1.
+    m = [[const(1), x1], [x2, const(1)]]
+    with pytest.raises(ValueError, match="degree bound 1"):
+        poly_inverse(m)
+    with pytest.raises(ValueError, match="degree bound 0"):
+        poly_inverse([[const(1) + x1]])
+
+
+def test_poly_inverse_rejects_singular_constant_term():
+    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    with pytest.raises(ValueError, match="singular"):
+        poly_inverse([[x1, const(1)], [const(0), const(1)]])
+
+
 @given(st.lists(st.lists(st.integers(min_value=-4, max_value=4),
                          min_size=3, max_size=3),
                 min_size=3, max_size=3))
 @settings(deadline=None, max_examples=40)
-def test_adjugate_identity(mat):
-    m = [[const(v) for v in row] for row in mat]
-    det = poly_det(m)
-    adj = poly_adjugate(m)
-    n = 3
-    for i in range(n):
-        for j in range(n):
-            acc = Polynomial.zero(CH)
-            for k in range(n):
-                acc = acc + m[i][k] * adj[k][j]
-            assert acc == (det if i == j else Polynomial.zero(CH))
+def test_invert_scalar_matrix(mat):
+    m = [[sc(v) for v in row] for row in mat]
+    det, inv = invert_scalar_matrix(m)
+    assert Polynomial.const(CH, det) == poly_det(
+        [[const(v) for v in row] for row in mat])
+    if not det:
+        assert inv is None
+        return
+    for i in range(3):
+        for j in range(3):
+            acc = sc(0)
+            for k in range(3):
+                acc = acc + inv[i][k] * m[k][j]
+            assert acc == sc(1 if i == j else 0)
 
 
 def test_poly_det_with_polynomial_entries():

@@ -55,6 +55,37 @@ def test_division_cancels(x, y):
     assert (x * y) / y == x
 
 
+rationals = fracs.map(ExactScalar.of)
+# A rational scalar whose zero sqrt2 part is its own Fraction(0), not the
+# shared one, so arithmetic on it takes the generic formula.
+distinct_zero_rationals = fracs.map(lambda a: ExactScalar(a, Fraction(0)))
+operands = st.one_of(rationals, distinct_zero_rationals, scalars)
+
+
+@given(operands, operands)
+@settings(deadline=None)
+def test_rational_fast_path_matches_generic_formula(x, y):
+    a, b, c, d = x.a, x.b, y.a, y.b
+    for got, want in ((x + y, (a + c, b + d)),
+                      (x - y, (a - c, b - d)),
+                      (x * y, (a * c + 2 * b * d, a * d + b * c)),
+                      (-x, (-a, -b))):
+        assert (got.a, got.b) == want
+        assert got == ExactScalar(*want)
+
+
+@given(fracs, fracs)
+@settings(deadline=None)
+def test_rational_results_share_the_zero_sqrt2_part(a, c):
+    shared = ExactScalar.zero().b
+    x, y = ExactScalar.of(a), ExactScalar(c, Fraction(0))
+    assert y.b is not shared
+    for got in (x + x, x - x, x * x, -x, x + y, x * y):
+        assert got.b is shared
+    if a:
+        assert x.inverse().b is shared
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         ExactScalar.zero().inverse()

@@ -205,6 +205,19 @@ def test_reruns_are_bit_identical():
     assert a == b
 
 
+def test_report_tables_share_equal_values():
+    rep = analyze_fixture("obstructed_l4.frame")
+    tables = [t for _, t in rep.f.blocks()]
+    tables += [getattr(rep.connection, n) for n in "ACEF"]
+    tables += [getattr(rep.curvature, n) for n in "PRST"]
+    polys = [p for t in tables for p in t.values()]
+    scalars = [c for p in polys for c in p.terms.values()]
+    assert len(polys) > len({id(p) for p in polys})
+    for group in (polys, scalars):
+        for x in group:
+            assert all(y is x for y in group if y == x)
+
+
 def test_json_key_order():
     data = report_to_json(analyze_fixture("flat_l4.frame"))
     assert list(data.keys()) == JSON_KEY_ORDER

@@ -156,7 +156,9 @@ class GradedAlgebra:
                 pos = (l + j, i - 1)
             self.odd_mat[key] = m
             self.odd_readoff[key] = pos
-            assert m.get(pos) == 1
+            if m.get(pos) != 1:
+                raise AssertionError(f"GradedAlgebra: odd basis matrix {key} "
+                                     f"does not read 1 at {pos}")
 
         self.even_mat: Dict[BasisKey, IntMatrix] = {}
         self.even_readoff: Dict[BasisKey, Tuple[int, int]] = {}
@@ -176,7 +178,9 @@ class GradedAlgebra:
                 pos = (l + 1 + s, r)
             self.even_mat[key] = m
             self.even_readoff[key] = pos
-            assert m.get(pos) == 1
+            if m.get(pos) != 1:
+                raise AssertionError(f"GradedAlgebra: even basis matrix "
+                                     f"{key} does not read 1 at {pos}")
 
         self._tables: Dict[str, Dict[Tuple[BasisKey, BasisKey],
                                      Tuple[Tuple[BasisKey, int], ...]]] = {
@@ -187,17 +191,20 @@ class GradedAlgebra:
         self._build_tables(EVEN)
 
         # construction sanity: dual normalization and the lowering bracket
-        one = 1
-        for i in range(1, l + 1):
-            assert self.pairing_int(ODD, ("lo1", i), ("up1", i)) == one
-        for p in pairs:
-            assert self.pairing_int(ODD, ("lo2", p), ("up2", p)) == one
-        for tp in tpairs:
-            assert self.pairing_int(EVEN, ("tlo", tp), ("tup", tp)) == one
-        for i in range(1, l + 1):
-            for j in range(i + 1, l + 1):
-                got = dict(self.bracket_table(ODD, ("lo1", i), ("lo1", j)))
-                assert got == {("lo2", (i, j)): 1}
+        for side, lo, up, idxs in ((ODD, "lo1", "up1", range(1, l + 1)),
+                                   (ODD, "lo2", "up2", pairs),
+                                   (EVEN, "tlo", "tup", tpairs)):
+            for p in idxs:
+                if self.pairing_int(side, (lo, p), (up, p)) != 1:
+                    raise AssertionError(
+                        f"GradedAlgebra: pairing of ({lo!r}, {p}) with "
+                        f"({up!r}, {p}) is not 1")
+        for i, j in pairs:
+            got = dict(self.bracket_table(ODD, ("lo1", i), ("lo1", j)))
+            if got != {("lo2", (i, j)): 1}:
+                raise AssertionError(
+                    f"GradedAlgebra: [lo1 {i}, lo1 {j}] is {got}, "
+                    f"not lo2 {(i, j)}")
 
         self.positive_keys: List[BasisKey] = (
             [("up1", i) for i in range(1, l + 1)]
@@ -205,6 +212,14 @@ class GradedAlgebra:
         self.negative_keys: List[BasisKey] = (
             [("lo1", i) for i in range(1, l + 1)]
             + [("lo2", p) for p in pairs])
+        # u -> the pairs a < b of negative keys with [a, b] = n u
+        self.negative_pair_brackets: Dict[
+            BasisKey, List[Tuple[BasisKey, BasisKey, int]]] = {}
+        for ai, a in enumerate(self.negative_keys):
+            for b in self.negative_keys[ai + 1:]:
+                for u, n in self.bracket_table(ODD, a, b):
+                    self.negative_pair_brackets.setdefault(u, []).append(
+                        (a, b, n))
         self._slot_rank = {k: n for n, k in enumerate(self.positive_keys)}
         self.ext_positive_keys: List[BasisKey] = [("tup", p) for p in tpairs]
         self._ext_slot_rank = {k: n for n, k in
@@ -255,7 +270,10 @@ class GradedAlgebra:
                     table[(k1, k2)] = tuple(coeffs.items())
                 tr = _mat_trace_product(m1, m2)
                 if tr:
-                    assert tr % 2 == 0
+                    if tr % 2:
+                        raise AssertionError(
+                            f"GradedAlgebra: trace product of {k1} and {k2} "
+                            f"is odd ({tr})")
                     pair_table[(k1, k2)] = -tr // 2
 
     def expand_int(self, side: str, m: IntMatrix) -> Dict[BasisKey, int]:
@@ -735,11 +753,15 @@ def codifferential(c: Chain) -> Chain:
 
 
 def differential(c: Chain) -> Chain:
-    """The Lie algebra cohomology differential, via the duality pairing.
+    """The Lie algebra cohomology differential, applied term by term.
 
-    Chains are read as alternating maps on the negative part; the result is
-    re-encoded through the exact dual normalization of the trace pairing.
-    Constant coefficients only; degrees 1 and 2.
+    A chain is read as an alternating map on the negative part, each slot
+    naming its dual negative key.  By the Chevalley-Eilenberg formula a term
+    w(u_1, .., u_k) = c T contributes c [x, T] at the arguments
+    (x, u_1, .., u_k) for every negative key x, and (-1)^(i+1) c n T at
+    (a, b, u's without u_i) for every pair a < b with [a, b] = n u_i (i
+    counted from 0).  Chain.make sorts the slots with their sign and drops
+    repeated ones.  Constant coefficients only; degrees 1 and 2.
     """
     if c.side != ODD:
         raise ValueError("differential is defined on odd-side chains")
@@ -748,109 +770,19 @@ def differential(c: Chain) -> Chain:
     if c.has_polynomial_coefficients():
         raise ValueError("differential requires constant coefficients")
     ga = algebra(c.l)
-    neg = ga.negative_keys
-
-    if c.k == 1:
-        omega: Dict[BasisKey, Dict[BasisKey, ExactScalar]] = {}
-        for (slots, target), coeff in c.terms.items():
-            var = ga.dual_slot(slots[0])
-            bucket = omega.setdefault(var, {})
-            old = bucket.get(target)
-            s = coeff if old is None else old + coeff
-            if s:
-                bucket[target] = s
-            elif target in bucket:
-                del bucket[target]
-
-        def omega1(u: BasisKey) -> Dict[BasisKey, ExactScalar]:
-            return omega.get(u, {})
-
-        items = []
-        for ui in range(len(neg)):
-            for vi in range(ui + 1, len(neg)):
-                x, y = neg[ui], neg[vi]
-                val: Dict[BasisKey, ExactScalar] = {}
-                _acc_bracket(ga, val, x, omega1(y), 1)
-                _acc_bracket(ga, val, y, omega1(x), -1)
-                for w, n in ga.bracket_table(ODD, x, y):
-                    _acc_scaled(val, omega1(w), -n)
-                slots = (ga.dual_slot(x), ga.dual_slot(y))
-                for tkey, s in val.items():
-                    if s:
-                        items.append((slots, tkey, s))
-        return Chain.make(ODD, c.l, 2, items)
-
-    # k == 2
-    omega2_table: Dict[Tuple[BasisKey, BasisKey],
-                       Dict[BasisKey, ExactScalar]] = {}
+    items: List[Tuple[Sequence[BasisKey], BasisKey, Coefficient]] = []
     for (slots, target), coeff in c.terms.items():
-        key = (ga.dual_slot(slots[0]), ga.dual_slot(slots[1]))
-        bucket = omega2_table.setdefault(key, {})
-        old = bucket.get(target)
-        s = coeff if old is None else old + coeff
-        if s:
-            bucket[target] = s
-        elif target in bucket:
-            del bucket[target]
-
-    rank = {k: n for n, k in enumerate(neg)}
-
-    def omega2(u: BasisKey, v: BasisKey) -> Tuple[Dict[BasisKey,
-                                                       ExactScalar], int]:
-        if u == v:
-            return {}, 1
-        if rank[u] < rank[v]:
-            return omega2_table.get((u, v), {}), 1
-        return omega2_table.get((v, u), {}), -1
-
-    items = []
-    for xi in range(len(neg)):
-        for yi in range(xi + 1, len(neg)):
-            for zi in range(yi + 1, len(neg)):
-                x, y, z = neg[xi], neg[yi], neg[zi]
-                val: Dict[BasisKey, ExactScalar] = {}
-                for (arg, rest1, rest2, sgn) in ((x, y, z, 1), (y, x, z, -1),
-                                                 (z, x, y, 1)):
-                    w, flip = omega2(rest1, rest2)
-                    _acc_bracket(ga, val, arg, w, sgn * flip)
-                for (a, b, other, sgn) in ((x, y, z, -1), (x, z, y, 1),
-                                           (y, z, x, -1)):
-                    for w, n in ga.bracket_table(ODD, a, b):
-                        ww, flip = omega2(w, other)
-                        _acc_scaled(val, ww, sgn * n * flip)
-                slots = (ga.dual_slot(x), ga.dual_slot(y), ga.dual_slot(z))
-                for tkey, s in val.items():
-                    if s:
-                        items.append((slots, tkey, s))
-    return Chain.make(ODD, c.l, 3, items)
-
-
-def _acc_bracket(ga: GradedAlgebra, acc: Dict[BasisKey, ExactScalar],
-                 xkey: BasisKey, elem: Dict[BasisKey, ExactScalar],
-                 sign: int) -> None:
-    for tkey, coeff in elem.items():
-        for rkey, n in ga.bracket_table(ODD, xkey, tkey):
-            old = acc.get(rkey)
-            add = coeff * (sign * n)
-            s = add if old is None else old + add
-            if s:
-                acc[rkey] = s
-            elif rkey in acc:
-                del acc[rkey]
-
-
-def _acc_scaled(acc: Dict[BasisKey, ExactScalar],
-                elem: Dict[BasisKey, ExactScalar], n: int) -> None:
-    if not n:
-        return
-    for key, coeff in elem.items():
-        old = acc.get(key)
-        add = coeff * n
-        s = add if old is None else old + add
-        if s:
-            acc[key] = s
-        elif key in acc:
-            del acc[key]
+        for x in ga.negative_keys:
+            xslots = (ga.dual_slot(x),) + slots
+            for rkey, n in ga.bracket_table(ODD, x, target):
+                items.append((xslots, rkey, coeff * n))
+        for i, s in enumerate(slots):
+            rest = slots[:i] + slots[i + 1:]
+            sign = 1 if i % 2 else -1
+            for a, b, n in ga.negative_pair_brackets.get(ga.dual_slot(s), ()):
+                items.append(((ga.dual_slot(a), ga.dual_slot(b)) + rest,
+                              target, coeff * (sign * n)))
+    return Chain.make(ODD, c.l, c.k + 1, items)
 
 
 # --------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .errors import FreeDistError, ParseError, UnsupportedError
 from .normalization import analyze, report_to_json
 from .parsing import parse_frame_file, parse_scalar
 from .scalars import ExactScalar
-from .spinorial import (TangentKey, list_inclusions, null_cone_member,
-                        pfaffian, tangent_to_skew)
+from .spinorial import (SpinorIdentification, TangentKey, list_inclusions,
+                        null_cone_member, pfaffian, tangent_to_skew)
 
 # Resource guards (configuration, not mathematical limits): the graded
 # battery and harmonic scans grow quickly with rank, so the CLI refuses
@@ -87,7 +87,7 @@ def _parse_h_range(text: str) -> List[int]:
     return list(range(a, b + 1))
 
 
-def _parse_vector_json(text: str) -> Dict[TangentKey, ExactScalar]:
+def _parse_vector_json(text: str, l: int) -> Dict[TangentKey, ExactScalar]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -96,18 +96,29 @@ def _parse_vector_json(text: str) -> Dict[TangentKey, ExactScalar]:
     if not isinstance(data, dict) or "v" not in data \
             or not isinstance(data["v"], dict):
         raise ParseError('vector JSON must be {"v": {...}}', 1, 1)
+    ident = SpinorIdentification(l)
     out: Dict[TangentKey, ExactScalar] = {}
     for key_text, raw in data["v"].items():
         kt = key_text.strip()
-        if kt.startswith("["):
-            if not kt.endswith("]"):
-                raise ParseError(f"malformed pair key {key_text!r}", 1, 1)
-            a_text, b_text = kt[1:-1].split(",")
-            key: TangentKey = (int(a_text), int(b_text))
+        try:
+            if kt.startswith("["):
+                if not kt.endswith("]"):
+                    raise ValueError("malformed pair key")
+                a_text, b_text = kt[1:-1].split(",")
+                key: TangentKey = (int(a_text), int(b_text))
+            else:
+                key = int(kt)
+            ident.basis_image(key)
+        except ValueError as exc:
+            raise ParseError(f"invalid key {key_text!r} for l={l}: {exc}",
+                             1, 1)
+        if isinstance(raw, str):
+            value = parse_scalar(raw)
+        elif isinstance(raw, int):
+            value = ExactScalar.of(raw)
         else:
-            key = int(kt)
-        value = parse_scalar(raw) if isinstance(raw, str) \
-            else ExactScalar.of(raw)
+            raise ParseError(f"value of {key_text!r} must be an integer or "
+                             "a string expression", 1, 1)
         out[key] = value
     return out
 
@@ -128,8 +139,13 @@ def _report_text(data: Dict[str, object]) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        print(f"{args.path}: not valid UTF-8 ({exc.reason} at byte "
+              f"{exc.start})", file=sys.stderr)
+        return 1
     try:
         _, fields = parse_frame_file(text)
     except ParseError as exc:
@@ -179,7 +195,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
 def _cmd_spinor(args: argparse.Namespace) -> int:
     try:
-        v = _parse_vector_json(args.vector)
+        v = _parse_vector_json(args.vector, args.l)
     except ParseError as exc:
         print(f"vector:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return 1

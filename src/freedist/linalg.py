@@ -1,7 +1,8 @@
 """Exact linear algebra over Q(sqrt2) and its polynomial ring.
 
 Everything here is dense-free where it matters: kernels and linear systems
-work on sparse dicts; determinants of polynomial matrices use a
+work on sparse dicts, and a kernel is found block by block, over the sets
+of columns that share row labels; determinants of polynomial matrices use a
 column-by-column bitmask dynamic program so the common near-triangular frames
 stay cheap; and inverses of polynomial matrices with constant determinant are
 Newton-lifted from the inverse of their constant term, which a scalar
@@ -22,40 +23,64 @@ def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
     """Basis of {c : sum_i c_i * columns[i] = 0}, as coefficient lists.
 
     Columns are sparse dicts keyed by arbitrary hashable row labels.  The
-    returned vectors have one entry per column, in column order.
+    returned vectors have one entry per column, in column order.  There is
+    one vector per column that depends on the earlier ones: e_i minus the
+    unique expression of column i in the earlier independent columns, in
+    the order of i.  Columns that share no nonzero row label, even through
+    other columns, never meet in that expression, so the columns are split
+    into such blocks (union-find over row labels) and each block is
+    eliminated on its own.
     """
-    zero = ExactScalar.zero()
-    pivots: List[Tuple[Hashable, Dict[Hashable, ExactScalar],
-                       Dict[int, ExactScalar]]] = []
-    kernel: List[List[ExactScalar]] = []
+    n = len(columns)
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: Dict[Hashable, int] = {}
     for i, col in enumerate(columns):
-        vec = {k: v for k, v in col.items() if v}
-        tail: Dict[int, ExactScalar] = {i: ExactScalar.one()}
-        for pkey, pvec, ptail in pivots:
-            c = vec.get(pkey)
-            if c is None or not c:
+        for k, v in col.items():
+            if v:
+                parent[root(i)] = root(owner.setdefault(k, i))
+    blocks: Dict[int, List[int]] = {}
+    for i in range(n):
+        blocks.setdefault(root(i), []).append(i)
+    zero = ExactScalar.zero()
+    kernel: Dict[int, List[ExactScalar]] = {}
+    for block in blocks.values():
+        pivots: List[Tuple[Hashable, Dict[Hashable, ExactScalar],
+                           Dict[int, ExactScalar]]] = []
+        for i in block:
+            vec = {k: v for k, v in columns[i].items() if v}
+            tail: Dict[int, ExactScalar] = {i: ExactScalar.one()}
+            for pkey, pvec, ptail in pivots:
+                c = vec.get(pkey)
+                if c is None or not c:
+                    continue
+                for k, v in pvec.items():
+                    w = vec.get(k, zero) - c * v
+                    if w:
+                        vec[k] = w
+                    elif k in vec:
+                        del vec[k]
+                for k, v in ptail.items():
+                    w = tail.get(k, zero) - c * v
+                    if w:
+                        tail[k] = w
+                    elif k in tail:
+                        del tail[k]
+            if not vec:
+                kernel[i] = [tail.get(j, zero) for j in range(n)]
                 continue
-            for k, v in pvec.items():
-                w = vec.get(k, zero) - c * v
-                if w:
-                    vec[k] = w
-                elif k in vec:
-                    del vec[k]
-            for k, v in ptail.items():
-                w = tail.get(k, zero) - c * v
-                if w:
-                    tail[k] = w
-                elif k in tail:
-                    del tail[k]
-        if not vec:
-            kernel.append([tail.get(j, zero) for j in range(len(columns))])
-            continue
-        pkey = min(vec.keys(), key=repr)
-        inv = vec[pkey].inverse()
-        vec = {k: v * inv for k, v in vec.items()}
-        tail = {k: v * inv for k, v in tail.items()}
-        pivots.append((pkey, vec, tail))
-    return kernel
+            pkey = min(vec.keys(), key=repr)
+            inv = vec[pkey].inverse()
+            vec = {k: v * inv for k, v in vec.items()}
+            tail = {k: v * inv for k, v in tail.items()}
+            pivots.append((pkey, vec, tail))
+    return [kernel[i] for i in sorted(kernel)]
 
 
 def solve_linear(rows: Sequence[Dict[int, ExactScalar]],

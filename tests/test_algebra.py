@@ -1,8 +1,12 @@
 """Graded algebra realizations, chains, and the operators built on them."""
 
 import random
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, Chain, GradedAlgebra,
                               algebra, algebra_battery, annihilator_subspace,
@@ -189,6 +193,92 @@ def test_boundary_squares_to_zero_sampled():
         assert codifferential(d1).is_zero() if d1.k >= 1 else True
         assert differential(differential(
             Chain(ODD, L, 1, {((s1,), tgt): ONE}))).is_zero()
+
+
+def dense_differential(c):
+    """The differential evaluated argument by argument: dw on every pair
+    (k = 1) or triple (k = 2) of negative keys, read back through the dual
+    slots.  The reference the term-driven differential must reproduce."""
+    ga = algebra(c.l)
+    omega = {}   # w at every ordering of its arguments, with its sign
+    for (slots, target), coeff in c.terms.items():
+        args = [ga.dual_slot(s) for s in slots]
+        for perm in permutations(range(c.k)):
+            sign = (-1) ** sum(1 for i in range(c.k)
+                               for j in range(i + 1, c.k)
+                               if perm[i] > perm[j])
+            bucket = omega.setdefault(tuple(args[p] for p in perm), {})
+            bucket[target] = bucket.get(target, ExactScalar.zero()) \
+                + coeff * sign
+
+    def add(acc, elem, sign, bracket_with=None):
+        for t, v in elem.items():
+            image = (((t, 1),) if bracket_with is None
+                     else ga.bracket_table(ODD, bracket_with, t))
+            for r, n in image:
+                acc[r] = acc.get(r, ExactScalar.zero()) + v * (sign * n)
+
+    items = []
+    for args in _increasing(ga.negative_keys, c.k + 1):
+        val = {}
+        for i, x in enumerate(args):
+            add(val, omega.get(args[:i] + args[i + 1:], {}), (-1) ** i, x)
+        for i in range(len(args)):
+            for j in range(i + 1, len(args)):
+                rest = args[:i] + args[i + 1:j] + args[j + 1:]
+                for u, n in ga.bracket_table(ODD, args[i], args[j]):
+                    add(val, omega.get((u,) + rest, {}), (-1) ** (i + j) * n)
+        slots = tuple(ga.dual_slot(x) for x in args)
+        items.extend((slots, t, v) for t, v in val.items() if v)
+    return Chain.make(ODD, c.l, c.k + 1, items)
+
+
+def _increasing(keys, n):
+    if n == 0:
+        yield ()
+        return
+    for i, k in enumerate(keys):
+        for rest in _increasing(keys[i + 1:], n - 1):
+            yield (k,) + rest
+
+
+def unit_chains(l, k):
+    ga = algebra(l)
+    return [Chain(ODD, l, k, {(slots, t): ONE})
+            for slots in _increasing(ga.positive_keys, k)
+            for t in ga.odd_keys]
+
+
+@pytest.mark.parametrize("l,k", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_differential_matches_dense_oracle_on_units(l, k):
+    for unit in unit_chains(l, k):
+        assert differential(unit) == dense_differential(unit)
+
+
+ROOT2 = ExactScalar.sqrt2()
+
+
+@st.composite
+def sparse_chains(draw):
+    l = draw(st.sampled_from([3, 4]))
+    k = draw(st.sampled_from([1, 2]))
+    units = unit_chains(l, k)
+    picks = draw(st.lists(st.integers(0, len(units) - 1), min_size=1,
+                          max_size=6))
+    terms = {}
+    for n in picks:
+        a = draw(st.integers(-3, 3))
+        b = draw(st.integers(-3, 3))
+        (key, _), = units[n].terms.items()
+        terms[key] = ExactScalar(Fraction(a, draw(st.integers(1, 3))), b) \
+            if a or b else ONE
+    return Chain(ODD, l, k, terms)
+
+
+@given(sparse_chains())
+@settings(deadline=None, max_examples=60)
+def test_differential_matches_dense_oracle_on_sparse_chains(c):
+    assert differential(c) == dense_differential(c)
 
 
 def test_differential_linearity_on_units():

@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, output formats, and guards."""
 
+import ast
+import glob
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -79,6 +84,16 @@ def test_analyze_missing_file_exit_2(capsys):
     assert err.startswith("error: ")
 
 
+def test_analyze_non_utf8_exit_1(capsys, tmp_path):
+    path = tmp_path / "latin1.frame"
+    path.write_bytes(b"l: 4\nX1: \xe9\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{path}: ") and "not valid UTF-8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_analyze_verbose_goes_to_stderr(capsys):
     code, out, err = run(capsys, "-v", "analyze", data_path("flat_l4.frame"))
     assert code == 0
@@ -110,6 +125,33 @@ def test_algebra_check_pass_lines(capsys):
     names = [ln.split(":")[0] for ln in lines]
     assert "killing-pairing-values" in names
     assert "operator-closed-forms" in names
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
+
+
+def test_package_has_no_bare_asserts():
+    """Invariant checks must raise explicitly: ``python -O`` strips
+    ``assert`` statements."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "freedist", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_algebra_check_under_optimize_flag():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "freedist.cli", "algebra-check",
+         "--l", "4"], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(": PASS") == 10
 
 
 def test_algebra_check_guard(capsys):
@@ -183,6 +225,24 @@ def test_spinor_wrong_shape_exit_1(capsys):
                        '{"w": {}}')
     assert code == 1
     assert '{"v": {...}}' in err
+
+
+@pytest.mark.parametrize("key", ["9", "0", "x", "[2,1]", "[1,6]", "[1,x]",
+                                 "[1,2,3]", "[1,2"])
+def test_spinor_bad_key_exit_1(capsys, key):
+    code, out, err = run(capsys, "spinor", "--l", "5", "--vector",
+                         json.dumps({"v": {key: "1"}}))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"vector:1:1: invalid key {key!r} for l=5")
+    assert err.count("\n") == 1
+
+
+def test_spinor_non_integer_value_exit_1(capsys):
+    code, _, err = run(capsys, "spinor", "--l", "5", "--vector",
+                       '{"v": {"1": 1.5}}')
+    assert code == 1
+    assert err.startswith("vector:1:1: ")
 
 
 def test_spinor_even_rank_exit_2(capsys):

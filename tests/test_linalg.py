@@ -69,6 +69,71 @@ def test_kernel_vectors_annihilate_columns(rows):
             assert acc.is_zero()
 
 
+def unsplit_kernel(columns):
+    """Greedy elimination of all columns at once, pivots shared across
+    blocks: the reference the block-split kernel_of_columns must equal."""
+    zero = sc(0)
+    pivots = []
+    kernel = []
+    for i, col in enumerate(columns):
+        vec = {k: v for k, v in col.items() if v}
+        tail = {i: sc(1)}
+        for pkey, pvec, ptail in pivots:
+            c = vec.get(pkey)
+            if c is None or not c:
+                continue
+            for src, dst in ((pvec, vec), (ptail, tail)):
+                for k, v in src.items():
+                    dst[k] = dst.get(k, zero) - c * v
+                    if not dst[k]:
+                        del dst[k]
+        if not vec:
+            kernel.append([tail.get(j, zero) for j in range(len(columns))])
+            continue
+        pkey = min(vec.keys(), key=repr)
+        inv = vec[pkey].inverse()
+        pivots.append((pkey, {k: v * inv for k, v in vec.items()},
+                       {k: v * inv for k, v in tail.items()}))
+    return kernel
+
+
+SMALL = st.builds(lambda a, b: ExactScalar(a, b),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                  st.integers(-1, 1))
+
+
+@st.composite
+def block_diagonal_columns(draw):
+    """Columns in up to four blocks with disjoint row labels (entries may
+    be zero-valued, columns may be empty), shuffled across blocks."""
+    cols = []
+    for b in range(draw(st.integers(1, 4))):
+        nrows = draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(0, 5))):
+            rows = draw(st.lists(st.integers(0, nrows - 1), max_size=nrows,
+                                 unique=True))
+            cols.append({(b, r): draw(SMALL) for r in rows})
+    return draw(st.permutations(cols))
+
+
+@given(block_diagonal_columns())
+@settings(deadline=None, max_examples=80)
+def test_kernel_blocks_match_unsplit_elimination(cols):
+    assert kernel_of_columns(cols) == unsplit_kernel(cols)
+
+
+def test_kernel_vectors_ordered_by_dependent_column():
+    r2 = ExactScalar.sqrt2()
+    cols = [{"a": sc(1)}, {"b": r2}, {"b": sc(3)}, {"a": sc(2), "z": sc(0)},
+            {}, {"b": sc(0)}, {"a": sc(1), "c": sc(1)}]
+    ker = kernel_of_columns(cols)
+    assert ker == unsplit_kernel(cols)
+    assert [max(j for j, v in enumerate(vec) if v) for vec in ker] \
+        == [2, 3, 4, 5]
+    assert ker[0] == [sc(0), -r2 * sc(3) / sc(2), sc(1)] + [sc(0)] * 4
+    assert ker[1] == [sc(-2), sc(0), sc(0), sc(1)] + [sc(0)] * 3
+
+
 def test_solve_linear_unique_solution():
     # x0 + x1 = 3, x0 - x1 = 1  ->  x0 = 2, x1 = 1
     rows = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(-1)}]

@@ -1,8 +1,7 @@
 """Graded algebra realizations, chains, and the operators built on them."""
 
 import random
-from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -196,11 +195,12 @@ def test_boundary_squares_to_zero_sampled():
 
 
 def dense_differential(c):
-    """The differential evaluated argument by argument: dw on every pair
-    (k = 1) or triple (k = 2) of negative keys, read back through the dual
-    slots.  The reference the term-driven differential must reproduce."""
+    """The differential evaluated argument by argument: d(omega) on every
+    pair (k = 1) or triple (k = 2) of negative keys, read back through the
+    dual slots.  The reference the term-driven differential must
+    reproduce."""
     ga = algebra(c.l)
-    omega = {}   # w at every ordering of its arguments, with its sign
+    omega = {}   # omega at every ordering of its arguments, with its sign
     for (slots, target), coeff in c.terms.items():
         args = [ga.dual_slot(s) for s in slots]
         for perm in permutations(range(c.k)):
@@ -219,7 +219,7 @@ def dense_differential(c):
                 acc[r] = acc.get(r, ExactScalar.zero()) + v * (sign * n)
 
     items = []
-    for args in _increasing(ga.negative_keys, c.k + 1):
+    for args in combinations(ga.negative_keys, c.k + 1):
         val = {}
         for i, x in enumerate(args):
             add(val, omega.get(args[:i] + args[i + 1:], {}), (-1) ** i, x)
@@ -233,19 +233,10 @@ def dense_differential(c):
     return Chain.make(ODD, c.l, c.k + 1, items)
 
 
-def _increasing(keys, n):
-    if n == 0:
-        yield ()
-        return
-    for i, k in enumerate(keys):
-        for rest in _increasing(keys[i + 1:], n - 1):
-            yield (k,) + rest
-
-
 def unit_chains(l, k):
     ga = algebra(l)
     return [Chain(ODD, l, k, {(slots, t): ONE})
-            for slots in _increasing(ga.positive_keys, k)
+            for slots in combinations(ga.positive_keys, k)
             for t in ga.odd_keys]
 
 
@@ -253,9 +244,6 @@ def unit_chains(l, k):
 def test_differential_matches_dense_oracle_on_units(l, k):
     for unit in unit_chains(l, k):
         assert differential(unit) == dense_differential(unit)
-
-
-ROOT2 = ExactScalar.sqrt2()
 
 
 @st.composite
@@ -267,11 +255,10 @@ def sparse_chains(draw):
                           max_size=6))
     terms = {}
     for n in picks:
-        a = draw(st.integers(-3, 3))
-        b = draw(st.integers(-3, 3))
         (key, _), = units[n].terms.items()
-        terms[key] = ExactScalar(Fraction(a, draw(st.integers(1, 3))), b) \
-            if a or b else ONE
+        c = ExactScalar(draw(st.fractions(-3, 3, max_denominator=3)),
+                        draw(st.integers(-3, 3)))
+        terms[key] = c or ONE
     return Chain(ODD, l, k, terms)
 
 

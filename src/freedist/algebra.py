@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .polynomials import Polynomial
@@ -37,6 +38,9 @@ EVEN = "even"
 _HALF_ROOT2 = ExactScalar(0, Fraction(1, 2))   # 1/sqrt2
 _ROOT2 = ExactScalar.sqrt2()
 _NEG_HALF = ExactScalar(Fraction(-1, 2))
+
+_GRADES = {"lo2": -2, "lo1": -1, "zero": 0, "up1": 1, "up2": 2,
+           "tlo": -1, "tzero": 0, "tup": 1}
 
 
 # --------------------------------------------------------------------------
@@ -220,10 +224,11 @@ class GradedAlgebra:
                 for u, n in self.bracket_table(ODD, a, b):
                     self.negative_pair_brackets.setdefault(u, []).append(
                         (a, b, n))
-        self._slot_rank = {k: n for n, k in enumerate(self.positive_keys)}
         self.ext_positive_keys: List[BasisKey] = [("tup", p) for p in tpairs]
-        self._ext_slot_rank = {k: n for n, k in
-                               enumerate(self.ext_positive_keys)}
+        self._slot_ranks: Dict[str, Dict[BasisKey, int]] = {
+            side: {k: n for n, k in enumerate(keys)}
+            for side, keys in ((ODD, self.positive_keys),
+                               (EVEN, self.ext_positive_keys))}
 
     # --- structure data ---------------------------------------------------
 
@@ -241,11 +246,10 @@ class GradedAlgebra:
 
     @staticmethod
     def grade(key: BasisKey) -> int:
-        return {"lo2": -2, "lo1": -1, "zero": 0, "up1": 1, "up2": 2,
-                "tlo": -1, "tzero": 0, "tup": 1}[key[0]]
+        return _GRADES[key[0]]
 
     def slot_rank(self, side: str, key: BasisKey) -> int:
-        table = self._slot_rank if side == ODD else self._ext_slot_rank
+        table = self._slot_ranks[side]
         if key not in table:
             raise ValueError(f"{key} is not a positive-part basis key")
         return table[key]
@@ -622,7 +626,7 @@ class Chain:
              items: Iterable[Tuple[Sequence[BasisKey], BasisKey, Coefficient]]
              ) -> "Chain":
         """Build a chain, canonicalizing slot order with signs."""
-        ga = algebra(l)
+        ranks = algebra(l)._slot_ranks[side]
         valid_kinds = ("up1", "up2") if side == ODD else ("tup",)
         terms: Dict[TermKey, Coefficient] = {}
         for slots, target, coeff in items:
@@ -631,18 +635,12 @@ class Chain:
             for s in slots:
                 if s[0] not in valid_kinds:
                     raise ValueError(f"invalid slot key for {side} side: {s}")
-            canon = _canonical_slots(ga, side, tuple(slots))
+            canon = _canonical_slots(ranks, tuple(slots))
             if canon is None:
                 continue
             slots_sorted, sign = canon
-            key = (slots_sorted, target)
-            c = _coeff_scale_int(coeff, sign)
-            old = terms.get(key)
-            c = c if old is None else old + c
-            if _coeff_is_zero(c):
-                terms.pop(key, None)
-            else:
-                terms[key] = c
+            _accumulate(terms, (slots_sorted, target),
+                        _coeff_scale_int(coeff, sign))
         return Chain(side, l, k, terms)
 
     def is_zero(self) -> bool:
@@ -652,12 +650,7 @@ class Chain:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            old = terms.get(key)
-            s = c if old is None else old + c
-            if _coeff_is_zero(s):
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            _accumulate(terms, key, c)
         return Chain(self.side, self.l, self.k, terms)
 
     def __sub__(self, other: "Chain") -> "Chain":
@@ -681,8 +674,7 @@ class Chain:
 
     def homogeneity(self, key: TermKey) -> int:
         slots, target = key
-        return sum(GradedAlgebra.grade(s) for s in slots) \
-            + GradedAlgebra.grade(target)
+        return sum(_GRADES[s[0]] for s in slots) + _GRADES[target[0]]
 
     def homogeneous_part(self, h: int) -> "Chain":
         return Chain(self.side, self.l, self.k,
@@ -704,52 +696,88 @@ class Chain:
             raise ValueError("chain shape mismatch")
 
 
-def _canonical_slots(ga: GradedAlgebra, side: str,
+def _canonical_slots(ranks: Dict[BasisKey, int],
                      slots: Tuple[BasisKey, ...]
                      ) -> Optional[Tuple[Tuple[BasisKey, ...], int]]:
-    ranks = [ga.slot_rank(side, s) for s in slots]
-    if len(set(ranks)) != len(ranks):
-        return None
-    order = sorted(range(len(slots)), key=lambda n: ranks[n])
-    sign = 1
-    seen = []
-    for n in order:
-        sign *= (-1) ** sum(1 for m in seen if m > n)
-        seen.append(n)
-    return tuple(slots[n] for n in order), sign
+    """Slots sorted by their positive-part rank, with the sign (-1)^(number
+    of inversions); None when a slot repeats."""
+    try:
+        r = [ranks[s] for s in slots]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is not a positive-part basis key")
+    inversions = 0
+    for n, a in enumerate(r):
+        for b in r[n + 1:]:
+            if a == b:
+                return None
+            inversions += a > b
+    if not inversions:
+        return slots, 1
+    return (tuple(sorted(slots, key=ranks.__getitem__)),
+            -1 if inversions % 2 else 1)
+
+
+def _accumulate(terms: Dict[TermKey, Coefficient], key: TermKey,
+                c: Coefficient) -> None:
+    """terms[key] += c, dropping the key when the sum is zero."""
+    old = terms.get(key)
+    if old is not None:
+        c = old + c
+    if _coeff_is_zero(c):
+        terms.pop(key, None)
+    else:
+        terms[key] = c
 
 
 # --------------------------------------------------------------------------
 # the two differentials
 # --------------------------------------------------------------------------
 
+def _codifferential_term(ga: GradedAlgebra, side: str,
+                         slots: Tuple[BasisKey, ...], target: BasisKey
+                         ) -> List[Tuple[TermKey, int]]:
+    """The codifferential of one unit term, as (canonical key, n) pairs in
+    emission order (a key may repeat); integers only."""
+    ranks = ga._slot_ranks[side]
+    table = ga._tables[side]
+    out: List[Tuple[TermKey, int]] = []
+    for i0, z in enumerate(slots):
+        sign = 1 if i0 % 2 else -1
+        canon = _canonical_slots(ranks, slots[:i0] + slots[i0 + 1:])
+        if canon is None:
+            continue
+        rest, s = canon
+        for tkey, n in table.get((z, target), ()):
+            out.append(((rest, tkey), sign * s * n))
+    for i0, j0 in combinations(range(len(slots)), 2):
+        sign = -1 if (i0 + j0) % 2 else 1
+        rest = slots[:i0] + slots[i0 + 1:j0] + slots[j0 + 1:]
+        for bkey, n in table.get((slots[i0], slots[j0]), ()):
+            canon = _canonical_slots(ranks, (bkey,) + rest)
+            if canon is not None:
+                out.append(((canon[0], target), sign * canon[1] * n))
+    return out
+
+
 def codifferential(c: Chain) -> Chain:
     """The homology-side boundary operator on positive-part chains.
 
     For a term Z_1^..^Z_k (x) X the image collects (-1)^i times the slot
     removal with target bracket [Z_i, X], plus (-1)^(i+j) times the pair
-    bracket [Z_i, Z_j] prepended to the remaining slots.
+    bracket [Z_i, Z_j] prepended to the remaining slots.  Each term's image
+    comes from one integer kernel, ``_codifferential_term`` (canonical
+    (slots, target) -> n, slots sorted by inversion count, the kernel the
+    battery's codifferential-squares check composes with itself), and
+    coeff * n is accumulated straight into the result.
     """
     if c.k == 0:
         raise ValueError("codifferential of a degree-0 chain is not defined")
     ga = algebra(c.l)
-    items: List[Tuple[Sequence[BasisKey], BasisKey, Coefficient]] = []
+    terms: Dict[TermKey, Coefficient] = {}
     for (slots, target), coeff in c.terms.items():
-        for i0, z in enumerate(slots):
-            sign = -1 if (i0 + 1) % 2 else 1
-            rest = slots[:i0] + slots[i0 + 1:]
-            for tkey, n in ga.bracket_table(c.side, z, target):
-                items.append((rest, tkey, _coeff_scale_int(coeff, sign * n)))
-        for i0 in range(len(slots)):
-            for j0 in range(i0 + 1, len(slots)):
-                sign = (-1) ** ((i0 + 1) + (j0 + 1))
-                rest = tuple(s for n0, s in enumerate(slots)
-                             if n0 not in (i0, j0))
-                for bkey, n in ga.bracket_table(c.side, slots[i0],
-                                                slots[j0]):
-                    items.append(((bkey,) + rest, target,
-                                  _coeff_scale_int(coeff, sign * n)))
-    return Chain.make(c.side, c.l, c.k - 1, items)
+        for key, n in _codifferential_term(ga, c.side, slots, target):
+            _accumulate(terms, key, _coeff_scale_int(coeff, n))
+    return Chain(c.side, c.l, c.k - 1, terms)
 
 
 def differential(c: Chain) -> Chain:
@@ -1050,20 +1078,19 @@ def _check_defect_relations(ga: GradedAlgebra) -> bool:
 
 
 def _check_codifferential_squares(ga: GradedAlgebra) -> bool:
-    l = ga.l
-    one = ExactScalar.one()
+    """The codifferential's integer kernel composed with itself kills every
+    unit 3-chain on both sides."""
     for side, slot_keys, target_keys in (
-            (ODD, algebra(l).positive_keys, ga.odd_keys),
-            (EVEN, algebra(l).ext_positive_keys, ga.even_keys)):
-        n = len(slot_keys)
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c0 in range(b + 1, n):
-                    slots = (slot_keys[a], slot_keys[b], slot_keys[c0])
-                    for t in target_keys:
-                        ch = Chain(side, l, 3, {(slots, t): one})
-                        if not codifferential(codifferential(ch)).is_zero():
-                            return False
+            (ODD, ga.positive_keys, ga.odd_keys),
+            (EVEN, ga.ext_positive_keys, ga.even_keys)):
+        for slots in combinations(slot_keys, 3):
+            for t in target_keys:
+                acc: Dict[TermKey, int] = {}
+                for (s2, t2), n in _codifferential_term(ga, side, slots, t):
+                    for key, m in _codifferential_term(ga, side, s2, t2):
+                        acc[key] = acc.get(key, 0) + n * m
+                if any(acc.values()):
+                    return False
     return True
 
 

@@ -3,7 +3,9 @@ Pfaffian cone queries, and the inclusions table.
 
 Exit codes: 0 success (and all checks passing), 1 for input syntax errors
 (with file, line, and column), 2 for frames or parameters outside the
-supported domain (degenerate or non-free frames, resource-guard refusals).
+supported domain (degenerate or non-free frames, resource-guard refusals),
+3 for a failed internal invariant (an ``AssertionError`` raised by the
+library, reported as one ``internal error: <message>`` line).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ ALGEBRA_CHECK_MIN_L = 3
 ALGEBRA_CHECK_MAX_L = 6
 COHOMOLOGY_MIN_L = 3
 COHOMOLOGY_MAX_L = 5
+COHOMOLOGY_MAX_H_VALUES = 64   # homogeneities in one --h range
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,6 +87,10 @@ def _parse_h_range(text: str) -> List[int]:
                                "expected A..B with integers")
     if b < a:
         raise UnsupportedError(f"empty homogeneity range {text!r}")
+    if b - a >= COHOMOLOGY_MAX_H_VALUES:
+        raise UnsupportedError(
+            f"homogeneity range {text!r} has {b - a + 1} values; at most "
+            f"{COHOMOLOGY_MAX_H_VALUES} are supported (resource guard)")
     return list(range(a, b + 1))
 
 
@@ -239,6 +246,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc.strerror or exc}: {exc.filename or ''}",
               file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

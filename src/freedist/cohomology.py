@@ -48,6 +48,25 @@ def _term_keys(ga: GradedAlgebra, k: int, h: int) -> List[TermKey]:
     return keys
 
 
+def harmonic_system(l: int, k: int, h: int
+                    ) -> Tuple[List[TermKey], List[Dict[object, ExactScalar]]]:
+    """The unit term keys of degree k and homogeneity h, and for each the
+    column of its differential and codifferential images (row labels
+    ("d", key) and ("cd", key)); harmonic cochains are its kernel."""
+    keys = _term_keys(algebra(l), k, h)
+    one = ExactScalar.one()
+    columns: List[Dict[object, ExactScalar]] = []
+    for tk in keys:
+        unit = Chain(ODD, l, k, {tk: one})
+        col: Dict[object, ExactScalar] = {}
+        for out_key, v in differential(unit).terms.items():
+            col[("d", out_key)] = v
+        for out_key, v in codifferential(unit).terms.items():
+            col[("cd", out_key)] = v
+        columns.append(col)
+    return keys, columns
+
+
 def harmonic_space(l: int, k: int, h: int) -> HarmonicSpace:
     """The harmonic k-cochains of homogeneity h (k = 1 or 2, l >= 3).
 
@@ -59,18 +78,7 @@ def harmonic_space(l: int, k: int, h: int) -> HarmonicSpace:
     if k not in (1, 2):
         raise UnsupportedError("harmonic spaces are computed for cochain "
                                "degrees 1 and 2 only")
-    ga = algebra(l)
-    keys = _term_keys(ga, k, h)
-    one = ExactScalar.one()
-    columns: List[Dict[object, ExactScalar]] = []
-    for tk in keys:
-        unit = Chain(ODD, l, k, {tk: one})
-        col: Dict[object, ExactScalar] = {}
-        for out_key, v in differential(unit).terms.items():
-            col[("d", out_key)] = v
-        for out_key, v in codifferential(unit).terms.items():
-            col[("cd", out_key)] = v
-        columns.append(col)
+    keys, columns = harmonic_system(l, k, h)
     basis: List[Chain] = []
     for vec in kernel_of_columns(columns):
         terms = {tk: c for tk, c in zip(keys, vec) if c}

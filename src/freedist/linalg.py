@@ -2,7 +2,9 @@
 
 Everything here is dense-free where it matters: kernels and linear systems
 work on sparse dicts, and a kernel is found block by block, over the sets
-of columns that share row labels; determinants of polynomial matrices use a
+of columns that share row labels, pivoting on the row with the fewest
+nonzeros and rebuilding a pivot's expression in the original columns only
+when a dependent column needs it; determinants of polynomial matrices use a
 column-by-column bitmask dynamic program so the common near-triangular frames
 stay cheap; and inverses of polynomial matrices with constant determinant are
 Newton-lifted from the inverse of their constant term, which a scalar
@@ -26,10 +28,20 @@ def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
     returned vectors have one entry per column, in column order.  There is
     one vector per column that depends on the earlier ones: e_i minus the
     unique expression of column i in the earlier independent columns, in
-    the order of i.  Columns that share no nonzero row label, even through
-    other columns, never meet in that expression, so the columns are split
-    into such blocks (union-find over row labels) and each block is
-    eliminated on its own.
+    the order of i.  Since that expression is unique, neither the block
+    split nor the pivot rows below change the result.
+
+    Columns that share no nonzero row label, even through other columns,
+    never meet in that expression, so the columns are split into such
+    blocks (union-find over row labels) and each block is eliminated on
+    its own.  Each column is reduced by the earlier pivots in turn; an
+    independent column then pivots on its row label with the fewest
+    nonzeros across the original columns (a static Markowitz count, which
+    keeps fill-in low), ties broken by ``repr``.  Tails are lazy: the
+    reduction records each column's multipliers and pivot inverse, and a
+    pivot's expression in the original columns is rebuilt (and kept) only
+    when a dependent column needs it, so a block with an empty kernel
+    never forms one.
     """
     n = len(columns)
     parent = list(range(n))
@@ -41,45 +53,74 @@ def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
         return i
 
     owner: Dict[Hashable, int] = {}
+    count: Dict[Hashable, int] = {}
     for i, col in enumerate(columns):
         for k, v in col.items():
             if v:
                 parent[root(i)] = root(owner.setdefault(k, i))
+                count[k] = count.get(k, 0) + 1
+    # pivot priority of a row label: its nonzero count, then its repr
+    rank = {k: r for r, k in enumerate(
+        sorted(count, key=lambda k: (count[k], repr(k))))}
     blocks: Dict[int, List[int]] = {}
     for i in range(n):
         blocks.setdefault(root(i), []).append(i)
     zero = ExactScalar.zero()
     kernel: Dict[int, List[ExactScalar]] = {}
     for block in blocks.values():
-        pivots: List[Tuple[Hashable, Dict[Hashable, ExactScalar],
-                           Dict[int, ExactScalar]]] = []
+        # per pivot: row label, normalized reduced column, column index,
+        # multipliers [(earlier pivot, c)], inverse of the pivot entry
+        pivots: List[Tuple[Hashable, Dict[Hashable, ExactScalar], int,
+                           List[Tuple[int, ExactScalar]], ExactScalar]] = []
+        tails: Dict[int, Dict[int, ExactScalar]] = {}
+
+        def combine(i: int, mults: List[Tuple[int, ExactScalar]]
+                    ) -> Dict[int, ExactScalar]:
+            """e_i - sum c * tail_q over the multipliers (q, c)."""
+            out: Dict[int, ExactScalar] = {i: ExactScalar.one()}
+            for q, c in mults:
+                for k, v in tails[q].items():
+                    w = out.get(k, zero) - c * v
+                    if w:
+                        out[k] = w
+                    elif k in out:
+                        del out[k]
+            return out
+
         for i in block:
             vec = {k: v for k, v in columns[i].items() if v}
-            tail: Dict[int, ExactScalar] = {i: ExactScalar.one()}
-            for pkey, pvec, ptail in pivots:
+            mults: List[Tuple[int, ExactScalar]] = []
+            for q, (pkey, pvec, _, _, _) in enumerate(pivots):
                 c = vec.get(pkey)
-                if c is None or not c:
+                if c is None:
                     continue
+                mults.append((q, c))
                 for k, v in pvec.items():
                     w = vec.get(k, zero) - c * v
                     if w:
                         vec[k] = w
                     elif k in vec:
                         del vec[k]
-                for k, v in ptail.items():
-                    w = tail.get(k, zero) - c * v
-                    if w:
-                        tail[k] = w
-                    elif k in tail:
-                        del tail[k]
             if not vec:
+                # build the missing tails this needs: one descending pass
+                # finds them (a pivot's multipliers name earlier pivots
+                # only), and ascending order builds each after its own
+                todo = {q for q, _ in mults if q not in tails}
+                for q in range(max(todo, default=-1), -1, -1):
+                    if q in todo:
+                        todo.update(p for p, _ in pivots[q][3]
+                                    if p not in tails)
+                for q in sorted(todo):
+                    _, _, iq, mq, inv = pivots[q]
+                    tails[q] = {k: v * inv
+                                for k, v in combine(iq, mq).items()}
+                tail = combine(i, mults)
                 kernel[i] = [tail.get(j, zero) for j in range(n)]
                 continue
-            pkey = min(vec.keys(), key=repr)
+            pkey = min(vec, key=rank.__getitem__)
             inv = vec[pkey].inverse()
-            vec = {k: v * inv for k, v in vec.items()}
-            tail = {k: v * inv for k, v in tail.items()}
-            pivots.append((pkey, vec, tail))
+            pivots.append((pkey, {k: v * inv for k, v in vec.items()}, i,
+                           mults, inv))
     return [kernel[i] for i in sorted(kernel)]
 
 

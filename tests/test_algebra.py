@@ -1,5 +1,6 @@
 """Graded algebra realizations, chains, and the operators built on them."""
 
+import importlib
 import random
 from itertools import combinations, permutations
 
@@ -12,7 +13,11 @@ from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, Chain, GradedAlgebra,
                               codifferential, commutator_operator,
                               commutator_operator_closed_form, differential,
                               kappa11_normality_test, phi_extension)
+from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
+
+# the module itself: ``freedist.algebra`` as an attribute is the function
+algebra_module = importlib.import_module("freedist.algebra")
 
 L = 3
 GA = algebra(L)
@@ -266,6 +271,137 @@ def sparse_chains(draw):
 @settings(deadline=None, max_examples=60)
 def test_differential_matches_dense_oracle_on_sparse_chains(c):
     assert differential(c) == dense_differential(c)
+
+
+def oracle_codifferential(c):
+    """The codifferential as one item list canonicalized afterwards (slots
+    sorted by rank with the permutation's sign, repeated slots dropped,
+    accumulated with pop on cancel): the reference the per-term integer
+    kernel must reproduce, term order included."""
+    ga = algebra(c.l)
+    items = []
+    for (slots, target), coeff in c.terms.items():
+        for i, z in enumerate(slots):
+            rest = slots[:i] + slots[i + 1:]
+            for tkey, n in ga.bracket_table(c.side, z, target):
+                items.append((rest, tkey, coeff, (-1) ** (i + 1) * n))
+        for i, j in combinations(range(len(slots)), 2):
+            rest = tuple(s for m, s in enumerate(slots) if m not in (i, j))
+            for bkey, n in ga.bracket_table(c.side, slots[i], slots[j]):
+                items.append(((bkey,) + rest, target, coeff,
+                              (-1) ** (i + j) * n))
+    terms = {}
+    for slots, target, coeff, n in items:
+        ranks = [ga.slot_rank(c.side, s) for s in slots]
+        if len(set(ranks)) != len(ranks):
+            continue
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        sign = (-1) ** sum(1 for a, b in combinations(order, 2) if a > b)
+        key = (tuple(slots[m] for m in order), target)
+        v = coeff.scale(sign * n) if isinstance(coeff, Polynomial) \
+            else coeff * (sign * n)
+        old = terms.get(key)
+        v = v if old is None else old + v
+        if v:
+            terms[key] = v
+        else:
+            terms.pop(key, None)
+    return Chain(c.side, c.l, c.k - 1, terms)
+
+
+def all_units(l, side, k):
+    ga = algebra(l)
+    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
+    return [Chain(side, l, k, {(slots, t): ONE})
+            for slots in combinations(slot_keys, k) for t in ga.keys(side)]
+
+
+@pytest.mark.parametrize("l", [3, 4])
+@pytest.mark.parametrize("side", [ODD, EVEN])
+def test_codifferential_matches_oracle_on_units(l, side):
+    for k in (1, 2, 3):
+        for unit in all_units(l, side, k):
+            got, want = codifferential(unit), oracle_codifferential(unit)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+
+
+@st.composite
+def coefficient_chains(draw):
+    """Sparse chains on either side, degree 1..3, with sqrt2 coefficients
+    or (all of them) polynomial coefficients."""
+    l = draw(st.sampled_from([3, 4]))
+    side = draw(st.sampled_from([ODD, EVEN]))
+    k = draw(st.integers(1, 3))
+    units = all_units(l, side, k)
+    ch = chart(l)
+    polynomial = draw(st.booleans())
+    terms = {}
+    for n in draw(st.lists(st.integers(0, len(units) - 1), min_size=1,
+                           max_size=8)):
+        (key, _), = units[n].terms.items()
+        c = ExactScalar(draw(st.fractions(-3, 3, max_denominator=3)),
+                        draw(st.integers(-2, 2))) or ONE
+        if polynomial:
+            x = Polynomial.coordinate(ch, draw(st.integers(0, 2)))
+            c = Polynomial.const(ch, c) + x.scale(draw(st.integers(-2, 2)))
+        terms[key] = c
+    return Chain(side, l, k, terms)
+
+
+@given(coefficient_chains())
+@settings(deadline=None, max_examples=80)
+def test_codifferential_matches_oracle_on_chains(c):
+    got, want = codifferential(c), oracle_codifferential(c)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+def test_codifferential_term_order_after_a_cancellation():
+    """A chain whose first two terms cancel on a key that the third term
+    brings back: the key moves to where the third term puts it."""
+    units = all_units(3, ODD, 2)
+    hits = {}
+    for n, unit in enumerate(units):
+        for key, v in codifferential(unit).terms.items():
+            hits.setdefault(key, []).append((n, v))
+    found = 0
+    for (a, va), (b, vb), (c, vc) in (h[:3] for h in hits.values()
+                                      if len(h) >= 3):
+        chain = Chain(ODD, 3, 2, {
+            next(iter(units[a].terms)): va.inverse(),
+            next(iter(units[b].terms)): -vb.inverse(),
+            next(iter(units[c].terms)): vc.inverse()})
+        got, want = codifferential(chain), oracle_codifferential(chain)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        first_seen = [key for n in (a, b, c)
+                      for key in codifferential(units[n]).terms]
+        found += list(want.terms) != [key for key in dict.fromkeys(
+            first_seen) if key in want.terms]
+    assert found
+
+
+@pytest.mark.parametrize("side", [ODD, EVEN])
+def test_codifferential_squares_check_catches_a_flipped_sign(monkeypatch,
+                                                             side):
+    ga = algebra(3)
+    check = algebra_module._check_codifferential_squares
+    assert check(ga)
+    kernel = algebra_module._codifferential_term
+    # a unit 2-chain reached by some unit 3-chain, with a nonzero image
+    three = all_units(3, side, 3)[0]
+    two = next(key for key in codifferential(three).terms
+               if kernel(ga, side, *key))
+
+    def flipped(ga_, side_, slots, target):
+        out = kernel(ga_, side_, slots, target)
+        if side_ == side and (slots, target) == two:
+            out[0] = (out[0][0], -out[0][1])
+        return out
+
+    monkeypatch.setattr(algebra_module, "_codifferential_term", flipped)
+    assert not check(ga)
 
 
 def test_differential_linearity_on_units():

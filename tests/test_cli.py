@@ -10,9 +10,11 @@ import sys
 
 import pytest
 
+import freedist.cli as cli_module
 from conftest import data_path
 from freedist.cli import (ALGEBRA_CHECK_MAX_L, ALGEBRA_CHECK_MIN_L,
-                          COHOMOLOGY_MAX_L, COHOMOLOGY_MIN_L, main)
+                          COHOMOLOGY_MAX_H_VALUES, COHOMOLOGY_MAX_L,
+                          COHOMOLOGY_MIN_L, _parse_h_range, main)
 
 JSON_KEY_ORDER = ["l", "nondegenerate", "structure_functions", "A", "C", "E",
                   "F", "P", "R", "S", "T", "flat", "kappa11_deg2_zero",
@@ -191,6 +193,29 @@ def test_cohomology_guards(capsys):
     code, _, err = run(capsys, "cohomology", "--l", "3", "--k", "2",
                        "--h", "a..b")
     assert code == 2 and "error: " in err
+
+
+def test_cohomology_range_width_guard(capsys):
+    assert _parse_h_range(f"0..{COHOMOLOGY_MAX_H_VALUES - 1}") \
+        == list(range(COHOMOLOGY_MAX_H_VALUES))
+    for text in (f"0..{COHOMOLOGY_MAX_H_VALUES}", "0..10000000000000000000000",
+                 "-1000000000..1000000000"):
+        code, out, err = run(capsys, "cohomology", "--l", "3", "--k", "1",
+                             f"--h={text}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: homogeneity range ")
+        assert "Traceback" not in err
+
+
+def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
+    def broken(l):
+        raise AssertionError("GradedAlgebra: stage failed on purpose")
+
+    monkeypatch.setattr(cli_module, "algebra_battery", broken)
+    code, out, err = run(capsys, "algebra-check", "--l", "3")
+    assert code == 3 and out == ""
+    assert err == "internal error: GradedAlgebra: stage failed on purpose\n"
+    assert "Traceback" not in err
 
 
 def test_spinor_command(capsys):

@@ -71,3 +71,9 @@ def test_deterministic_rerun():
     assert len(a.basis) == len(b.basis)
     for c1, c2 in zip(a.basis, b.basis):
         assert c1.terms == c2.terms
+
+
+def test_rank5_degree2_profile():
+    # the figures the benchmark's algebra-cohomology workload checks
+    dims = tuple(harmonic_space(5, 2, h).dimension for h in (1, 2, 3))
+    assert dims == (280, 0, 0)

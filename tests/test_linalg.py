@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freedist.cohomology import harmonic_system
 from freedist.linalg import (FactoredSystem, invert_scalar_matrix,
                              kernel_of_columns, poly_det, poly_inverse,
                              signature_of_symmetric, solve_linear)
@@ -119,6 +120,66 @@ def block_diagonal_columns(draw):
 @given(block_diagonal_columns())
 @settings(deadline=None, max_examples=80)
 def test_kernel_blocks_match_unsplit_elimination(cols):
+    assert kernel_of_columns(cols) == unsplit_kernel(cols)
+
+
+R2_ENTRIES = st.builds(lambda a, b: ExactScalar(a, b), st.integers(-2, 2),
+                      st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]))
+
+
+@st.composite
+def skewed_block_columns(draw):
+    """Columns in up to three blocks of up to 8 rows and 12 columns, with
+    sqrt2 entries.  A block's rows are drawn with skewed frequencies in a
+    drawn order, so the rows' nonzero counts and their repr order
+    disagree; about half the columns are combinations of earlier columns
+    of the block."""
+    zero = sc(0)
+    cols = []
+    for b in range(draw(st.integers(1, 3))):
+        nrows = draw(st.integers(1, 8))
+        order = draw(st.permutations(range(nrows)))
+        pool = [r for n, r in enumerate(order) for _ in range(nrows - n)]
+        block = []
+        for _ in range(draw(st.integers(0, 12))):
+            if block and draw(st.booleans()):
+                col = {}
+                for p in draw(st.lists(st.integers(0, len(block) - 1),
+                                       min_size=1, max_size=3)):
+                    f = draw(R2_ENTRIES)
+                    for k, v in block[p].items():
+                        col[k] = col.get(k, zero) + f * v
+            else:
+                rows = draw(st.lists(st.sampled_from(pool), max_size=4))
+                col = {(b, "row", r): draw(R2_ENTRIES) for r in rows}
+            block.append(col)
+        cols.extend(block)
+    return draw(st.permutations(cols))
+
+
+@given(skewed_block_columns())
+@settings(deadline=None, max_examples=80)
+def test_kernel_skewed_blocks_match_unsplit_elimination(cols):
+    assert kernel_of_columns(cols) == unsplit_kernel(cols)
+
+
+@given(skewed_block_columns(), st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=60)
+def test_kernel_ignores_row_label_names(cols, rng):
+    """Renaming the row labels reorders both the count ties and the repr
+    ranks, so the pivot rows change; the kernel must not."""
+    labels = sorted({k for col in cols for k in col}, key=repr)
+    names = [f"r{n:03d}" for n in range(len(labels))]
+    rng.shuffle(names)
+    rename = dict(zip(labels, names))
+    renamed = [{rename[k]: v for k, v in col.items()} for col in cols]
+    assert kernel_of_columns(renamed) == kernel_of_columns(cols)
+
+
+@pytest.mark.parametrize("h", range(0, 7))
+def test_kernel_matches_unsplit_on_harmonic_systems(h):
+    keys, cols = harmonic_system(4, 2, h)
+    assert keys
     assert kernel_of_columns(cols) == unsplit_kernel(cols)
 
 

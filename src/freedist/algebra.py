@@ -719,9 +719,15 @@ def _canonical_slots(ranks: Dict[BasisKey, int],
 
 def _accumulate(terms: Dict[TermKey, Coefficient], key: TermKey,
                 c: Coefficient) -> None:
-    """terms[key] += c, dropping the key when the sum is zero."""
+    """terms[key] += c, dropping the key when the sum is zero.  Where a
+    scalar meets a polynomial, the scalar becomes a constant polynomial."""
     old = terms.get(key)
     if old is not None:
+        if type(old) is not type(c):
+            if isinstance(old, Polynomial):
+                c = Polynomial.const(old.chart, c)
+            else:
+                old = Polynomial.const(c.chart, old)
         c = old + c
     if _coeff_is_zero(c):
         terms.pop(key, None)

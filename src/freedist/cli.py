@@ -25,8 +25,9 @@ from .spinorial import (SpinorIdentification, TangentKey, list_inclusions,
                         null_cone_member, pfaffian, tangent_to_skew)
 
 # Resource guards (configuration, not mathematical limits): the graded
-# battery and harmonic scans grow quickly with rank, so the CLI refuses
-# ranks whose exact runs would be disproportionate.
+# battery, harmonic scans and frame analysis grow quickly with rank, so the
+# CLI refuses ranks whose exact runs would be disproportionate.
+ANALYZE_MAX_L = 8              # flat frames: l=7 takes 3.5 s, l=8 11 s
 ALGEBRA_CHECK_MIN_L = 3
 ALGEBRA_CHECK_MAX_L = 6
 COHOMOLOGY_MIN_L = 3
@@ -154,7 +155,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"{exc.start})", file=sys.stderr)
         return 1
     try:
-        _, fields = parse_frame_file(text)
+        _, fields = parse_frame_file(text, max_l=ANALYZE_MAX_L)
     except ParseError as exc:
         print(f"{args.path}:{exc.line}:{exc.col}: {exc.message}",
               file=sys.stderr)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import (DegenerateFrameError, FreeDistError,
                      NotFreeDistributionError, UnsupportedFrameError)
 from .linalg import invert_scalar_matrix, poly_det, poly_inverse
-from .polynomials import Chart, Polynomial
+from .polynomials import Chart, Exponents, Polynomial, add_product
 from .scalars import ExactScalar, ScalarLike
 
 FrameKey = Tuple[str, object]  # ('s', i) or ('p', (j, k)) with j < k
@@ -247,6 +247,63 @@ class DifferentialForm:
             raise ValueError("mismatched degrees in form arithmetic")
 
 
+class PairMinors:
+    """2-forms evaluated on a fixed list of argument pairs (u, v).
+
+    The table keeps, for each coordinate pair (d, e) with d < e, the
+    nonzero minors u_d*v_e - u_e*v_d as a list of (argument index, minor).
+    A minor depends only on its pair, so it is built once for every form
+    evaluated against the table; ``values`` then walks a form's terms
+    against it.  Pair by pair the result equals DifferentialForm.evaluate.
+    """
+
+    __slots__ = ("chart", "table")
+
+    def __init__(self, chart: Chart,
+                 args: Sequence[Tuple[VectorField, VectorField]]):
+        table: Dict[Tuple[int, int], List[Tuple[int, Polynomial]]] = {}
+        for i, (u, v) in enumerate(args):
+            if u.chart != chart or v.chart != chart:
+                raise ValueError("mismatched charts in form evaluation")
+            uc, vc = u.components, v.components
+            su = [d for d, p in enumerate(uc) if p.terms]
+            sv = [e for e, p in enumerate(vc) if p.terms]
+            keys = {(d, e) if d < e else (e, d)
+                    for d in su for e in sv if d != e}
+            for d, e in keys:
+                out: Dict[Exponents, ExactScalar] = {}
+                add_product(out, uc[d].terms, vc[e].terms)
+                add_product(out, uc[e].terms, (-vc[d]).terms)
+                t = Polynomial(chart, out)
+                if t.terms:
+                    table.setdefault((d, e), []).append((i, t))
+        self.chart = chart
+        self.table = table
+
+    def values(self, form: "DifferentialForm") -> Dict[int, Polynomial]:
+        """The nonzero values of a 2-form, keyed by argument index."""
+        if form.degree != 2:
+            raise ValueError("wrong number of field arguments")
+        if form.chart != self.chart:
+            raise ValueError("mismatched charts in form evaluation")
+        acc: Dict[int, Dict[Exponents, ExactScalar]] = {}
+        for key, g in form.terms.items():
+            entries = self.table.get(key)
+            if entries is None:
+                continue
+            for i, t in entries:
+                out = acc.get(i)
+                if out is None:
+                    out = acc[i] = {}
+                add_product(out, g.terms, t.terms)
+        result = {}
+        for i, out in acc.items():
+            val = Polynomial(self.chart, out)
+            if val.terms:
+                result[i] = val
+        return result
+
+
 def frame_keys(l: int) -> List[FrameKey]:
     """Canonical frame ordering: singles 1..l, then pairs in lex order."""
     keys: List[FrameKey] = [("s", i) for i in range(1, l + 1)]
@@ -461,47 +518,56 @@ class StructureFunctions:
 def structure_functions(frame: Frame) -> StructureFunctions:
     """Expand each coframe differential over coframe wedge products.
 
-    Verifies the expansion exactly as coordinate 2-forms and checks that
-    each pair coframe differential carries exactly its own single wedge
-    pair with unit coefficient in the single-single block (raising
-    NotFreeDistributionError otherwise).
+    Each dtheta is evaluated on every frame pair at once, through one
+    PairMinors table over all frame pairs.  Verifies the expansion exactly
+    as coordinate 2-forms (each wedge theta_u^theta_v is built once, when a
+    first target needs it) and checks that each pair coframe differential
+    carries exactly its own single wedge pair with unit coefficient in the
+    single-single block (raising NotFreeDistributionError otherwise).
     """
     l = frame.l
     chart = frame.chart
     coframe = dual_coframe(frame)
     keys = frame.keys()
-    fields = {key: frame.field(key) for key in keys}
+    pairs = [(keys[ui], keys[vi]) for ui in range(len(keys))
+             for vi in range(ui + 1, len(keys))]
+    minors = PairMinors(chart, [(frame.field(ukey), frame.field(vkey))
+                                for ukey, vkey in pairs])
+    wedges: Dict[int, DifferentialForm] = {}
+    zero = Polynomial.zero(chart)
     sf = StructureFunctions(l, chart)
     for tkey in keys:
         dtheta = coframe.form(tkey).d()
+        values = minors.values(dtheta)
         recon = DifferentialForm.zero(chart, 2)
-        for ui in range(len(keys)):
-            for vi in range(ui + 1, len(keys)):
-                ukey, vkey = keys[ui], keys[vi]
-                coeff = dtheta.evaluate(fields[ukey], fields[vkey])
-                if ukey[0] == "s" and vkey[0] == "s":
-                    if tkey[0] == "s":
-                        if not coeff.is_zero():
-                            raise AssertionError(
-                                "single coframe differential has a "
-                                "single-single component")
-                        continue
-                    want = (ExactScalar.one()
-                            if tkey[1] == (ukey[1], vkey[1])
-                            else ExactScalar.zero())
-                    if coeff != Polynomial.const(chart, want):
-                        raise NotFreeDistributionError(
-                            "pair coframe differentials do not reproduce "
-                            "the single wedge pairs; the distribution is "
-                            "not free of the stated rank")
-                    if coeff.is_zero():
-                        continue
-                elif not coeff.is_zero():
-                    _store(sf, tkey, ukey, vkey, coeff)
-                else:
+        for idx, (ukey, vkey) in enumerate(pairs):
+            coeff = values.get(idx, zero)
+            if ukey[0] == "s" and vkey[0] == "s":
+                if tkey[0] == "s":
+                    if not coeff.is_zero():
+                        raise AssertionError(
+                            "single coframe differential has a "
+                            "single-single component")
                     continue
-                recon = recon + coframe.form(ukey).wedge(
-                    coframe.form(vkey)).scale(coeff)
+                want = (ExactScalar.one()
+                        if tkey[1] == (ukey[1], vkey[1])
+                        else ExactScalar.zero())
+                if coeff != Polynomial.const(chart, want):
+                    raise NotFreeDistributionError(
+                        "pair coframe differentials do not reproduce "
+                        "the single wedge pairs; the distribution is "
+                        "not free of the stated rank")
+                if coeff.is_zero():
+                    continue
+            elif not coeff.is_zero():
+                _store(sf, tkey, ukey, vkey, coeff)
+            else:
+                continue
+            wedge = wedges.get(idx)
+            if wedge is None:
+                wedge = wedges[idx] = coframe.form(ukey).wedge(
+                    coframe.form(vkey))
+            recon = recon + wedge.scale(coeff)
         if recon != dtheta:
             raise AssertionError(
                 "structure-function expansion failed to reproduce the "

@@ -33,11 +33,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey, algebra,
                       codifferential)
 from .errors import UnsupportedError
-from .geometry import (Coframe, DifferentialForm, Frame, StructureFunctions,
-                       VectorField, build_frame, dual_coframe,
-                       structure_functions)
+from .geometry import (Coframe, DifferentialForm, Frame, PairMinors,
+                       StructureFunctions, VectorField, build_frame,
+                       dual_coframe, structure_functions)
 from .linalg import FactoredSystem
-from .polynomials import Polynomial, chart
+from .polynomials import Chart, Polynomial, chart
 from .scalars import ExactScalar
 
 Pair = Tuple[int, int]
@@ -522,17 +522,21 @@ def _expand_poly_matrix(ga: GradedAlgebra,
     return coeffs
 
 
-def _curvature_values(M: Dict[Tuple[int, int], DifferentialForm],
+def _curvature_values(chart_: Chart,
+                      M: Dict[Tuple[int, int], DifferentialForm],
                       args: List[Tuple[VectorField, VectorField]]
                       ) -> List[Dict[Tuple[int, int], Polynomial]]:
     """The nonzero values of the curvature matrix dM - M wedge M on each
     argument pair.  The 2-forms are built one matrix row at a time and
     evaluated at once, so only one row of them is alive: all of them
-    together are the largest transient of an analysis."""
+    together are the largest transient of an analysis.  Every form is
+    evaluated on all pairs through one PairMinors table, which builds the
+    pairs' minors once for the whole run."""
     rows: Dict[int, List[Tuple[int, DifferentialForm]]] = {}
     for (r, c), form in M.items():
         rows.setdefault(r, []).append((c, form))
     values: List[Dict[Tuple[int, int], Polynomial]] = [{} for _ in args]
+    minors = PairMinors(chart_, args)
     for r, row in rows.items():
         omega2 = {c: form.d() for c, form in row}
         for m, f1 in row:
@@ -543,12 +547,8 @@ def _curvature_values(M: Dict[Tuple[int, int], DifferentialForm],
                 old = omega2.get(c)
                 omega2[c] = (old - w) if old is not None else -w
         for c, form in omega2.items():
-            if form.is_zero():
-                continue
-            for entries, (u, v) in zip(values, args):
-                val = form.evaluate(u, v)
-                if not val.is_zero():
-                    entries[(r, c)] = val
+            for i, val in minors.values(form).items():
+                values[i][(r, c)] = val
     return values
 
 
@@ -589,7 +589,7 @@ def _curvature_reads(frame: Frame, A: Dict[AKey, Polynomial],
     pp = [(pairs[pi], pairs[qi]) for pi in range(len(pairs))
           for qi in range(pi + 1, len(pairs))]
     values = _curvature_values(
-        M, [(W_s[r], W_s[s]) for r, s in ss]
+        frame.chart, M, [(W_s[r], W_s[s]) for r, s in ss]
         + [(W_s[r], W_p[p]) for r, p in sp]
         + [(W_p[p], W_p[q]) for p, q in pp])
     # one read per argument pair, in the order ss, sp, pp; zip takes the

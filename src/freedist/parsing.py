@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .errors import ParseError
+from .errors import ParseError, UnsupportedError
 from .geometry import VectorField
 from .polynomials import Chart, Polynomial, chart as make_chart
 from .scalars import ExactScalar
@@ -28,6 +28,11 @@ from .scalars import ExactScalar
 Token = Tuple[str, object, int, int]  # (type, value, line, col)
 
 _OPS = set("+-*^()[],:/")
+
+# Resource guards: a power is built by repeated multiplication and each
+# level of '(' or unary '-' is one more level of recursion.
+MAX_EXPONENT = 32
+MAX_NESTING = 100
 
 
 def tokenize(text: str, start_line: int = 1, start_col: int = 1) -> List[Token]:
@@ -45,9 +50,9 @@ def tokenize(text: str, start_line: int = 1, start_col: int = 1) -> List[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("num", int(text[i:j]), line, col))
             col += j - i
@@ -99,6 +104,7 @@ class _Parser:
         self.chart = chart_
         self.allow_fields = allow_fields
         self.allow_coords = allow_coords
+        self.depth = 0
 
     # --- token helpers ----------------------------------------------------
     def peek(self) -> Token:
@@ -156,14 +162,19 @@ class _Parser:
 
     def parse_factor(self) -> Value:
         t = self.peek()
-        if t[0] == "-":
+        if t[0] in ("-", "("):
+            if self.depth == MAX_NESTING:
+                raise _guard(f"expression nested deeper than {MAX_NESTING} "
+                             "levels", t)
+            self.depth += 1
             self.next()
-            v = self.parse_factor()
-            return (v[0], -v[1])
-        if t[0] == "(":
-            self.next()
-            v = self.parse_expr()
-            self.expect(")", "')'")
+            if t[0] == "-":
+                v = self.parse_factor()
+                v = (v[0], -v[1])
+            else:
+                v = self.parse_expr()
+                self.expect(")", "')'")
+            self.depth -= 1
             return v
         v = self.parse_atom()
         if self.peek()[0] == "^":
@@ -171,6 +182,9 @@ class _Parser:
             if v[0] != "p":
                 raise self.error("cannot raise a vector field to a power", tok)
             n = self.expect("num", "a non-negative integer exponent")
+            if n[1] > MAX_EXPONENT:
+                raise _guard(f"exponent {n[1]} is larger than {MAX_EXPONENT}",
+                             n)
             return ("p", v[1] ** n[1])
         return v
 
@@ -251,6 +265,11 @@ class _Parser:
         return a[1], b[1]
 
 
+def _guard(message: str, tok: Token) -> UnsupportedError:
+    return UnsupportedError(f"{message} at line {tok[2]}, column {tok[3]} "
+                            "(resource guard)")
+
+
 def _run_parser(tokens: List[Token], chart_: Chart, allow_fields: bool,
                 allow_coords: bool) -> Value:
     p = _Parser(tokens, chart_, allow_fields, allow_coords)
@@ -285,11 +304,13 @@ def parse_vector_field(text: str, chart_: Chart, start_line: int = 1,
     return v[1]
 
 
-def parse_frame_file(text: str) -> Tuple[int, List[VectorField]]:
+def parse_frame_file(text: str, max_l: Optional[int] = None
+                     ) -> Tuple[int, List[VectorField]]:
     """Parse a frame file: an ``l: <int>`` header then lines ``X<i>: <expr>``.
 
     ``#`` starts a comment; blank lines are ignored.  The field lines must
-    appear in order X1..Xl.
+    appear in order X1..Xl.  A header rank above ``max_l`` raises
+    UnsupportedError before the rank's chart is built.
     """
     l: Optional[int] = None
     fields: List[VectorField] = []
@@ -308,12 +329,15 @@ def parse_frame_file(text: str) -> Tuple[int, List[VectorField]]:
             if not rest.startswith(":"):
                 raise ParseError("expected ':' in header", lineno, indent + 2)
             num = rest[1:].strip()
-            if not num.isdigit():
+            if not num.isdecimal():
                 raise ParseError("expected an integer rank after 'l:'",
                                  lineno, indent + 1)
             l = int(num)
             if l < 2:
                 raise ParseError("rank must be at least 2", lineno, indent + 1)
+            if max_l is not None and l > max_l:
+                raise UnsupportedError(
+                    f"rank l={l} is larger than {max_l} (resource guard)")
             chart_ = make_chart(l)
             continue
         if len(fields) == l:
@@ -324,7 +348,7 @@ def parse_frame_file(text: str) -> Tuple[int, List[VectorField]]:
             raise ParseError(f"expected 'X{want}: <expr>'", lineno, indent + 1)
         ci = line.index(":")
         head = line[:ci].strip()[1:]
-        if not head.isdigit() or int(head) != want:
+        if not head.isdecimal() or int(head) != want:
             raise ParseError(f"expected field 'X{want}' here", lineno,
                              indent + 1)
         fields.append(parse_vector_field(line[ci + 1:], chart_,

@@ -10,6 +10,7 @@ lexicographically in that coordinate order.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Dict, Iterable, Tuple
 
 from .scalars import ExactScalar, ScalarLike
@@ -63,6 +64,19 @@ class Chart:
 @lru_cache(maxsize=None)
 def chart(l: int) -> Chart:
     return Chart(l)
+
+
+def add_product(out: Dict[Exponents, ExactScalar],
+                p: Dict[Exponents, ExactScalar],
+                q: Dict[Exponents, ExactScalar]) -> None:
+    """Add the product of two term dicts into ``out``.  Sums that cancel
+    stay as zero coefficients, for the Polynomial constructor to drop."""
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            s = out.get(e)
+            out[e] = c if s is None else s + c
 
 
 def _check_same_chart(p: "Polynomial", q: "Polynomial") -> None:
@@ -134,12 +148,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _check_same_chart(self, other)
         out: Dict[Exponents, ExactScalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                out[e] = c if s is None else s + c
+        add_product(out, self.terms, other.terms)
         return Polynomial(self.chart, out)
 
     def scale(self, s: ScalarLike) -> "Polynomial":

@@ -6,6 +6,7 @@ from fractions import Fraction
 from typing import List
 
 import pytest
+from hypothesis import strategies as st
 
 from freedist.geometry import VectorField
 from freedist.polynomials import Polynomial, chart
@@ -72,3 +73,37 @@ def flat4():
 @pytest.fixture(scope="session")
 def armstrong4():
     return armstrong_fields(4)
+
+
+# Pieces of frame-file text for fuzzing the parser and the CLI: headers,
+# field labels, atoms of the grammar, operators, large numbers and
+# characters that are digits to str.isdigit but not to int().
+FRAME_PIECES = ["l: ", "l:", "l: 4", "l: 2", "l: 3", "l: 9", "l: 99999",
+                "\n", "\r\n", " ", "\t", "#", "X1: ", "X2: ", "X3:", "X4: ",
+                "X5:", "Dx1", "Dx2", "Dx4", "Dy[1,2]", "Dy[3,4]", "Dy[2,1]",
+                "Dy[1,1]", "x1", "x2", "x4", "x5", "y[1,2]", "y[3,4]",
+                "y[4,3]", "x", "y", "D", "[", "]", ",", ":", "+", "-", "*",
+                "^", "(", ")", "/", "0", "1", "2", "7", "99999999", "sqrt2",
+                "²", "٣", "é", "\x00"]
+
+RANK4_FRAMES = ["flat_l4.frame", "armstrong_l4.frame", "obstructed_l4.frame",
+                "integrable_l4.frame", "nonunimodular_l4.frame",
+                "bad_syntax.frame"]
+
+
+@st.composite
+def frame_texts(draw):
+    """Frame-file text: pieces joined at random, or a shipped rank-4 frame
+    with a few pieces spliced in or characters cut out."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(FRAME_PIECES),
+                                     max_size=40)))
+    with open(data_path(draw(st.sampled_from(RANK4_FRAMES))),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.sampled_from(FRAME_PIECES + [""])) \
+            + text[j:]
+    return text

@@ -357,6 +357,76 @@ def test_codifferential_matches_oracle_on_chains(c):
     assert list(got.terms) == list(want.terms)
 
 
+def as_polynomial(c, l):
+    return c if isinstance(c, Polynomial) else Polynomial.const(chart(l), c)
+
+
+def promoted_sum(l, items):
+    """The term-by-term sum of (key, coefficient) items, every coefficient
+    taken as a polynomial."""
+    out = {}
+    for key, c in items:
+        c = as_polynomial(c, l)
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+@st.composite
+def mixed_chain_pairs(draw):
+    """Two chains of one shape over the same few unit keys, each term's
+    coefficient a sqrt2 scalar or a polynomial, so the kinds meet."""
+    l = draw(st.sampled_from([3, 4]))
+    side = draw(st.sampled_from([ODD, EVEN]))
+    k = draw(st.integers(1, 3))
+    units = all_units(l, side, k)[:6]
+    ch = chart(l)
+    chains = []
+    for _ in range(2):
+        terms = {}
+        for n in draw(st.lists(st.integers(0, len(units) - 1), min_size=1,
+                               max_size=4)):
+            (key, _), = units[n].terms.items()
+            c = ExactScalar(draw(st.integers(-2, 2)),
+                            draw(st.integers(-1, 1))) or ONE
+            if draw(st.booleans()):
+                c = Polynomial.const(ch, c) + Polynomial.coordinate(
+                    ch, draw(st.integers(0, 2))).scale(draw(st.integers(-1,
+                                                                        1)))
+            terms[key] = c
+        chains.append(Chain(side, l, k, terms))
+    return chains
+
+
+@given(mixed_chain_pairs())
+@settings(deadline=None, max_examples=60)
+def test_mixed_coefficient_chains(pair):
+    a, b = pair
+    l = a.l
+    items = list(a.terms.items()) + list(b.terms.items())
+    total = a + b
+    assert promoted_sum(l, total.terms.items()) == promoted_sum(l, items)
+    made = Chain.make(a.side, l, a.k,
+                      [(slots, t, c) for (slots, t), c in items])
+    assert made == total
+    for c in (a, b, total):
+        image = [term for key, coeff in c.terms.items()
+                 for term in codifferential(
+                     Chain(c.side, l, c.k, {key: coeff})).terms.items()]
+        assert promoted_sum(l, codifferential(c).terms.items()) == \
+            promoted_sum(l, image)
+
+
+def test_mixed_coefficients_meeting_on_one_key():
+    slots, target = (("up1", 1),), ("lo1", 1)
+    two = Polynomial.const(chart(3), 2)
+    a = Chain.make(ODD, 3, 1, [(slots, target, ExactScalar.of(1))])
+    b = Chain.make(ODD, 3, 1, [(slots, target, two)])
+    three = {(slots, target): Polynomial.const(chart(3), 3)}
+    assert (a + b).terms == three and (b + a).terms == three
+    assert Chain.make(ODD, 3, 1, [(slots, target, ExactScalar.of(1)),
+                                  (slots, target, two)]).terms == three
+
+
 def test_codifferential_term_order_after_a_cancellation():
     """A chain whose first two terms cancel on a key that the third term
     brings back: the key moves to where the third term puts it."""

@@ -1,20 +1,26 @@
 """Command-line interface: exit codes, output formats, and guards."""
 
 import ast
+import contextlib
 import glob
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freedist.cli as cli_module
-from conftest import data_path
+from conftest import data_path, frame_texts
 from freedist.cli import (ALGEBRA_CHECK_MAX_L, ALGEBRA_CHECK_MIN_L,
-                          COHOMOLOGY_MAX_H_VALUES, COHOMOLOGY_MAX_L,
-                          COHOMOLOGY_MIN_L, _parse_h_range, main)
+                          ANALYZE_MAX_L, COHOMOLOGY_MAX_H_VALUES,
+                          COHOMOLOGY_MAX_L, COHOMOLOGY_MIN_L, _parse_h_range,
+                          main)
 
 JSON_KEY_ORDER = ["l", "nondegenerate", "structure_functions", "A", "C", "E",
                   "F", "P", "R", "S", "T", "flat", "kappa11_deg2_zero",
@@ -94,6 +100,49 @@ def test_analyze_non_utf8_exit_1(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"{path}: ") and "not valid UTF-8" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def flat_frame_text(l):
+    lines = [f"l: {l}"]
+    for i in range(1, l + 1):
+        terms = [f"Dx{i}"] + [f"- x{p}*Dy[{i},{p}]" for p in range(i + 1,
+                                                                   l + 1)]
+        lines.append(f"X{i}: " + " ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def test_analyze_rank_guard(capsys, monkeypatch, tmp_path):
+    def no_analysis(fields):
+        raise AssertionError("analyze ran past the rank guard")
+
+    monkeypatch.setattr(cli_module, "analyze", no_analysis)
+    for l, text in ((ANALYZE_MAX_L + 1, flat_frame_text(ANALYZE_MAX_L + 1)),
+                    (10 ** 9, "l: 1000000000\n")):
+        path = tmp_path / f"rank{l}.frame"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: rank l={l} ")
+        assert "(resource guard)" in err and err.count("\n") == 1
+
+
+@given(st.one_of(st.binary(max_size=80),
+                 frame_texts().map(lambda text: text.encode("utf-8"))))
+@settings(deadline=None, max_examples=150)
+def test_analyze_fuzz_exit_codes(data):
+    """Any bytes in: a documented exit code out, and at most one stderr
+    line, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.frame")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["analyze", path])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == (1 if code else 0)
 
 
 def test_analyze_verbose_goes_to_stderr(capsys):

@@ -1,15 +1,18 @@
 """Fields, forms, brackets, frames, coframes, and structure functions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import armstrong_fields, flat_fields
+from conftest import armstrong_fields, flat_fields, random_sparse_fields
 from freedist.errors import (DegenerateFrameError, NotFreeDistributionError,
                              UnsupportedFrameError)
-from freedist.geometry import (DifferentialForm, Frame, VectorField,
-                               build_frame, check_nondegenerate, dual_coframe,
-                               frame_keys, lie_bracket, structure_functions)
+from freedist.geometry import (DifferentialForm, Frame, PairMinors,
+                               VectorField, build_frame, check_nondegenerate,
+                               dual_coframe, frame_keys, lie_bracket,
+                               structure_functions)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -110,6 +113,77 @@ def test_two_form_evaluation_antisymmetry():
     w = VectorField.coordinate_y(CH, 1, 2)
     om = a.wedge(b)
     assert om.evaluate(v, w) == -(om.evaluate(w, v))
+
+
+@st.composite
+def sqrt2_polys(draw):
+    """Zero or up to three monomials of degree <= 2 with coefficients in
+    Q(sqrt2), including ones with a zero rational part."""
+    p = Polynomial.zero(CH)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        mono = Polynomial.const(CH, ExactScalar(
+            draw(st.integers(min_value=-2, max_value=2)),
+            draw(st.integers(min_value=-1, max_value=1))))
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            mono = mono * coord_poly(draw(st.integers(
+                min_value=0, max_value=CH.ncoords - 1)))
+        p = p + mono
+    return p
+
+
+@st.composite
+def dense_fields(draw):
+    """Fields with every component drawn, many of them zero."""
+    return VectorField(CH, [draw(sqrt2_polys()) for _ in range(CH.ncoords)])
+
+
+@st.composite
+def two_forms(draw):
+    keys = [(d, e) for d in range(CH.ncoords) for e in range(d + 1,
+                                                              CH.ncoords)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+    return DifferentialForm(CH, 2, {k: draw(sqrt2_polys()) for k in chosen})
+
+
+@st.composite
+def argument_pairs(draw):
+    """Pairs over a small pool of fields, so that pairs repeat, swap or
+    take one field twice."""
+    pool = draw(st.lists(st.one_of(sparse_fields(), dense_fields()),
+                         min_size=1, max_size=4))
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    return [(pool[draw(index)], pool[draw(index)])
+            for _ in range(draw(st.integers(min_value=0, max_value=8)))]
+
+
+@given(st.lists(two_forms(), min_size=1, max_size=3), argument_pairs())
+@settings(deadline=None, max_examples=60)
+def test_pair_minors_match_evaluate(forms, args):
+    minors = PairMinors(CH, args)
+    for (d, e), entries in minors.table.items():
+        assert d < e
+        assert [i for i, _ in entries] == sorted({i for i, _ in entries})
+        assert all(not t.is_zero() for _, t in entries)
+    for form in forms:
+        want = {}
+        for i, (u, v) in enumerate(args):
+            val = form.evaluate(u, v)
+            if not val.is_zero():
+                want[i] = val
+        assert minors.values(form) == want
+
+
+def test_pair_minors_argument_checks():
+    v = VectorField.coordinate_x(CH, 1)
+    minors = PairMinors(CH, [(v, VectorField.coordinate_x(CH, 2))])
+    with pytest.raises(ValueError):
+        minors.values(DifferentialForm.dcoord(CH, 0))
+    other = chart(4)
+    with pytest.raises(ValueError):
+        minors.values(DifferentialForm.dcoord(other, 0).wedge(
+            DifferentialForm.dcoord(other, 1)))
+    with pytest.raises(ValueError):
+        PairMinors(other, [(v, v)])
 
 
 def test_frame_keys_ordering():
@@ -247,6 +321,36 @@ def test_armstrong_structure_functions_single_entry():
     assert f.pp_sp[((3, 4), 1, (1, 2))] == Polynomial.const(
         fr.chart, ExactScalar.one())
     assert not f.ss_sp and not f.ss_pp and not f.pp_pp
+
+
+def test_structure_functions_match_per_pair_evaluation():
+    """Every block entry, in order, is dtheta evaluated on one frame pair
+    with DifferentialForm.evaluate, and no nonzero value is missing."""
+    rng = random.Random(7)
+    frames = [build_frame(armstrong_fields(4))]
+    while len(frames) < 5:
+        try:
+            frames.append(build_frame(random_sparse_fields(4, rng)))
+        except (DegenerateFrameError, UnsupportedFrameError):
+            continue
+    for fr in frames:
+        coframe = dual_coframe(fr)
+        keys = fr.keys()
+        want = {"ss_sp": [], "ss_pp": [], "pp_sp": [], "pp_pp": []}
+        for tkey in keys:
+            dtheta = coframe.form(tkey).d()
+            for ui, ukey in enumerate(keys):
+                for vkey in keys[ui + 1:]:
+                    if ukey[0] == "s" and vkey[0] == "s":
+                        continue
+                    val = dtheta.evaluate(fr.field(ukey), fr.field(vkey))
+                    if not val.is_zero():
+                        block = f"{tkey[0] * 2}_{ukey[0]}{vkey[0]}"
+                        want[block].append(((tkey[1], ukey[1], vkey[1]),
+                                            val))
+        got = {name: list(table.items())
+               for name, table in structure_functions(fr).blocks()}
+        assert got == want
 
 
 def test_structure_function_accessors_signed():

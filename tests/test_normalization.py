@@ -161,6 +161,62 @@ def test_random_frames_self_consistent():
         done += 1
 
 
+def per_form_curvature_values(M, args):
+    """The curvature engine's evaluation without the shared minor table:
+    each row's 2-forms dM - M^M evaluated pair by pair with
+    DifferentialForm.evaluate."""
+    rows = {}
+    for (r, c), form in M.items():
+        rows.setdefault(r, []).append((c, form))
+    values = [{} for _ in args]
+    for r, row in rows.items():
+        omega2 = {c: form.d() for c, form in row}
+        for m, f1 in row:
+            for c, f2 in rows.get(m, ()):
+                w = f1.wedge(f2)
+                if w.is_zero():
+                    continue
+                old = omega2.get(c)
+                omega2[c] = (old - w) if old is not None else -w
+        for c, form in omega2.items():
+            if form.is_zero():
+                continue
+            for entries, (u, v) in zip(values, args):
+                val = form.evaluate(u, v)
+                if not val.is_zero():
+                    entries[(r, c)] = val
+    return values
+
+
+def test_curvature_values_match_per_form_oracle(monkeypatch):
+    import random
+
+    import freedist.normalization as nm
+    engine = nm._curvature_values
+    nonzero = []
+
+    def checked(chart_, M, args):
+        got = engine(chart_, M, args)
+        want = per_form_curvature_values(M, args)
+        assert [list(e.items()) for e in got] == \
+            [list(e.items()) for e in want]
+        nonzero.append(sum(map(len, got)))
+        return got
+
+    monkeypatch.setattr(nm, "_curvature_values", checked)
+    rng = random.Random(2024)
+    done = 0
+    while done < 6:
+        try:
+            analyze(random_sparse_fields(4, rng))
+        except (DegenerateFrameError, UnsupportedFrameError):
+            continue
+        done += 1
+    analyze_fixture("armstrong_l5.frame")
+    assert len(nonzero) == 7 and nonzero[-1]
+    assert sum(1 for n in nonzero if n) >= 6
+
+
 # --- verdict helpers ------------------------------------------------------
 
 def test_flatness_and_invariant_helpers():

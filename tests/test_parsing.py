@@ -1,8 +1,11 @@
 """Grammar coverage and error reporting for the expression/frame parsers."""
 
 import pytest
+from hypothesis import given, settings
 
-from freedist.errors import ParseError
+from conftest import frame_texts
+from freedist.cli import ANALYZE_MAX_L
+from freedist.errors import FreeDistError, ParseError
 from freedist.parsing import (parse_expression, parse_frame_file,
                               parse_scalar, parse_vector_field)
 from freedist.polynomials import Polynomial, chart
@@ -137,3 +140,51 @@ def test_expression_round_trip_via_to_expr():
                  "-x1 + 2*y[1,4] - 3/5*y[2,3]^2"):
         p = P(text)
         assert parse_expression(p.to_expr(), CH) == p
+
+
+def test_frame_file_rank_guard():
+    from freedist.errors import UnsupportedError
+    text = "l: 4\nX1: Dx1\nX2: Dx2\nX3: Dx3\nX4: Dx4\n"
+    assert parse_frame_file(text, max_l=4)[0] == 4
+    with pytest.raises(UnsupportedError, match=r"l=4 .*resource guard"):
+        parse_frame_file(text, max_l=3)
+    # refused at the header: no chart of the huge rank is built
+    with pytest.raises(UnsupportedError):
+        parse_frame_file("l: 100000000\n", max_l=8)
+
+
+@pytest.mark.parametrize("text", ["l: ²\n", "l: 2\nX²: Dx1\n",
+                                  "l: 2\nX1: 2³*Dx1\n"])
+def test_non_decimal_digits_are_parse_errors(text):
+    # str.isdigit accepts these superscripts, int() does not
+    with pytest.raises(ParseError):
+        parse_frame_file(text)
+
+
+def test_nesting_and_exponent_guards():
+    from freedist.errors import UnsupportedError
+    from freedist.parsing import MAX_EXPONENT, MAX_NESTING
+    deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert P(deep) == P("x1")
+    assert P("-" * MAX_NESTING + "x1") == P("x1")
+    for text in ("(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1),
+                 "-" * 5000 + "x1", "x1*" + "(-" * 60 + "x2" + ")" * 60):
+        with pytest.raises(UnsupportedError, match="nested deeper"):
+            P(text)
+    assert P(f"x1^{MAX_EXPONENT}") == P("x1") ** MAX_EXPONENT
+    for text in (f"x1^{MAX_EXPONENT + 1}", "2^99999999"):
+        with pytest.raises(UnsupportedError, match="resource guard"):
+            P(text)
+
+
+@given(frame_texts())
+@settings(deadline=None, max_examples=200)
+def test_parse_frame_file_fuzz(text):
+    """Any text either parses to l fields on the rank-l chart or raises
+    one of the package's own errors."""
+    try:
+        l, fields = parse_frame_file(text, max_l=ANALYZE_MAX_L)
+    except FreeDistError:
+        return
+    assert 2 <= l <= ANALYZE_MAX_L and len(fields) == l
+    assert all(f.chart == chart(l) for f in fields)

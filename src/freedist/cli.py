@@ -26,8 +26,8 @@ from .spinorial import (SpinorIdentification, TangentKey, list_inclusions,
 
 # Resource guards (configuration, not mathematical limits): the graded
 # battery, harmonic scans and frame analysis grow quickly with rank, so the
-# CLI refuses ranks whose exact runs would be disproportionate.
-ANALYZE_MAX_L = 8              # flat frames: l=7 takes 3.5 s, l=8 11 s
+# CLI refuses ranks whose exact runs would be disproportionate.  The frame
+# parser refuses ranks above parsing.MAX_L for ``analyze``.
 ALGEBRA_CHECK_MIN_L = 3
 ALGEBRA_CHECK_MAX_L = 6
 COHOMOLOGY_MIN_L = 3
@@ -101,6 +101,9 @@ def _parse_vector_json(text: str, l: int) -> Dict[TangentKey, ExactScalar]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON vector: {exc.msg}", exc.lineno,
                          exc.colno)
+    except ValueError:  # an integer longer than int() accepts
+        raise ParseError("invalid JSON vector: integer with too many digits",
+                         1, 1)
     if not isinstance(data, dict) or "v" not in data \
             or not isinstance(data["v"], dict):
         raise ParseError('vector JSON must be {"v": {...}}', 1, 1)
@@ -155,7 +158,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"{exc.start})", file=sys.stderr)
         return 1
     try:
-        _, fields = parse_frame_file(text, max_l=ANALYZE_MAX_L)
+        _, fields = parse_frame_file(text)
     except ParseError as exc:
         print(f"{args.path}:{exc.line}:{exc.col}: {exc.message}",
               file=sys.stderr)

@@ -37,7 +37,7 @@ from .geometry import (Coframe, DifferentialForm, Frame, PairMinors,
                        StructureFunctions, VectorField, build_frame,
                        dual_coframe, structure_functions)
 from .linalg import FactoredSystem
-from .polynomials import Chart, Polynomial, chart
+from .polynomials import Polynomial, chart
 from .scalars import ExactScalar
 
 Pair = Tuple[int, int]
@@ -522,8 +522,7 @@ def _expand_poly_matrix(ga: GradedAlgebra,
     return coeffs
 
 
-def _curvature_values(chart_: Chart,
-                      M: Dict[Tuple[int, int], DifferentialForm],
+def _curvature_values(M: Dict[Tuple[int, int], DifferentialForm],
                       args: List[Tuple[VectorField, VectorField]]
                       ) -> List[Dict[Tuple[int, int], Polynomial]]:
     """The nonzero values of the curvature matrix dM - M wedge M on each
@@ -536,7 +535,7 @@ def _curvature_values(chart_: Chart,
     for (r, c), form in M.items():
         rows.setdefault(r, []).append((c, form))
     values: List[Dict[Tuple[int, int], Polynomial]] = [{} for _ in args]
-    minors = PairMinors(chart_, args)
+    minors = PairMinors(args[0][0].chart, args)
     for r, row in rows.items():
         omega2 = {c: form.d() for c, form in row}
         for m, f1 in row:
@@ -589,7 +588,7 @@ def _curvature_reads(frame: Frame, A: Dict[AKey, Polynomial],
     pp = [(pairs[pi], pairs[qi]) for pi in range(len(pairs))
           for qi in range(pi + 1, len(pairs))]
     values = _curvature_values(
-        frame.chart, M, [(W_s[r], W_s[s]) for r, s in ss]
+        M, [(W_s[r], W_s[s]) for r, s in ss]
         + [(W_s[r], W_p[p]) for r, p in sp]
         + [(W_p[p], W_p[q]) for p, q in pp])
     # one read per argument pair, in the order ss, sp, pp; zip takes the

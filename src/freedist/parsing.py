@@ -29,10 +29,14 @@ Token = Tuple[str, object, int, int]  # (type, value, line, col)
 
 _OPS = set("+-*^()[],:/")
 
-# Resource guards: a power is built by repeated multiplication and each
-# level of '(' or unary '-' is one more level of recursion.
+# Resource guards: a power is built by repeated multiplication, each level
+# of '(' or unary '-' is one more level of recursion, int() refuses digit
+# runs longer than 4300, and the analysis grows quickly with the rank (flat
+# frames: l=7 takes 3.5 s, l=8 11 s).
 MAX_EXPONENT = 32
 MAX_NESTING = 100
+MAX_DIGITS = 1000
+MAX_L = 8
 
 
 def tokenize(text: str, start_line: int = 1, start_col: int = 1) -> List[Token]:
@@ -54,7 +58,8 @@ def tokenize(text: str, start_line: int = 1, start_col: int = 1) -> List[Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("num", int(text[i:j]), line, col))
+            tokens.append(("num", _read_int(text[i:j], line, col), line,
+                           col))
             col += j - i
             i = j
             continue
@@ -165,7 +170,7 @@ class _Parser:
         if t[0] in ("-", "("):
             if self.depth == MAX_NESTING:
                 raise _guard(f"expression nested deeper than {MAX_NESTING} "
-                             "levels", t)
+                             "levels", t[2], t[3])
             self.depth += 1
             self.next()
             if t[0] == "-":
@@ -184,7 +189,7 @@ class _Parser:
             n = self.expect("num", "a non-negative integer exponent")
             if n[1] > MAX_EXPONENT:
                 raise _guard(f"exponent {n[1]} is larger than {MAX_EXPONENT}",
-                             n)
+                             n[2], n[3])
             return ("p", v[1] ** n[1])
         return v
 
@@ -265,9 +270,17 @@ class _Parser:
         return a[1], b[1]
 
 
-def _guard(message: str, tok: Token) -> UnsupportedError:
-    return UnsupportedError(f"{message} at line {tok[2]}, column {tok[3]} "
+def _guard(message: str, line: int, col: int) -> UnsupportedError:
+    return UnsupportedError(f"{message} at line {line}, column {col} "
                             "(resource guard)")
+
+
+def _read_int(digits: str, line: int, col: int) -> int:
+    """The value of a run of decimal digits, refused beyond MAX_DIGITS."""
+    if len(digits) > MAX_DIGITS:
+        raise _guard(f"number of {len(digits)} digits is longer than "
+                     f"{MAX_DIGITS}", line, col)
+    return int(digits)
 
 
 def _run_parser(tokens: List[Token], chart_: Chart, allow_fields: bool,
@@ -304,12 +317,11 @@ def parse_vector_field(text: str, chart_: Chart, start_line: int = 1,
     return v[1]
 
 
-def parse_frame_file(text: str, max_l: Optional[int] = None
-                     ) -> Tuple[int, List[VectorField]]:
+def parse_frame_file(text: str) -> Tuple[int, List[VectorField]]:
     """Parse a frame file: an ``l: <int>`` header then lines ``X<i>: <expr>``.
 
     ``#`` starts a comment; blank lines are ignored.  The field lines must
-    appear in order X1..Xl.  A header rank above ``max_l`` raises
+    appear in order X1..Xl.  A header rank above MAX_L raises
     UnsupportedError before the rank's chart is built.
     """
     l: Optional[int] = None
@@ -332,12 +344,12 @@ def parse_frame_file(text: str, max_l: Optional[int] = None
             if not num.isdecimal():
                 raise ParseError("expected an integer rank after 'l:'",
                                  lineno, indent + 1)
-            l = int(num)
+            l = _read_int(num, lineno, indent + 1)
             if l < 2:
                 raise ParseError("rank must be at least 2", lineno, indent + 1)
-            if max_l is not None and l > max_l:
+            if l > MAX_L:
                 raise UnsupportedError(
-                    f"rank l={l} is larger than {max_l} (resource guard)")
+                    f"rank l={l} is larger than {MAX_L} (resource guard)")
             chart_ = make_chart(l)
             continue
         if len(fields) == l:
@@ -348,7 +360,8 @@ def parse_frame_file(text: str, max_l: Optional[int] = None
             raise ParseError(f"expected 'X{want}: <expr>'", lineno, indent + 1)
         ci = line.index(":")
         head = line[:ci].strip()[1:]
-        if not head.isdecimal() or int(head) != want:
+        if not head.isdecimal() \
+                or _read_int(head, lineno, indent + 1) != want:
             raise ParseError(f"expected field 'X{want}' here", lineno,
                              indent + 1)
         fields.append(parse_vector_field(line[ci + 1:], chart_,

@@ -76,15 +76,16 @@ def armstrong4():
 
 
 # Pieces of frame-file text for fuzzing the parser and the CLI: headers,
-# field labels, atoms of the grammar, operators, large numbers and
-# characters that are digits to str.isdigit but not to int().
+# field labels, atoms of the grammar, operators, large numbers (the last
+# one longer than int() accepts) and characters that are digits to
+# str.isdigit but not to int().
 FRAME_PIECES = ["l: ", "l:", "l: 4", "l: 2", "l: 3", "l: 9", "l: 99999",
                 "\n", "\r\n", " ", "\t", "#", "X1: ", "X2: ", "X3:", "X4: ",
                 "X5:", "Dx1", "Dx2", "Dx4", "Dy[1,2]", "Dy[3,4]", "Dy[2,1]",
                 "Dy[1,1]", "x1", "x2", "x4", "x5", "y[1,2]", "y[3,4]",
                 "y[4,3]", "x", "y", "D", "[", "]", ",", ":", "+", "-", "*",
                 "^", "(", ")", "/", "0", "1", "2", "7", "99999999", "sqrt2",
-                "²", "٣", "é", "\x00"]
+                "²", "٣", "é", "\x00", "9" * 4301]
 
 RANK4_FRAMES = ["flat_l4.frame", "armstrong_l4.frame", "obstructed_l4.frame",
                 "integrable_l4.frame", "nonunimodular_l4.frame",

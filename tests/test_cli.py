@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import freedist.cli as cli_module
 from conftest import data_path, frame_texts
 from freedist.cli import (ALGEBRA_CHECK_MAX_L, ALGEBRA_CHECK_MIN_L,
-                          ANALYZE_MAX_L, COHOMOLOGY_MAX_H_VALUES,
-                          COHOMOLOGY_MAX_L, COHOMOLOGY_MIN_L, _parse_h_range,
-                          main)
+                          COHOMOLOGY_MAX_H_VALUES, COHOMOLOGY_MAX_L,
+                          COHOMOLOGY_MIN_L, _parse_h_range, main)
+from freedist.parsing import MAX_DIGITS, MAX_L
 
 JSON_KEY_ORDER = ["l", "nondegenerate", "structure_functions", "A", "C", "E",
                   "F", "P", "R", "S", "T", "flat", "kappa11_deg2_zero",
@@ -116,7 +116,7 @@ def test_analyze_rank_guard(capsys, monkeypatch, tmp_path):
         raise AssertionError("analyze ran past the rank guard")
 
     monkeypatch.setattr(cli_module, "analyze", no_analysis)
-    for l, text in ((ANALYZE_MAX_L + 1, flat_frame_text(ANALYZE_MAX_L + 1)),
+    for l, text in ((MAX_L + 1, flat_frame_text(MAX_L + 1)),
                     (10 ** 9, "l: 1000000000\n")):
         path = tmp_path / f"rank{l}.frame"
         path.write_text(text, encoding="utf-8")
@@ -124,6 +124,20 @@ def test_analyze_rank_guard(capsys, monkeypatch, tmp_path):
         assert code == 2 and out == ""
         assert err.startswith(f"error: rank l={l} ")
         assert "(resource guard)" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "l: " + "9" * 5000 + "\n",
+    "l: 2\nX1: x1^" + "9" * 5000 + "*Dx1\nX2: Dx2\n"],
+    ids=["rank", "exponent"])
+def test_analyze_digit_runs_past_int_limit(capsys, tmp_path, text):
+    path = tmp_path / "long.frame"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: number of 5000 digits is longer than "
+                          f"{MAX_DIGITS}")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 @given(st.one_of(st.binary(max_size=80),
@@ -292,6 +306,14 @@ def test_spinor_bad_json_exit_1(capsys):
     code, _, err = run(capsys, "spinor", "--l", "3", "--vector", "{nope")
     assert code == 1
     assert re.match(r"^vector:\d+:\d+: ", err)
+
+
+def test_spinor_json_integer_past_int_limit_exit_1(capsys):
+    code, out, err = run(capsys, "spinor", "--l", "3", "--vector",
+                         '{"v": {"1": ' + "9" * 5000 + "}}")
+    assert code == 1 and out == ""
+    assert err.startswith("vector:1:1: invalid JSON vector: ")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_spinor_wrong_shape_exit_1(capsys):

@@ -195,8 +195,8 @@ def test_curvature_values_match_per_form_oracle(monkeypatch):
     engine = nm._curvature_values
     nonzero = []
 
-    def checked(chart_, M, args):
-        got = engine(chart_, M, args)
+    def checked(M, args):
+        got = engine(M, args)
         want = per_form_curvature_values(M, args)
         assert [list(e.items()) for e in got] == \
             [list(e.items()) for e in want]

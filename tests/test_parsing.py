@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import frame_texts
-from freedist.cli import ANALYZE_MAX_L
-from freedist.errors import FreeDistError, ParseError
-from freedist.parsing import (parse_expression, parse_frame_file,
-                              parse_scalar, parse_vector_field)
+from freedist.errors import FreeDistError, ParseError, UnsupportedError
+from freedist.parsing import (MAX_DIGITS, MAX_L, parse_expression,
+                              parse_frame_file, parse_scalar,
+                              parse_vector_field)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -143,14 +143,34 @@ def test_expression_round_trip_via_to_expr():
 
 
 def test_frame_file_rank_guard():
-    from freedist.errors import UnsupportedError
-    text = "l: 4\nX1: Dx1\nX2: Dx2\nX3: Dx3\nX4: Dx4\n"
-    assert parse_frame_file(text, max_l=4)[0] == 4
-    with pytest.raises(UnsupportedError, match=r"l=4 .*resource guard"):
-        parse_frame_file(text, max_l=3)
+    # rank MAX_L is accepted: the file fails only for its missing fields
+    with pytest.raises(ParseError, match=f"after 0 of {MAX_L} fields"):
+        parse_frame_file(f"l: {MAX_L}\n")
+    with pytest.raises(UnsupportedError,
+                       match=rf"l={MAX_L + 1} .*resource guard"):
+        parse_frame_file(f"l: {MAX_L + 1}\n")
     # refused at the header: no chart of the huge rank is built
     with pytest.raises(UnsupportedError):
-        parse_frame_file("l: 100000000\n", max_l=8)
+        parse_frame_file("l: 100000000\n")
+
+
+@pytest.mark.parametrize("text", [
+    "l: " + "9" * 5000 + "\n",
+    "l: 2\nX1: x1^" + "9" * 5000 + "*Dx1\n",
+    "l: 2\nX1: " + "9" * 5000 + "*Dx1\n",
+    "l: 2\nX" + "1" * 5000 + ": Dx1\n"],
+    ids=["rank", "exponent", "coefficient", "field-label"])
+def test_digit_runs_past_int_limit_are_refused(text):
+    # int() raises ValueError on runs over 4300 digits
+    with pytest.raises(UnsupportedError, match=f"longer than {MAX_DIGITS}"):
+        parse_frame_file(text)
+
+
+def test_longest_accepted_number():
+    big = "9" * MAX_DIGITS
+    assert P(f"{big}/{big}*x1") == P("x1")
+    with pytest.raises(UnsupportedError, match="resource guard"):
+        P(big + "9")
 
 
 @pytest.mark.parametrize("text", ["l: ²\n", "l: 2\nX²: Dx1\n",
@@ -162,7 +182,6 @@ def test_non_decimal_digits_are_parse_errors(text):
 
 
 def test_nesting_and_exponent_guards():
-    from freedist.errors import UnsupportedError
     from freedist.parsing import MAX_EXPONENT, MAX_NESTING
     deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
     assert P(deep) == P("x1")
@@ -183,8 +202,8 @@ def test_parse_frame_file_fuzz(text):
     """Any text either parses to l fields on the rank-l chart or raises
     one of the package's own errors."""
     try:
-        l, fields = parse_frame_file(text, max_l=ANALYZE_MAX_L)
+        l, fields = parse_frame_file(text)
     except FreeDistError:
         return
-    assert 2 <= l <= ANALYZE_MAX_L and len(fields) == l
+    assert 2 <= l <= MAX_L and len(fields) == l
     assert all(f.chart == chart(l) for f in fields)

@@ -12,9 +12,9 @@ computations.
 from .algebra import (ALGEBRA_CHECKS, AlgebraElement, Chain, EVEN,
                       GradedAlgebra, ODD, algebra, algebra_battery, basis,
                       bracket, codifferential, commutator_operator,
-                      commutator_operator_closed_form, delta_elements,
-                      differential, embed_alpha, kappa11_normality_test,
-                      pairing, phi, phi_extension)
+                      commutator_operator_closed_form, differential,
+                      embed_alpha, kappa11_normality_test, pairing, phi,
+                      phi_extension)
 from .cohomology import HarmonicSpace, harmonic_h1_scan, harmonic_space
 from .errors import (DegenerateFrameError, FreeDistError,
                      NotFreeDistributionError, ParseError, UnsupportedError,
@@ -26,8 +26,8 @@ from .geometry import (Coframe, DifferentialForm, Frame, StructureFunctions,
 from .normalization import (AnalysisReport, ConnectionData, CurvatureReport,
                             analyze, curvature_chain,
                             extension_normality_report, flatness_test,
-                            fundamental_invariant, report_from_json,
-                            report_to_json, solve_degree1, solve_degree2)
+                            report_from_json, report_to_json, solve_degree1,
+                            solve_degree2)
 from .parsing import (parse_expression, parse_frame_file, parse_scalar,
                       parse_vector_field)
 from .polynomials import Chart, Polynomial, chart
@@ -49,10 +49,9 @@ __all__ = [
     "VectorField", "algebra", "algebra_battery", "analyze", "basis",
     "bracket", "build_frame", "chart", "check_nondegenerate",
     "codifferential", "commutator_operator",
-    "commutator_operator_closed_form", "curvature_chain", "delta_elements",
-    "differential", "dual_coframe", "embed_alpha",
-    "extension_normality_report", "flatness_test", "frame_keys",
-    "fundamental_invariant", "harmonic_h1_scan", "harmonic_space",
+    "commutator_operator_closed_form", "curvature_chain", "differential",
+    "dual_coframe", "embed_alpha", "extension_normality_report",
+    "flatness_test", "frame_keys", "harmonic_h1_scan", "harmonic_space",
     "kappa11_normality_test", "lie_bracket", "list_inclusions",
     "null_cone_member", "pairing", "parse_expression", "parse_frame_file",
     "parse_scalar", "parse_vector_field", "pfaffian",

@@ -560,18 +560,6 @@ def phi(xi: AlgebraElement) -> AlgebraElement:
         EVEN, xi.l, ga.transfer_coeffs(coeffs))
 
 
-def delta_elements(l: int) -> Dict[Tuple[str, int], AlgebraElement]:
-    """The transfer-defect elements, keyed ('up', i) and ('lo', i)."""
-    ga = algebra(l)
-    out: Dict[Tuple[str, int], AlgebraElement] = {}
-    for i in range(1, l + 1):
-        out[("up", i)] = AlgebraElement.from_coefficients(
-            EVEN, l, ga.defect_up(i))
-        out[("lo", i)] = AlgebraElement.from_coefficients(
-            EVEN, l, ga.defect_lo(i))
-    return out
-
-
 # --------------------------------------------------------------------------
 # chains
 # --------------------------------------------------------------------------
@@ -680,12 +668,6 @@ class Chain:
         return Chain(self.side, self.l, self.k,
                      {key: c for key, c in self.terms.items()
                       if self.homogeneity(key) == h})
-
-    def slot_kind_part(self, kinds: Tuple[str, ...]) -> "Chain":
-        """Terms whose slot kinds (in canonical order) equal `kinds`."""
-        return Chain(self.side, self.l, self.k,
-                     {key: c for key, c in self.terms.items()
-                      if tuple(s[0] for s in key[0]) == kinds})
 
     def has_polynomial_coefficients(self) -> bool:
         return any(isinstance(c, Polynomial) for c in self.terms.values())

@@ -104,6 +104,8 @@ def _parse_vector_json(text: str, l: int) -> Dict[TangentKey, ExactScalar]:
     except ValueError:  # an integer longer than int() accepts
         raise ParseError("invalid JSON vector: integer with too many digits",
                          1, 1)
+    except RecursionError:
+        raise ParseError("invalid JSON vector: nested too deeply", 1, 1)
     if not isinstance(data, dict) or "v" not in data \
             or not isinstance(data["v"], dict):
         raise ParseError('vector JSON must be {"v": {...}}', 1, 1)

@@ -1,23 +1,133 @@
 """Exact linear algebra over Q(sqrt2) and its polynomial ring.
 
-Everything here is dense-free where it matters: kernels and linear systems
-work on sparse dicts, and a kernel is found block by block, over the sets
-of columns that share row labels, pivoting on the row with the fewest
-nonzeros and rebuilding a pivot's expression in the original columns only
-when a dependent column needs it; determinants of polynomial matrices use a
-column-by-column bitmask dynamic program so the common near-triangular frames
-stay cheap; and inverses of polynomial matrices with constant determinant are
-Newton-lifted from the inverse of their constant term, which a scalar
-Gauss-Jordan reduction also gives together with its determinant.
+Kernels and linear systems share one sparse elimination core,
+``_eliminate``: it splits the vectors into blocks that share no label,
+reduces each block's vectors in order, pivoting on the label with the
+fewest nonzeros, and records each pivot's multipliers, so that a pivot's
+expression in the original vectors (its tail) is rebuilt only where it is
+needed.  ``kernel_of_columns`` reads the kernel off the dependent columns'
+tails; ``FactoredSystem`` back-substitutes over the pivots' tails once per
+system and then solves each polynomial right-hand side by one sparse
+combination per unknown; ``invert_scalar_matrix`` does the same
+back-substitution for a square scalar matrix and reads its determinant off
+the pivots.  Determinants of polynomial matrices use a column-by-column
+bitmask dynamic program so the common near-triangular frames stay cheap;
+and inverses of polynomial matrices with constant determinant are
+Newton-lifted from the inverse of their constant term.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from .polynomials import Polynomial
+from .polynomials import Chart, Polynomial
 from .scalars import ExactScalar
+
+
+Multipliers = List[Tuple[int, ExactScalar]]
+Pivot = Tuple[Hashable, Dict[Hashable, ExactScalar], int, Multipliers,
+              ExactScalar]
+Tails = Dict[int, Dict[int, ExactScalar]]
+Block = Tuple[List[Pivot], List[Tuple[int, Multipliers]]]
+
+
+def _accumulate(dst: Dict[Hashable, ExactScalar], c: ExactScalar,
+                src: Dict[Hashable, ExactScalar]) -> None:
+    """dst += c * src, dropping the entries that cancel."""
+    for k, v in src.items():
+        old = dst.get(k)
+        w = c * v if old is None else old + c * v
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+
+
+def _eliminate(vectors: Sequence[Dict[Hashable, ExactScalar]]
+               ) -> Iterator[Block]:
+    """Forward elimination of sparse vectors, block by block.
+
+    Vectors that share no nonzero label, even through other vectors, never
+    meet, so they are split into blocks (union-find over labels) and each
+    block is eliminated on its own, its vectors in index order.  Each
+    vector is reduced by the block's earlier pivots in turn; if anything
+    is left, it pivots on its label with the fewest nonzeros across the
+    original vectors (a static Markowitz count, which keeps fill-in low;
+    Duff, Erisman & Reid, *Direct Methods for Sparse Matrices*, ch. 7),
+    ties broken by ``repr``.  A pivot's reduced vector has no entry at an
+    earlier pivot's label.
+
+    Yields per block its pivots, as (label, normalized reduced vector,
+    vector index, multipliers [(earlier pivot, c)], inverse of the pivot
+    entry), and its dependent vectors, as (vector index, multipliers).
+    """
+    n = len(vectors)
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: Dict[Hashable, int] = {}
+    count: Dict[Hashable, int] = {}
+    for i, vec in enumerate(vectors):
+        for k, v in vec.items():
+            if v:
+                parent[root(i)] = root(owner.setdefault(k, i))
+                count[k] = count.get(k, 0) + 1
+    # pivot priority of a label: its nonzero count, then its repr
+    rank = {k: r for r, k in enumerate(
+        sorted(count, key=lambda k: (count[k], repr(k))))}
+    blocks: Dict[int, List[int]] = {}
+    for i in range(n):
+        blocks.setdefault(root(i), []).append(i)
+    for block in blocks.values():
+        pivots: List[Pivot] = []
+        dependent: List[Tuple[int, Multipliers]] = []
+        for i in block:
+            vec = {k: v for k, v in vectors[i].items() if v}
+            mults: Multipliers = []
+            for q, (pkey, pvec, _, _, _) in enumerate(pivots):
+                c = vec.get(pkey)
+                if c is not None:
+                    mults.append((q, c))
+                    _accumulate(vec, -c, pvec)
+            if not vec:
+                dependent.append((i, mults))
+                continue
+            pkey = min(vec, key=rank.__getitem__)
+            inv = vec[pkey].inverse()
+            pivots.append((pkey, {k: v * inv for k, v in vec.items()}, i,
+                           mults, inv))
+        yield pivots, dependent
+
+
+def _combine(i: int, mults: Multipliers, tails: Tails
+             ) -> Dict[int, ExactScalar]:
+    """e_i - sum c * tails[q] over the multipliers (q, c)."""
+    out: Dict[int, ExactScalar] = {i: ExactScalar.one()}
+    for q, c in mults:
+        _accumulate(out, -c, tails[q])
+    return out
+
+
+def _build_tails(pivots: List[Pivot], wanted: Iterable[int],
+                 tails: Tails) -> None:
+    """Add to ``tails`` each wanted pivot's reduced vector as a combination
+    of the original vectors, and every tail that one needs first."""
+    # one descending pass finds the missing tails (a pivot's multipliers
+    # name earlier pivots only); ascending order builds each after its own
+    todo = {q for q in wanted if q not in tails}
+    for q in range(max(todo, default=-1), -1, -1):
+        if q in todo:
+            todo.update(p for p, _ in pivots[q][3] if p not in tails)
+    for q in sorted(todo):
+        _, _, iq, mq, inv = pivots[q]
+        tails[q] = {k: v * inv for k, v in _combine(iq, mq, tails).items()}
 
 
 def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
@@ -29,244 +139,93 @@ def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
     one vector per column that depends on the earlier ones: e_i minus the
     unique expression of column i in the earlier independent columns, in
     the order of i.  Since that expression is unique, neither the block
-    split nor the pivot rows below change the result.
-
-    Columns that share no nonzero row label, even through other columns,
-    never meet in that expression, so the columns are split into such
-    blocks (union-find over row labels) and each block is eliminated on
-    its own.  Each column is reduced by the earlier pivots in turn; an
-    independent column then pivots on its row label with the fewest
-    nonzeros across the original columns (a static Markowitz count, which
-    keeps fill-in low), ties broken by ``repr``.  Tails are lazy: the
-    reduction records each column's multipliers and pivot inverse, and a
-    pivot's expression in the original columns is rebuilt (and kept) only
+    split nor the pivot rows of ``_eliminate`` change the result.  Tails
+    are lazy: a pivot's expression in the original columns is built only
     when a dependent column needs it, so a block with an empty kernel
     never forms one.
     """
     n = len(columns)
-    parent = list(range(n))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: Dict[Hashable, int] = {}
-    count: Dict[Hashable, int] = {}
-    for i, col in enumerate(columns):
-        for k, v in col.items():
-            if v:
-                parent[root(i)] = root(owner.setdefault(k, i))
-                count[k] = count.get(k, 0) + 1
-    # pivot priority of a row label: its nonzero count, then its repr
-    rank = {k: r for r, k in enumerate(
-        sorted(count, key=lambda k: (count[k], repr(k))))}
-    blocks: Dict[int, List[int]] = {}
-    for i in range(n):
-        blocks.setdefault(root(i), []).append(i)
     zero = ExactScalar.zero()
     kernel: Dict[int, List[ExactScalar]] = {}
-    for block in blocks.values():
-        # per pivot: row label, normalized reduced column, column index,
-        # multipliers [(earlier pivot, c)], inverse of the pivot entry
-        pivots: List[Tuple[Hashable, Dict[Hashable, ExactScalar], int,
-                           List[Tuple[int, ExactScalar]], ExactScalar]] = []
-        tails: Dict[int, Dict[int, ExactScalar]] = {}
-
-        def combine(i: int, mults: List[Tuple[int, ExactScalar]]
-                    ) -> Dict[int, ExactScalar]:
-            """e_i - sum c * tail_q over the multipliers (q, c)."""
-            out: Dict[int, ExactScalar] = {i: ExactScalar.one()}
-            for q, c in mults:
-                for k, v in tails[q].items():
-                    w = out.get(k, zero) - c * v
-                    if w:
-                        out[k] = w
-                    elif k in out:
-                        del out[k]
-            return out
-
-        for i in block:
-            vec = {k: v for k, v in columns[i].items() if v}
-            mults: List[Tuple[int, ExactScalar]] = []
-            for q, (pkey, pvec, _, _, _) in enumerate(pivots):
-                c = vec.get(pkey)
-                if c is None:
-                    continue
-                mults.append((q, c))
-                for k, v in pvec.items():
-                    w = vec.get(k, zero) - c * v
-                    if w:
-                        vec[k] = w
-                    elif k in vec:
-                        del vec[k]
-            if not vec:
-                # build the missing tails this needs: one descending pass
-                # finds them (a pivot's multipliers name earlier pivots
-                # only), and ascending order builds each after its own
-                todo = {q for q, _ in mults if q not in tails}
-                for q in range(max(todo, default=-1), -1, -1):
-                    if q in todo:
-                        todo.update(p for p, _ in pivots[q][3]
-                                    if p not in tails)
-                for q in sorted(todo):
-                    _, _, iq, mq, inv = pivots[q]
-                    tails[q] = {k: v * inv
-                                for k, v in combine(iq, mq).items()}
-                tail = combine(i, mults)
-                kernel[i] = [tail.get(j, zero) for j in range(n)]
-                continue
-            pkey = min(vec, key=rank.__getitem__)
-            inv = vec[pkey].inverse()
-            pivots.append((pkey, {k: v * inv for k, v in vec.items()}, i,
-                           mults, inv))
+    for pivots, dependent in _eliminate(columns):
+        tails: Tails = {}
+        for i, mults in dependent:
+            _build_tails(pivots, (q for q, _ in mults), tails)
+            tail = _combine(i, mults, tails)
+            kernel[i] = [tail.get(j, zero) for j in range(n)]
     return [kernel[i] for i in sorted(kernel)]
 
 
-def solve_linear(rows: Sequence[Dict[int, ExactScalar]],
-                 rhs: Sequence[Polynomial],
-                 nunknowns: int) -> List[Polynomial]:
-    """Solve a sparse exact linear system with polynomial right-hand sides.
+def _solution_operator(blocks: List[List[Pivot]]
+                       ) -> Dict[Hashable, Dict[int, ExactScalar]]:
+    """Per pivot label u, the combination of right-hand sides that gives
+    x[u] for every consistent M x = b, when every label is a pivot label.
 
-    Requires the system to be consistent and of full column rank; raises
-    ValueError otherwise.  Returns the unique solution as a list of
-    polynomials indexed by unknown.
+    Each pivot's reduced vector rho_q, with label u_q, equals tail_q . M
+    (tail_q over vector indices), so x[u_q] = tail_q . b - sum_{k != u_q}
+    rho_q[k] x[k]; rho_q names later pivots' labels only, so
+    back-substitution runs over the pivots in reverse order.
     """
-    if len(rows) != len(rhs):
-        raise ValueError("row/rhs length mismatch")
-    # eliminated rows: pivot column -> (row dict with pivot coeff 1, rhs poly)
-    elim: Dict[int, Tuple[Dict[int, ExactScalar], Polynomial]] = {}
-    zero = ExactScalar.zero()
-    for row0, b0 in zip(rows, rhs):
-        row = {k: v for k, v in row0.items() if v}
-        b = b0
-        for pcol in sorted(set(row.keys()) & set(elim.keys())):
-            c = row.get(pcol)
-            if c is None or not c:
-                continue
-            prow, pb = elim[pcol]
-            for k, v in prow.items():
-                w = row.get(k, zero) - c * v
-                if w:
-                    row[k] = w
-                elif k in row:
-                    del row[k]
-            b = b - pb.scale(c)
-        if not row:
-            if not b.is_zero():
-                raise ValueError("inconsistent linear system")
-            continue
-        pcol = min(row.keys())
-        inv = row[pcol].inverse()
-        row = {k: v * inv for k, v in row.items()}
-        b = b.scale(inv)
-        # back-substitute into already-eliminated rows (full Gauss-Jordan)
-        for qcol, (qrow, qb) in list(elim.items()):
-            c = qrow.get(pcol)
-            if c is None or not c:
-                continue
-            for k, v in row.items():
-                w = qrow.get(k, zero) - c * v
-                if w:
-                    qrow[k] = w
-                elif k in qrow:
-                    del qrow[k]
-            elim[qcol] = (qrow, qb - b.scale(c))
-        elim[pcol] = (row, b)
-    missing = [j for j in range(nunknowns) if j not in elim]
-    if missing:
-        raise ValueError(
-            f"linear system does not determine unknowns {missing[:5]}"
-            + ("..." if len(missing) > 5 else ""))
-    return [elim[j][1] for j in range(nunknowns)]
+    op: Dict[Hashable, Dict[int, ExactScalar]] = {}
+    for pivots in blocks:
+        tails: Tails = {}
+        _build_tails(pivots, range(len(pivots)), tails)
+        for q in range(len(pivots) - 1, -1, -1):
+            pkey, pvec, _, _, _ = pivots[q]
+            x = dict(tails[q])
+            for k, v in pvec.items():
+                if k != pkey:
+                    _accumulate(x, -v, op[k])
+            op[pkey] = x
+    return op
+
+
+def _poly_sum(chart_: Chart,
+              pairs: Iterable[Tuple[Polynomial, ExactScalar]]) -> Polynomial:
+    """sum c * p over the pairs (p, c), as one Polynomial."""
+    acc: Dict[Hashable, ExactScalar] = {}
+    for p, c in pairs:
+        _accumulate(acc, c, p.terms)
+    return Polynomial(chart_, acc)
 
 
 class FactoredSystem:
     """A constant-coefficient sparse system factored once for many solves.
 
-    Rows map unknown indices to scalars.  Requires full column rank (raises
-    ValueError otherwise); redundant rows are allowed and every solve
-    verifies consistency of its right-hand side exactly.
+    Rows map unknown indices to scalars.  ``_eliminate`` factors the rows
+    as vectors keyed by unknown; every unknown must become a pivot label
+    (full column rank; raises ValueError otherwise), and the dependent rows
+    are the redundant ones.  ``_solution_operator`` back-substitutes over
+    the pivots once, giving each unknown as a fixed combination of
+    right-hand sides; a solve forms that combination, one term dict per
+    unknown, and verifies every row against its right-hand side exactly.
     """
 
     def __init__(self, rows: Sequence[Dict[int, ExactScalar]],
                  nunknowns: int):
         self.rows = [dict(r) for r in rows]
         self.nunknowns = nunknowns
-        zero = ExactScalar.zero()
-        # Gauss-Jordan over [M | I]; tails live in row-index space.
-        elim: Dict[int, Tuple[Dict[int, ExactScalar],
-                              Dict[int, ExactScalar]]] = {}
-        for ridx, row0 in enumerate(self.rows):
-            row = {k: v for k, v in row0.items() if v}
-            tail: Dict[int, ExactScalar] = {ridx: ExactScalar.one()}
-            for pcol in sorted(set(row) & set(elim)):
-                c = row.get(pcol)
-                if c is None or not c:
-                    continue
-                prow, ptail = elim[pcol]
-                for k, v in prow.items():
-                    w = row.get(k, zero) - c * v
-                    if w:
-                        row[k] = w
-                    elif k in row:
-                        del row[k]
-                for k, v in ptail.items():
-                    w = tail.get(k, zero) - c * v
-                    if w:
-                        tail[k] = w
-                    elif k in tail:
-                        del tail[k]
-            if not row:
-                continue  # redundant row; consistency is checked per solve
-            pcol = min(row.keys())
-            inv = row[pcol].inverse()
-            row = {k: v * inv for k, v in row.items()}
-            tail = {k: v * inv for k, v in tail.items()}
-            for qcol, (qrow, qtail) in list(elim.items()):
-                c = qrow.get(pcol)
-                if c is None or not c:
-                    continue
-                for k, v in row.items():
-                    w = qrow.get(k, zero) - c * v
-                    if w:
-                        qrow[k] = w
-                    elif k in qrow:
-                        del qrow[k]
-                for k, v in tail.items():
-                    w = qtail.get(k, zero) - c * v
-                    if w:
-                        qtail[k] = w
-                    elif k in qtail:
-                        del qtail[k]
-            elim[pcol] = (row, tail)
-        missing = [j for j in range(nunknowns) if j not in elim]
+        blocks = [pivots for pivots, _ in _eliminate(self.rows)]
+        labels = {p[0] for pivots in blocks for p in pivots}
+        missing = [j for j in range(nunknowns) if j not in labels]
         if missing:
             raise ValueError(
                 f"linear system does not determine unknowns {missing[:5]}"
                 + ("..." if len(missing) > 5 else ""))
-        # After full Gauss-Jordan each pivot row reads x_j = tail . rhs.
-        self._op: List[Dict[int, ExactScalar]] = [
-            elim[j][1] for j in range(nunknowns)]
+        op = _solution_operator(blocks)
+        self._op = [op[j] for j in range(nunknowns)]
 
     def solve(self, rhs: Sequence[Polynomial]) -> List[Polynomial]:
         if len(rhs) != len(self.rows):
             raise ValueError("row/rhs length mismatch")
         if not rhs:
             raise ValueError("empty system")
-        chart = rhs[0].chart
-        xs: List[Polynomial] = []
-        for j in range(self.nunknowns):
-            acc = Polynomial.zero(chart)
-            for r, c in self._op[j].items():
-                acc = acc + rhs[r].scale(c)
-            xs.append(acc)
+        chart_ = rhs[0].chart
+        xs = [_poly_sum(chart_, ((rhs[r], c) for r, c in op.items()))
+              for op in self._op]
         for row, b in zip(self.rows, rhs):
-            acc = Polynomial.zero(chart)
-            for jj, c in row.items():
-                acc = acc + xs[jj].scale(c)
-            if acc != b:
+            lhs = _poly_sum(chart_, ((xs[j], c) for j, c in row.items()))
+            if lhs != b:
                 raise ValueError("inconsistent linear system")
         return xs
 
@@ -309,29 +268,38 @@ def poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
 def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
                          ) -> Tuple[ExactScalar,
                                     Optional[List[List[ExactScalar]]]]:
-    """Determinant and inverse of a square scalar matrix, by one exact
-    Gauss-Jordan reduction of [m | I]; the inverse is None when the
-    determinant is zero."""
+    """Determinant and inverse of a square scalar matrix, by ``_eliminate``
+    on its rows; the inverse is None when the determinant is zero.
+
+    Eliminating a row subtracts earlier rows only, so the reduced rows keep
+    the determinant of m, and they are triangular once the columns are put
+    in pivot order: det m is the sign of the permutation (row -> its pivot
+    column) times the product of the pivot entries.
+    """
     n = len(m)
-    a = [list(row) + [ExactScalar.one() if j == i else ExactScalar.zero()
-                      for j in range(n)] for i, row in enumerate(m)]
-    det = ExactScalar.one()
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return ExactScalar.zero(), None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k]
-        inv = a[k][k].inverse()
-        a[k] = [v * inv for v in a[k]]
-        for r in range(n):
-            f = a[r][k]
-            if r == k or not f:
-                continue
-            a[r] = [v - f * w for v, w in zip(a[r], a[k])]
-    return det, [row[n:] for row in a]
+    eliminated = list(_eliminate([dict(enumerate(row)) for row in m]))
+    if any(dependent for _, dependent in eliminated):
+        return ExactScalar.zero(), None
+    blocks = [pivots for pivots, _ in eliminated]
+    column: Dict[int, Hashable] = {}
+    inverse_product = ExactScalar.one()
+    for pivots in blocks:
+        for pkey, _, i, _, inv in pivots:
+            column[i] = pkey
+            inverse_product = inverse_product * inv
+    cycles = 0
+    for i in range(n):
+        if i in column:
+            cycles += 1
+            j = i
+            while j in column:
+                j = column.pop(j)
+    det = inverse_product.inverse()
+    if (n - cycles) % 2:
+        det = -det
+    op = _solution_operator(blocks)
+    zero = ExactScalar.zero()
+    return det, [[op[j].get(r, zero) for r in range(n)] for j in range(n)]
 
 
 def _mat_mul(a: Sequence[Sequence[Polynomial]],

@@ -295,38 +295,27 @@ def _row_keys_degree2(l: int) -> List[TermKey]:
 
 
 @lru_cache(maxsize=None)
-def _degree1_system(l: int):
-    unknowns, probes = _degree1_probes(l)
-    row_keys = _row_keys_degree1(l)
-    columns = [codifferential(c) for c in probes]
-    rows: List[Dict[int, ExactScalar]] = []
-    for rk in row_keys:
-        row: Dict[int, ExactScalar] = {}
-        for uidx, col in enumerate(columns):
-            v = col.terms.get(rk)
-            if v is not None and v:
-                row[uidx] = v
-        rows.append(row)
-    uindex = {u: n for n, u in enumerate(unknowns)}
-    for k in range(1, l + 1):
-        rows.append({uindex[(i, i, k)]: ExactScalar.one()
-                     for i in range(1, l + 1)})
-    return unknowns, row_keys, FactoredSystem(rows, len(unknowns))
-
-
-@lru_cache(maxsize=None)
-def _degree2_system(l: int):
-    unknowns, probes = _degree2_probes(l)
-    row_keys = _row_keys_degree2(l)
-    columns = [codifferential(c) for c in probes]
-    rows: List[Dict[int, ExactScalar]] = []
-    for rk in row_keys:
-        row: Dict[int, ExactScalar] = {}
-        for uidx, col in enumerate(columns):
-            v = col.terms.get(rk)
-            if v is not None and v:
-                row[uidx] = v
-        rows.append(row)
+def _system(l: int, degree: int):
+    """The factored normalization system of one degree: per row key, the
+    unit probes' codifferential coefficients, assembled by walking each
+    probe's codifferential terms once; degree 1 adds its l trace rows."""
+    probes_of, keys_of = ((_degree1_probes, _row_keys_degree1)
+                          if degree == 1 else
+                          (_degree2_probes, _row_keys_degree2))
+    unknowns, probes = probes_of(l)
+    row_keys = keys_of(l)
+    index = {rk: n for n, rk in enumerate(row_keys)}
+    rows: List[Dict[int, ExactScalar]] = [{} for _ in row_keys]
+    for uidx, probe in enumerate(probes):
+        for tk, v in codifferential(probe).terms.items():
+            n = index.get(tk)
+            if n is not None:
+                rows[n][uidx] = v
+    if degree == 1:
+        uindex = {u: n for n, u in enumerate(unknowns)}
+        for k in range(1, l + 1):
+            rows.append({uindex[(i, i, k)]: ExactScalar.one()
+                         for i in range(1, l + 1)})
     return unknowns, row_keys, FactoredSystem(rows, len(unknowns))
 
 
@@ -379,7 +368,7 @@ def solve_degree1(f: StructureFunctions
             "degree-1 normalization requires rank at least 4")
     chart_ = f.chart
     zero_poly = Polynomial.zero(chart_)
-    unknowns, row_keys, system = _degree1_system(l)
+    unknowns, row_keys, system = _system(l, 1)
     f_chain = _structure_chain(f)
     d_f = codifferential(f_chain)
     rhs = []
@@ -651,7 +640,7 @@ def solve_degree2(frame: Frame, f: StructureFunctions,
 
     baseline = _hom2_chain(l, reads.R, reads.S, reads.T)
     d_base = codifferential(baseline)
-    unknowns, row_keys, system = _degree2_system(l)
+    unknowns, row_keys, system = _system(l, 2)
     rhs = []
     for rk in row_keys:
         v = d_base.terms.get(rk)
@@ -707,13 +696,6 @@ def solve_degree2(frame: Frame, f: StructureFunctions,
 # --------------------------------------------------------------------------
 # verdicts and orchestration
 # --------------------------------------------------------------------------
-
-def fundamental_invariant(P: Dict[PKey, Polynomial]) -> Dict[PKey,
-                                                             Polynomial]:
-    """The harmonic-curvature representative: the totally trace-free
-    homogeneity-1 tensor itself."""
-    return dict(P)
-
 
 def flatness_test(P: Dict[PKey, Polynomial]) -> bool:
     """True iff every entry of the fundamental invariant is zero."""

@@ -308,6 +308,14 @@ def test_spinor_bad_json_exit_1(capsys):
     assert re.match(r"^vector:\d+:\d+: ", err)
 
 
+def test_spinor_deeply_nested_json_exit_1(capsys):
+    code, out, err = run(capsys, "spinor", "--l", "3", "--vector",
+                         "[" * 100000)
+    assert code == 1 and out == ""
+    assert err.startswith("vector:1:1: invalid JSON vector: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_spinor_json_integer_past_int_limit_exit_1(capsys):
     code, out, err = run(capsys, "spinor", "--l", "3", "--vector",
                          '{"v": {"1": ' + "9" * 5000 + "}}")

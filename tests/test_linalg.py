@@ -1,5 +1,6 @@
 """Exact kernels, linear solves, determinants, inverses, and inertia."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from freedist.cohomology import harmonic_system
 from freedist.linalg import (FactoredSystem, invert_scalar_matrix,
                              kernel_of_columns, poly_det, poly_inverse,
-                             signature_of_symmetric, solve_linear)
+                             signature_of_symmetric)
+from freedist.normalization import _system
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -195,39 +197,101 @@ def test_kernel_vectors_ordered_by_dependent_column():
     assert ker[1] == [sc(-2), sc(0), sc(0), sc(1)] + [sc(0)] * 3
 
 
-def test_solve_linear_unique_solution():
+class GaussJordanSystem:
+    """Full Gauss-Jordan over [M | I], pivots in row order on the smallest
+    unknown, back-substituted into every earlier pivot row: the reference
+    FactoredSystem must equal."""
+
+    def __init__(self, rows, nunknowns):
+        self.rows = [dict(r) for r in rows]
+        self.nunknowns = nunknowns
+        zero = sc(0)
+
+        def sub(dst, c, src):
+            for k, v in src.items():
+                w = dst.get(k, zero) - c * v
+                if w:
+                    dst[k] = w
+                elif k in dst:
+                    del dst[k]
+
+        elim = {}
+        for ridx, row0 in enumerate(self.rows):
+            row = {k: v for k, v in row0.items() if v}
+            tail = {ridx: sc(1)}
+            for pcol in sorted(set(row) & set(elim)):
+                c = row.get(pcol)
+                if not c:
+                    continue
+                prow, ptail = elim[pcol]
+                sub(row, c, prow)
+                sub(tail, c, ptail)
+            if not row:
+                continue
+            pcol = min(row)
+            inv = row[pcol].inverse()
+            row = {k: v * inv for k, v in row.items()}
+            tail = {k: v * inv for k, v in tail.items()}
+            for qrow, qtail in elim.values():
+                c = qrow.get(pcol)
+                if c:
+                    sub(qrow, c, row)
+                    sub(qtail, c, tail)
+            elim[pcol] = (row, tail)
+        missing = [j for j in range(nunknowns) if j not in elim]
+        if missing:
+            raise ValueError(f"linear system does not determine {missing}")
+        self.op = [elim[j][1] for j in range(nunknowns)]
+
+    def solve(self, rhs):
+        chart_ = rhs[0].chart
+        xs = []
+        for op in self.op:
+            acc = Polynomial.zero(chart_)
+            for r, c in op.items():
+                acc = acc + rhs[r].scale(c)
+            xs.append(acc)
+        for row, b in zip(self.rows, rhs):
+            acc = Polynomial.zero(chart_)
+            for j, c in row.items():
+                acc = acc + xs[j].scale(c)
+            if acc != b:
+                raise ValueError("inconsistent linear system")
+        return xs
+
+
+def test_factored_system_unique_solution():
     # x0 + x1 = 3, x0 - x1 = 1  ->  x0 = 2, x1 = 1
     rows = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(-1)}]
-    rhs = [const(3), const(1)]
-    xs = solve_linear(rows, rhs, 2)
-    assert xs[0] == const(2)
-    assert xs[1] == const(1)
+    xs = FactoredSystem(rows, 2).solve([const(3), const(1)])
+    assert xs == [const(2), const(1)]
 
 
-def test_solve_linear_polynomial_rhs():
+def test_factored_system_polynomial_rhs_redundant_row():
     x1 = Polynomial.coordinate(CH, CH.x_index(1))
     rows = [{0: sc(2)}, {0: sc(2)}]  # redundant row
-    xs = solve_linear(rows, [x1, x1], 1)
-    assert xs[0] == x1.scale(Fraction(1, 2))
+    xs = FactoredSystem(rows, 1).solve([x1, x1])
+    assert xs == [x1.scale(Fraction(1, 2))]
 
 
-def test_solve_linear_rejects_inconsistent():
+def test_factored_system_rejects_inconsistent():
     rows = [{0: sc(1)}, {0: sc(1)}]
-    with pytest.raises(ValueError):
-        solve_linear(rows, [const(1), const(2)], 1)
+    with pytest.raises(ValueError, match="inconsistent"):
+        FactoredSystem(rows, 1).solve([const(1), const(2)])
 
 
-def test_solve_linear_rejects_underdetermined():
-    with pytest.raises(ValueError):
-        solve_linear([{0: sc(1)}], [const(1)], 2)
+def test_factored_system_rejects_underdetermined():
+    with pytest.raises(ValueError, match=r"does not determine unknowns \[1\]"):
+        FactoredSystem([{0: sc(1)}], 2)
 
 
 def test_factored_system_matches_direct_solve():
     rows = [{0: sc(1), 1: sc(2)}, {1: sc(1)}, {0: sc(1), 1: sc(3)}]
     fs = FactoredSystem(rows, 2)
-    for rhs in ([const(5), const(1), const(6)],
-                [const(0), const(7), const(7)]):
-        assert fs.solve(rhs) == solve_linear(rows, rhs, 2)
+    oracle = GaussJordanSystem(rows, 2)
+    for rhs, want in (([const(5), const(1), const(6)], [3, 1]),
+                      ([const(0), const(7), const(7)], [-14, 7])):
+        assert fs.solve(rhs) == oracle.solve(rhs) == [const(w) for w in want]
 
 
 def test_factored_system_checks_consistency_per_solve():
@@ -236,6 +300,52 @@ def test_factored_system_checks_consistency_per_solve():
     assert fs.solve([const(4), const(4)]) == [const(4)]
     with pytest.raises(ValueError):
         fs.solve([const(4), const(5)])
+
+
+def random_poly(rng, ch):
+    """A sparse polynomial of degree <= 2 with small Q(sqrt2) coefficients;
+    zero about half the time."""
+    terms = {}
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * ch.ncoords
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(ch.ncoords)] += 1
+            terms[tuple(e)] = ExactScalar(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                rng.choice([0, 0, 1, -1]))
+    return Polynomial(ch, terms)
+
+
+def solve_outcome(system, rhs):
+    try:
+        return system.solve(rhs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("l", [4, 5])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_factored_system_matches_gauss_jordan_on_normalization_systems(
+        l, degree):
+    """Consistent right-hand sides b = M x give back x on both; one row of
+    b shifted by a constant gives the same outcome on both."""
+    _, _, fs = _system(l, degree)
+    oracle = GaussJordanSystem(fs.rows, fs.nunknowns)
+    ch = chart(l)
+    rng = random.Random(1000 * l + degree)
+    for _ in range(2):
+        x = [random_poly(rng, ch) for _ in range(fs.nunknowns)]
+        rhs = []
+        for row in fs.rows:
+            acc = Polynomial.zero(ch)
+            for j, c in row.items():
+                acc = acc + x[j].scale(c)
+            rhs.append(acc)
+        assert fs.solve(rhs) == oracle.solve(rhs) == x
+        r = rng.randrange(len(rhs))
+        rhs[r] = rhs[r] + Polynomial.const(ch, 1)
+        assert solve_outcome(fs, rhs) == solve_outcome(oracle, rhs)
 
 
 def identity(n):
@@ -347,6 +457,34 @@ def test_invert_scalar_matrix(mat):
         for j in range(3):
             acc = sc(0)
             for k in range(3):
+                acc = acc + inv[i][k] * m[k][j]
+            assert acc == sc(1 if i == j else 0)
+
+
+@st.composite
+def sparse_square_matrices(draw):
+    """Square matrices of size 1..6 with Q(sqrt2) entries, mostly zero, so
+    that the rows fall into blocks and the pivots permute the columns."""
+    n = draw(st.integers(1, 6))
+    zero = sc(0)
+    return [[draw(st.one_of(st.just(zero), st.just(zero), R2_ENTRIES))
+             for _ in range(n)] for _ in range(n)]
+
+
+@given(sparse_square_matrices())
+@settings(deadline=None, max_examples=80)
+def test_invert_sparse_scalar_matrix_matches_det_oracle(m):
+    n = len(m)
+    det, inv = invert_scalar_matrix(m)
+    assert Polynomial.const(CH, det) == poly_det(
+        [[Polynomial.const(CH, v) for v in row] for row in m])
+    if not det:
+        assert inv is None
+        return
+    for i in range(n):
+        for j in range(n):
+            acc = sc(0)
+            for k in range(n):
                 acc = acc + inv[i][k] * m[k][j]
             assert acc == sc(1 if i == j else 0)
 

@@ -10,10 +10,12 @@ from freedist.algebra import codifferential, kappa11_normality_test
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
-                                    analyze, curvature_chain,
+                                    _degree1_probes, _degree2_probes,
+                                    _row_keys_degree1, _row_keys_degree2,
+                                    _system, analyze, curvature_chain,
                                     extension_normality_report,
-                                    flatness_test, fundamental_invariant,
-                                    report_from_json, report_to_json)
+                                    flatness_test, report_from_json,
+                                    report_to_json)
 from freedist.parsing import parse_frame_file
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
@@ -222,7 +224,6 @@ def test_curvature_values_match_per_form_oracle(monkeypatch):
 def test_flatness_and_invariant_helpers():
     rep = analyze_fixture("armstrong_l4.frame")
     P = rep.curvature.P
-    assert fundamental_invariant(P) == dict(P)
     assert flatness_test(P) is False
     assert flatness_test({}) is True
     info = extension_normality_report(rep.curvature)
@@ -356,3 +357,36 @@ def test_curvature_chain_homogeneity_split():
     assert not h1.is_zero() and not h2.is_zero()
     # homogeneity-1 terms are exactly the P block
     assert len(h1.terms) == len(rep.curvature.P)
+
+
+def dense_system_rows(l, degree):
+    """Rows probed column by column for every row key, plus degree 1's
+    trace rows: the reference the transposed assembly must equal."""
+    unknowns, probes = (_degree1_probes if degree == 1
+                        else _degree2_probes)(l)
+    row_keys = (_row_keys_degree1 if degree == 1 else _row_keys_degree2)(l)
+    columns = [codifferential(c) for c in probes]
+    rows = []
+    for rk in row_keys:
+        row = {}
+        for uidx, col in enumerate(columns):
+            v = col.terms.get(rk)
+            if v is not None and v:
+                row[uidx] = v
+        rows.append(row)
+    if degree == 1:
+        uindex = {u: n for n, u in enumerate(unknowns)}
+        for k in range(1, l + 1):
+            rows.append({uindex[(i, i, k)]: ExactScalar.one()
+                         for i in range(1, l + 1)})
+    return unknowns, row_keys, rows
+
+
+@pytest.mark.parametrize("l", [4, 5])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_transposed_system_rows_match_dense_probe_assembly(l, degree):
+    unknowns, row_keys, system = _system(l, degree)
+    ref_unknowns, ref_keys, ref_rows = dense_system_rows(l, degree)
+    assert unknowns == ref_unknowns and row_keys == ref_keys
+    assert [list(r.items()) for r in system.rows] \
+        == [list(r.items()) for r in ref_rows]

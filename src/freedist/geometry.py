@@ -3,8 +3,10 @@
 A rank-l frame consists of the l given fields plus the pairwise fields
 obtained from negated Lie brackets; together they must span the tangent
 space with constant determinant (unimodularity), which keeps the dual
-coframe polynomial.  Structure functions are the coefficients of each
-coframe differential in the basis of coframe wedge products.
+coframe polynomial.  One exact polynomial inverse of the frame matrix both
+certifies that and gives the dual coframe.  Structure functions are the
+coefficients of each coframe differential in the basis of coframe wedge
+products.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (DegenerateFrameError, FreeDistError,
                      NotFreeDistributionError, UnsupportedFrameError)
-from .linalg import invert_scalar_matrix, poly_det, poly_inverse
+from .linalg import invert_scalar_matrix, poly_inverse
 from .polynomials import Chart, Exponents, Polynomial, add_product
 from .scalars import ExactScalar, ScalarLike
 
@@ -325,9 +327,6 @@ class Frame:
         self.det = det
         self.point = point
         self._coframe: Optional["Coframe"] = None
-        # Inverse of the frame matrix at the origin, when build_frame has
-        # reduced it there; dual_coframe starts from it and then drops it.
-        self._x0: Optional[List[List[ExactScalar]]] = None
 
     def keys(self) -> List[FrameKey]:
         return frame_keys(self.l)
@@ -353,6 +352,13 @@ class Coframe:
         return self.copairs[key[1]]
 
 
+def _jacobian(chart: Chart, cols: Sequence[VectorField]
+              ) -> List[List[Polynomial]]:
+    """The frame matrix: column a holds the components of field a."""
+    n = chart.ncoords
+    return [[cols[a].components[c] for a in range(n)] for c in range(n)]
+
+
 def _assemble(fields: Sequence[VectorField]
               ) -> Tuple[Chart, int, List[VectorField],
                          Dict[Tuple[int, int], VectorField],
@@ -370,12 +376,19 @@ def _assemble(fields: Sequence[VectorField]
     for j in range(1, l + 1):
         for k in range(j + 1, l + 1):
             pairs[(j, k)] = -lie_bracket(singles[j - 1], singles[k - 1])
-    keys = frame_keys(l)
     cols = [singles[key[1] - 1] if key[0] == "s" else pairs[key[1]]
-            for key in keys]
-    n = chart.ncoords
-    jac = [[cols[a].components[c] for a in range(n)] for c in range(n)]
-    return chart, l, singles, pairs, jac
+            for key in frame_keys(l)]
+    return chart, l, singles, pairs, _jacobian(chart, cols)
+
+
+def _coframe_from_inverse(chart: Chart, l: int,
+                          inverse: List[List[Polynomial]]) -> Coframe:
+    """The coframe whose coefficient rows are the rows of ``inverse``."""
+    coforms = [DifferentialForm(chart, 1, {(c,): p for c, p in enumerate(row)})
+               for row in inverse]
+    copairs = {key[1]: coforms[a] for a, key in enumerate(frame_keys(l))
+               if key[0] == "p"}
+    return Coframe(l, coforms[:l], copairs)
 
 
 def build_frame(fields: Sequence[VectorField],
@@ -384,12 +397,15 @@ def build_frame(fields: Sequence[VectorField],
 
     Raises DegenerateFrameError if the full frame fails to span at the base
     point (default: origin), then UnsupportedFrameError if its determinant
-    is not a nonzero constant.
+    is not a nonzero constant.  The certificate of unimodularity is the
+    exact polynomial inverse of the frame matrix, which the returned frame
+    keeps as its dual coframe.
     """
     frame = _certified_frame(fields, point)
     if isinstance(frame, FreeDistError):
         # Raised here, once _certified_frame has returned, so that the
-        # rejection's traceback does not keep the Jacobian alive.
+        # rejection's traceback keeps neither the Jacobian nor its inverse
+        # alive.
         raise frame
     return frame
 
@@ -397,7 +413,15 @@ def build_frame(fields: Sequence[VectorField],
 def _certified_frame(fields: Sequence[VectorField],
                      point: Optional[Dict[int, ExactScalar]]
                      ) -> Union[Frame, FreeDistError]:
-    """build_frame's work: the Frame, or the rejection to raise."""
+    """build_frame's work: the Frame, or the rejection to raise.
+
+    A polynomial matrix has a polynomial inverse iff its determinant is a
+    nonzero constant.  After the spanning check at the base point, a
+    determinant that differs between the base point and the all-ones point
+    refutes that cheaply; otherwise poly_inverse either returns the inverse
+    (the certificate, kept as the frame's coframe) or passes its degree
+    bound (the refutation).
+    """
     chart, l, singles, pairs, jac = _assemble(fields)
     if point is None:
         point = {idx: ExactScalar.zero() for idx in range(chart.ncoords)}
@@ -407,29 +431,36 @@ def _certified_frame(fields: Sequence[VectorField],
         return DegenerateFrameError(
             "frame and its pair fields fail to span the tangent space at "
             "the base point")
-    if not poly_det(jac).is_constant():
+    ones = {idx: ExactScalar.one() for idx in range(chart.ncoords)}
+    inverse = None
+    if invert_scalar_matrix(
+            [[e.evaluate(ones) for e in row] for row in jac])[0] == det:
+        try:
+            inverse = poly_inverse(
+                jac, None if any(point.values()) else base_inverse)
+        except ValueError:
+            pass
+    if inverse is None:
         return UnsupportedFrameError(
             "frame determinant is not constant; only unimodular frames "
             "are supported")
     frame = Frame(chart, l, singles, pairs, det, point)
-    if not any(point.values()):
-        frame._x0 = base_inverse
+    frame._coframe = _coframe_from_inverse(chart, l, inverse)
     return frame
 
 
 def check_nondegenerate(frame_or_fields) -> bool:
     """True iff the full frame matrix is unimodular (invertible everywhere).
 
-    Accepts a built Frame or a raw sequence of l vector fields.
+    Accepts a built Frame or a raw sequence of l vector fields; raw fields
+    go through build_frame's certificate at the origin.
     """
     if isinstance(frame_or_fields, Frame):
         return bool(frame_or_fields.det)
     try:
-        _, _, _, _, jac = _assemble(frame_or_fields)
+        return isinstance(_certified_frame(frame_or_fields, None), Frame)
     except ValueError:
         return False
-    det_poly = poly_det(jac)
-    return det_poly.is_constant() and bool(det_poly.constant_value())
 
 
 def dual_coframe(frame: Frame) -> Coframe:
@@ -437,31 +468,20 @@ def dual_coframe(frame: Frame) -> Coframe:
 
     The coefficient matrix is the inverse X of the frame matrix J, Newton
     lifted by poly_inverse, which returns only once X*J = I holds exactly:
-    that is the duality identity (value delta on every frame pair).  The
-    result is cached on the frame.
+    that is the duality identity (value delta on every frame pair).
+    build_frame stores it on the frame it returns; a frame built by hand
+    has it computed here, and cached.
     """
     if frame._coframe is not None:
         return frame._coframe
-    chart = frame.chart
-    n = chart.ncoords
-    keys = frame.keys()
-    cols = [frame.field(key) for key in keys]
-    jac = [[cols[a].components[c] for a in range(n)] for c in range(n)]
+    jac = _jacobian(frame.chart, [frame.field(key) for key in frame.keys()])
     try:
-        inv = poly_inverse(jac, frame._x0)
+        inverse = poly_inverse(jac)
     except ValueError as exc:
-        # build_frame certified a nonzero constant determinant, for which
-        # the inverse exists within the degree bound.
+        # A frame built by hand skips build_frame's certificate.
         raise AssertionError(f"dual_coframe: {exc}") from None
-    frame._x0 = None
-    coforms = [DifferentialForm(chart, 1, {(c,): p for c, p in enumerate(row)})
-               for row in inv]
-    cosingles = coforms[:frame.l]
-    copairs = {key[1]: coforms[a] for a, key in enumerate(keys)
-               if key[0] == "p"}
-    coframe = Coframe(frame.l, cosingles, copairs)
-    frame._coframe = coframe
-    return coframe
+    frame._coframe = _coframe_from_inverse(frame.chart, frame.l, inverse)
+    return frame._coframe
 
 
 class StructureFunctions:

@@ -10,10 +10,11 @@ tails; ``FactoredSystem`` back-substitutes over the pivots' tails once per
 system and then solves each polynomial right-hand side by one sparse
 combination per unknown; ``invert_scalar_matrix`` does the same
 back-substitution for a square scalar matrix and reads its determinant off
-the pivots.  Determinants of polynomial matrices use a column-by-column
-bitmask dynamic program so the common near-triangular frames stay cheap;
-and inverses of polynomial matrices with constant determinant are
-Newton-lifted from the inverse of their constant term.
+the pivots.  Inverses of polynomial matrices with constant determinant are
+Newton-lifted from the inverse of their constant term, up to the cofactor
+degree bound: lifting either reaches the exact inverse within it, which
+proves the determinant a nonzero constant, or passes it, which refutes
+that.
 """
 
 from __future__ import annotations
@@ -230,41 +231,6 @@ class FactoredSystem:
         return xs
 
 
-def _popcount_above(mask: int, r: int) -> int:
-    return bin(mask >> (r + 1)).count("1")
-
-
-def poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix (bitmask column DP)."""
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    chart = m[0][0].chart
-    states: Dict[int, Polynomial] = {0: Polynomial.const(
-        chart, ExactScalar.one())}
-    for c in range(n):
-        nxt: Dict[int, Polynomial] = {}
-        for mask, val in states.items():
-            for r in range(n):
-                if mask & (1 << r):
-                    continue
-                e = m[r][c]
-                if e.is_zero():
-                    continue
-                term = val * e
-                if _popcount_above(mask, r) % 2:
-                    term = -term
-                nm = mask | (1 << r)
-                if nm in nxt:
-                    nxt[nm] = nxt[nm] + term
-                else:
-                    nxt[nm] = term
-        states = {k: v for k, v in nxt.items() if not v.is_zero()}
-        if not states:
-            return Polynomial.zero(chart)
-    return states.get((1 << n) - 1, Polynomial.zero(chart))
-
-
 def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
                          ) -> Tuple[ExactScalar,
                                     Optional[List[List[ExactScalar]]]]:
@@ -343,9 +309,12 @@ def poly_inverse(m: Sequence[Sequence[Polynomial]],
     Starts from X = m(0)^-1 (``x0`` when the caller has it already) and
     repeats: E = I - X*m exactly; return X when E = 0, otherwise double the
     precision p and set X = X + E*X truncated to total degree < p.  The
-    returned X satisfies X*m = I exactly.  An inverse that exists has
-    degree at most (n-1)*deg(m); raises ValueError when m(0) is singular or
-    the iteration passes that bound (the determinant is not constant).
+    returned X satisfies X*m = I exactly.  An inverse that exists is the
+    adjugate over a constant, and a cofactor leaves out one row and one
+    column, so its degree is at most the sum of the column degrees less
+    the smallest one, and likewise for rows; raises ValueError when m(0) is
+    singular or the iteration passes that bound (the determinant is not a
+    nonzero constant).
     """
     n = len(m)
     if n == 0:
@@ -359,8 +328,10 @@ def poly_inverse(m: Sequence[Sequence[Polynomial]],
         if x0 is None:
             raise ValueError("constant term of the matrix is singular; "
                              "no polynomial inverse")
-    bound = (n - 1) * max((sum(e) for row in m for p in row
-                           for e in p.terms), default=0)
+    degree = [[max(map(sum, p.terms), default=0) for p in row] for row in m]
+    rows = [max(ds) for ds in degree]
+    cols = [max(ds) for ds in zip(*degree)]
+    bound = min(sum(rows) - min(rows), sum(cols) - min(cols))
     one = Polynomial.const(chart, ExactScalar.one())
     zero = Polynomial.zero(chart)
     x = [[Polynomial(chart, {zeros: v}) for v in row] for row in x0]

@@ -30,8 +30,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey, algebra,
-                      codifferential)
+from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey,
+                      _accumulate, algebra, codifferential)
 from .errors import UnsupportedError
 from .geometry import (Coframe, DifferentialForm, Frame, PairMinors,
                        StructureFunctions, VectorField, build_frame,
@@ -119,20 +119,11 @@ def _delta_read_pattern(r: int, m: int) -> Dict[BasisKey, int]:
     return {("lo2", (m, r)): -1}
 
 
-def _acc(acc: Dict[BasisKey, ExactScalar], key: BasisKey, v) -> None:
-    old = acc.get(key)
-    s = ExactScalar.of(v) if old is None else old + v
-    if s:
-        acc[key] = s
-    elif key in acc:
-        del acc[key]
-
-
 def _bracket_into(ga: GradedAlgebra, acc: Dict[BasisKey, ExactScalar],
                   e1: Dict[BasisKey, ExactScalar],
                   e2: Dict[BasisKey, ExactScalar], sign: int) -> None:
     for key, val in ga.bracket_coeffs(ODD, e1, e2).items():
-        _acc(acc, key, val * sign)
+        _accumulate(acc, key, val * sign)
 
 
 def _emit(items: List, slots: Tuple[BasisKey, ...],
@@ -168,7 +159,7 @@ def _degree1_probes(l: int) -> Tuple[Tuple[AKey, ...], Tuple[Chain, ...]]:
                 for i in range(1, l + 1):
                     c = cvals.get((i, (r, s)))
                     if c:
-                        _acc(vals, ("lo1", i), ExactScalar.of(c))
+                        _accumulate(vals, ("lo1", i), ExactScalar.of(c))
                 if delta_s:
                     _bracket_into(ga, vals, {("lo1", r): one}, delta_s, -1)
                 if delta_r:
@@ -182,7 +173,7 @@ def _degree1_probes(l: int) -> Tuple[Tuple[AKey, ...], Tuple[Chain, ...]]:
                 for (m, q), c in cvals.items():
                     if q == p:
                         for key, v in _delta_read_pattern(r, m).items():
-                            _acc(vals, key, ExactScalar.of(-c * v))
+                            _accumulate(vals, key, ExactScalar.of(-c * v))
                 if delta_r:
                     _bracket_into(ga, vals, delta_r, {("lo2", p): one}, -1)
                 _emit(items, (("up1", r), ("up2", p)), vals, -2)
@@ -237,9 +228,9 @@ def _degree2_probes(l: int) -> Tuple[Tuple[object, ...], Tuple[Chain, ...]]:
             def delta_single(r: int) -> Dict[BasisKey, ExactScalar]:
                 out: Dict[BasisKey, ExactScalar] = {}
                 if r == i0:
-                    _acc(out, ("up1", j0), -one)
+                    _accumulate(out, ("up1", j0), -one)
                 if r == j0 and j0 != i0:
-                    _acc(out, ("up1", i0), -one)
+                    _accumulate(out, ("up1", i0), -one)
                 return out
 
             # grade-0 reads on single-single argument pairs
@@ -404,13 +395,7 @@ def _apply_degree1_probes(f: StructureFunctions, A: Dict[AKey, Polynomial]
         if a is None or a.is_zero():
             continue
         for tk, c in probe.terms.items():
-            add = a.scale(c)
-            old = acc.get(tk)
-            s = add if old is None else old + add
-            if s.is_zero():
-                acc.pop(tk, None)
-            else:
-                acc[tk] = s
+            _accumulate(acc, tk, a.scale(c))
     P: Dict[PKey, Polynomial] = {}
     for (slots, target), poly in acc.items():
         if target[0] == "lo1":
@@ -497,13 +482,7 @@ def _expand_poly_matrix(ga: GradedAlgebra,
     recon: Dict[Tuple[int, int], Polynomial] = {}
     for key, c in coeffs.items():
         for pos, n in ga.odd_mat[key].items():
-            add = c.scale(n)
-            old = recon.get(pos)
-            s = add if old is None else old + add
-            if s.is_zero():
-                recon.pop(pos, None)
-            else:
-                recon[pos] = s
+            _accumulate(recon, pos, c.scale(n))
     cleaned = {pos: v for pos, v in entries.items() if not v.is_zero()}
     if recon != cleaned:
         raise AssertionError(
@@ -668,7 +647,6 @@ def solve_degree2(frame: Frame, f: StructureFunctions,
         if x.is_zero():
             continue
         for (slots, target), c in probe.terms.items():
-            add = x.scale(c)
             k0, k1 = slots
             if target[0] == "lo2":
                 key = (target[1], k0[1], k1[1])
@@ -679,12 +657,7 @@ def solve_degree2(frame: Frame, f: StructureFunctions,
             else:
                 key = (target[1][0], target[1][1], (k0[1], k1[1]))
                 table = T
-            old = table.get(key)
-            s = add if old is None else old + add
-            if s.is_zero():
-                table.pop(key, None)
-            else:
-                table[key] = s
+            _accumulate(table, key, x.scale(c))
 
     final = _hom2_chain(l, R, S, T)
     if not codifferential(final).is_zero():

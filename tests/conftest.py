@@ -3,7 +3,7 @@
 import os
 import random
 from fractions import Fraction
-from typing import List
+from typing import Dict, List, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -17,6 +17,35 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
+
+
+def poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Test oracle: determinant of a square polynomial matrix, by a
+    column-by-column dynamic program over the sets of rows used so far.
+    Exponential in the size; the package itself certifies unimodularity
+    with the Newton inverse instead."""
+    n = len(m)
+    if n == 0:
+        raise ValueError("empty matrix")
+    chart_ = m[0][0].chart
+    states: Dict[int, Polynomial] = {0: Polynomial.const(
+        chart_, ExactScalar.one())}
+    for c in range(n):
+        nxt: Dict[int, Polynomial] = {}
+        for mask, val in states.items():
+            for r in range(n):
+                if mask & (1 << r) or m[r][c].is_zero():
+                    continue
+                term = val * m[r][c]
+                # sign: the rows already used that lie below row r
+                if bin(mask >> (r + 1)).count("1") % 2:
+                    term = -term
+                nm = mask | (1 << r)
+                nxt[nm] = nxt[nm] + term if nm in nxt else term
+        states = {k: v for k, v in nxt.items() if not v.is_zero()}
+        if not states:
+            return Polynomial.zero(chart_)
+    return states.get((1 << n) - 1, Polynomial.zero(chart_))
 
 
 def flat_fields(l: int) -> List[VectorField]:
@@ -77,15 +106,16 @@ def armstrong4():
 
 # Pieces of frame-file text for fuzzing the parser and the CLI: headers,
 # field labels, atoms of the grammar, operators, large numbers (the last
-# one longer than int() accepts) and characters that are digits to
-# str.isdigit but not to int().
+# one longer than int() accepts), characters that are digits to
+# str.isdigit but not to int(), and runs of brackets and signs nested
+# deeper than parsing.MAX_NESTING.
 FRAME_PIECES = ["l: ", "l:", "l: 4", "l: 2", "l: 3", "l: 9", "l: 99999",
                 "\n", "\r\n", " ", "\t", "#", "X1: ", "X2: ", "X3:", "X4: ",
                 "X5:", "Dx1", "Dx2", "Dx4", "Dy[1,2]", "Dy[3,4]", "Dy[2,1]",
                 "Dy[1,1]", "x1", "x2", "x4", "x5", "y[1,2]", "y[3,4]",
                 "y[4,3]", "x", "y", "D", "[", "]", ",", ":", "+", "-", "*",
                 "^", "(", ")", "/", "0", "1", "2", "7", "99999999", "sqrt2",
-                "²", "٣", "é", "\x00", "9" * 4301]
+                "²", "٣", "é", "\x00", "9" * 4301, "(" * 101, "-" * 101]
 
 RANK4_FRAMES = ["flat_l4.frame", "armstrong_l4.frame", "obstructed_l4.frame",
                 "integrable_l4.frame", "nonunimodular_l4.frame",

@@ -10,14 +10,14 @@ import json
 import random
 from fractions import Fraction
 
-from conftest import data_path, random_sparse_fields
+from conftest import data_path, poly_det, random_sparse_fields
 from freedist.algebra import (EVEN, ODD, Chain, algebra, algebra_battery,
                               codifferential, commutator_operator,
                               commutator_operator_closed_form, differential,
                               kappa11_normality_test)
 from freedist.cohomology import harmonic_space
 from freedist.errors import DegenerateFrameError, UnsupportedFrameError
-from freedist.linalg import kernel_of_columns, poly_det
+from freedist.linalg import kernel_of_columns
 from freedist.normalization import (VERDICT_NORMAL, analyze, curvature_chain,
                                     report_to_json)
 from freedist.parsing import parse_frame_file
@@ -134,11 +134,11 @@ def assert_report_self_consistent(rep):
 
 
 # --------------------------------------------------------------------------
-# criterion 1 — single-twist golden frames, ranks 4..6
+# criterion 1 — single-twist golden frames, ranks 4..7
 # --------------------------------------------------------------------------
 
-def test_criterion_01_single_twist_goldens_rank_4_to_6():
-    for l in (4, 5, 6):
+def test_criterion_01_single_twist_goldens_rank_4_to_7():
+    for l in (4, 5, 6, 7):
         rep = analyze_fixture(f"armstrong_l{l}.frame")
         ch = chart(l)
         one_poly = Polynomial.const(ch, ONE)
@@ -159,11 +159,11 @@ def test_criterion_01_single_twist_goldens_rank_4_to_6():
 
 
 # --------------------------------------------------------------------------
-# criterion 2 — flat-model golden frames, ranks 4 and 5
+# criterion 2 — flat-model golden frames, ranks 4, 5 and 7
 # --------------------------------------------------------------------------
 
 def test_criterion_02_flat_model_goldens():
-    for l in (4, 5):
+    for l in (4, 5, 7):
         rep = analyze_fixture(f"flat_l{l}.frame")
         assert rep.l == l and rep.nondegenerate
         assert rep.f.is_zero()

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import armstrong_fields, flat_fields, random_sparse_fields
+from conftest import (armstrong_fields, flat_fields, poly_det,
+                      random_sparse_fields)
 from freedist.errors import (DegenerateFrameError, NotFreeDistributionError,
                              UnsupportedFrameError)
 from freedist.geometry import (DifferentialForm, Frame, PairMinors,
-                               VectorField, build_frame, check_nondegenerate,
-                               dual_coframe, frame_keys, lie_bracket,
-                               structure_functions)
+                               VectorField, _assemble, build_frame,
+                               check_nondegenerate, dual_coframe, frame_keys,
+                               lie_bracket, structure_functions)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -21,6 +22,10 @@ CH = chart(3)
 
 def coord_poly(idx):
     return Polynomial.coordinate(CH, idx)
+
+
+def const_poly(v):
+    return Polynomial.const(CH, ExactScalar.of(v))
 
 
 @st.composite
@@ -241,41 +246,101 @@ def test_nonconstant_determinant_rejected():
     assert not check_nondegenerate(scaled)
 
 
+ONES = {i: ExactScalar.one() for i in range(CH.ncoords)}
+ORIGIN = {i: ExactScalar.zero() for i in range(CH.ncoords)}
+
+
+def first_field_scaled(g):
+    fields = flat_fields(3)
+    fields[0] = fields[0].scale(g)
+    return fields
+
+
 def nonunimodular_fields():
     """flat_fields(3) with the first field scaled by 1 + x1: it spans at
     the origin, but its determinant is not constant."""
-    fields = flat_fields(3)
-    one_plus_x1 = Polynomial.const(CH, ExactScalar.one()) + coord_poly(
-        CH.x_index(1))
-    fields[0] = fields[0].scale(one_plus_x1)
-    return fields
+    return first_field_scaled(const_poly(1) + coord_poly(CH.x_index(1)))
+
+
+def newton_refuted_fields():
+    """flat_fields(3) with the first field scaled by 1 + x1 - x2: its
+    determinant -(1 + x1 - x2)^3 takes the same value at the origin and at
+    the all-ones point, so only the Newton inverse refutes it."""
+    return first_field_scaled(const_poly(1) + coord_poly(CH.x_index(1))
+                              - coord_poly(CH.x_index(2)))
 
 
 def degenerate_fields():
     return [VectorField.coordinate_x(CH, i) for i in range(1, 4)]
 
 
-def is_polynomial_matrix(value):
+def frame_det(fields):
+    return poly_det(_assemble(fields)[4])
+
+
+def is_matrix(value):
     return (isinstance(value, list) and value and isinstance(value[0], list)
-            and value[0] and isinstance(value[0][0], Polynomial))
+            and value[0] and isinstance(value[0][0],
+                                        (Polynomial, ExactScalar)))
 
 
-@pytest.mark.parametrize("make_fields, error", [
-    (degenerate_fields, DegenerateFrameError),
-    (nonunimodular_fields, UnsupportedFrameError)])
-def test_rejection_traceback_holds_no_jacobian(make_fields, error):
-    try:
-        build_frame(make_fields())
-    except error as exc:
-        tb = exc.__traceback__
+def assert_traceback_holds_no_matrix(exc):
+    """Neither the Jacobian, its value at a point nor its inverse is kept
+    alive by the rejection's traceback or by a chained exception."""
+    assert exc.__context__ is None and exc.__cause__ is None
+    tb = exc.__traceback__
     names = []
     while tb is not None:
         names.append(tb.tb_frame.f_code.co_name)
         for key, value in tb.tb_frame.f_locals.items():
-            assert key not in ("jac", "det_poly", "pairs"), key
-            assert not is_polynomial_matrix(value), key
+            assert key not in ("jac", "inverse", "base_inverse", "pairs"), key
+            assert not is_matrix(value), key
         tb = tb.tb_next
     assert "build_frame" in names
+
+
+@pytest.mark.parametrize("make_fields, error", [
+    (degenerate_fields, DegenerateFrameError),
+    (nonunimodular_fields, UnsupportedFrameError),
+    (newton_refuted_fields, UnsupportedFrameError)])
+def test_rejection_traceback_holds_no_jacobian(make_fields, error):
+    with pytest.raises(error) as info:
+        build_frame(make_fields())
+    assert_traceback_holds_no_matrix(info.value)
+
+
+def test_newton_inverse_refutes_determinant_equal_at_both_points():
+    fields = newton_refuted_fields()
+    det = frame_det(fields)
+    assert not det.is_constant()
+    assert det.evaluate(ORIGIN) == det.evaluate(ONES) == ExactScalar.of(-1)
+    with pytest.raises(UnsupportedFrameError,
+                       match="^frame determinant is not constant; only "
+                             "unimodular frames are supported$"):
+        build_frame(fields)
+    assert not check_nondegenerate(fields)
+
+
+def test_shifted_base_point_with_singular_origin_refused():
+    # scaled by x1: the frame spans at the all-ones point but not at the
+    # origin, so its determinant is not constant
+    fields = first_field_scaled(coord_poly(CH.x_index(1)))
+    assert frame_det(fields).evaluate(ORIGIN) == ExactScalar.zero()
+    with pytest.raises(UnsupportedFrameError,
+                       match="^frame determinant is not constant") as info:
+        build_frame(fields, dict(ONES))
+    assert_traceback_holds_no_matrix(info.value)
+    with pytest.raises(DegenerateFrameError):
+        build_frame(fields)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(deadline=None, max_examples=40)
+def test_check_nondegenerate_matches_det_oracle(seed):
+    fields = random_sparse_fields(4, random.Random(seed))
+    det = frame_det(fields)
+    assert check_nondegenerate(fields) == (
+        det.is_constant() and bool(det.constant_value()))
 
 
 def test_dual_coframe_degree_guard_names_itself():

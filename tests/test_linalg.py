@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import poly_det
 from freedist.cohomology import harmonic_system
 from freedist.linalg import (FactoredSystem, invert_scalar_matrix,
-                             kernel_of_columns, poly_det, poly_inverse,
+                             kernel_of_columns, poly_inverse,
                              signature_of_symmetric)
 from freedist.normalization import _system
 from freedist.polynomials import Polynomial, chart
@@ -427,12 +428,27 @@ def test_poly_inverse_degree_guard_rejects_nonconstant_determinant():
     x1 = Polynomial.coordinate(CH, CH.x_index(1))
     x2 = Polynomial.coordinate(CH, CH.x_index(2))
     # det = 1 - x1*x2: m(0) = I is invertible, but the inverse is a power
-    # series, so the iteration passes the degree bound (n-1)*deg = 1.
+    # series, so the iteration passes the cofactor degree bound 1.
     m = [[const(1), x1], [x2, const(1)]]
     with pytest.raises(ValueError, match="degree bound 1"):
         poly_inverse(m)
     with pytest.raises(ValueError, match="degree bound 0"):
         poly_inverse([[const(1) + x1]])
+
+
+def test_poly_inverse_reaches_the_cofactor_bound():
+    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    zero = const(0)
+    # unitriangular: the column degrees 0, 1, 1 bound every cofactor by
+    # 1 + 1 = 2, and the corner entry of the inverse has degree exactly 2
+    m = [[const(1), x1, zero], [zero, const(1), x1], [zero, zero, const(1)]]
+    assert poly_inverse(m) == [[const(1), -x1, x1 * x1],
+                               [zero, const(1), -x1],
+                               [zero, zero, const(1)]]
+    # closing the cycle makes det = 1 + x1^3; the bound stays 2
+    m[2][0] = x1
+    with pytest.raises(ValueError, match="degree bound 2 "):
+        poly_inverse(m)
 
 
 def test_poly_inverse_rejects_singular_constant_term():

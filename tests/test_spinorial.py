@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import poly_det
 from freedist.errors import UnsupportedError
-from freedist.linalg import poly_det
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 from freedist.spinorial import (SkewMatrix, list_inclusions,

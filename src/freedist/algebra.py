@@ -568,10 +568,6 @@ Coefficient = Union[ExactScalar, Polynomial]
 TermKey = Tuple[Tuple[BasisKey, ...], BasisKey]
 
 
-def _coeff_is_zero(c: Coefficient) -> bool:
-    return not bool(c)
-
-
 def _coeff_scale_int(c: Coefficient, n: int) -> Coefficient:
     if n == 1:
         return c
@@ -600,7 +596,7 @@ class Chain:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms",
                            {key: c for key, c in terms.items()
-                            if not _coeff_is_zero(c)})
+                            if c})
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Chain is immutable")
@@ -711,7 +707,7 @@ def _accumulate(terms: Dict[TermKey, Coefficient], key: TermKey,
             else:
                 old = Polynomial.const(c.chart, old)
         c = old + c
-    if _coeff_is_zero(c):
+    if not c:
         terms.pop(key, None)
     else:
         terms[key] = c

@@ -7,11 +7,19 @@ connection form, and reports the invariant tensors.
 
 The curvature engine is convention-free: the connection is a single matrix
 of polynomial 1-forms, its curvature is computed entrywise as dM - M^M, and
-every tensor is read off by evaluating against the dual frame of the
-connection coframe and expanding over the graded basis with exact
-reconstruction checks.  The linear systems that determine the unknown
-coefficients are built from unit-coefficient probes of the same evaluation
-rules and factored once per rank, so only right-hand sides vary per frame.
+its homogeneity-(1, 2) part is read off as one 2-chain by evaluating
+against the dual frame of the connection coframe and expanding over the
+graded basis with exact reconstruction checks.  Both normalization degrees
+solve on that chain the same way: the codifferential of the chain is the
+right-hand side of a linear system built from unit-coefficient probes of
+the same evaluation rules and factored once per rank, and the chain plus
+the probes' response is the normalized curvature.
+
+The curvature tensors P, Q (homogeneity 1) and R, S, T (homogeneity 2)
+are the parts of that chain.  One key rule (``_chain`` and its inverse
+``_tensors``) maps them: the slot kinds and target kind of a term name
+its tensor, and its tensor key is the target index followed by the slot
+indices.
 
 Index conventions for the stored tensors (all dicts are sparse; a missing
 key means the zero polynomial; pair indices are stored sorted):
@@ -21,17 +29,20 @@ key means the zero polynomial; pair indices are stored sorted):
   E[(i, j, (k, m))]     pair-coframe part of the grade-0 connection block
   F[(i, j)]             symmetric grade-(+1) coefficient block
   P[((i, j), r, (s, t))], Q[(i, (r, s))], R[((i, j), (k, m), (r, s))],
-  S[(i, j, (k, m))], T[(i, j, (k, m))]   curvature reads; for R the two
-  argument pairs satisfy (k, m) < (r, s) lexicographically.
+  S[(i, j, (k, m))], T[(i, j, (k, m))]   curvature tensors; for R the two
+  argument pairs satisfy (k, m) < (r, s) lexicographically.  Q is always
+  empty: the engine refuses a nonzero one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey,
                       _accumulate, algebra, codifferential)
+from .cohomology import _term_keys
 from .errors import UnsupportedError
 from .geometry import (Coframe, DifferentialForm, Frame, PairMinors,
                        StructureFunctions, VectorField, build_frame,
@@ -52,10 +63,6 @@ SKey = Tuple[int, int, Pair]
 
 VERDICT_NORMAL = "NormalAtComputedOrder"
 VERDICT_OBSTRUCTED = "ObstructedByT"
-
-
-def _pairs(l: int) -> List[Pair]:
-    return [(j, k) for j in range(1, l + 1) for k in range(j + 1, l + 1)]
 
 
 class ConnectionData:
@@ -168,7 +175,7 @@ def _degree1_probes(l: int) -> Tuple[Tuple[AKey, ...], Tuple[Chain, ...]]:
         # single-pair reads; keep grade -2 targets
         for r in range(1, l + 1):
             delta_r = {("zero", (i0, k0)): one} if r == j0 else {}
-            for p in _pairs(l):
+            for p in ga.pair_indices:
                 vals = {}
                 for (m, q), c in cvals.items():
                     if q == p:
@@ -187,7 +194,7 @@ def _degree2_probes(l: int) -> Tuple[Tuple[object, ...], Tuple[Chain, ...]]:
     curvature response (grade-0, -1, -2 targets on the three read blocks)."""
     ga = algebra(l)
     one = ExactScalar.one()
-    pairs = _pairs(l)
+    pairs = ga.pair_indices
     e_unknowns = [("E", (i, j, p))
                   for i in range(1, l + 1)
                   for j in range(1, l + 1)
@@ -258,43 +265,56 @@ def _degree2_probes(l: int) -> Tuple[Tuple[object, ...], Tuple[Chain, ...]]:
 
 
 # --------------------------------------------------------------------------
-# factored normalization systems (constant per rank)
+# the curvature as one 2-chain, and the one rule naming its tensors
 # --------------------------------------------------------------------------
 
-def _row_keys_degree1(l: int) -> List[TermKey]:
-    keys: List[TermKey] = []
-    for r in range(1, l + 1):
-        for i in range(1, l + 1):
-            for j in range(1, l + 1):
-                keys.append(((("up1", r),), ("zero", (i, j))))
-    for p in _pairs(l):
-        for i in range(1, l + 1):
-            keys.append(((("up2", p),), ("lo1", i)))
-    return keys
+# (slot kinds, target kind) -> tensor name, for every part of homogeneity 1
+# (P, Q) and 2 (R, S, T).  A tensor key is the target index (a grade-0
+# target's (i, j) spread into two entries) followed by the two slot
+# indices, where two single slots (r, s) make one pair entry.
+_TENSORS = {(("up1", "up2"), "lo2"): "P", (("up1", "up1"), "lo1"): "Q",
+            (("up2", "up2"), "lo2"): "R", (("up1", "up2"), "lo1"): "S",
+            (("up1", "up1"), "zero"): "T"}
+_KINDS = {name: kinds for kinds, name in _TENSORS.items()}
 
 
-def _row_keys_degree2(l: int) -> List[TermKey]:
-    keys: List[TermKey] = []
-    for r in range(1, l + 1):
-        for i in range(1, l + 1):
-            keys.append(((("up1", r),), ("up1", i)))
-    for p in _pairs(l):
-        for i in range(1, l + 1):
-            for j in range(1, l + 1):
-                keys.append(((("up2", p),), ("zero", (i, j))))
-    return keys
+def _chain(l: int, tables: Dict[str, Dict[Tuple, Polynomial]]) -> Chain:
+    """The 2-chain of the named tensors; their keys give canonical slots."""
+    terms: Dict[TermKey, Polynomial] = {}
+    for name, table in tables.items():
+        (k0, k1), tkind = _KINDS[name]
+        for key, poly in table.items():
+            target, rest = ((key[:2], key[2:]) if tkind == "zero"
+                            else (key[0], key[1:]))
+            a, b = rest[0] if k0 == k1 == "up1" else rest
+            terms[(((k0, a), (k1, b)), (tkind, target))] = poly
+    return Chain(ODD, l, 2, terms)
 
+
+def _tensors(chain: Chain) -> Dict[str, Dict[Tuple, Polynomial]]:
+    """The inverse of _chain, with every tensor of the table present."""
+    out: Dict[str, Dict[Tuple, Polynomial]] = {name: {} for name in _KINDS}
+    for ((s0, s1), (tkind, target)), poly in chain.terms.items():
+        head = target if tkind == "zero" else (target,)
+        tail = (((s0[1], s1[1]),) if s0[0] == s1[0] == "up1"
+                else (s0[1], s1[1]))
+        out[_TENSORS[((s0[0], s1[0]), tkind)]][head + tail] = poly
+    return out
+
+
+# --------------------------------------------------------------------------
+# factored normalization systems (constant per rank) and their solve
+# --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _system(l: int, degree: int):
-    """The factored normalization system of one degree: per row key, the
-    unit probes' codifferential coefficients, assembled by walking each
-    probe's codifferential terms once; degree 1 adds its l trace rows."""
-    probes_of, keys_of = ((_degree1_probes, _row_keys_degree1)
-                          if degree == 1 else
-                          (_degree2_probes, _row_keys_degree2))
-    unknowns, probes = probes_of(l)
-    row_keys = keys_of(l)
+    """The factored normalization system of one degree: per row key (the
+    1-chain term keys of that homogeneity), the unit probes'
+    codifferential coefficients, assembled by walking each probe's
+    codifferential terms once; degree 1 adds its l trace rows."""
+    unknowns, probes = (_degree1_probes if degree == 1
+                        else _degree2_probes)(l)
+    row_keys = _term_keys(algebra(l), 1, degree)
     index = {rk: n for n, rk in enumerate(row_keys)}
     rows: List[Dict[int, ExactScalar]] = [{} for _ in row_keys]
     for uidx, probe in enumerate(probes):
@@ -310,38 +330,29 @@ def _system(l: int, degree: int):
     return unknowns, row_keys, FactoredSystem(rows, len(unknowns))
 
 
-# --------------------------------------------------------------------------
-# chain assembly helpers
-# --------------------------------------------------------------------------
-
-def _hom1_chain(l: int, P: Dict[PKey, Polynomial],
-                Q: Dict[QKey, Polynomial]) -> Chain:
-    terms: Dict[TermKey, Polynomial] = {}
-    for ((i, j), r, p), poly in P.items():
-        terms[((("up1", r), ("up2", p)), ("lo2", (i, j)))] = poly
-    for (i, (r, s)), poly in Q.items():
-        terms[((("up1", r), ("up1", s)), ("lo1", i))] = poly
-    return Chain(ODD, l, 2, terms)
-
-
-def _hom2_chain(l: int, R: Dict[RKey, Polynomial],
-                S: Dict[SKey, Polynomial], T: Dict[SKey, Polynomial]
-                ) -> Chain:
-    terms: Dict[TermKey, Polynomial] = {}
-    for ((i, j), pkl, prs), poly in R.items():
-        terms[((("up2", pkl), ("up2", prs)), ("lo2", (i, j)))] = poly
-    for (i, j, p), poly in S.items():
-        terms[((("up1", j), ("up2", p)), ("lo1", i))] = poly
-    for (i, j, p), poly in T.items():
-        terms[((("up1", p[0]), ("up1", p[1])), ("zero", (i, j)))] = poly
-    return Chain(ODD, l, 2, terms)
+def _solve(chain: Chain, degree: int) -> List[Polynomial]:
+    """The unknowns of one degree that make chain + sum x_u probe_u
+    codifferential-free on the row keys (and, at degree 1, trace-free)."""
+    l = chain.l
+    _, row_keys, system = _system(l, degree)
+    d = codifferential(chain).terms
+    zero = Polynomial.zero(chart(l))
+    rhs = [-d[rk] if rk in d else zero for rk in row_keys]
+    if degree == 1:
+        rhs.extend([zero] * l)
+    return system.solve(rhs)
 
 
-def _structure_chain(f: StructureFunctions) -> Chain:
-    terms: Dict[TermKey, Polynomial] = {}
-    for ((i, j), r, p), poly in f.pp_sp.items():
-        terms[((("up1", r), ("up2", p)), ("lo2", (i, j)))] = poly
-    return Chain(ODD, f.l, 2, terms)
+def _respond(chain: Chain, degree: int, xs: Sequence[Polynomial]) -> Chain:
+    """chain + sum x_u probe_u over the unknowns of one degree."""
+    _, probes = (_degree1_probes if degree == 1
+                 else _degree2_probes)(chain.l)
+    terms = dict(chain.terms)
+    for x, probe in zip(xs, probes):
+        if not x.is_zero():
+            for tk, c in probe.terms.items():
+                _accumulate(terms, tk, x.scale(c))
+    return Chain(ODD, chain.l, 2, terms)
 
 
 # --------------------------------------------------------------------------
@@ -357,54 +368,23 @@ def solve_degree1(f: StructureFunctions
     if l < 4:
         raise UnsupportedError(
             "degree-1 normalization requires rank at least 4")
-    chart_ = f.chart
-    zero_poly = Polynomial.zero(chart_)
-    unknowns, row_keys, system = _system(l, 1)
-    f_chain = _structure_chain(f)
-    d_f = codifferential(f_chain)
-    rhs = []
-    for rk in row_keys:
-        v = d_f.terms.get(rk)
-        rhs.append(-v if v is not None else zero_poly)
-    rhs.extend([zero_poly] * l)
-    xs = system.solve(rhs)
+    zero_poly = Polynomial.zero(f.chart)
+    f_chain = _chain(l, {"P": f.pp_sp})
+    xs = _solve(f_chain, 1)
+    tensors = _tensors(_respond(f_chain, 1, xs))
+    if tensors["Q"]:
+        raise AssertionError(
+            "single-target homogeneity-1 component failed to cancel")
+    unknowns, _ = _degree1_probes(l)
     A = {u: x for u, x in zip(unknowns, xs) if not x.is_zero()}
     C: Dict[CKey, Polynomial] = {}
     for i in range(1, l + 1):
-        for p in _pairs(l):
+        for p in algebra(l).pair_indices:
             j, k = p
             c = A.get((i, j, k), zero_poly) - A.get((i, k, j), zero_poly)
             if not c.is_zero():
                 C[(i, p)] = c
-    P = _apply_degree1_probes(f, A)
-    return A, C, P
-
-
-def _apply_degree1_probes(f: StructureFunctions, A: Dict[AKey, Polynomial]
-                          ) -> Dict[PKey, Polynomial]:
-    """P = structure-function block plus the exact linear response to A;
-    the single-target response must cancel identically."""
-    l = f.l
-    chart_ = f.chart
-    unknowns, probes = _degree1_probes(l)
-    acc: Dict[TermKey, Polynomial] = {}
-    for ((i, j), r, p), poly in f.pp_sp.items():
-        acc[((("up1", r), ("up2", p)), ("lo2", (i, j)))] = poly
-    for u, probe in zip(unknowns, probes):
-        a = A.get(u)
-        if a is None or a.is_zero():
-            continue
-        for tk, c in probe.terms.items():
-            _accumulate(acc, tk, a.scale(c))
-    P: Dict[PKey, Polynomial] = {}
-    for (slots, target), poly in acc.items():
-        if target[0] == "lo1":
-            raise AssertionError(
-                "single-target homogeneity-1 component failed to cancel")
-        r = slots[0][1]
-        p = slots[1][1]
-        P[((target[1][0], target[1][1]), r, p)] = poly
-    return P
+    return A, C, tensors["P"]
 
 
 # --------------------------------------------------------------------------
@@ -412,20 +392,20 @@ def _apply_degree1_probes(f: StructureFunctions, A: Dict[AKey, Polynomial]
 # --------------------------------------------------------------------------
 
 def _connection_forms(frame: Frame, coframe: Coframe,
-                      A: Dict[AKey, Polynomial], C: Dict[CKey, Polynomial],
-                      E: Dict[EKey, Polynomial], F: Dict[FKey, Polynomial]
+                      A: Dict[AKey, Polynomial], C: Dict[CKey, Polynomial]
                       ) -> Dict[BasisKey, DifferentialForm]:
-    """The component 1-forms of the full connection matrix, indexed by the
-    graded basis keys they multiply.  The grade-(+2) components vanish."""
+    """The component 1-forms of the connection matrix before the
+    homogeneity-2 unknowns, indexed by the graded basis keys they multiply:
+    the negative part and the grade-0 block.  The E and F coefficients
+    reach the curvature through the degree-2 probes instead."""
     l = frame.l
     chart_ = frame.chart
-    pairs = _pairs(l)
+    pairs = algebra(l).pair_indices
     forms: Dict[BasisKey, DifferentialForm] = {}
-    theta_s = {i: coframe.form(("s", i)) for i in range(1, l + 1)}
     theta_p = {p: coframe.form(("p", p)) for p in pairs}
     omega_s: Dict[int, DifferentialForm] = {}
     for i in range(1, l + 1):
-        form = theta_s[i]
+        form = coframe.form(("s", i))
         for p in pairs:
             c = C.get((i, p))
             if c is not None and not c.is_zero():
@@ -441,32 +421,9 @@ def _connection_forms(frame: Frame, coframe: Coframe,
                 a = A.get((i, k, j))
                 if a is not None and not a.is_zero():
                     form = form + omega_s[k].scale(a)
-            for p in pairs:
-                e = E.get((i, j, p))
-                if e is not None and not e.is_zero():
-                    form = form + theta_p[p].scale(e)
             if not form.is_zero():
                 forms[("zero", (i, j))] = form
-    for m in range(1, l + 1):
-        form = DifferentialForm.zero(chart_, 1)
-        for k in range(1, l + 1):
-            fv = F.get((k, m))
-            if fv is not None and not fv.is_zero():
-                form = form - omega_s[k].scale(fv)
-        if not form.is_zero():
-            forms[("up1", m)] = form
     return forms
-
-
-class _EngineReads:
-    """Raw curvature reads of one engine run (sparse polynomial dicts)."""
-
-    def __init__(self) -> None:
-        self.P: Dict[PKey, Polynomial] = {}
-        self.Q: Dict[QKey, Polynomial] = {}
-        self.R: Dict[RKey, Polynomial] = {}
-        self.S: Dict[SKey, Polynomial] = {}
-        self.T: Dict[SKey, Polynomial] = {}
 
 
 def _expand_poly_matrix(ga: GradedAlgebra,
@@ -520,16 +477,13 @@ def _curvature_values(M: Dict[Tuple[int, int], DifferentialForm],
 
 
 def _curvature_reads(frame: Frame, A: Dict[AKey, Polynomial],
-                     C: Dict[CKey, Polynomial], E: Dict[EKey, Polynomial],
-                     F: Dict[FKey, Polynomial]) -> _EngineReads:
-    """Run the matrix curvature engine and read all homogeneity-(0..2)
-    components; homogeneity-0 components and single-target reads on two
-    single arguments must vanish exactly."""
+                     C: Dict[CKey, Polynomial]) -> Chain:
+    """Run the matrix curvature engine and read its homogeneity-(1, 2)
+    components as one 2-chain; homogeneity-0 components and single-target
+    reads on two single arguments must vanish exactly."""
     l = frame.l
     ga = algebra(l)
-    pairs = _pairs(l)
-    coframe = dual_coframe(frame)
-    forms = _connection_forms(frame, coframe, A, C, E, F)
+    forms = _connection_forms(frame, dual_coframe(frame), A, C)
 
     # assemble the matrix of 1-forms
     M: Dict[Tuple[int, int], DifferentialForm] = {}
@@ -540,55 +494,32 @@ def _curvature_reads(frame: Frame, A: Dict[AKey, Polynomial],
             M[pos] = add if old is None else old + add
     M = {pos: f for pos, f in M.items() if not f.is_zero()}
 
-    # the dual frame of the connection coframe
-    W_s = {i: frame.field(("s", i)) for i in range(1, l + 1)}
-    W_p: Dict[Pair, VectorField] = {}
-    for p in pairs:
+    # the dual frame of the connection coframe, by positive-part key
+    W = {("up1", i): frame.field(("s", i)) for i in range(1, l + 1)}
+    for p in ga.pair_indices:
         w = frame.field(("p", p))
         for m in range(1, l + 1):
             c = C.get((m, p))
             if c is not None and not c.is_zero():
-                w = w - W_s[m].scale(c)
-        W_p[p] = w
+                w = w - W[("up1", m)].scale(c)
+        W[("up2", p)] = w
 
-    ss = [(r, s) for r in range(1, l + 1) for s in range(r + 1, l + 1)]
-    sp = [(r, p) for r in range(1, l + 1) for p in pairs]
-    pp = [(pairs[pi], pairs[qi]) for pi in range(len(pairs))
-          for qi in range(pi + 1, len(pairs))]
-    values = _curvature_values(
-        M, [(W_s[r], W_s[s]) for r, s in ss]
-        + [(W_s[r], W_p[p]) for r, p in sp]
-        + [(W_p[p], W_p[q]) for p, q in pp])
-    # one read per argument pair, in the order ss, sp, pp; zip takes the
-    # pair first, so each loop below takes exactly its own reads
-    reads = (_expand_poly_matrix(ga, entries) for entries in values)
-
-    out = _EngineReads()
-    for (r, s), comps in zip(ss, reads):
-        for key, poly in comps.items():
-            kind = key[0]
-            if kind == "lo2":
+    args = list(combinations(ga.positive_keys, 2))
+    values = _curvature_values(M, [(W[a], W[b]) for a, b in args])
+    terms: Dict[TermKey, Polynomial] = {}
+    for slots, entries in zip(args, values):
+        for key, poly in _expand_poly_matrix(ga, entries).items():
+            h = sum(map(GradedAlgebra.grade, slots + (key,)))
+            if h == 0:
                 raise AssertionError(
                     "homogeneity-0 curvature component is nonzero")
-            if kind == "lo1":
-                out.Q[(key[1], (r, s))] = poly
-            elif kind == "zero":
-                out.T[(key[1][0], key[1][1], (r, s))] = poly
-    for (r, p), comps in zip(sp, reads):
-        for key, poly in comps.items():
-            kind = key[0]
-            if kind == "lo2":
-                out.P[(key[1], r, p)] = poly
-            elif kind == "lo1":
-                out.S[(key[1], r, p)] = poly
-    for (pkl, prs), comps in zip(pp, reads):
-        for key, poly in comps.items():
-            if key[0] == "lo2":
-                out.R[(key[1], pkl, prs)] = poly
-    if out.Q:
+            if h <= 2:
+                terms[(slots, key)] = poly
+    reads = Chain(ODD, l, 2, terms)
+    if _tensors(reads)["Q"]:
         raise AssertionError(
             "single-target homogeneity-1 curvature reads are nonzero")
-    return out
+    return reads
 
 
 # --------------------------------------------------------------------------
@@ -606,26 +537,21 @@ def solve_degree2(frame: Frame, f: StructureFunctions,
     if l < 4:
         raise UnsupportedError(
             "degree-2 normalization requires rank at least 4")
-    chart_ = frame.chart
-    zero_poly = Polynomial.zero(chart_)
-    reads = _curvature_reads(frame, A, C, {}, {})
+    zero_poly = Polynomial.zero(frame.chart)
+    reads = _curvature_reads(frame, A, C)
 
     # cross-check: the engine's homogeneity-1 read must equal the
     # probe-table evaluation used by the degree-1 solve
-    expected_P = _apply_degree1_probes(f, A)
-    if reads.P != expected_P:
+    a_unknowns, _ = _degree1_probes(l)
+    expected = _respond(_chain(l, {"P": f.pp_sp}), 1,
+                        [A.get(u, zero_poly) for u in a_unknowns])
+    if reads.homogeneous_part(1) != expected:
         raise AssertionError(
             "engine homogeneity-1 read disagrees with the probe table")
 
-    baseline = _hom2_chain(l, reads.R, reads.S, reads.T)
-    d_base = codifferential(baseline)
-    unknowns, row_keys, system = _system(l, 2)
-    rhs = []
-    for rk in row_keys:
-        v = d_base.terms.get(rk)
-        rhs.append(-v if v is not None else zero_poly)
-    xs = system.solve(rhs)
-
+    baseline = reads.homogeneous_part(2)
+    xs = _solve(baseline, 2)
+    unknowns, _ = _degree2_probes(l)
     E: Dict[EKey, Polynomial] = {}
     F: Dict[FKey, Polynomial] = {}
     for (kind, idx), x in zip(unknowns, xs):
@@ -639,31 +565,12 @@ def solve_degree2(frame: Frame, f: StructureFunctions,
             if i != j:
                 F[(j, i)] = x
 
-    R = dict(reads.R)
-    S = dict(reads.S)
-    T = dict(reads.T)
-    _, probes = _degree2_probes(l)
-    for (kind, idx), x, probe in zip(unknowns, xs, probes):
-        if x.is_zero():
-            continue
-        for (slots, target), c in probe.terms.items():
-            k0, k1 = slots
-            if target[0] == "lo2":
-                key = (target[1], k0[1], k1[1])
-                table = R
-            elif target[0] == "lo1":
-                key = (target[1], k0[1], k1[1])
-                table = S
-            else:
-                key = (target[1][0], target[1][1], (k0[1], k1[1]))
-                table = T
-            _accumulate(table, key, x.scale(c))
-
-    final = _hom2_chain(l, R, S, T)
+    final = _respond(baseline, 2, xs)
     if not codifferential(final).is_zero():
         raise AssertionError(
             "normalized homogeneity-2 curvature is not codifferential-free")
-    return E, F, R, S, T
+    tensors = _tensors(final)
+    return E, F, tensors["R"], tensors["S"], tensors["T"]
 
 
 # --------------------------------------------------------------------------
@@ -677,12 +584,8 @@ def flatness_test(P: Dict[PKey, Polynomial]) -> bool:
 
 def curvature_chain(report: CurvatureReport) -> Chain:
     """The degree-<=2 truncation of the curvature as a polynomial chain."""
-    if any(not poly.is_zero() for poly in report.Q.values()):
-        raise AssertionError("curvature report carries a nonzero Q block")
-    l = report.l
-    h1 = _hom1_chain(l, report.P, {})
-    h2 = _hom2_chain(l, report.R, report.S, report.T)
-    return h1 + h2
+    return _chain(report.l, {"P": report.P, "Q": report.Q, "R": report.R,
+                             "S": report.S, "T": report.T})
 
 
 def extension_normality_report(report: CurvatureReport) -> Dict[str, object]:

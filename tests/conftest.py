@@ -122,10 +122,17 @@ RANK4_FRAMES = ["flat_l4.frame", "armstrong_l4.frame", "obstructed_l4.frame",
                 "bad_syntax.frame"]
 
 
+# Characters a token boundary follows: whitespace, the label colon,
+# operators and brackets.
+TOKEN_ENDS = " \t\r\n:+-*^/()[]"
+
+
 @st.composite
 def frame_texts(draw):
     """Frame-file text: pieces joined at random, or a shipped rank-4 frame
-    with a few pieces spliced in or characters cut out."""
+    with a few pieces spliced in or characters cut out.  Splices start at
+    token boundaries, so a spliced piece lands as whole tokens inside an
+    expression often enough to reach the parser's guards."""
     if draw(st.booleans()):
         return "".join(draw(st.lists(st.sampled_from(FRAME_PIECES),
                                      max_size=40)))
@@ -133,7 +140,8 @@ def frame_texts(draw):
               encoding="utf-8") as fh:
         text = fh.read()
     for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(text)))
+        i = draw(st.sampled_from(
+            [0] + [n + 1 for n, ch in enumerate(text) if ch in TOKEN_ENDS]))
         j = draw(st.integers(i, min(len(text), i + 4)))
         text = text[:i] + draw(st.sampled_from(FRAME_PIECES + [""])) \
             + text[j:]

@@ -3,16 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (armstrong_fields, data_path, flat_fields,
                       random_sparse_fields)
-from freedist.algebra import codifferential, kappa11_normality_test
+from freedist.algebra import (ODD, Chain, codifferential,
+                              kappa11_normality_test)
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
-                                    _degree1_probes, _degree2_probes,
-                                    _row_keys_degree1, _row_keys_degree2,
-                                    _system, analyze, curvature_chain,
+                                    _chain, _degree1_probes, _degree2_probes,
+                                    _system, _tensors, analyze,
+                                    curvature_chain,
                                     extension_normality_report,
                                     flatness_test, report_from_json,
                                     report_to_json)
@@ -359,12 +362,40 @@ def test_curvature_chain_homogeneity_split():
     assert len(h1.terms) == len(rep.curvature.P)
 
 
+def pairs_of(l):
+    return [(j, k) for j in range(1, l + 1) for k in range(j + 1, l + 1)]
+
+
+def reference_row_keys(l, degree):
+    """The normalization row keys of one degree, enumerated by hand: an
+    independent reference for the order the systems use."""
+    keys = []
+    if degree == 1:
+        for r in range(1, l + 1):
+            for i in range(1, l + 1):
+                for j in range(1, l + 1):
+                    keys.append(((("up1", r),), ("zero", (i, j))))
+        for p in pairs_of(l):
+            for i in range(1, l + 1):
+                keys.append(((("up2", p),), ("lo1", i)))
+    else:
+        for r in range(1, l + 1):
+            for i in range(1, l + 1):
+                keys.append(((("up1", r),), ("up1", i)))
+        for p in pairs_of(l):
+            for i in range(1, l + 1):
+                for j in range(1, l + 1):
+                    keys.append(((("up2", p),), ("zero", (i, j))))
+    return keys
+
+
 def dense_system_rows(l, degree):
-    """Rows probed column by column for every row key, plus degree 1's
-    trace rows: the reference the transposed assembly must equal."""
+    """Rows probed column by column for every reference row key, plus
+    degree 1's trace rows: the reference the transposed assembly must
+    equal."""
     unknowns, probes = (_degree1_probes if degree == 1
                         else _degree2_probes)(l)
-    row_keys = (_row_keys_degree1 if degree == 1 else _row_keys_degree2)(l)
+    row_keys = reference_row_keys(l, degree)
     columns = [codifferential(c) for c in probes]
     rows = []
     for rk in row_keys:
@@ -390,3 +421,67 @@ def test_transposed_system_rows_match_dense_probe_assembly(l, degree):
     assert unknowns == ref_unknowns and row_keys == ref_keys
     assert [list(r.items()) for r in system.rows] \
         == [list(r.items()) for r in ref_rows]
+
+
+# --- the key rule between the curvature chain and its tensors ------------
+
+@st.composite
+def tensor_tables(draw):
+    """A rank and sparse P, Q, R, S, T tables of nonzero constants, with
+    keys drawn over each tensor's index convention."""
+    l = draw(st.sampled_from([4, 5]))
+    idx = st.integers(1, l)
+    pair = st.sampled_from(pairs_of(l))
+    two_pairs = st.sampled_from([(p, q) for p in pairs_of(l)
+                                 for q in pairs_of(l) if p < q])
+    keys = {"P": st.tuples(pair, idx, pair),
+            "Q": st.tuples(idx, pair),
+            "R": st.tuples(pair, two_pairs).map(lambda k: (k[0],) + k[1]),
+            "S": st.tuples(idx, idx, pair),
+            "T": st.tuples(idx, idx, pair)}
+    value = st.integers(-3, 3).filter(bool).map(
+        lambda n: Polynomial.const(chart(l), ExactScalar.of(n)))
+    return l, {name: draw(st.dictionaries(key, value, max_size=6))
+               for name, key in keys.items()}
+
+
+@given(tensor_tables())
+@settings(deadline=None, max_examples=80)
+def test_tensor_chain_key_rule_round_trips(drawn):
+    l, tables = drawn
+    chain = _chain(l, tables)
+    assert _tensors(chain) == tables
+    assert len(chain.terms) == sum(map(len, tables.values()))
+    # Chain.make re-sorts slots with a sign; equal chains mean _chain
+    # already emitted canonical slot order
+    items = [(slots, target, c) for (slots, target), c in chain.terms.items()]
+    assert Chain.make(ODD, l, 2, items) == chain
+
+
+def joined_hom_chains(report):
+    """The curvature chain as assembled before the key rule: the
+    homogeneity-1 P block joined with the R, S, T blocks."""
+    h1, h2 = {}, {}
+    for ((i, j), r, p), poly in report.P.items():
+        h1[((("up1", r), ("up2", p)), ("lo2", (i, j)))] = poly
+    for ((i, j), pkl, prs), poly in report.R.items():
+        h2[((("up2", pkl), ("up2", prs)), ("lo2", (i, j)))] = poly
+    for (i, j, p), poly in report.S.items():
+        h2[((("up1", j), ("up2", p)), ("lo1", i))] = poly
+    for (i, j, p), poly in report.T.items():
+        h2[((("up1", p[0]), ("up1", p[1])), ("zero", (i, j)))] = poly
+    return Chain(ODD, report.l, 2, h1) + Chain(ODD, report.l, 2, h2)
+
+
+def test_curvature_chain_matches_joined_blocks():
+    import random
+    reports = [analyze_fixture("obstructed_l4.frame").curvature]
+    rng = random.Random(1207)
+    while len(reports) < 4:
+        try:
+            reports.append(analyze(random_sparse_fields(4, rng)).curvature)
+        except (DegenerateFrameError, UnsupportedFrameError):
+            continue
+    assert any(k.R or k.S or k.T for k in reports[1:])
+    for k in reports:
+        assert curvature_chain(k) == joined_hom_chains(k)

@@ -186,6 +186,11 @@ class GradedAlgebra:
                 raise AssertionError(f"GradedAlgebra: even basis matrix "
                                      f"{key} does not read 1 at {pos}")
 
+        # read-off position -> (basis index, key), for expand_int
+        self._readoff_index = {
+            side: {pos: (n, key) for n, (key, pos) in enumerate(ro.items())}
+            for side, ro in ((ODD, self.odd_readoff),
+                             (EVEN, self.even_readoff))}
         self._tables: Dict[str, Dict[Tuple[BasisKey, BasisKey],
                                      Tuple[Tuple[BasisKey, int], ...]]] = {
             ODD: {}, EVEN: {}}
@@ -261,13 +266,26 @@ class GradedAlgebra:
         return (swap[kind], idx)
 
     def _build_tables(self, side: str) -> None:
+        """Brackets and trace pairings of the basis pairs whose supports
+        meet (a column of one is a row of the other; all other products
+        vanish), each key's partners visited in basis order."""
         keys = self.keys(side)
+        mats = [self.mat(side, k) for k in keys]
+        by_row: Dict[int, List[int]] = {}
+        by_col: Dict[int, List[int]] = {}
+        for n, m in enumerate(mats):
+            for r, c in m:
+                by_row.setdefault(r, []).append(n)
+                by_col.setdefault(c, []).append(n)
         table = self._tables[side]
         pair_table = self._pairings[side]
-        for k1 in keys:
-            m1 = self.mat(side, k1)
-            for k2 in keys:
-                m2 = self.mat(side, k2)
+        for k1, m1 in zip(keys, mats):
+            partners = set()
+            for r, c in m1:
+                partners.update(by_row.get(c, ()))
+                partners.update(by_col.get(r, ()))
+            for n2 in sorted(partners):
+                k2, m2 = keys[n2], mats[n2]
                 comm = _mat_commutator(m1, m2)
                 coeffs = self.expand_int(side, comm)
                 if coeffs:
@@ -282,13 +300,12 @@ class GradedAlgebra:
 
     def expand_int(self, side: str, m: IntMatrix) -> Dict[BasisKey, int]:
         """Expand an integer matrix over the basis, verifying exactly."""
-        readoff = self.odd_readoff if side == ODD else self.even_readoff
+        index = self._readoff_index[side]
         mats = self.odd_mat if side == ODD else self.even_mat
-        coeffs: Dict[BasisKey, int] = {}
-        for key, pos in readoff.items():
-            v = m.get(pos, 0)
-            if v:
-                coeffs[key] = v
+        coeffs: Dict[BasisKey, int] = {
+            key: v for _, key, v in sorted(
+                index[pos] + (v,) for pos, v in m.items()
+                if v and pos in index)}
         recon: IntMatrix = {}
         for key, c in coeffs.items():
             for pos, v in mats[key].items():

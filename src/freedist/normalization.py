@@ -41,7 +41,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey,
-                      _accumulate, algebra, codifferential)
+                      _accumulate, _codifferential_term, algebra,
+                      codifferential)
 from .cohomology import _term_keys
 from .errors import UnsupportedError
 from .geometry import (Coframe, DifferentialForm, Frame, PairMinors,
@@ -126,31 +127,35 @@ def _delta_read_pattern(r: int, m: int) -> Dict[BasisKey, int]:
     return {("lo2", (m, r)): -1}
 
 
-def _bracket_into(ga: GradedAlgebra, acc: Dict[BasisKey, ExactScalar],
-                  e1: Dict[BasisKey, ExactScalar],
-                  e2: Dict[BasisKey, ExactScalar], sign: int) -> None:
-    for key, val in ga.bracket_coeffs(ODD, e1, e2).items():
-        _accumulate(acc, key, val * sign)
+# one shared (immutable) exact scalar per integer probe or row coefficient
+_int_scalar = lru_cache(maxsize=None)(ExactScalar.of)
+
+
+def _add_bracket(ga: GradedAlgebra, acc: Dict[BasisKey, int],
+                 k1: BasisKey, k2: BasisKey, c: int) -> None:
+    """acc += c [k1, k2] for two odd basis keys, in integers."""
+    for key, n in ga.bracket_table(ODD, k1, k2):
+        _accumulate(acc, key, c * n)
 
 
 def _emit(items: List, slots: Tuple[BasisKey, ...],
-          vals: Dict[BasisKey, ExactScalar], grade: int) -> None:
+          vals: Dict[BasisKey, int], grade: int) -> None:
     for tkey, v in vals.items():
-        if GradedAlgebra.grade(tkey) == grade and v:
-            items.append((slots, tkey, v))
+        if GradedAlgebra.grade(tkey) == grade:
+            items.append((slots, tkey, _int_scalar(v)))
 
 
 @lru_cache(maxsize=None)
 def _degree1_probes(l: int) -> Tuple[Tuple[AKey, ...], Tuple[Chain, ...]]:
     """Per unit A-coefficient: the exact homogeneity-1 curvature response."""
     ga = algebra(l)
-    one = ExactScalar.one()
     unknowns = tuple((i, j, k)
                      for i in range(1, l + 1)
                      for j in range(1, l + 1)
                      for k in range(1, l + 1))
     probes = []
     for (i0, j0, k0) in unknowns:
+        unit = ("zero", (i0, k0))
         # induced pair-coframe correction: C^i_[jk] = A^i_jk - A^i_kj
         cvals: Dict[Tuple[int, Pair], int] = {}
         if j0 != k0:
@@ -159,30 +164,27 @@ def _degree1_probes(l: int) -> Tuple[Tuple[AKey, ...], Tuple[Chain, ...]]:
         items: List = []
         # single-single reads; keep grade -1 targets
         for r in range(1, l + 1):
-            delta_r = {("zero", (i0, k0)): one} if r == j0 else {}
             for s in range(r + 1, l + 1):
-                delta_s = {("zero", (i0, k0)): one} if s == j0 else {}
-                vals: Dict[BasisKey, ExactScalar] = {}
+                vals: Dict[BasisKey, int] = {}
                 for i in range(1, l + 1):
                     c = cvals.get((i, (r, s)))
                     if c:
-                        _accumulate(vals, ("lo1", i), ExactScalar.of(c))
-                if delta_s:
-                    _bracket_into(ga, vals, {("lo1", r): one}, delta_s, -1)
-                if delta_r:
-                    _bracket_into(ga, vals, delta_r, {("lo1", s): one}, -1)
+                        _accumulate(vals, ("lo1", i), c)
+                if s == j0:
+                    _add_bracket(ga, vals, ("lo1", r), unit, -1)
+                if r == j0:
+                    _add_bracket(ga, vals, unit, ("lo1", s), -1)
                 _emit(items, (("up1", r), ("up1", s)), vals, -1)
         # single-pair reads; keep grade -2 targets
         for r in range(1, l + 1):
-            delta_r = {("zero", (i0, k0)): one} if r == j0 else {}
             for p in ga.pair_indices:
                 vals = {}
                 for (m, q), c in cvals.items():
                     if q == p:
                         for key, v in _delta_read_pattern(r, m).items():
-                            _accumulate(vals, key, ExactScalar.of(-c * v))
-                if delta_r:
-                    _bracket_into(ga, vals, delta_r, {("lo2", p): one}, -1)
+                            _accumulate(vals, key, -c * v)
+                if r == j0:
+                    _add_bracket(ga, vals, unit, ("lo2", p), -1)
                 _emit(items, (("up1", r), ("up2", p)), vals, -2)
         probes.append(Chain.make(ODD, l, 2, items))
     return unknowns, tuple(probes)
@@ -193,7 +195,6 @@ def _degree2_probes(l: int) -> Tuple[Tuple[object, ...], Tuple[Chain, ...]]:
     """Per unit E- or symmetric-F coefficient: the exact homogeneity-2
     curvature response (grade-0, -1, -2 targets on the three read blocks)."""
     ga = algebra(l)
-    one = ExactScalar.one()
     pairs = ga.pair_indices
     e_unknowns = [("E", (i, j, p))
                   for i in range(1, l + 1)
@@ -208,15 +209,15 @@ def _degree2_probes(l: int) -> Tuple[Tuple[object, ...], Tuple[Chain, ...]]:
         items: List = []
         if kind == "E":
             i0, j0, p0 = idx
-            unit = {("zero", (i0, j0)): one}
+            unit = ("zero", (i0, j0))
             # grade-0 read on the own single pair (pair-coframe
             # differential contributes its own-pair unit)
-            items.append(((("up1", p0[0]), ("up1", p0[1])),
-                          ("zero", (i0, j0)), one))
+            items.append(((("up1", p0[0]), ("up1", p0[1])), unit,
+                          _int_scalar(1)))
             # grade -1 reads on (single, pair) argument pairs
             for j in range(1, l + 1):
-                vals: Dict[BasisKey, ExactScalar] = {}
-                _bracket_into(ga, vals, {("lo1", j): one}, unit, -1)
+                vals: Dict[BasisKey, int] = {}
+                _add_bracket(ga, vals, ("lo1", j), unit, -1)
                 _emit(items, (("up1", j), ("up2", p0)), vals, -1)
             # grade -2 reads on (pair, pair) argument pairs
             for q in pairs:
@@ -225,31 +226,27 @@ def _degree2_probes(l: int) -> Tuple[Tuple[object, ...], Tuple[Chain, ...]]:
                 left, right = (p0, q) if p0 < q else (q, p0)
                 vals = {}
                 if left == p0:
-                    _bracket_into(ga, vals, unit, {("lo2", q): one}, -1)
+                    _add_bracket(ga, vals, unit, ("lo2", q), -1)
                 else:
-                    _bracket_into(ga, vals, {("lo2", q): one}, unit, -1)
+                    _add_bracket(ga, vals, ("lo2", q), unit, -1)
                 _emit(items, (("up2", left), ("up2", right)), vals, -2)
         else:
             i0, j0 = idx
 
-            def delta_single(r: int) -> Dict[BasisKey, ExactScalar]:
-                out: Dict[BasisKey, ExactScalar] = {}
-                if r == i0:
-                    _accumulate(out, ("up1", j0), -one)
-                if r == j0 and j0 != i0:
-                    _accumulate(out, ("up1", i0), -one)
-                return out
+            def delta_single(r: int) -> Dict[BasisKey, int]:
+                if r not in (i0, j0):
+                    return {}
+                return {("up1", j0 if r == i0 else i0): -1}
 
             # grade-0 reads on single-single argument pairs
             for k in range(1, l + 1):
                 dk = delta_single(k)
                 for m in range(k + 1, l + 1):
-                    dm = delta_single(m)
                     vals = {}
-                    if dm:
-                        _bracket_into(ga, vals, {("lo1", k): one}, dm, -1)
-                    if dk:
-                        _bracket_into(ga, vals, dk, {("lo1", m): one}, -1)
+                    for key, c in delta_single(m).items():
+                        _add_bracket(ga, vals, ("lo1", k), key, -c)
+                    for key, c in dk.items():
+                        _add_bracket(ga, vals, key, ("lo1", m), -c)
                     _emit(items, (("up1", k), ("up1", m)), vals, 0)
             # grade -1 reads on (single, pair) argument pairs
             for j in range(1, l + 1):
@@ -258,7 +255,8 @@ def _degree2_probes(l: int) -> Tuple[Tuple[object, ...], Tuple[Chain, ...]]:
                     continue
                 for p in pairs:
                     vals = {}
-                    _bracket_into(ga, vals, dj, {("lo2", p): one}, -1)
+                    for key, c in dj.items():
+                        _add_bracket(ga, vals, key, ("lo2", p), -c)
                     _emit(items, (("up1", j), ("up2", p)), vals, -1)
         probes.append(Chain.make(ODD, l, 2, items))
     return unknowns, tuple(probes)
@@ -310,18 +308,23 @@ def _tensors(chain: Chain) -> Dict[str, Dict[Tuple, Polynomial]]:
 def _system(l: int, degree: int):
     """The factored normalization system of one degree: per row key (the
     1-chain term keys of that homogeneity), the unit probes'
-    codifferential coefficients, assembled by walking each probe's
-    codifferential terms once; degree 1 adds its l trace rows."""
+    codifferential coefficients, summed in integers over each probe's
+    per-term codifferential kernels; degree 1 adds its l trace rows."""
     unknowns, probes = (_degree1_probes if degree == 1
                         else _degree2_probes)(l)
-    row_keys = _term_keys(algebra(l), 1, degree)
+    ga = algebra(l)
+    row_keys = _term_keys(ga, 1, degree)
     index = {rk: n for n, rk in enumerate(row_keys)}
     rows: List[Dict[int, ExactScalar]] = [{} for _ in row_keys]
     for uidx, probe in enumerate(probes):
-        for tk, v in codifferential(probe).terms.items():
+        column: Dict[TermKey, int] = {}   # probe coefficients are integers
+        for (slots, target), c in probe.terms.items():
+            for tk, n in _codifferential_term(ga, ODD, slots, target):
+                _accumulate(column, tk, c.a.numerator * n)
+        for tk, v in column.items():
             n = index.get(tk)
             if n is not None:
-                rows[n][uidx] = v
+                rows[n][uidx] = _int_scalar(v)
     if degree == 1:
         uindex = {u: n for n, u in enumerate(unknowns)}
         for k in range(1, l + 1):

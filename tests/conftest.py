@@ -129,13 +129,15 @@ TOKEN_ENDS = " \t\r\n:+-*^/()[]"
 
 @st.composite
 def frame_texts(draw):
-    """Frame-file text: pieces joined at random, or a shipped rank-4 frame
-    with a few pieces spliced in or characters cut out.  Splices start at
-    token boundaries, so a spliced piece lands as whole tokens inside an
-    expression often enough to reach the parser's guards."""
+    """Frame-file text: pieces joined at random after a valid header and
+    first label, or a shipped rank-4 frame with a few pieces spliced in or
+    characters cut out.  Splices start at token boundaries, so a spliced
+    piece lands as whole tokens inside an expression often enough to reach
+    the parser's guards; the joined pieces start inside the first field's
+    expression for the same reason."""
     if draw(st.booleans()):
-        return "".join(draw(st.lists(st.sampled_from(FRAME_PIECES),
-                                     max_size=40)))
+        return "l: 4\nX1: " + "".join(
+            draw(st.lists(st.sampled_from(FRAME_PIECES), max_size=40)))
     with open(data_path(draw(st.sampled_from(RANK4_FRAMES))),
               encoding="utf-8") as fh:
         text = fh.read()

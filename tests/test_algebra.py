@@ -46,6 +46,62 @@ def test_basis_sizes():
         assert ga.even_size == 2 * l + 2
 
 
+def dense_tables(ga, side):
+    """Bracket and pairing tables by the full scan: every ordered basis
+    pair, each commutator expanded by reading every read-off position in
+    basis order and reconstructed exactly.  The reference the
+    support-meeting build must equal, order included."""
+    readoff = ga.odd_readoff if side == ODD else ga.even_readoff
+    table, pairings = {}, {}
+    for k1 in ga.keys(side):
+        m1 = ga.mat(side, k1)
+        for k2 in ga.keys(side):
+            m2 = ga.mat(side, k2)
+            comm = algebra_module._mat_commutator(m1, m2)
+            coeffs = {k: comm[pos] for k, pos in readoff.items()
+                      if comm.get(pos)}
+            recon = {}
+            for k, c in coeffs.items():
+                for pos, v in ga.mat(side, k).items():
+                    recon[pos] = recon.get(pos, 0) + c * v
+            assert {p: v for p, v in recon.items() if v} == comm
+            if coeffs:
+                table[(k1, k2)] = tuple(coeffs.items())
+            tr = sum(v * m2.get((c, r), 0) for (r, c), v in m1.items())
+            if tr:
+                assert tr % 2 == 0
+                pairings[(k1, k2)] = -tr // 2
+    return table, pairings
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+@pytest.mark.parametrize("side", [ODD, EVEN])
+def test_tables_match_full_scan(l, side):
+    ga = GradedAlgebra(l)
+    table, pairings = dense_tables(ga, side)
+    assert list(ga._tables[side].items()) == list(table.items())
+    assert list(ga._pairings[side].items()) == list(pairings.items())
+
+
+def test_expand_int_refuses_a_read_off_entry_without_its_partner():
+    key = ("lo1", 1)
+    pos = GA.odd_readoff[key]
+    assert len(GA.mat(ODD, key)) == 2
+    assert GA.expand_int(ODD, GA.mat(ODD, key)) == {key: 1}
+    with pytest.raises(AssertionError, match="does not lie in the algebra"):
+        GA.expand_int(ODD, {pos: 1})
+
+
+def test_expand_int_refuses_an_entry_at_no_read_off_position():
+    pos = (L, L)   # the centre of the odd form, on the diagonal
+    assert pos not in GA.odd_readoff.values()
+    with pytest.raises(AssertionError, match="does not lie in the algebra"):
+        GA.expand_int(ODD, {pos: 1})
+    # also beside entries that do lie in the algebra
+    with pytest.raises(AssertionError, match="does not lie in the algebra"):
+        GA.expand_int(ODD, {**GA.mat(ODD, ("lo1", 2)), pos: 3})
+
+
 def test_grades_partition_basis():
     for key in GA.odd_keys:
         g = GradedAlgebra.grade(key)

@@ -208,15 +208,30 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
-def test_algebra_check_under_optimize_flag():
+def run_optimized(*argv):
+    """The CLI in a fresh ``python -O`` process; stdout as bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "freedist.cli", "algebra-check",
-         "--l", "4"], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "freedist.cli", *argv], env=env,
+        capture_output=True, timeout=300)
+
+
+def test_algebra_check_under_optimize_flag():
+    proc = run_optimized("algebra-check", "--l", "4")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count(": PASS") == 10
+    assert proc.stdout.decode("utf-8").count(": PASS") == 10
+
+
+def test_analyze_under_optimize_flag(capsys):
+    """analyze passes the invariant raises of GradedAlgebra and expand_int
+    under -O too, with the same stdout and exit code."""
+    path = data_path("armstrong_l4.frame")
+    code, out, _ = run(capsys, "analyze", path)
+    proc = run_optimized("analyze", path)
+    assert (proc.returncode, proc.stdout) == (code, out.encode("utf-8"))
+    assert code == 0
 
 
 def test_algebra_check_guard(capsys):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (armstrong_fields, data_path, flat_fields,
                       random_sparse_fields)
-from freedist.algebra import (ODD, Chain, codifferential,
-                              kappa11_normality_test)
+from freedist.algebra import (ODD, Chain, GradedAlgebra, _accumulate,
+                              algebra, codifferential, kappa11_normality_test)
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
@@ -389,6 +389,124 @@ def reference_row_keys(l, degree):
     return keys
 
 
+def scalar_probes(l, degree):
+    """The probes by the scalar route: every bracket through
+    ``bracket_coeffs`` on unit coefficient dicts, accumulated as exact
+    scalars.  The reference the integer probe build must equal."""
+    ga = algebra(l)
+    one = ExactScalar.one()
+    pairs = ga.pair_indices
+
+    def bracket_into(acc, e1, e2):
+        for key, val in ga.bracket_coeffs(ODD, e1, e2).items():
+            _accumulate(acc, key, -val)
+
+    def emit(items, slots, vals, grade):
+        items.extend((slots, k, v) for k, v in vals.items()
+                     if GradedAlgebra.grade(k) == grade and v)
+
+    def deg1(i0, j0, k0):
+        cvals = {}
+        if j0 != k0:
+            cvals[(i0, tuple(sorted((j0, k0))))] = 1 if j0 < k0 else -1
+        unit = {("zero", (i0, k0)): one}
+        items = []
+        for r in range(1, l + 1):
+            for s in range(r + 1, l + 1):
+                vals = {}
+                for i in range(1, l + 1):
+                    if cvals.get((i, (r, s))):
+                        _accumulate(vals, ("lo1", i),
+                                    ExactScalar.of(cvals[(i, (r, s))]))
+                if s == j0:
+                    bracket_into(vals, {("lo1", r): one}, unit)
+                if r == j0:
+                    bracket_into(vals, unit, {("lo1", s): one})
+                emit(items, (("up1", r), ("up1", s)), vals, -1)
+        for r in range(1, l + 1):
+            for p in pairs:
+                vals = {}
+                for (m, q), c in cvals.items():
+                    if q == p and r != m:
+                        key, v = ((("lo2", (r, m)), 1) if r < m
+                                  else (("lo2", (m, r)), -1))
+                        _accumulate(vals, key, ExactScalar.of(-c * v))
+                if r == j0:
+                    bracket_into(vals, unit, {("lo2", p): one})
+                emit(items, (("up1", r), ("up2", p)), vals, -2)
+        return items
+
+    def deg2_e(i0, j0, p0):
+        unit = {("zero", (i0, j0)): one}
+        items = [((("up1", p0[0]), ("up1", p0[1])), ("zero", (i0, j0)), one)]
+        for j in range(1, l + 1):
+            vals = {}
+            bracket_into(vals, {("lo1", j): one}, unit)
+            emit(items, (("up1", j), ("up2", p0)), vals, -1)
+        for q in pairs:
+            if q != p0:
+                vals = {}
+                if p0 < q:
+                    bracket_into(vals, unit, {("lo2", q): one})
+                else:
+                    bracket_into(vals, {("lo2", q): one}, unit)
+                emit(items, (("up2", min(p0, q)), ("up2", max(p0, q))),
+                     vals, -2)
+        return items
+
+    def deg2_f(i0, j0):
+        def delta(r):
+            out = {}
+            if r == i0:
+                _accumulate(out, ("up1", j0), -one)
+            if r == j0 and j0 != i0:
+                _accumulate(out, ("up1", i0), -one)
+            return out
+
+        items = []
+        for k in range(1, l + 1):
+            for m in range(k + 1, l + 1):
+                vals = {}
+                if delta(m):
+                    bracket_into(vals, {("lo1", k): one}, delta(m))
+                if delta(k):
+                    bracket_into(vals, delta(k), {("lo1", m): one})
+                emit(items, (("up1", k), ("up1", m)), vals, 0)
+        for j in range(1, l + 1):
+            if delta(j):
+                for p in pairs:
+                    vals = {}
+                    bracket_into(vals, delta(j), {("lo2", p): one})
+                    emit(items, (("up1", j), ("up2", p)), vals, -1)
+        return items
+
+    if degree == 1:
+        unknowns = [(i, j, k) for i in range(1, l + 1)
+                    for j in range(1, l + 1) for k in range(1, l + 1)]
+        item_lists = [deg1(*u) for u in unknowns]
+    else:
+        unknowns = ([("E", (i, j, p)) for i in range(1, l + 1)
+                     for j in range(1, l + 1) for p in pairs]
+                    + [("F", (i, j)) for i in range(1, l + 1)
+                       for j in range(i, l + 1)])
+        item_lists = [deg2_e(*idx) if kind == "E" else deg2_f(*idx)
+                      for kind, idx in unknowns]
+    return tuple(unknowns), [Chain.make(ODD, l, 2, items)
+                             for items in item_lists]
+
+
+@pytest.mark.parametrize("l", [3, 4, 5])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_integer_probes_match_scalar_route(l, degree):
+    unknowns, probes = (_degree1_probes if degree == 1
+                        else _degree2_probes)(l)
+    ref_unknowns, ref_probes = scalar_probes(l, degree)
+    assert unknowns == ref_unknowns
+    for probe, ref in zip(probes, ref_probes, strict=True):
+        assert list(probe.terms.items()) == list(ref.terms.items())
+        assert all(type(v) is ExactScalar for v in probe.terms.values())
+
+
 def dense_system_rows(l, degree):
     """Rows probed column by column for every reference row key, plus
     degree 1's trace rows: the reference the transposed assembly must
@@ -421,6 +539,7 @@ def test_transposed_system_rows_match_dense_probe_assembly(l, degree):
     assert unknowns == ref_unknowns and row_keys == ref_keys
     assert [list(r.items()) for r in system.rows] \
         == [list(r.items()) for r in ref_rows]
+    assert all(type(v) is ExactScalar for r in system.rows for v in r.values())
 
 
 # --- the key rule between the curvature chain and its tensors ------------

@@ -198,7 +198,7 @@ def test_nesting_and_exponent_guards():
 
 @given(frame_texts())
 @settings(deadline=None, max_examples=200)
-# frame_texts reaches the MAX_NESTING guard in about 1 of 150 examples;
+# frame_texts reaches the MAX_NESTING guard in about 1 of 100 examples;
 # these two reach it on every run
 @example("l: 2\nX1: " + "(" * 101 + "Dx1\nX2: Dx2\n")
 @example("l: 2\nX1: " + "-" * 101 + "Dx1\nX2: Dx2\n")

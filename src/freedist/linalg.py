@@ -1,42 +1,42 @@
 """Exact linear algebra over Q(sqrt2) and its polynomial ring.
 
 Kernels and linear systems share one sparse elimination core,
-``_eliminate``: it splits the vectors into blocks that share no label,
-reduces each block's vectors in order, pivoting on the label with the
-fewest nonzeros, and records each pivot's multipliers, so that a pivot's
-expression in the original vectors (its tail) is rebuilt only where it is
-needed.  ``kernel_of_columns`` reads the kernel off the dependent columns'
-tails; ``FactoredSystem`` back-substitutes over the pivots' tails once per
-system and then solves each polynomial right-hand side by one sparse
-combination per unknown; ``invert_scalar_matrix`` does the same
-back-substitution for a square scalar matrix and reads its determinant off
-the pivots.  Inverses of polynomial matrices with constant determinant are
-Newton-lifted from the inverse of their constant term, up to the cofactor
-degree bound: lifting either reaches the exact inverse within it, which
-proves the determinant a nonzero constant, or passes it, which refutes
-that.
+``_eliminate``, fraction-free over Z[sqrt2], whose vectors carry their
+tails (their expressions in the original vectors) along.
+``kernel_of_columns`` reads the kernel off the dependent columns' tails;
+``FactoredSystem`` back-substitutes over the pivots once per system, and
+then solves each polynomial right-hand side by one sparse combination per
+unknown; ``invert_scalar_matrix`` does the same back-substitution for a
+square scalar matrix and reads its determinant off the pivots and tails.
+Inverses of polynomial matrices with constant determinant are Newton-lifted
+from the inverse of their constant term, up to the cofactor degree bound:
+lifting either reaches the exact inverse within it, which proves the
+determinant a nonzero constant, or passes it, which refutes that.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from operator import add
-from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from .polynomials import Chart, Polynomial
-from .scalars import ExactScalar
+from .scalars import ExactScalar, _make
 
 
-Multipliers = List[Tuple[int, ExactScalar]]
-Pivot = Tuple[Hashable, Dict[Hashable, ExactScalar], int, Multipliers,
-              ExactScalar]
-Tails = Dict[int, Dict[int, ExactScalar]]
-Block = Tuple[List[Pivot], List[Tuple[int, Multipliers]]]
+Root2 = Tuple[int, int]   # a + b*sqrt2 with integer a, b
+IntVec = Tuple[Dict[Hashable, int], Dict[Hashable, int]]  # a and b parts
+Pivot = Tuple[Hashable, Root2, IntVec, IntVec, int]
+Block = Tuple[List[Pivot], List[Tuple[int, IntVec]]]
 
 
-def _accumulate(dst: Dict[Hashable, ExactScalar], c: ExactScalar,
-                src: Dict[Hashable, ExactScalar]) -> None:
-    """dst += c * src, dropping the entries that cancel."""
+def _accumulate(dst: Dict[Hashable, Any], c: Any,
+                src: Dict[Hashable, Any]) -> None:
+    """dst += c * src over scalars or integers, dropping the entries that
+    cancel."""
     for k, v in src.items():
         old = dst.get(k)
         w = c * v if old is None else old + c * v
@@ -46,23 +46,63 @@ def _accumulate(dst: Dict[Hashable, ExactScalar], c: ExactScalar,
             dst.pop(k, None)
 
 
+def _axpy(dst: IntVec, c: Root2, src: IntVec) -> IntVec:
+    """dst += c * src over Z[sqrt2]; returns dst."""
+    (da, db), (a, b), (x, y) = dst, c, src
+    for part, f, s in ((da, a, x), (da, 2 * b, y), (db, a, y), (db, b, x)):
+        if f:
+            _accumulate(part, f, s)
+    return dst
+
+
+def _at(vec: IntVec, k: Hashable) -> Root2:
+    """The entry of vec at k."""
+    return vec[0].get(k, 0), vec[1].get(k, 0)
+
+
+def _times(x: Root2, y: Root2) -> Root2:
+    """x * y in Z[sqrt2]."""
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _divided(vec: IntVec, den: int, p: Root2) -> Tuple[IntVec, int]:
+    """vec / (den * p) as integer numerators over one denominator, in
+    lowest terms; 1/p is its conjugate over its norm a^2 - 2b^2."""
+    a, b = p
+    if b:
+        vec, a = _axpy(({}, {}), (a, -b), vec), a * a - 2 * b * b
+    den *= a
+    g = gcd(den, *vec[0].values(), *vec[1].values())
+    return tuple({k: v // g for k, v in d.items()} for d in vec), den // g
+
+
+def _scalars(vec: IntVec, den: int) -> Dict[Hashable, ExactScalar]:
+    """The entries (a + b sqrt2) / den of vec, as scalars."""
+    a, b = vec
+    return {k: _make(Fraction(a.get(k, 0), den),
+                     Fraction(b[k], den) if k in b else 0)
+            for k in chain(a, b.keys() - a.keys())}
+
+
 def _eliminate(vectors: Sequence[Dict[Hashable, ExactScalar]]
                ) -> Iterator[Block]:
-    """Forward elimination of sparse vectors, block by block.
+    """Fraction-free forward elimination of sparse vectors over Z[sqrt2].
 
-    Vectors that share no nonzero label, even through other vectors, never
-    meet, so they are split into blocks (union-find over labels) and each
-    block is eliminated on its own, its vectors in index order.  Each
-    vector is reduced by the block's earlier pivots in turn; if anything
-    is left, it pivots on its label with the fewest nonzeros across the
-    original vectors (a static Markowitz count, which keeps fill-in low;
-    Duff, Erisman & Reid, *Direct Methods for Sparse Matrices*, ch. 7),
-    ties broken by ``repr``.  A pivot's reduced vector has no entry at an
-    earlier pivot's label.
+    Vectors that share no nonzero label, even through other vectors, are
+    split into blocks (union-find over labels), each eliminated alone, its
+    vectors in index order.  Vector i is scaled by the lcm d of its
+    denominators and starts with tail {i: d}.  Against an earlier pivot P
+    with tail S and entry p, where it has entry c, V and T become p*V - c*P
+    and p*T - c*S (p and c over their gcd, negated unless p's rational
+    part is positive), then lose their integer content.  What is left
+    pivots on its label with the fewest nonzeros across the original
+    vectors (a static Markowitz count; Duff, Erisman & Reid, *Direct
+    Methods for Sparse Matrices*, ch. 7), ties by ``repr``.  Nonzero
+    scaling keeps supports, so pivots and dependent vectors are those of
+    elimination over Q(sqrt2); no zero entry is ever stored.
 
-    Yields per block its pivots, as (label, normalized reduced vector,
-    vector index, multipliers [(earlier pivot, c)], inverse of the pivot
-    entry), and its dependent vectors, as (vector index, multipliers).
+    Yields per block its pivots, as (label, entry there, reduced vector,
+    tail, vector index), and its dependent vectors, as (index, tail).
     """
     n = len(vectors)
     parent = list(range(n))
@@ -88,47 +128,43 @@ def _eliminate(vectors: Sequence[Dict[Hashable, ExactScalar]]
         blocks.setdefault(root(i), []).append(i)
     for block in blocks.values():
         pivots: List[Pivot] = []
-        dependent: List[Tuple[int, Multipliers]] = []
+        dependent: List[Tuple[int, IntVec]] = []
         for i in block:
-            vec = {k: v for k, v in vectors[i].items() if v}
-            mults: Multipliers = []
-            for q, (pkey, pvec, _, _, _) in enumerate(pivots):
-                c = vec.get(pkey)
-                if c is not None:
-                    mults.append((q, c))
-                    _accumulate(vec, -c, pvec)
-            if not vec:
-                dependent.append((i, mults))
+            row = {k: v for k, v in vectors[i].items() if v}
+            d = lcm(*(f.denominator for v in row.values()
+                      for f in (v.a, v.b)))
+            vec = ({k: v.a.numerator * (d // v.a.denominator)
+                    for k, v in row.items() if v.a},
+                   {k: v.b.numerator * (d // v.b.denominator)
+                    for k, v in row.items() if v.b})
+            tail: IntVec = ({i: d}, {})
+            for pkey, p, pvec, ptail, _ in pivots:
+                c = _at(vec, pkey)
+                if c == (0, 0):
+                    continue
+                g = gcd(*p, *c) if p[0] > 0 else -gcd(*p, *c)
+                s, c = (p[0] // g, p[1] // g), (-c[0] // g, -c[1] // g)
+                if s[1]:
+                    vec, tail = (_axpy(({}, {}), s, vec),
+                                 _axpy(({}, {}), s, tail))
+                elif s[0] != 1:
+                    for part in (*vec, *tail):
+                        for k in part:
+                            part[k] *= s[0]
+                _axpy(vec, c, pvec)
+                _axpy(tail, c, ptail)
+                g = gcd(*vec[0].values(), *vec[1].values(),
+                        *tail[0].values(), *tail[1].values())
+                if g > 1:
+                    for part in (*vec, *tail):
+                        for k in part:
+                            part[k] //= g
+            if not (vec[0] or vec[1]):
+                dependent.append((i, tail))
                 continue
-            pkey = min(vec, key=rank.__getitem__)
-            inv = vec[pkey].inverse()
-            pivots.append((pkey, {k: v * inv for k, v in vec.items()}, i,
-                           mults, inv))
+            pkey = min(chain(*vec), key=rank.__getitem__)
+            pivots.append((pkey, _at(vec, pkey), vec, tail, i))
         yield pivots, dependent
-
-
-def _combine(i: int, mults: Multipliers, tails: Tails
-             ) -> Dict[int, ExactScalar]:
-    """e_i - sum c * tails[q] over the multipliers (q, c)."""
-    out: Dict[int, ExactScalar] = {i: ExactScalar.one()}
-    for q, c in mults:
-        _accumulate(out, -c, tails[q])
-    return out
-
-
-def _build_tails(pivots: List[Pivot], wanted: Iterable[int],
-                 tails: Tails) -> None:
-    """Add to ``tails`` each wanted pivot's reduced vector as a combination
-    of the original vectors, and every tail that one needs first."""
-    # one descending pass finds the missing tails (a pivot's multipliers
-    # name earlier pivots only); ascending order builds each after its own
-    todo = {q for q in wanted if q not in tails}
-    for q in range(max(todo, default=-1), -1, -1):
-        if q in todo:
-            todo.update(p for p, _ in pivots[q][3] if p not in tails)
-    for q in sorted(todo):
-        _, _, iq, mq, inv = pivots[q]
-        tails[q] = {k: v * inv for k, v in _combine(iq, mq, tails).items()}
 
 
 def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
@@ -136,24 +172,19 @@ def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
     """Basis of {c : sum_i c_i * columns[i] = 0}, as coefficient lists.
 
     Columns are sparse dicts keyed by arbitrary hashable row labels.  The
-    returned vectors have one entry per column, in column order.  There is
-    one vector per column that depends on the earlier ones: e_i minus the
-    unique expression of column i in the earlier independent columns, in
-    the order of i.  Since that expression is unique, neither the block
-    split nor the pivot rows of ``_eliminate`` change the result.  Tails
-    are lazy: a pivot's expression in the original columns is built only
-    when a dependent column needs it, so a block with an empty kernel
-    never forms one.
+    returned vectors have one entry per column, in column order: per column
+    i that depends on the earlier ones, in the order of i, its tail over
+    the tail's entry at i, which is e_i minus the unique expression of
+    column i in the earlier independent columns, so neither the block
+    split nor the pivot rows of ``_eliminate`` change the result.
     """
     n = len(columns)
     zero = ExactScalar.zero()
     kernel: Dict[int, List[ExactScalar]] = {}
-    for pivots, dependent in _eliminate(columns):
-        tails: Tails = {}
-        for i, mults in dependent:
-            _build_tails(pivots, (q for q, _ in mults), tails)
-            tail = _combine(i, mults, tails)
-            kernel[i] = [tail.get(j, zero) for j in range(n)]
+    for _, dependent in _eliminate(columns):
+        for i, tail in dependent:
+            vec = _scalars(*_divided(tail, 1, _at(tail, i)))
+            kernel[i] = [vec.get(j, zero) for j in range(n)]
     return [kernel[i] for i in sorted(kernel)]
 
 
@@ -162,23 +193,23 @@ def _solution_operator(blocks: List[List[Pivot]]
     """Per pivot label u, the combination of right-hand sides that gives
     x[u] for every consistent M x = b, when every label is a pivot label.
 
-    Each pivot's reduced vector rho_q, with label u_q, equals tail_q . M
-    (tail_q over vector indices), so x[u_q] = tail_q . b - sum_{k != u_q}
-    rho_q[k] x[k]; rho_q names later pivots' labels only, so
-    back-substitution runs over the pivots in reverse order.
+    Pivot q's reduced vector rho_q, with entry p_q at its label u_q, is
+    tail_q . M, so x[u_q] = (tail_q . b - sum_{k != u_q} rho_q[k] x[k]) /
+    p_q; rho_q names later pivots' labels only, so back-substitution runs
+    over the pivots in reverse order, in integers over one denominator.
     """
-    op: Dict[Hashable, Dict[int, ExactScalar]] = {}
+    ints: Dict[Hashable, Tuple[IntVec, int]] = {}
     for pivots in blocks:
-        tails: Tails = {}
-        _build_tails(pivots, range(len(pivots)), tails)
-        for q in range(len(pivots) - 1, -1, -1):
-            pkey, pvec, _, _, _ = pivots[q]
-            x = dict(tails[q])
-            for k, v in pvec.items():
-                if k != pkey:
-                    _accumulate(x, -v, op[k])
-            op[pkey] = x
-    return op
+        for pkey, p, (a, b), tail, _ in reversed(pivots):
+            keys = [k for k in chain(a, b.keys() - a.keys()) if k != pkey]
+            den = lcm(*(ints[k][1] for k in keys))
+            x = _axpy(({}, {}), (den, 0), tail)
+            for k in keys:
+                num, d = ints[k]
+                f = den // d
+                _axpy(x, (-a.get(k, 0) * f, -b.get(k, 0) * f), num)
+            ints[pkey] = _divided(x, den, p)
+    return {u: _scalars(*ints[u]) for u in ints}
 
 
 def _poly_sum(chart_: Chart,
@@ -237,10 +268,10 @@ def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
     """Determinant and inverse of a square scalar matrix, by ``_eliminate``
     on its rows; the inverse is None when the determinant is zero.
 
-    Eliminating a row subtracts earlier rows only, so the reduced rows keep
-    the determinant of m, and they are triangular once the columns are put
-    in pivot order: det m is the sign of the permutation (row -> its pivot
-    column) times the product of the pivot entries.
+    The tails are triangular in elimination order, and the reduced rows
+    (tails times m) are triangular once the columns are in pivot order: det
+    m is the permutation sign (row -> its pivot column) times the product
+    of p_q / t_q over each pivot's entry p_q and its tail's own entry t_q.
     """
     n = len(m)
     eliminated = list(_eliminate([dict(enumerate(row)) for row in m]))
@@ -248,19 +279,17 @@ def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
         return ExactScalar.zero(), None
     blocks = [pivots for pivots, _ in eliminated]
     column: Dict[int, Hashable] = {}
-    inverse_product = ExactScalar.one()
+    num = den = (1, 0)
     for pivots in blocks:
-        for pkey, _, i, _, inv in pivots:
+        for pkey, p, _, tail, i in pivots:
             column[i] = pkey
-            inverse_product = inverse_product * inv
+            num, den = _times(num, p), _times(den, _at(tail, i))
+    det = ExactScalar(*num) / ExactScalar(*den)
     cycles = 0
-    for i in range(n):
-        if i in column:
-            cycles += 1
-            j = i
-            while j in column:
-                j = column.pop(j)
-    det = inverse_product.inverse()
+    for j in range(n):
+        cycles += j in column
+        while j in column:
+            j = column.pop(j)
     if (n - cycles) % 2:
         det = -det
     op = _solution_operator(blocks)
@@ -356,22 +385,14 @@ def signature_of_symmetric(m: Sequence[Sequence[ExactScalar]]
     computed by exact congruence diagonalization."""
     n = len(m)
     a = [[m[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
     pos = neg = 0
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][i]), None)
         if piv is None:
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        found = (i, j)
-                        break
-                if found:
-                    break
+            found = next(((i, j) for i in range(k, n)
+                          for j in range(i + 1, n) if a[i][j]), None)
             if found is None:
                 break  # remaining block is zero
             i, j = found

@@ -48,6 +48,124 @@ def poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return states.get((1 << n) - 1, Polynomial.zero(chart_))
 
 
+# Test oracle: the same block-split, fewest-nonzero elimination in
+# ExactScalar arithmetic, with normalized pivots and tails rebuilt from
+# multipliers.  The package's fraction-free core must give the same kernels
+# and solution operators.
+
+def _ref_accumulate(dst, c, src):
+    """dst += c * src, dropping the entries that cancel."""
+    for k, v in src.items():
+        old = dst.get(k)
+        w = c * v if old is None else old + c * v
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+
+
+def reference_eliminate(vectors):
+    """Per block (union-find over labels), its pivots as (label,
+    normalized reduced vector, index, multipliers, pivot inverse) and its
+    dependent vectors as (index, multipliers); fewest-nonzero pivots, ties
+    by repr."""
+    n = len(vectors)
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner, count = {}, {}
+    for i, vec in enumerate(vectors):
+        for k, v in vec.items():
+            if v:
+                parent[root(i)] = root(owner.setdefault(k, i))
+                count[k] = count.get(k, 0) + 1
+    rank = {k: r for r, k in enumerate(
+        sorted(count, key=lambda k: (count[k], repr(k))))}
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(root(i), []).append(i)
+    for block in blocks.values():
+        pivots, dependent = [], []
+        for i in block:
+            vec = {k: v for k, v in vectors[i].items() if v}
+            mults = []
+            for q, (pkey, pvec, _, _, _) in enumerate(pivots):
+                c = vec.get(pkey)
+                if c is not None:
+                    mults.append((q, c))
+                    _ref_accumulate(vec, -c, pvec)
+            if not vec:
+                dependent.append((i, mults))
+                continue
+            pkey = min(vec, key=rank.__getitem__)
+            inv = vec[pkey].inverse()
+            pivots.append((pkey, {k: v * inv for k, v in vec.items()}, i,
+                           mults, inv))
+        yield pivots, dependent
+
+
+def _ref_combine(i, mults, tails):
+    out = {i: ExactScalar.one()}
+    for q, c in mults:
+        _ref_accumulate(out, -c, tails[q])
+    return out
+
+
+def _ref_build_tails(pivots, wanted, tails):
+    """Add each wanted pivot's tail, and every tail that one needs."""
+    todo = {q for q in wanted if q not in tails}
+    for q in range(max(todo, default=-1), -1, -1):
+        if q in todo:
+            todo.update(p for p, _ in pivots[q][3] if p not in tails)
+    for q in sorted(todo):
+        _, _, iq, mq, inv = pivots[q]
+        tails[q] = {k: v * inv
+                    for k, v in _ref_combine(iq, mq, tails).items()}
+
+
+def reference_kernel_of_columns(columns):
+    """kernel_of_columns by the reference core."""
+    n = len(columns)
+    zero = ExactScalar.zero()
+    kernel = {}
+    for pivots, dependent in reference_eliminate(columns):
+        tails = {}
+        for i, mults in dependent:
+            _ref_build_tails(pivots, (q for q, _ in mults), tails)
+            tail = _ref_combine(i, mults, tails)
+            kernel[i] = [tail.get(j, zero) for j in range(n)]
+    return [kernel[i] for i in sorted(kernel)]
+
+
+def reference_solution_operator(rows, nunknowns):
+    """FactoredSystem's per-unknown solution operator by the reference
+    core, with the same ValueError for an underdetermined system."""
+    blocks = [pivots for pivots, _ in reference_eliminate(rows)]
+    labels = {p[0] for pivots in blocks for p in pivots}
+    missing = [j for j in range(nunknowns) if j not in labels]
+    if missing:
+        raise ValueError(
+            f"linear system does not determine unknowns {missing[:5]}"
+            + ("..." if len(missing) > 5 else ""))
+    op = {}
+    for pivots in blocks:
+        tails = {}
+        _ref_build_tails(pivots, range(len(pivots)), tails)
+        for q in range(len(pivots) - 1, -1, -1):
+            pkey, pvec, _, _, _ = pivots[q]
+            x = dict(tails[q])
+            for k, v in pvec.items():
+                if k != pkey:
+                    _ref_accumulate(x, -v, op[k])
+            op[pkey] = x
+    return [op[j] for j in range(nunknowns)]
+
+
 def flat_fields(l: int) -> List[VectorField]:
     """The flat model: each single field translates and twists by the
     later coordinates only."""

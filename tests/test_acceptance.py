@@ -134,11 +134,11 @@ def assert_report_self_consistent(rep):
 
 
 # --------------------------------------------------------------------------
-# criterion 1 — single-twist golden frames, ranks 4..7
+# criterion 1 — single-twist golden frames, ranks 4..8
 # --------------------------------------------------------------------------
 
-def test_criterion_01_single_twist_goldens_rank_4_to_7():
-    for l in (4, 5, 6, 7):
+def test_criterion_01_single_twist_goldens_rank_4_to_8():
+    for l in (4, 5, 6, 7, 8):
         rep = analyze_fixture(f"armstrong_l{l}.frame")
         ch = chart(l)
         one_poly = Polynomial.const(ch, ONE)
@@ -159,11 +159,11 @@ def test_criterion_01_single_twist_goldens_rank_4_to_7():
 
 
 # --------------------------------------------------------------------------
-# criterion 2 — flat-model golden frames, ranks 4, 5 and 7
+# criterion 2 — flat-model golden frames, ranks 4, 5, 7 and 8
 # --------------------------------------------------------------------------
 
 def test_criterion_02_flat_model_goldens():
-    for l in (4, 5, 7):
+    for l in (4, 5, 7, 8):
         rep = analyze_fixture(f"flat_l{l}.frame")
         assert rep.l == l and rep.nondegenerate
         assert rep.f.is_zero()

@@ -1,17 +1,19 @@
 """Exact kernels, linear solves, determinants, inverses, and inertia."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_det
+from conftest import (poly_det, reference_kernel_of_columns,
+                      reference_solution_operator)
 from freedist.cohomology import harmonic_system
-from freedist.linalg import (FactoredSystem, invert_scalar_matrix,
-                             kernel_of_columns, poly_inverse,
-                             signature_of_symmetric)
+from freedist.linalg import (FactoredSystem, _eliminate,
+                             invert_scalar_matrix, kernel_of_columns,
+                             poly_inverse, signature_of_symmetric)
 from freedist.normalization import _system
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
@@ -347,6 +349,132 @@ def test_factored_system_matches_gauss_jordan_on_normalization_systems(
         r = rng.randrange(len(rhs))
         rhs[r] = rhs[r] + Polynomial.const(ch, 1)
         assert solve_outcome(fs, rhs) == solve_outcome(oracle, rhs)
+
+
+@pytest.mark.parametrize("l", [4, 5, 6, 7])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_normalization_operators_match_reference_core(l, degree):
+    """The integer systems give the reference core's solution operator:
+    the same values, each unknown's right-hand sides in the same order."""
+    _, _, fs = _system(l, degree)
+    want = reference_solution_operator(fs.rows, fs.nunknowns)
+    assert fs._op == want
+    assert [list(op) for op in fs._op] == [list(op) for op in want]
+
+
+@pytest.mark.parametrize("l", [3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_kernel_matches_reference_core_on_harmonic_systems(l, k):
+    for h in range(-3, 7):
+        _, cols = harmonic_system(l, k, h)
+        assert kernel_of_columns(cols) == reference_kernel_of_columns(cols)
+
+
+FRACTIONAL_R2 = st.builds(
+    ExactScalar, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]))
+
+
+@st.composite
+def sparse_r2_systems(draw):
+    """Sparse rows over Q(sqrt2) in up to 6 unknowns, with fractional and
+    pure-sqrt2 entries; about half the rows are combinations of earlier
+    rows, and rows that leave unknowns out make the system singular or
+    underdetermined."""
+    n = draw(st.integers(1, 6))
+    zero = sc(0)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for p in draw(st.lists(st.integers(0, len(rows) - 1),
+                                   min_size=1, max_size=3)):
+                f = draw(FRACTIONAL_R2)
+                for j, v in rows[p].items():
+                    row[j] = row.get(j, zero) + f * v
+        else:
+            row = {j: draw(FRACTIONAL_R2) for j in draw(st.lists(
+                st.integers(0, n - 1), max_size=n, unique=True))}
+        rows.append(row)
+    return rows, n
+
+
+@given(sparse_r2_systems())
+@settings(deadline=None, max_examples=150)
+def test_factored_system_and_kernel_match_reference_core(system):
+    rows, n = system
+    assert kernel_of_columns(rows) == reference_kernel_of_columns(rows)
+    try:
+        want = reference_solution_operator(rows, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            FactoredSystem(rows, n)
+        return
+    assert FactoredSystem(rows, n)._op == want
+
+
+def assert_no_stored_zero(vectors):
+    for pivots, dependent in _eliminate(vectors):
+        for pkey, p, vec, tail, _ in pivots:
+            assert p == (vec[0].get(pkey, 0), vec[1].get(pkey, 0)) != (0, 0)
+            assert all(v for part in (*vec, *tail) for v in part.values())
+        for _, tail in dependent:
+            assert all(v for part in tail for v in part.values())
+
+
+R2 = ExactScalar.sqrt2()
+# pivots whose entry has zero rational part, among rational entries: row 0
+# pivots on label 0 (count tie, repr order) with entry sqrt2, and row 1,
+# scaled by that sqrt2 and reduced, on label 2 with a sqrt2 entry; in
+# PIVOT_MINUS_2R2 row 0 pivots on label 0 (fewest nonzeros) with -2*sqrt2
+PURE_R2_ROWS = [{0: R2, 1: sc(1)},
+                {0: sc(1), 1: sc(3), 2: sc(Fraction(1, 2))},
+                {0: sc(2), 1: sc(2) + R2, 2: sc(-1) - R2 * sc(2)}]
+PIVOT_MINUS_2R2 = [{0: -R2 * sc(2), 1: sc(1)}, {0: sc(3), 1: R2},
+                   {0: sc(1), 1: sc(-2)}, {1: R2 * sc(2)}]
+
+
+def test_pure_sqrt2_pivots_store_no_zero():
+    (pivots, _), = _eliminate(PURE_R2_ROWS)
+    assert [(pkey, p[0]) for pkey, p, _, _, _ in pivots[:2]] \
+        == [(0, 0), (2, 0)]
+    (pivots, dependent), = _eliminate(PIVOT_MINUS_2R2)
+    assert pivots[0][:2] == (0, (0, -2)) and len(dependent) == 2
+    assert_no_stored_zero(PURE_R2_ROWS)
+    assert_no_stored_zero(PIVOT_MINUS_2R2)
+    assert_no_stored_zero([{"a": R2, "b": sc(2)}, {"a": sc(1), "b": R2}])
+
+
+def test_pure_sqrt2_pivot_solves_and_kernels():
+    for rows, n in ((PURE_R2_ROWS, 3), (PIVOT_MINUS_2R2[:2], 2)):
+        m = [[row.get(j, sc(0)) for j in range(n)] for row in rows]
+        det, inv = invert_scalar_matrix(m)
+        assert Polynomial.const(CH, det) == poly_det(
+            [[Polynomial.const(CH, v) for v in row] for row in m])
+        for i in range(n):
+            for j in range(n):
+                acc = sc(0)
+                for k in range(n):
+                    acc = acc + inv[i][k] * m[k][j]
+                assert acc == sc(1 if i == j else 0)
+    assert invert_scalar_matrix([[-R2 * sc(2), sc(1)], [sc(3), R2]])[0] \
+        == sc(-7)
+    fs = FactoredSystem(PURE_R2_ROWS, 3)
+    assert fs._op == reference_solution_operator(PURE_R2_ROWS, 3)
+    x = [const(1), const(R2), const(Fraction(-1, 3))]
+    rhs = [sum((x[j].scale(c) for j, c in row.items()),
+               Polynomial.zero(CH)) for row in PURE_R2_ROWS]
+    assert fs.solve(rhs) == x
+    # a redundant row with a pure-sqrt2 pivot: column 3 is sqrt2 * column 0
+    cols = PURE_R2_ROWS + [{0: sc(2), 1: R2}]
+    assert kernel_of_columns(cols) == reference_kernel_of_columns(cols)
+    assert kernel_of_columns(cols)[0] == [-R2, sc(0), sc(0), sc(1)]
+    assert kernel_of_columns(PIVOT_MINUS_2R2) \
+        == reference_kernel_of_columns(PIVOT_MINUS_2R2)
+    assert FactoredSystem(PIVOT_MINUS_2R2, 2)._op \
+        == reference_solution_operator(PIVOT_MINUS_2R2, 2)
+    with pytest.raises(ValueError, match=r"does not determine unknowns"):
+        FactoredSystem(PURE_R2_ROWS[:1] + [{0: sc(-2) * R2, 1: sc(-2)}], 2)
 
 
 def identity(n):

@@ -16,7 +16,6 @@ determinant a nonzero constant, or passes it, which refutes that.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add
@@ -24,7 +23,7 @@ from typing import (Any, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
 from .polynomials import Chart, Polynomial
-from .scalars import ExactScalar, _make
+from .scalars import ExactScalar, _reduced
 
 
 Root2 = Tuple[int, int]   # a + b*sqrt2 with integer a, b
@@ -66,21 +65,21 @@ def _times(x: Root2, y: Root2) -> Root2:
 
 
 def _divided(vec: IntVec, den: int, p: Root2) -> Tuple[IntVec, int]:
-    """vec / (den * p) as integer numerators over one denominator, in
+    """vec / (den * p) as integers over one positive denominator, in
     lowest terms; 1/p is its conjugate over its norm a^2 - 2b^2."""
     a, b = p
     if b:
         vec, a = _axpy(({}, {}), (a, -b), vec), a * a - 2 * b * b
     den *= a
     g = gcd(den, *vec[0].values(), *vec[1].values())
+    g = g if den > 0 else -g
     return tuple({k: v // g for k, v in d.items()} for d in vec), den // g
 
 
 def _scalars(vec: IntVec, den: int) -> Dict[Hashable, ExactScalar]:
-    """The entries (a + b sqrt2) / den of vec, as scalars."""
+    """The entries (a + b sqrt2) / den of vec, den > 0, as scalars."""
     a, b = vec
-    return {k: _make(Fraction(a.get(k, 0), den),
-                     Fraction(b[k], den) if k in b else 0)
+    return {k: _reduced(a.get(k, 0), b.get(k, 0), den)
             for k in chain(a, b.keys() - a.keys())}
 
 
@@ -131,12 +130,9 @@ def _eliminate(vectors: Sequence[Dict[Hashable, ExactScalar]]
         dependent: List[Tuple[int, IntVec]] = []
         for i in block:
             row = {k: v for k, v in vectors[i].items() if v}
-            d = lcm(*(f.denominator for v in row.values()
-                      for f in (v.a, v.b)))
-            vec = ({k: v.a.numerator * (d // v.a.denominator)
-                    for k, v in row.items() if v.a},
-                   {k: v.b.numerator * (d // v.b.denominator)
-                    for k, v in row.items() if v.b})
+            d = lcm(*(v.d for v in row.values()))
+            vec = ({k: v.p * (d // v.d) for k, v in row.items() if v.p},
+                   {k: v.q * (d // v.d) for k, v in row.items() if v.q})
             tail: IntVec = ({i: d}, {})
             for pkey, p, pvec, ptail, _ in pivots:
                 c = _at(vec, pkey)
@@ -274,7 +270,8 @@ def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
     of p_q / t_q over each pivot's entry p_q and its tail's own entry t_q.
     """
     n = len(m)
-    eliminated = list(_eliminate([dict(enumerate(row)) for row in m]))
+    eliminated = list(_eliminate([{j: v for j, v in enumerate(row) if v}
+                                  for row in m]))
     if any(dependent for _, dependent in eliminated):
         return ExactScalar.zero(), None
     blocks = [pivots for pivots, _ in eliminated]

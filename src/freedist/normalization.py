@@ -320,7 +320,7 @@ def _system(l: int, degree: int):
         column: Dict[TermKey, int] = {}   # probe coefficients are integers
         for (slots, target), c in probe.terms.items():
             for tk, n in _codifferential_term(ga, ODD, slots, target):
-                _accumulate(column, tk, c.a.numerator * n)
+                _accumulate(column, tk, c.p * n)
         for tk, v in column.items():
             n = index.get(tk)
             if n is not None:

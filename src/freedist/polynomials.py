@@ -79,6 +79,14 @@ def add_product(out: Dict[Exponents, ExactScalar],
             out[e] = c if s is None else s + c
 
 
+def _nonzero(chart_: Chart, terms: Dict[Exponents, ExactScalar]
+             ) -> "Polynomial":
+    """The Polynomial of terms that hold no zero coefficient, unfiltered."""
+    p = object.__new__(Polynomial)
+    p.chart, p.terms = chart_, terms
+    return p
+
+
 def _check_same_chart(p: "Polynomial", q: "Polynomial") -> None:
     if p.chart != q.chart:
         raise ValueError(
@@ -140,7 +148,7 @@ class Polynomial:
         return Polynomial(self.chart, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.chart, {e: -c for e, c in self.terms.items()})
+        return _nonzero(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -155,7 +163,7 @@ class Polynomial:
         v = ExactScalar.of(s)
         if v.is_zero():
             return Polynomial.zero(self.chart)
-        return Polynomial(self.chart, {e: c * v for e, c in self.terms.items()})
+        return _nonzero(self.chart, {e: c * v for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -172,16 +180,10 @@ class Polynomial:
 
     # --- calculus ---------------------------------------------------------
     def partial_derivative(self, idx: int) -> "Polynomial":
-        out: Dict[Exponents, ExactScalar] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k == 0:
-                continue
-            e2 = e[:idx] + (k - 1,) + e[idx + 1:]
-            v = c * k
-            s = out.get(e2)
-            out[e2] = v if s is None else s + v
-        return Polynomial(self.chart, out)
+        # distinct exponents stay distinct, and k * c is nonzero for k > 0
+        return _nonzero(self.chart, {
+            e[:idx] + (k - 1,) + e[idx + 1:]: c * k
+            for e, c in self.terms.items() if (k := e[idx])})
 
     def evaluate(self, point: Dict[int, ExactScalar]) -> ExactScalar:
         """Evaluate at a point given as {coordinate index: value}.

@@ -48,6 +48,65 @@ def poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return states.get((1 << n) - 1, Polynomial.zero(chart_))
 
 
+class ReferenceScalar:
+    """Test oracle: a + b*sqrt2 held as two ``Fraction``s, with the textbook
+    field formulas; ``ExactScalar``'s integer triple must agree with it."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return ReferenceScalar(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return ReferenceScalar(self.a - o.a, self.b - o.b)
+
+    def __neg__(self):
+        return ReferenceScalar(-self.a, -self.b)
+
+    def __mul__(self, o):
+        return ReferenceScalar(self.a * o.a + 2 * self.b * o.b,
+                               self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        n = self.a * self.a - 2 * self.b * self.b
+        return ReferenceScalar(self.a / n, -self.b / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __eq__(self, o):
+        return self.a == o.a and self.b == o.b
+
+    def sign(self):
+        """Sign of a + b*sqrt2, comparing a^2 with 2b^2 when the parts'
+        signs differ."""
+        a, b = self.a, self.b
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa == sb or not sb:
+            return sa or sb
+        if not sa:
+            return sb
+        d = a * a - 2 * b * b
+        return sa * ((d > 0) - (d < 0))
+
+    def to_expr(self):
+        def part(f):
+            return (str(f.numerator) if f.denominator == 1
+                    else f"{f.numerator}/{f.denominator}")
+
+        if not (self.a or self.b):
+            return "0"
+        out = part(self.a) if self.a else ""
+        if self.b:
+            t = ("sqrt2" if self.b == 1 else "-sqrt2" if self.b == -1
+                 else f"{part(self.b)}*sqrt2")
+            out += ("+" if out and not t.startswith("-") else "") + t
+        return out
+
+
 # Test oracle: the same block-split, fewest-nonzero elimination in
 # ExactScalar arithmetic, with normalized pivots and tails rebuilt from
 # multipliers.  The package's fraction-free core must give the same kernels

@@ -1,11 +1,13 @@
 """Field axioms and exact behavior of the quadratic scalar type."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ReferenceScalar
 from freedist.parsing import parse_scalar
 from freedist.scalars import ExactScalar
 
@@ -55,35 +57,72 @@ def test_division_cancels(x, y):
     assert (x * y) / y == x
 
 
-rationals = fracs.map(ExactScalar.of)
-# A rational scalar whose zero sqrt2 part is its own Fraction(0), not the
-# shared one, so arithmetic on it takes the generic formula.
-distinct_zero_rationals = fracs.map(lambda a: ExactScalar(a, Fraction(0)))
-operands = st.one_of(rationals, distinct_zero_rationals, scalars)
+def _canonical(x):
+    """x is (p + q sqrt2)/d with d > 0 and gcd(p, q, d) == 1."""
+    return (type(x) is ExactScalar and x.d > 0
+            and gcd(x.p, x.q, x.d) == 1)
 
 
-@given(operands, operands)
+def _agree(x, ref):
+    """x is canonical and equal to the oracle value ref, part by part."""
+    return (_canonical(x) and (x.a, x.b) == (ref.a, ref.b)
+            and x.to_expr() == ref.to_expr()
+            and repr(x) == f"ExactScalar({ref.to_expr()})")
+
+
+# Operands over the rationals, over Q(sqrt2), and with larger denominators
+# that make the triple's gcd reduction do work.
+wide_fracs = st.fractions(min_value=-10**6, max_value=10**6,
+                          max_denominator=10**4)
+operand_parts = st.one_of(st.tuples(fracs, st.just(Fraction(0))),
+                          st.tuples(fracs, fracs),
+                          st.tuples(wide_fracs, wide_fracs),
+                          st.tuples(st.integers(-50, 50), st.integers(-5, 5)))
+
+
+@given(operand_parts, operand_parts)
+@settings(deadline=None, max_examples=300)
+def test_triple_matches_fraction_oracle(xs, ys):
+    x, y = ExactScalar(*xs), ExactScalar(*ys)
+    rx, ry = ReferenceScalar(*xs), ReferenceScalar(*ys)
+    assert _agree(x, rx) and _agree(y, ry)
+    assert _agree(x + y, rx + ry)
+    assert _agree(x - y, rx - ry)
+    assert _agree(x * y, rx * ry)
+    assert _agree(-x, -rx)
+    assert x.sign() == rx.sign()
+    d = (rx - ry).sign()
+    assert (x < y, x <= y, x > y, x >= y) == (d < 0, d <= 0, d > 0, d >= 0)
+    if ry.a or ry.b:
+        assert _agree(y.inverse(), ry.inverse())
+        assert _agree(x / y, rx / ry)
+    # equal values have equal triples and hashes, however they were made
+    z = (x * y + x) - x * y
+    assert z == x and (z.p, z.q, z.d) == (x.p, x.q, x.d)
+    assert hash(z) == hash(x)
+
+
+@given(st.one_of(st.integers(-10**9, 10**9), wide_fracs), operand_parts)
 @settings(deadline=None)
-def test_rational_fast_path_matches_generic_formula(x, y):
-    a, b, c, d = x.a, x.b, y.a, y.b
-    for got, want in ((x + y, (a + c, b + d)),
-                      (x - y, (a - c, b - d)),
-                      (x * y, (a * c + 2 * b * d, a * d + b * c)),
-                      (-x, (-a, -b))):
-        assert (got.a, got.b) == want
-        assert got == ExactScalar(*want)
+def test_equality_with_ints_and_fractions(v, xs):
+    s = ExactScalar.of(v)
+    assert _canonical(s) and s == v and v == s
+    assert s == ExactScalar(v, 0) and hash(s) == hash(ExactScalar(v, 0))
+    x = ExactScalar(*xs)
+    assert (x == v) == (ReferenceScalar(*xs) == ReferenceScalar(v))
 
 
-@given(fracs, fracs)
-@settings(deadline=None)
-def test_rational_results_share_the_zero_sqrt2_part(a, c):
-    shared = ExactScalar.zero().b
-    x, y = ExactScalar.of(a), ExactScalar(c, Fraction(0))
-    assert y.b is not shared
-    for got in (x + x, x - x, x * x, -x, x + y, x * y):
-        assert got.b is shared
-    if a:
-        assert x.inverse().b is shared
+def test_constants_are_shared_and_canonical():
+    assert ExactScalar.zero() is ExactScalar.zero()
+    assert ExactScalar.one() is ExactScalar.one()
+    assert ExactScalar.sqrt2() is ExactScalar.sqrt2()
+    for c, triple in ((ExactScalar.zero(), (0, 0, 1)),
+                      (ExactScalar.one(), (1, 0, 1)),
+                      (ExactScalar.sqrt2(), (0, 1, 1))):
+        assert (c.p, c.q, c.d) == triple
+    x = ExactScalar(Fraction(3, 4), Fraction(-5, 6))
+    assert (x.p, x.q, x.d) == (9, -10, 12)
+    assert (x - x).p == (x - x).q == 0 and (x - x).d == 1
 
 
 def test_zero_has_no_inverse():

@@ -21,7 +21,7 @@ that ('up1',i) is exactly dual to ('lo1',i) and ('up2',p) to ('lo2',p).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -78,15 +78,8 @@ def _mat_trace_product(a: IntMatrix, b: IntMatrix) -> int:
 
 
 def _wedge(p: int, q: int, qmap: Dict[int, int]) -> IntMatrix:
-    """v(Qw)^t - w(Qv)^t for standard vectors e_p, e_q."""
-    out: IntMatrix = {}
-    for key, val in (((p, qmap[q]), 1), ((q, qmap[p]), -1)):
-        s = out.get(key, 0) + val
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
+    """v(Qw)^t - w(Qv)^t for standard vectors e_p != e_q."""
+    return {(p, qmap[q]): 1, (q, qmap[p]): -1}
 
 
 # --------------------------------------------------------------------------
@@ -234,6 +227,8 @@ class GradedAlgebra:
             side: {k: n for n, k in enumerate(keys)}
             for side, keys in ((ODD, self.positive_keys),
                                (EVEN, self.ext_positive_keys))}
+        # per side: slot tuple -> its [_CD, _D, _PHI] kernel halves
+        self._plans: Dict[str, Dict[tuple, list]] = {ODD: {}, EVEN: {}}
 
     # --- structure data ---------------------------------------------------
 
@@ -264,6 +259,13 @@ class GradedAlgebra:
         kind, idx = key
         swap = {"lo1": "up1", "lo2": "up2", "up1": "lo1", "up2": "lo2"}
         return (swap[kind], idx)
+
+    def _plan(self, kind: int, side: str, slots: Tuple[BasisKey, ...]):
+        """One target-independent kernel half of a slot tuple, cached."""
+        record = self._plans[side].setdefault(slots, [None, None, None])
+        if record[kind] is None:
+            record[kind] = _HALVES[kind](self, side, slots)
+        return record[kind]
 
     def _build_tables(self, side: str) -> None:
         """Brackets and trace pairings of the basis pairs whose supports
@@ -357,29 +359,15 @@ class GradedAlgebra:
 
     # --- the embedding and the positive-part transfer ---------------------
 
-    def embed_key(self, key: BasisKey) -> Coefficients:
-        """Image of an odd basis element under the canonical embedding."""
-        kind, idx = key
-        if kind == "lo2":
-            return {("tlo", idx): ExactScalar.one()}
-        if kind == "zero":
-            return {("tzero", idx): ExactScalar.one()}
-        if kind == "up2":
-            return {("tup", idx): ExactScalar.one()}
-        if kind == "lo1":
-            return {("tzero", (idx, 0)): _HALF_ROOT2,
-                    ("tlo", (0, idx)): _HALF_ROOT2}
-        if kind == "up1":
-            return {("tup", (0, idx)): _HALF_ROOT2,
-                    ("tzero", (0, idx)): -_HALF_ROOT2}
-        raise ValueError(f"not an odd-algebra basis key: {key}")
-
     def embed_coeffs(self, e: Coefficients) -> Coefficients:
+        """Image under the canonical embedding (see _embed_int)."""
         out: Dict[BasisKey, ExactScalar] = {}
         for key, c in e.items():
-            for tkey, tc in self.embed_key(key).items():
+            image = _embed_int(key)
+            c = c * _HALF_ROOT2 if _GRADES[key[0]] % 2 else c
+            for tkey, n in image:
                 s = out.get(tkey)
-                s = c * tc if s is None else s + c * tc
+                s = c * n if s is None else s + c * n
                 if s:
                     out[tkey] = s
                 elif tkey in out:
@@ -731,33 +719,86 @@ def _accumulate(terms: Dict[TermKey, Coefficient], key: TermKey,
 
 
 # --------------------------------------------------------------------------
-# the two differentials
+# the two differentials and the transfer as integer unit kernels: a slot half
+# built once per slot tuple (GradedAlgebra._plan), a target half of lookups
 # --------------------------------------------------------------------------
 
-def _codifferential_term(ga: GradedAlgebra, side: str,
-                         slots: Tuple[BasisKey, ...], target: BasisKey
-                         ) -> List[Tuple[TermKey, int]]:
-    """The codifferential of one unit term, as (canonical key, n) pairs in
-    emission order (a key may repeat); integers only."""
-    ranks = ga._slot_ranks[side]
-    table = ga._tables[side]
-    out: List[Tuple[TermKey, int]] = []
+_CD, _D, _PHI = range(3)
+
+
+def _codifferential_half(ga: GradedAlgebra, side: str,
+                         slots: Tuple[BasisKey, ...]):
+    """Slot removals (z, canonical rest, (-1)^(i+1) sign) and pair-bracket
+    terms [z_i, z_j] + rest, canonical, with (-1)^(i+j) sign n."""
+    ranks, table = ga._slot_ranks[side], ga._tables[side]
+    removals = []
     for i0, z in enumerate(slots):
-        sign = 1 if i0 % 2 else -1
         canon = _canonical_slots(ranks, slots[:i0] + slots[i0 + 1:])
-        if canon is None:
-            continue
-        rest, s = canon
-        for tkey, n in table.get((z, target), ()):
-            out.append(((rest, tkey), sign * s * n))
+        if canon is not None:
+            removals.append((z, canon[0], canon[1] if i0 % 2 else -canon[1]))
+    pairs = []
     for i0, j0 in combinations(range(len(slots)), 2):
         sign = -1 if (i0 + j0) % 2 else 1
         rest = slots[:i0] + slots[i0 + 1:j0] + slots[j0 + 1:]
         for bkey, n in table.get((slots[i0], slots[j0]), ()):
             canon = _canonical_slots(ranks, (bkey,) + rest)
             if canon is not None:
-                out.append(((canon[0], target), sign * canon[1] * n))
+                pairs.append((canon[0], sign * canon[1] * n))
+    return removals, pairs
+
+
+def _differential_half(ga: GradedAlgebra, side: str,
+                       slots: Tuple[BasisKey, ...]):
+    """Per negative key x, (x, canonical (x*,) + slots, sign); per slot u_i
+    and a < b with [a, b] = n u_i, (a*, b*) + rest, canonical, sign n."""
+    ranks = ga._slot_ranks[side]
+    xs = []
+    for x in ga.negative_keys:
+        canon = _canonical_slots(ranks, (ga.dual_slot(x),) + slots)
+        if canon is not None:
+            xs.append((x,) + canon)
+    pairs = []
+    for i, s in enumerate(slots):
+        rest = slots[:i] + slots[i + 1:]
+        sign = 1 if i % 2 else -1
+        for a, b, n in ga.negative_pair_brackets.get(ga.dual_slot(s), ()):
+            canon = _canonical_slots(
+                ranks, (ga.dual_slot(a), ga.dual_slot(b)) + rest)
+            if canon is not None:
+                pairs.append((canon[0], sign * canon[1] * n))
+    return xs, pairs
+
+
+def _unit_term(kind: int, ga: GradedAlgebra, side: str,
+               slots: Tuple[BasisKey, ...], target: BasisKey
+               ) -> List[Tuple[TermKey, int]]:
+    """One differential (kind _CD or _D) of one unit term, as (canonical
+    key, n) pairs in emission order (a key may repeat); integers only."""
+    brackets, fixed = ga._plan(kind, side, slots)
+    table = ga._tables[side]
+    out = [((rest, key), s * n) for z, rest, s in brackets
+           for key, n in table.get((z, target), ())]
+    out.extend(((rest, target), n) for rest, n in fixed)
     return out
+
+
+_codifferential_term = partial(_unit_term, _CD)
+_differential_term = partial(_unit_term, _D)
+
+
+def _apply(kernel, c: Chain, side: str, k: int, exponent=None) -> Chain:
+    """A unit kernel applied term by term, coeff * n accumulated in order;
+    coeff first scaled by sqrt2^exponent(slots, target) when one is given."""
+    ga = algebra(c.l)
+    terms: Dict[TermKey, Coefficient] = {}
+    for (slots, target), coeff in c.terms.items():
+        if exponent is not None:
+            f = _root2_power(exponent(slots, target))
+            coeff = coeff.scale(f) if isinstance(coeff, Polynomial) \
+                else coeff * f
+        for key, n in kernel(ga, c.side, slots, target):
+            _accumulate(terms, key, _coeff_scale_int(coeff, n))
+    return Chain(side, c.l, k, terms)
 
 
 def codifferential(c: Chain) -> Chain:
@@ -765,20 +806,12 @@ def codifferential(c: Chain) -> Chain:
 
     For a term Z_1^..^Z_k (x) X the image collects (-1)^i times the slot
     removal with target bracket [Z_i, X], plus (-1)^(i+j) times the pair
-    bracket [Z_i, Z_j] prepended to the remaining slots.  Each term's image
-    comes from one integer kernel, ``_codifferential_term`` (canonical
-    (slots, target) -> n, slots sorted by inversion count, the kernel the
-    battery's codifferential-squares check composes with itself), and
-    coeff * n is accumulated straight into the result.
+    bracket [Z_i, Z_j] prepended to the remaining slots, slots sorted by
+    their inversion count (``_codifferential_term``).
     """
     if c.k == 0:
         raise ValueError("codifferential of a degree-0 chain is not defined")
-    ga = algebra(c.l)
-    terms: Dict[TermKey, Coefficient] = {}
-    for (slots, target), coeff in c.terms.items():
-        for key, n in _codifferential_term(ga, c.side, slots, target):
-            _accumulate(terms, key, _coeff_scale_int(coeff, n))
-    return Chain(c.side, c.l, c.k - 1, terms)
+    return _apply(_codifferential_term, c, c.side, c.k - 1)
 
 
 def differential(c: Chain) -> Chain:
@@ -789,8 +822,8 @@ def differential(c: Chain) -> Chain:
     w(u_1, .., u_k) = c T contributes c [x, T] at the arguments
     (x, u_1, .., u_k) for every negative key x, and (-1)^(i+1) c n T at
     (a, b, u's without u_i) for every pair a < b with [a, b] = n u_i (i
-    counted from 0).  Chain.make sorts the slots with their sign and drops
-    repeated ones.  Constant coefficients only; degrees 1 and 2.
+    counted from 0), slots sorted with their sign and repeated ones dropped
+    (``_differential_term``).  Constant coefficients only; degrees 1 and 2.
     """
     if c.side != ODD:
         raise ValueError("differential is defined on odd-side chains")
@@ -798,46 +831,65 @@ def differential(c: Chain) -> Chain:
         raise ValueError("differential implemented for degrees 1 and 2")
     if c.has_polynomial_coefficients():
         raise ValueError("differential requires constant coefficients")
-    ga = algebra(c.l)
-    items: List[Tuple[Sequence[BasisKey], BasisKey, Coefficient]] = []
-    for (slots, target), coeff in c.terms.items():
-        for x in ga.negative_keys:
-            xslots = (ga.dual_slot(x),) + slots
-            for rkey, n in ga.bracket_table(ODD, x, target):
-                items.append((xslots, rkey, coeff * n))
-        for i, s in enumerate(slots):
-            rest = slots[:i] + slots[i + 1:]
-            sign = 1 if i % 2 else -1
-            for a, b, n in ga.negative_pair_brackets.get(ga.dual_slot(s), ()):
-                items.append(((ga.dual_slot(a), ga.dual_slot(b)) + rest,
-                              target, coeff * (sign * n)))
-    return Chain.make(ODD, c.l, c.k + 1, items)
+    return _apply(_differential_term, c, ODD, c.k + 1)
 
 
 # --------------------------------------------------------------------------
 # chain-level transfer and the commutator operator
 # --------------------------------------------------------------------------
 
+_EMBED_KINDS = {"lo2": "tlo", "zero": "tzero", "up2": "tup"}
+
+
+def _embed_int(key: BasisKey) -> Tuple[Tuple[BasisKey, int], ...]:
+    """The canonical embedding of an odd basis key: 1/sqrt2 times these
+    integer pairs on the grade +-1 keys, the pairs themselves otherwise."""
+    kind, idx = key
+    if kind == "lo1":
+        return (("tzero", (idx, 0)), 1), (("tlo", (0, idx)), 1)
+    if kind == "up1":
+        return (("tup", (0, idx)), 1), (("tzero", (0, idx)), -1)
+    if kind not in _EMBED_KINDS:
+        raise ValueError(f"not an odd-algebra basis key: {key}")
+    return ((_EMBED_KINDS[kind], idx), 1),
+
+
+def _transfer_half(ga: GradedAlgebra, side: str,
+                   slots: Tuple[BasisKey, ...]):
+    """The transferred slots, canonical with their sign (None on a repeat)."""
+    return _canonical_slots(ga._slot_ranks[EVEN],
+                            tuple(ga.transfer_key(s)[0] for s in slots))
+
+
+_HALVES = (_codifferential_half, _differential_half, _transfer_half)
+
+
+def _root2_exponent(slots: Tuple[BasisKey, ...], target: BasisKey) -> int:
+    """One per up1 slot, less one on a grade +-1 target (see _phi_term)."""
+    return sum(s[0] == "up1" for s in slots) - _GRADES[target[0]] % 2
+
+
+@lru_cache(maxsize=None)
+def _root2_power(e: int) -> ExactScalar:
+    half = Fraction(2) ** (e // 2)
+    return ExactScalar(0, half) if e % 2 else ExactScalar(half)
+
+
+def _phi_term(ga: GradedAlgebra, side: str, slots: Tuple[BasisKey, ...],
+              target: BasisKey) -> List[Tuple[TermKey, int]]:
+    """The transfer of one odd unit term: sqrt2^e (``_root2_exponent``)
+    times these (even key, n) pairs, in emission order."""
+    canon = ga._plan(_PHI, ODD, slots)
+    return [] if canon is None else [
+        ((canon[0], key), canon[1] * n) for key, n in _embed_int(target)]
+
+
 def phi_extension(c: Chain) -> Chain:
     """Transfer an odd-side chain to the even side: the positive-part
     transfer on every slot and the canonical embedding on the target."""
     if c.side != ODD:
         raise ValueError("transfer applies to odd-side chains")
-    ga = algebra(c.l)
-    items = []
-    for (slots, target), coeff in c.terms.items():
-        factor = ExactScalar.one()
-        new_slots = []
-        for s in slots:
-            tkey, tc = ga.transfer_key(s)
-            new_slots.append(tkey)
-            factor = factor * tc
-        base = (coeff.scale(factor) if isinstance(coeff, Polynomial)
-                else coeff * factor)
-        for tkey, tc in ga.embed_key(target).items():
-            c2 = base.scale(tc) if isinstance(base, Polynomial) else base * tc
-            items.append((tuple(new_slots), tkey, c2))
-    return Chain.make(EVEN, c.l, c.k, items)
+    return _apply(_phi_term, c, EVEN, c.k, _root2_exponent)
 
 
 def commutator_operator(c: Chain) -> Chain:
@@ -851,6 +903,30 @@ def commutator_operator(c: Chain) -> Chain:
     return codifferential(phi_extension(c)) - phi_extension(codifferential(c))
 
 
+def _closed_form_term(ga: GradedAlgebra, side: str,
+                      slots: Tuple[BasisKey, ...], target: BasisKey
+                      ) -> List[Tuple[TermKey, int]]:
+    """The operator's closed form on one odd unit 2-term's slot-type block:
+    sqrt2^(e - 2) (``_root2_exponent``) times these (key, n) pairs."""
+    alpha = dict(_embed_int(target))
+
+    def defect_bracket(i: int):   # both defect_up coefficients are 1
+        return ga.bracket_coeffs(EVEN, dict.fromkeys(ga.defect_up(i), 1),
+                                 alpha).items()
+
+    kinds = (slots[0][0], slots[1][0])
+    if kinds == ("up2", "up2"):
+        return []
+    if kinds == ("up1", "up2"):
+        return [(((("tup", slots[1][1]),), key), -v)
+                for key, v in defect_bracket(slots[0][1])]
+    i, j = slots[0][1], slots[1][1]
+    return ([(((("tup", (i, j)),), key), n) for key, n in alpha.items()]
+            + [(((("tup", (0, i)),), key), v) for key, v in defect_bracket(j)]
+            + [(((("tup", (0, j)),), key), -v)
+               for key, v in defect_bracket(i)])
+
+
 def commutator_operator_closed_form(c: Chain) -> Chain:
     """Independent evaluation of the same operator from its closed forms
     on the three slot-type blocks (used as a cross-check oracle)."""
@@ -858,31 +934,8 @@ def commutator_operator_closed_form(c: Chain) -> Chain:
         raise ValueError("operator is defined on odd-side degree-2 chains")
     if c.has_polynomial_coefficients():
         raise ValueError("operator requires constant coefficients")
-    ga = algebra(c.l)
-    items = []
-    for (slots, target), coeff in c.terms.items():
-        kinds = (slots[0][0], slots[1][0])
-        alpha_target = ga.embed_coeffs({target: ExactScalar.one()})
-        if kinds == ("up2", "up2"):
-            continue
-        if kinds == ("up1", "up2"):
-            i = slots[0][1]
-            jk = slots[1][1]
-            br = ga.bracket_coeffs(EVEN, ga.defect_up(i), alpha_target)
-            for tkey, v in br.items():
-                items.append(((("tup", jk),), tkey,
-                              coeff * v * (-_HALF_ROOT2)))
-        else:  # ("up1", "up1")
-            i, j = slots[0][1], slots[1][1]
-            for tkey, v in alpha_target.items():
-                items.append(((("tup", (i, j)),), tkey, coeff * v))
-            br_j = ga.bracket_coeffs(EVEN, ga.defect_up(j), alpha_target)
-            for tkey, v in br_j.items():
-                items.append(((("tup", (0, i)),), tkey, coeff * v))
-            br_i = ga.bracket_coeffs(EVEN, ga.defect_up(i), alpha_target)
-            for tkey, v in br_i.items():
-                items.append(((("tup", (0, j)),), tkey, -(coeff * v)))
-    return Chain.make(EVEN, c.l, 1, items)
+    return _apply(_closed_form_term, c, EVEN, 1,
+                  lambda slots, target: _root2_exponent(slots, target) - 2)
 
 
 def kappa11_normality_test(c: Chain) -> bool:
@@ -1078,49 +1131,52 @@ def _check_defect_relations(ga: GradedAlgebra) -> bool:
     return True
 
 
-def _check_codifferential_squares(ga: GradedAlgebra) -> bool:
-    """The codifferential's integer kernel composed with itself kills every
-    unit 3-chain on both sides."""
-    for side, slot_keys, target_keys in (
-            (ODD, ga.positive_keys, ga.odd_keys),
-            (EVEN, ga.ext_positive_keys, ga.even_keys)):
-        for slots in combinations(slot_keys, 3):
-            for t in target_keys:
-                acc: Dict[TermKey, int] = {}
-                for (s2, t2), n in _codifferential_term(ga, side, slots, t):
-                    for key, m in _codifferential_term(ga, side, s2, t2):
-                        acc[key] = acc.get(key, 0) + n * m
-                if any(acc.values()):
-                    return False
-    return True
-
-
-def _check_differential_squares(ga: GradedAlgebra) -> bool:
-    one = ExactScalar.one()
-    for s in ga.positive_keys:
-        for t in ga.odd_keys:
-            ch = Chain(ODD, ga.l, 1, {((s,), t): one})
-            if not differential(differential(ch)).is_zero():
+def _squares_vanish(ga: GradedAlgebra, kernel, side: str, k: int) -> bool:
+    """An integer unit kernel composed with itself kills every unit k-chain
+    of one side, one slot tuple at a time."""
+    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
+    for slots in combinations(slot_keys, k):
+        for t in ga.keys(side):
+            acc: Dict[TermKey, int] = {}
+            for (s2, t2), n in kernel(ga, side, slots, t):
+                for key, m in kernel(ga, side, s2, t2):
+                    acc[key] = acc.get(key, 0) + n * m
+            if any(acc.values()):
                 return False
     return True
 
 
+def _check_codifferential_squares(ga: GradedAlgebra) -> bool:
+    return (_squares_vanish(ga, _codifferential_term, ODD, 3)
+            and _squares_vanish(ga, _codifferential_term, EVEN, 3))
+
+
+def _check_differential_squares(ga: GradedAlgebra) -> bool:
+    return _squares_vanish(ga, _differential_term, ODD, 1)
+
+
 def _check_operator_closed_forms(ga: GradedAlgebra) -> bool:
-    l = ga.l
-    one = ExactScalar.one()
-    pos = ga.positive_keys
-    for a in range(len(pos)):
-        for b in range(a + 1, len(pos)):
-            slots = (pos[a], pos[b])
-            for t in ga.odd_keys:
-                ch = Chain(ODD, l, 2, {(slots, t): one})
-                direct = commutator_operator(ch)
-                closed = commutator_operator_closed_form(ch)
-                if direct != closed:
+    """codifferential(transfer(u)) - transfer(codifferential(u)) equals the
+    closed form on every unit 2-chain u (so vanishes on two up2 slots), all
+    in integers: both sides over sqrt2^e / 2, e = _root2_exponent(u)."""
+    for slots in combinations(ga.positive_keys, 2):
+        for t in ga.odd_keys:
+            e = _root2_exponent(slots, t)
+            acc: Dict[TermKey, int] = {}
+            for k2, n in _phi_term(ga, ODD, slots, t):
+                for key, m in _codifferential_term(ga, EVEN, *k2):
+                    acc[key] = acc.get(key, 0) + 2 * n * m
+            for k1, n in _codifferential_term(ga, ODD, slots, t):
+                # 2 sqrt2^(e1 - e) = 2^(shift / 2), by homogeneity 1 or 2
+                shift = _root2_exponent(*k1) - e + 2
+                if shift not in (0, 2):
                     return False
-                if (slots[0][0] == "up2" and slots[1][0] == "up2"
-                        and not direct.is_zero()):
-                    return False
+                for key, m in _phi_term(ga, ODD, *k1):
+                    acc[key] = acc.get(key, 0) - (n * m << shift // 2)
+            for key, n in _closed_form_term(ga, ODD, slots, t):
+                acc[key] = acc.get(key, 0) - n
+            if any(acc.values()):
+                return False
     return True
 
 

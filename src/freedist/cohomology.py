@@ -9,9 +9,10 @@ over the exact scalar field.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Iterable, List, Tuple
 
-from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey, algebra,
+from .algebra import (Chain, GradedAlgebra, ODD, TermKey, algebra,
                       codifferential, differential)
 from .errors import UnsupportedError
 from .linalg import kernel_of_columns
@@ -32,20 +33,10 @@ class HarmonicSpace:
 def _term_keys(ga: GradedAlgebra, k: int, h: int) -> List[TermKey]:
     """All degree-k term keys of the named homogeneity, in canonical order
     (slots strictly increasing in the positive-part rank order)."""
-    pos = ga.positive_keys
-    keys: List[TermKey] = []
-    if k == 1:
-        slot_tuples: Iterable[Tuple[BasisKey, ...]] = ((s,) for s in pos)
-    else:
-        slot_tuples = ((pos[a], pos[b])
-                       for a in range(len(pos))
-                       for b in range(a + 1, len(pos)))
-    for slots in slot_tuples:
-        sgrade = sum(GradedAlgebra.grade(s) for s in slots)
-        for target in ga.odd_keys:
-            if sgrade + GradedAlgebra.grade(target) == h:
-                keys.append((slots, target))
-    return keys
+    return [(slots, target)
+            for slots in combinations(ga.positive_keys, k)
+            for target in ga.odd_keys
+            if sum(map(GradedAlgebra.grade, slots + (target,))) == h]
 
 
 def harmonic_system(l: int, k: int, h: int

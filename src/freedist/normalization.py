@@ -117,16 +117,6 @@ class AnalysisReport:
 # coefficient perturbations, built from the bracket tables alone
 # --------------------------------------------------------------------------
 
-def _delta_read_pattern(r: int, m: int) -> Dict[BasisKey, int]:
-    """Coefficient pattern of a pair-coframe differential on two single
-    frame fields: the own-pair unit, signed by argument order."""
-    if r == m:
-        return {}
-    if r < m:
-        return {("lo2", (r, m)): 1}
-    return {("lo2", (m, r)): -1}
-
-
 # one shared (immutable) exact scalar per integer probe or row coefficient
 _int_scalar = lru_cache(maxsize=None)(ExactScalar.of)
 
@@ -156,36 +146,31 @@ def _degree1_probes(l: int) -> Tuple[Tuple[AKey, ...], Tuple[Chain, ...]]:
     probes = []
     for (i0, j0, k0) in unknowns:
         unit = ("zero", (i0, k0))
-        # induced pair-coframe correction: C^i_[jk] = A^i_jk - A^i_kj
-        cvals: Dict[Tuple[int, Pair], int] = {}
-        if j0 != k0:
-            p = (j0, k0) if j0 < k0 else (k0, j0)
-            cvals[(i0, p)] = 1 if j0 < k0 else -1
+        # induced pair-coframe correction: C^i0_p = +-1 on p = {j0, k0}
+        p = (min(j0, k0), max(j0, k0)) if j0 != k0 else None
+        c = 1 if j0 < k0 else -1
         items: List = []
-        # single-single reads; keep grade -1 targets
+        # single-single reads (r, s) meeting j0, the only nonzero ones (p
+        # holds j0); keep grade -1 targets
+        for r, s in ((min(m, j0), max(m, j0))
+                     for m in range(1, l + 1) if m != j0):
+            vals: Dict[BasisKey, int] = {("lo1", i0): c} if (r, s) == p else {}
+            if s == j0:
+                _add_bracket(ga, vals, ("lo1", r), unit, -1)
+            if r == j0:
+                _add_bracket(ga, vals, unit, ("lo1", s), -1)
+            _emit(items, (("up1", r), ("up1", s)), vals, -1)
+        # single-pair reads (r, q) with r = j0 or q = p, the only nonzero
+        # ones; keep grade -2 targets
         for r in range(1, l + 1):
-            for s in range(r + 1, l + 1):
-                vals: Dict[BasisKey, int] = {}
-                for i in range(1, l + 1):
-                    c = cvals.get((i, (r, s)))
-                    if c:
-                        _accumulate(vals, ("lo1", i), c)
-                if s == j0:
-                    _add_bracket(ga, vals, ("lo1", r), unit, -1)
-                if r == j0:
-                    _add_bracket(ga, vals, unit, ("lo1", s), -1)
-                _emit(items, (("up1", r), ("up1", s)), vals, -1)
-        # single-pair reads; keep grade -2 targets
-        for r in range(1, l + 1):
-            for p in ga.pair_indices:
+            for q in ga.pair_indices if r == j0 else (p,) if p else ():
                 vals = {}
-                for (m, q), c in cvals.items():
-                    if q == p:
-                        for key, v in _delta_read_pattern(r, m).items():
-                            _accumulate(vals, key, -c * v)
+                if q == p and r != i0:   # pair-coframe differential on r, i0
+                    vals[("lo2", (min(r, i0), max(r, i0)))] = \
+                        -c if r < i0 else c
                 if r == j0:
-                    _add_bracket(ga, vals, unit, ("lo2", p), -1)
-                _emit(items, (("up1", r), ("up2", p)), vals, -2)
+                    _add_bracket(ga, vals, unit, ("lo2", q), -1)
+                _emit(items, (("up1", r), ("up2", q)), vals, -2)
         probes.append(Chain.make(ODD, l, 2, items))
     return unknowns, tuple(probes)
 

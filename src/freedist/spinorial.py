@@ -37,6 +37,13 @@ class SkewMatrix:
                     raise ValueError("matrix is not skew-symmetric")
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _skew_by_construction(cls, rows) -> "SkewMatrix":
+        """A matrix its builder made skew, without the O(n^2) re-check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", tuple(map(tuple, rows)))
+        return m
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SkewMatrix is immutable")
 
@@ -98,7 +105,7 @@ def tangent_to_skew(v: TangentCoefficients, l: int) -> SkewMatrix:
         val = c * w
         m[a][b] = m[a][b] + val
         m[b][a] = m[b][a] - val
-    return SkewMatrix(m)
+    return SkewMatrix._skew_by_construction(m)
 
 
 def skew_to_tangent(m: SkewMatrix, l: int) -> Dict[TangentKey, ExactScalar]:

@@ -3,11 +3,13 @@
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
+from freedist.algebra import EVEN, ODD, Chain, _canonical_slots, algebra
 from freedist.geometry import VectorField
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
@@ -223,6 +225,120 @@ def reference_solution_operator(rows, nunknowns):
                     _ref_accumulate(x, -v, op[k])
             op[pkey] = x
     return [op[j] for j in range(nunknowns)]
+
+
+# --------------------------------------------------------------------------
+# the differentials and the transfer built item by item, without cached
+# slot halves: oracles for the per-unit kernels of ``freedist.algebra``
+# --------------------------------------------------------------------------
+
+def oracle_codifferential_term(ga, side, slots, target):
+    """Test oracle: the codifferential of one unit term as (canonical key,
+    n) pairs in emission order, every slot order recomputed per target."""
+    ranks = ga._slot_ranks[side]
+    table = ga._tables[side]
+    out = []
+    for i0, z in enumerate(slots):
+        sign = 1 if i0 % 2 else -1
+        canon = _canonical_slots(ranks, slots[:i0] + slots[i0 + 1:])
+        if canon is None:
+            continue
+        rest, s = canon
+        for tkey, n in table.get((z, target), ()):
+            out.append(((rest, tkey), sign * s * n))
+    for i0, j0 in combinations(range(len(slots)), 2):
+        sign = -1 if (i0 + j0) % 2 else 1
+        rest = slots[:i0] + slots[i0 + 1:j0] + slots[j0 + 1:]
+        for bkey, n in table.get((slots[i0], slots[j0]), ()):
+            canon = _canonical_slots(ranks, (bkey,) + rest)
+            if canon is not None:
+                out.append(((canon[0], target), sign * canon[1] * n))
+    return out
+
+
+def oracle_differential(c):
+    """Test oracle: the Chevalley-Eilenberg differential as one item list
+    handed to ``Chain.make``, which sorts the slots with their sign."""
+    ga = algebra(c.l)
+    items = []
+    for (slots, target), coeff in c.terms.items():
+        for x in ga.negative_keys:
+            xslots = (ga.dual_slot(x),) + slots
+            for rkey, n in ga.bracket_table(ODD, x, target):
+                items.append((xslots, rkey, coeff * n))
+        for i, s in enumerate(slots):
+            rest = slots[:i] + slots[i + 1:]
+            sign = 1 if i % 2 else -1
+            for a, b, n in ga.negative_pair_brackets.get(ga.dual_slot(s), ()):
+                items.append(((ga.dual_slot(a), ga.dual_slot(b)) + rest,
+                              target, coeff * (sign * n)))
+    return Chain.make(ODD, c.l, c.k + 1, items)
+
+
+HALF_ROOT2 = ExactScalar(0, Fraction(1, 2))
+
+
+def oracle_embed_key(key):
+    """Test oracle: the canonical embedding of one odd basis key."""
+    kind, idx = key
+    if kind in ("lo2", "zero", "up2"):
+        return {({"lo2": "tlo", "zero": "tzero", "up2": "tup"}[kind], idx):
+                ExactScalar.one()}
+    if kind == "lo1":
+        return {("tzero", (idx, 0)): HALF_ROOT2, ("tlo", (0, idx)): HALF_ROOT2}
+    if kind == "up1":
+        return {("tup", (0, idx)): HALF_ROOT2,
+                ("tzero", (0, idx)): -HALF_ROOT2}
+    raise ValueError(f"not an odd-algebra basis key: {key}")
+
+
+def oracle_phi_extension(c):
+    """Test oracle: the chain transfer with sqrt2 factors multiplied slot by
+    slot, handed to ``Chain.make``."""
+    ga = algebra(c.l)
+    items = []
+    for (slots, target), coeff in c.terms.items():
+        factor = ExactScalar.one()
+        new_slots = []
+        for s in slots:
+            tkey, tc = ga.transfer_key(s)
+            new_slots.append(tkey)
+            factor = factor * tc
+        base = (coeff.scale(factor) if isinstance(coeff, Polynomial)
+                else coeff * factor)
+        for tkey, tc in oracle_embed_key(target).items():
+            c2 = base.scale(tc) if isinstance(base, Polynomial) else base * tc
+            items.append((tuple(new_slots), tkey, c2))
+    return Chain.make(EVEN, c.l, c.k, items)
+
+
+def oracle_closed_form(c):
+    """Test oracle: the transfer defect's closed forms on the three
+    slot-type blocks, evaluated with exact scalars."""
+    ga = algebra(c.l)
+    items = []
+    for (slots, target), coeff in c.terms.items():
+        kinds = (slots[0][0], slots[1][0])
+        alpha_target = oracle_embed_key(target)
+        if kinds == ("up2", "up2"):
+            continue
+        if kinds == ("up1", "up2"):
+            i, jk = slots[0][1], slots[1][1]
+            br = ga.bracket_coeffs(EVEN, ga.defect_up(i), alpha_target)
+            for tkey, v in br.items():
+                items.append(((("tup", jk),), tkey,
+                              coeff * v * (-HALF_ROOT2)))
+        else:
+            i, j = slots[0][1], slots[1][1]
+            for tkey, v in alpha_target.items():
+                items.append(((("tup", (i, j)),), tkey, coeff * v))
+            br_j = ga.bracket_coeffs(EVEN, ga.defect_up(j), alpha_target)
+            for tkey, v in br_j.items():
+                items.append(((("tup", (0, i)),), tkey, coeff * v))
+            br_i = ga.bracket_coeffs(EVEN, ga.defect_up(i), alpha_target)
+            for tkey, v in br_i.items():
+                items.append(((("tup", (0, j)),), tkey, -(coeff * v)))
+    return Chain.make(EVEN, c.l, 1, items)
 
 
 def flat_fields(l: int) -> List[VectorField]:

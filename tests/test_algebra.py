@@ -3,6 +3,7 @@
 import importlib
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, Chain, GradedAlgebra,
                               codifferential, commutator_operator,
                               commutator_operator_closed_form, differential,
                               kappa11_normality_test, phi_extension)
+from conftest import (oracle_closed_form, oracle_codifferential_term,
+                      oracle_differential, oracle_phi_extension)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -528,6 +531,112 @@ def test_codifferential_squares_check_catches_a_flipped_sign(monkeypatch,
 
     monkeypatch.setattr(algebra_module, "_codifferential_term", flipped)
     assert not check(ga)
+
+
+def flip_first_entry(ga, kind, side, slots):
+    """Negate the sign of the first entry of one cached kernel half."""
+    record = ga._plans[side][slots]
+    if kind == algebra_module._PHI:
+        eslots, sign = record[kind]
+        record[kind] = (eslots, -sign)
+        return
+    head = next(part for part in record[kind] if part)
+    *entry, n = head[0]
+    head[0] = (*entry, -n)
+
+
+@pytest.mark.parametrize("side", [ODD, EVEN])
+def test_codifferential_squares_check_catches_a_flipped_plan_sign(side):
+    ga = GradedAlgebra(3)   # a private instance: the flip must not leak
+    check = algebra_module._check_codifferential_squares
+    assert check(ga)
+    two = next(slots for slots in ga._plans[side] if len(slots) == 2)
+    flip_first_entry(ga, algebra_module._CD, side, two)
+    assert not check(ga)
+
+
+def test_differential_squares_check_catches_a_flipped_plan_sign():
+    ga = GradedAlgebra(3)
+    check = algebra_module._check_differential_squares
+    assert check(ga)
+    two = next(slots for slots in ga._plans[ODD] if len(slots) == 2)
+    flip_first_entry(ga, algebra_module._D, ODD, two)
+    assert not check(ga)
+
+
+@pytest.mark.parametrize("kind,side,k", [("_PHI", ODD, 1), ("_PHI", ODD, 2),
+                                         ("_CD", ODD, 2), ("_CD", EVEN, 2)])
+def test_operator_closed_forms_check_catches_a_flipped_plan_sign(kind, side,
+                                                                 k):
+    """A sign flipped in any kernel half the check reads: the transfer of
+    either degree, or the codifferential on either side."""
+    ga = GradedAlgebra(3)
+    check = algebra_module._check_operator_closed_forms
+    assert check(ga)
+    slots = next(s for s, record in ga._plans[side].items()
+                 if len(s) == k and record[getattr(algebra_module, kind)])
+    flip_first_entry(ga, getattr(algebra_module, kind), side, slots)
+    assert not check(ga)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5])
+def test_unit_kernels_match_item_by_item_oracles(l):
+    """On every unit term, on both sides where defined, the kernels built
+    on cached slot halves give the oracles' values in the oracles' order."""
+    ga = algebra(l)
+    kernel = algebra_module._codifferential_term
+    for side in (ODD, EVEN):
+        for k in (1, 2, 3):
+            for unit in all_units(l, side, k):
+                (slots, t), = unit.terms
+                assert kernel(ga, side, slots, t) == \
+                    oracle_codifferential_term(ga, side, slots, t)
+    for op, oracle, ks in (
+            (differential, oracle_differential, (1, 2)),
+            (phi_extension, oracle_phi_extension, (0, 1, 2, 3)),
+            (commutator_operator_closed_form, oracle_closed_form, (2,))):
+        for k in ks:
+            for unit in all_units(l, ODD, k):
+                got, want = op(unit), oracle(unit)
+                assert got == want
+                assert list(got.terms) == list(want.terms)
+
+
+@given(sparse_chains())
+@settings(deadline=None, max_examples=60)
+def test_differential_matches_item_by_item_oracle_on_chains(c):
+    got, want = differential(c), oracle_differential(c)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+@given(coefficient_chains().filter(lambda c: c.side == ODD))
+@settings(deadline=None, max_examples=60)
+def test_transfer_and_closed_form_match_oracles_on_chains(c):
+    """Scalar or polynomial coefficients for the transfer; the closed form
+    on the constant degree-2 chains."""
+    got, want = phi_extension(c), oracle_phi_extension(c)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    if c.k == 2 and not c.has_polynomial_coefficients():
+        got = commutator_operator_closed_form(c)
+        assert got == oracle_closed_form(c) == commutator_operator(c)
+        assert list(got.terms) == list(oracle_closed_form(c).terms)
+
+
+def test_battery_plans_are_lazy_and_bounded_by_the_slot_tuples():
+    """algebra(5) builds no plan; the battery keeps at most one record per
+    slot tuple of degree <= 3 on each side (a guard on peak memory)."""
+    ga = GradedAlgebra(5)   # the battery's checks on a fresh instance
+    assert ga._plans == {ODD: {}, EVEN: {}}
+    assert all(fn(ga) for _, fn in ALGEBRA_CHECKS)
+    for side, keys in ((ODD, ga.positive_keys), (EVEN, ga.ext_positive_keys)):
+        assert 0 < len(ga._plans[side]) <= sum(comb(len(keys), k)
+                                               for k in range(4))
+    assert algebra_battery(5) == [(name, True) for name, _ in ALGEBRA_CHECKS]
+    for side, keys in ((ODD, ga.positive_keys), (EVEN, ga.ext_positive_keys)):
+        assert len(algebra(5)._plans[side]) <= sum(comb(len(keys), k)
+                                                   for k in range(4))
 
 
 def test_differential_linearity_on_units():

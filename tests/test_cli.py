@@ -224,6 +224,20 @@ def test_algebra_check_under_optimize_flag():
     assert proc.stdout.decode("utf-8").count(": PASS") == 10
 
 
+def test_algebra_check_l5_matches_its_golden():
+    """The battery's report at l = 5, in a fresh process: stdout byte for
+    byte as recorded in tests/data, and exit code 0 (all ten PASS)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "freedist.cli", "algebra-check", "--l", "5"],
+        env=env, capture_output=True, timeout=300)
+    with open(data_path("algebra_check_l5.out"), "rb") as fh:
+        assert proc.stdout == fh.read()
+    assert proc.returncode == 0 and proc.stderr == b""
+
+
 def test_analyze_under_optimize_flag(capsys):
     """analyze passes the invariant raises of GradedAlgebra and expand_int
     under -O too, with the same stdout and exit code."""

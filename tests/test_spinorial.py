@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poly_det
 from freedist.errors import UnsupportedError
@@ -47,6 +49,35 @@ def test_skew_matrix_validation():
         SkewMatrix([[sc(0), sc(1)], [sc(1), sc(0)]])  # not antisymmetric
     with pytest.raises(ValueError):
         SkewMatrix([[sc(0), sc(1)]])  # not square
+
+
+@st.composite
+def tangent_vectors(draw):
+    """A rank and a sparse tangent vector over single and pair keys, with
+    sqrt2 parts and zero values among the coefficients."""
+    l = draw(st.sampled_from([3, 4, 5, 7]))
+    keys = list(range(1, l + 1)) + [(j, k) for j in range(1, l + 1)
+                                    for k in range(j + 1, l + 1)]
+    v = draw(st.dictionaries(
+        st.sampled_from(keys),
+        st.builds(ExactScalar, st.fractions(-4, 4, max_denominator=3),
+                  st.integers(-2, 2)), max_size=8))
+    return l, v
+
+
+@given(tangent_vectors())
+@settings(deadline=None, max_examples=150)
+def test_tangent_to_skew_is_skew_and_round_trips(lv):
+    """tangent_to_skew builds its matrix skew without the re-check; the
+    checked constructor accepts the same rows, and the map inverts."""
+    l, v = lv
+    m = tangent_to_skew(v, l)
+    n = l + 1
+    assert m.size == n
+    assert all(m.entry(i, j) == -m.entry(j, i)
+               for i in range(n) for j in range(n))
+    assert SkewMatrix(m.entries) == m
+    assert skew_to_tangent(m, l) == {k: c for k, c in v.items() if c}
 
 
 def test_tangent_identification_basis_images():

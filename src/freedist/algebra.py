@@ -823,14 +823,14 @@ def differential(c: Chain) -> Chain:
     (x, u_1, .., u_k) for every negative key x, and (-1)^(i+1) c n T at
     (a, b, u's without u_i) for every pair a < b with [a, b] = n u_i (i
     counted from 0), slots sorted with their sign and repeated ones dropped
-    (``_differential_term``).  Constant coefficients only; degrees 1 and 2.
+    (``_differential_term``).  Degrees 1 and 2; a polynomial coefficient is
+    carried along as it is, so the image of a polynomial chain is the sum
+    of its monomial slices' images times their monomials.
     """
     if c.side != ODD:
         raise ValueError("differential is defined on odd-side chains")
     if c.k not in (1, 2):
         raise ValueError("differential implemented for degrees 1 and 2")
-    if c.has_polynomial_coefficients():
-        raise ValueError("differential requires constant coefficients")
     return _apply(_differential_term, c, ODD, c.k + 1)
 
 

@@ -10,10 +10,13 @@ of polynomial 1-forms, its curvature is computed entrywise as dM - M^M, and
 its homogeneity-(1, 2) part is read off as one 2-chain by evaluating
 against the dual frame of the connection coframe and expanding over the
 graded basis with exact reconstruction checks.  Both normalization degrees
-solve on that chain the same way: the codifferential of the chain is the
-right-hand side of a linear system built from unit-coefficient probes of
-the same evaluation rules and factored once per rank, and the chain plus
-the probes' response is the normalized curvature.
+solve on that chain the same way.  Each unknown changes the connection by
+a signed unit 1-chain (``_units``), so it changes the curvature by the Lie
+algebra differential of that chain (Cap & Slovak, Parabolic Geometries I,
+3.1).  The codifferential of the chain is the right-hand side of a linear
+system whose columns are the codifferentials of those differentials,
+factored once per rank, and the chain plus the differential of the solved
+1-chain is the normalized curvature.
 
 The curvature tensors P, Q (homogeneity 1) and R, S, T (homogeneity 2)
 are the parts of that chain.  One key rule (``_chain`` and its inverse
@@ -41,8 +44,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey,
-                      _accumulate, _codifferential_term, algebra,
-                      codifferential)
+                      _accumulate, _codifferential_term, _differential_term,
+                      algebra, codifferential, differential)
 from .cohomology import _term_keys
 from .errors import UnsupportedError
 from .geometry import (Coframe, DifferentialForm, Frame, PairMinors,
@@ -113,138 +116,48 @@ class AnalysisReport:
 
 
 # --------------------------------------------------------------------------
-# probe tables: the exact linear responses of the curvature reads to unit
-# coefficient perturbations, built from the bracket tables alone
+# the normalization unknowns and their unit 1-chains
 # --------------------------------------------------------------------------
 
-# one shared (immutable) exact scalar per integer probe or row coefficient
+# one shared (immutable) exact scalar per integer row coefficient
 _int_scalar = lru_cache(maxsize=None)(ExactScalar.of)
 
-
-def _add_bracket(ga: GradedAlgebra, acc: Dict[BasisKey, int],
-                 k1: BasisKey, k2: BasisKey, c: int) -> None:
-    """acc += c [k1, k2] for two odd basis keys, in integers."""
-    for key, n in ga.bracket_table(ODD, k1, k2):
-        _accumulate(acc, key, c * n)
-
-
-def _emit(items: List, slots: Tuple[BasisKey, ...],
-          vals: Dict[BasisKey, int], grade: int) -> None:
-    for tkey, v in vals.items():
-        if GradedAlgebra.grade(tkey) == grade:
-            items.append((slots, tkey, _int_scalar(v)))
+Unit = Tuple[Tuple[Tuple[BasisKey, ...], BasisKey, int], ...]
 
 
 @lru_cache(maxsize=None)
-def _degree1_probes(l: int) -> Tuple[Tuple[AKey, ...], Tuple[Chain, ...]]:
-    """Per unit A-coefficient: the exact homogeneity-1 curvature response."""
-    ga = algebra(l)
-    unknowns = tuple((i, j, k)
-                     for i in range(1, l + 1)
-                     for j in range(1, l + 1)
-                     for k in range(1, l + 1))
-    probes = []
-    for (i0, j0, k0) in unknowns:
-        unit = ("zero", (i0, k0))
-        # induced pair-coframe correction: C^i0_p = +-1 on p = {j0, k0}
-        p = (min(j0, k0), max(j0, k0)) if j0 != k0 else None
-        c = 1 if j0 < k0 else -1
-        items: List = []
-        # single-single reads (r, s) meeting j0, the only nonzero ones (p
-        # holds j0); keep grade -1 targets
-        for r, s in ((min(m, j0), max(m, j0))
-                     for m in range(1, l + 1) if m != j0):
-            vals: Dict[BasisKey, int] = {("lo1", i0): c} if (r, s) == p else {}
-            if s == j0:
-                _add_bracket(ga, vals, ("lo1", r), unit, -1)
-            if r == j0:
-                _add_bracket(ga, vals, unit, ("lo1", s), -1)
-            _emit(items, (("up1", r), ("up1", s)), vals, -1)
-        # single-pair reads (r, q) with r = j0 or q = p, the only nonzero
-        # ones; keep grade -2 targets
-        for r in range(1, l + 1):
-            for q in ga.pair_indices if r == j0 else (p,) if p else ():
-                vals = {}
-                if q == p and r != i0:   # pair-coframe differential on r, i0
-                    vals[("lo2", (min(r, i0), max(r, i0)))] = \
-                        -c if r < i0 else c
-                if r == j0:
-                    _add_bracket(ga, vals, unit, ("lo2", q), -1)
-                _emit(items, (("up1", r), ("up2", q)), vals, -2)
-        probes.append(Chain.make(ODD, l, 2, items))
-    return unknowns, tuple(probes)
-
-
-@lru_cache(maxsize=None)
-def _degree2_probes(l: int) -> Tuple[Tuple[object, ...], Tuple[Chain, ...]]:
-    """Per unit E- or symmetric-F coefficient: the exact homogeneity-2
-    curvature response (grade-0, -1, -2 targets on the three read blocks)."""
-    ga = algebra(l)
-    pairs = ga.pair_indices
-    e_unknowns = [("E", (i, j, p))
-                  for i in range(1, l + 1)
-                  for j in range(1, l + 1)
-                  for p in pairs]
-    f_unknowns = [("F", (i, j))
-                  for i in range(1, l + 1)
-                  for j in range(i, l + 1)]
-    unknowns = tuple(e_unknowns + f_unknowns)
-    probes = []
-    for kind, idx in unknowns:
-        items: List = []
-        if kind == "E":
-            i0, j0, p0 = idx
-            unit = ("zero", (i0, j0))
-            # grade-0 read on the own single pair (pair-coframe
-            # differential contributes its own-pair unit)
-            items.append(((("up1", p0[0]), ("up1", p0[1])), unit,
-                          _int_scalar(1)))
-            # grade -1 reads on (single, pair) argument pairs
-            for j in range(1, l + 1):
-                vals: Dict[BasisKey, int] = {}
-                _add_bracket(ga, vals, ("lo1", j), unit, -1)
-                _emit(items, (("up1", j), ("up2", p0)), vals, -1)
-            # grade -2 reads on (pair, pair) argument pairs
-            for q in pairs:
-                if q == p0:
-                    continue
-                left, right = (p0, q) if p0 < q else (q, p0)
-                vals = {}
-                if left == p0:
-                    _add_bracket(ga, vals, unit, ("lo2", q), -1)
-                else:
-                    _add_bracket(ga, vals, ("lo2", q), unit, -1)
-                _emit(items, (("up2", left), ("up2", right)), vals, -2)
-        else:
-            i0, j0 = idx
-
-            def delta_single(r: int) -> Dict[BasisKey, int]:
-                if r not in (i0, j0):
-                    return {}
-                return {("up1", j0 if r == i0 else i0): -1}
-
-            # grade-0 reads on single-single argument pairs
-            for k in range(1, l + 1):
-                dk = delta_single(k)
-                for m in range(k + 1, l + 1):
-                    vals = {}
-                    for key, c in delta_single(m).items():
-                        _add_bracket(ga, vals, ("lo1", k), key, -c)
-                    for key, c in dk.items():
-                        _add_bracket(ga, vals, key, ("lo1", m), -c)
-                    _emit(items, (("up1", k), ("up1", m)), vals, 0)
-            # grade -1 reads on (single, pair) argument pairs
-            for j in range(1, l + 1):
-                dj = delta_single(j)
-                if not dj:
-                    continue
-                for p in pairs:
-                    vals = {}
-                    for key, c in dj.items():
-                        _add_bracket(ga, vals, key, ("lo2", p), -c)
-                    _emit(items, (("up1", j), ("up2", p)), vals, -1)
-        probes.append(Chain.make(ODD, l, 2, items))
-    return unknowns, tuple(probes)
+def _units(l: int, degree: int) -> Tuple[Tuple, Tuple[Unit, ...]]:
+    """The unknowns of one normalization degree, each with its signed unit
+    1-chain as (slots, target, sign) items.  A unit change of the unknown
+    changes the connection by that 1-chain, so the curvature by its
+    differential: degree 1 has the A coefficients (i, j, k) with their
+    induced pair-coframe correction C^i_{jk}, degree 2 the E coefficients
+    (i, j, p) and the symmetric F coefficients (i, j), i <= j."""
+    span = range(1, l + 1)
+    units: List[Unit] = []
+    if degree == 1:
+        unknowns = tuple((i, j, k) for i in span for j in span for k in span)
+        for i, j, k in unknowns:
+            unit = [((("up1", j),), ("zero", (i, k)), -1)]
+            if j != k:
+                unit.append(((("up2", (min(j, k), max(j, k))),), ("lo1", i),
+                             -1 if j < k else 1))
+            units.append(tuple(unit))
+    else:
+        unknowns = tuple([("E", (i, j, p)) for i in span for j in span
+                          for p in algebra(l).pair_indices]
+                         + [("F", (i, j)) for i in span
+                            for j in range(i, l + 1)])
+        for kind, idx in unknowns:
+            if kind == "E":
+                unit = [((("up2", idx[2]),), ("zero", idx[:2]), -1)]
+            else:
+                i, j = idx
+                unit = [((("up1", j),), ("up1", i), 1)]
+                if i != j:
+                    unit.append(((("up1", i),), ("up1", j), 1))
+            units.append(tuple(unit))
+    return unknowns, tuple(units)
 
 
 # --------------------------------------------------------------------------
@@ -292,20 +205,21 @@ def _tensors(chain: Chain) -> Dict[str, Dict[Tuple, Polynomial]]:
 @lru_cache(maxsize=None)
 def _system(l: int, degree: int):
     """The factored normalization system of one degree: per row key (the
-    1-chain term keys of that homogeneity), the unit probes'
-    codifferential coefficients, summed in integers over each probe's
-    per-term codifferential kernels; degree 1 adds its l trace rows."""
-    unknowns, probes = (_degree1_probes if degree == 1
-                        else _degree2_probes)(l)
+    1-chain term keys of that homogeneity), the codifferential of the
+    differential of each unknown's unit, composed in integers from the two
+    per-term kernels; degree 1 adds its l trace rows."""
+    unknowns, units = _units(l, degree)
     ga = algebra(l)
     row_keys = _term_keys(ga, 1, degree)
     index = {rk: n for n, rk in enumerate(row_keys)}
     rows: List[Dict[int, ExactScalar]] = [{} for _ in row_keys]
-    for uidx, probe in enumerate(probes):
-        column: Dict[TermKey, int] = {}   # probe coefficients are integers
-        for (slots, target), c in probe.terms.items():
-            for tk, n in _codifferential_term(ga, ODD, slots, target):
-                _accumulate(column, tk, c.p * n)
+    for uidx, unit in enumerate(units):
+        column: Dict[TermKey, int] = {}
+        for slots, target, sign in unit:
+            for (slots2, target2), n in _differential_term(ga, ODD, slots,
+                                                           target):
+                for tk, m in _codifferential_term(ga, ODD, slots2, target2):
+                    _accumulate(column, tk, sign * n * m)
         for tk, v in column.items():
             n = index.get(tk)
             if n is not None:
@@ -319,7 +233,7 @@ def _system(l: int, degree: int):
 
 
 def _solve(chain: Chain, degree: int) -> List[Polynomial]:
-    """The unknowns of one degree that make chain + sum x_u probe_u
+    """The unknowns x of one degree that make _respond(chain, degree, x)
     codifferential-free on the row keys (and, at degree 1, trace-free)."""
     l = chain.l
     _, row_keys, system = _system(l, degree)
@@ -332,15 +246,15 @@ def _solve(chain: Chain, degree: int) -> List[Polynomial]:
 
 
 def _respond(chain: Chain, degree: int, xs: Sequence[Polynomial]) -> Chain:
-    """chain + sum x_u probe_u over the unknowns of one degree."""
-    _, probes = (_degree1_probes if degree == 1
-                 else _degree2_probes)(chain.l)
-    terms = dict(chain.terms)
-    for x, probe in zip(xs, probes):
+    """chain + differential(X), X the polynomial 1-chain sum x_u unit_u
+    over the unknowns of one degree."""
+    _, units = _units(chain.l, degree)
+    terms: Dict[TermKey, Polynomial] = {}
+    for x, unit in zip(xs, units):
         if not x.is_zero():
-            for tk, c in probe.terms.items():
-                _accumulate(terms, tk, x.scale(c))
-    return Chain(ODD, chain.l, 2, terms)
+            for slots, target, sign in unit:
+                _accumulate(terms, (slots, target), x if sign == 1 else -x)
+    return chain + differential(Chain(ODD, chain.l, 1, terms))
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +277,7 @@ def solve_degree1(f: StructureFunctions
     if tensors["Q"]:
         raise AssertionError(
             "single-target homogeneity-1 component failed to cancel")
-    unknowns, _ = _degree1_probes(l)
+    unknowns, _ = _units(l, 1)
     A = {u: x for u, x in zip(unknowns, xs) if not x.is_zero()}
     C: Dict[CKey, Polynomial] = {}
     for i in range(1, l + 1):
@@ -385,7 +299,7 @@ def _connection_forms(frame: Frame, coframe: Coframe,
     """The component 1-forms of the connection matrix before the
     homogeneity-2 unknowns, indexed by the graded basis keys they multiply:
     the negative part and the grade-0 block.  The E and F coefficients
-    reach the curvature through the degree-2 probes instead."""
+    reach the curvature through the differentials of their units instead."""
     l = frame.l
     chart_ = frame.chart
     pairs = algebra(l).pair_indices
@@ -529,17 +443,17 @@ def solve_degree2(frame: Frame, f: StructureFunctions,
     reads = _curvature_reads(frame, A, C)
 
     # cross-check: the engine's homogeneity-1 read must equal the
-    # probe-table evaluation used by the degree-1 solve
-    a_unknowns, _ = _degree1_probes(l)
+    # response the degree-1 solve computed from the structure functions
+    a_unknowns, _ = _units(l, 1)
     expected = _respond(_chain(l, {"P": f.pp_sp}), 1,
                         [A.get(u, zero_poly) for u in a_unknowns])
     if reads.homogeneous_part(1) != expected:
         raise AssertionError(
-            "engine homogeneity-1 read disagrees with the probe table")
+            "engine homogeneity-1 read disagrees with the degree-1 response")
 
     baseline = reads.homogeneous_part(2)
     xs = _solve(baseline, 2)
-    unknowns, _ = _degree2_probes(l)
+    unknowns, _ = _units(l, 2)
     E: Dict[EKey, Polynomial] = {}
     F: Dict[FKey, Polynomial] = {}
     for (kind, idx), x in zip(unknowns, xs):

@@ -240,6 +240,10 @@ def test_differential_rejects_bad_inputs():
     c3 = Chain(ODD, L, 3, {tk3: ONE})
     with pytest.raises(ValueError):
         differential(c3)
+    even = Chain(EVEN, L, 1, {((GA.ext_positive_keys[0],), ("tzero", (0, 0))):
+                              ONE})
+    with pytest.raises(ValueError):
+        differential(even)
 
 
 def test_boundary_squares_to_zero_sampled():
@@ -330,6 +334,49 @@ def sparse_chains(draw):
 @settings(deadline=None, max_examples=60)
 def test_differential_matches_dense_oracle_on_sparse_chains(c):
     assert differential(c) == dense_differential(c)
+
+
+@st.composite
+def polynomial_2_chains(draw):
+    """Sparse odd 2-chains at l = 4, 5 whose coefficients are polynomials
+    of up to three monomials, each a product of at most two coordinates."""
+    l = draw(st.sampled_from([4, 5]))
+    ga, ch = algebra(l), chart(l)
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        slots = draw(st.lists(st.sampled_from(ga.positive_keys), min_size=2,
+                              max_size=2, unique=True))
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = [0] * ch.ncoords
+            for i in draw(st.lists(st.integers(0, ch.ncoords - 1),
+                                   max_size=2)):
+                exps[i] += 1
+            terms[tuple(exps)] = ExactScalar(
+                draw(st.fractions(-3, 3, max_denominator=3)),
+                draw(st.integers(-2, 2))) or ONE
+        items.append((slots, draw(st.sampled_from(ga.odd_keys)),
+                      Polynomial(ch, terms)))
+    return Chain.make(ODD, l, 2, items)
+
+
+@given(polynomial_2_chains())
+@settings(deadline=None, max_examples=60)
+def test_differential_of_polynomial_chain_is_monomialwise(c):
+    """The differential of a polynomial chain is the sum, over monomials,
+    of the differential of that monomial's constant slice times it."""
+    ch = chart(c.l)
+    slices = {}
+    for key, poly in c.terms.items():
+        for e, v in poly.terms.items():
+            slices.setdefault(e, {})[key] = v
+    want = Chain.zero(ODD, c.l, 3)
+    for e, terms in slices.items():
+        image = differential(Chain(ODD, c.l, 2, terms))
+        want = want + Chain(ODD, c.l, 3,
+                            {key: Polynomial(ch, {e: v})
+                             for key, v in image.terms.items()})
+    assert differential(c) == want
 
 
 def oracle_codifferential(c):

@@ -238,6 +238,26 @@ def test_algebra_check_l5_matches_its_golden():
     assert proc.returncode == 0 and proc.stderr == b""
 
 
+with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:
+    ANALYZE_GOLDENS = json.load(_fh)
+GOLDEN_FRAMES = sorted(os.path.basename(p)
+                       for p in glob.glob(data_path("*.frame")))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", GOLDEN_FRAMES)
+def test_analyze_matches_its_golden(capsys, monkeypatch, name, fmt):
+    """Every frame in tests/data, analyzed in each format from inside
+    tests/data (so messages name the bare file): stdout, stderr and exit
+    code exactly as recorded in analyze_goldens.json."""
+    monkeypatch.chdir(data_path(""))
+    code, out, err = run(capsys, "analyze", name, "--format", fmt)
+    want = ANALYZE_GOLDENS[name][fmt]
+    assert out.encode("utf-8") == want["stdout"].encode("utf-8")
+    assert err.encode("utf-8") == want["stderr"].encode("utf-8")
+    assert code == want["exit_code"]
+
+
 def test_analyze_under_optimize_flag(capsys):
     """analyze passes the invariant raises of GradedAlgebra and expand_int
     under -O too, with the same stdout and exit code."""

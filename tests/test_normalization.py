@@ -1,5 +1,7 @@
 """End-to-end normalization pipeline: goldens, invariants, serialization."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,13 +11,13 @@ from hypothesis import strategies as st
 from conftest import (armstrong_fields, data_path, flat_fields,
                       random_sparse_fields)
 from freedist.algebra import (ODD, Chain, GradedAlgebra, _accumulate,
-                              algebra, codifferential, kappa11_normality_test)
+                              algebra, codifferential, differential,
+                              kappa11_normality_test)
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
-                                    _chain, _degree1_probes, _degree2_probes,
-                                    _system, _tensors, analyze,
-                                    curvature_chain,
+                                    _chain, _system, _tensors, _units,
+                                    analyze, curvature_chain,
                                     extension_normality_report,
                                     flatness_test, report_from_json,
                                     report_to_json)
@@ -153,7 +155,6 @@ def test_obstructed_golden():
 
 
 def test_random_frames_self_consistent():
-    import random
     rng = random.Random(811)
     done = 0
     while done < 4:
@@ -194,8 +195,6 @@ def per_form_curvature_values(M, args):
 
 
 def test_curvature_values_match_per_form_oracle(monkeypatch):
-    import random
-
     import freedist.normalization as nm
     engine = nm._curvature_values
     nonzero = []
@@ -257,7 +256,6 @@ def test_nonunimodular_frame_propagates():
 # --- determinism and serialization ----------------------------------------
 
 def test_reruns_are_bit_identical():
-    import json
     a = json.dumps(report_to_json(analyze_fixture("obstructed_l4.frame")),
                    sort_keys=False)
     b = json.dumps(report_to_json(analyze_fixture("obstructed_l4.frame")),
@@ -332,12 +330,11 @@ def test_rho_block_trace_scales_with_rank():
     """The grade-0 response of a symmetric-coefficient unit scales with
     (1 - l) across ranks: the diagnostic row entries at ranks 4 and 5 sit
     in the exact ratio (1-5)/(1-4) = 4/3."""
-    from freedist.normalization import _degree2_probes
 
     def diag_entry(l):
-        unknowns, probes = _degree2_probes(l)
-        table = dict(zip(unknowns, probes))
-        d = codifferential(table[("F", (1, 2))])
+        unknowns, units = _units(l, 2)
+        unit = units[unknowns.index(("F", (1, 2)))]
+        d = codifferential(differential(unit_chain(l, unit)))
         rows = {key: v for key, v in d.terms.items()
                 if key[0][0][0] == "up1" and key[1][0] == "up1"}
         assert set(rows) == {((("up1", 2),), ("up1", 1)),
@@ -389,10 +386,16 @@ def reference_row_keys(l, degree):
     return keys
 
 
+def unit_chain(l, unit):
+    """The 1-chain of one unknown's (slots, target, sign) unit items."""
+    return Chain.make(ODD, l, 1, [(slots, target, ExactScalar.of(sign))
+                                  for slots, target, sign in unit])
+
+
 def scalar_probes(l, degree):
     """The probes by the scalar route: every bracket through
     ``bracket_coeffs`` on unit coefficient dicts, accumulated as exact
-    scalars.  The reference the integer probe build must equal."""
+    scalars.  The reference the differential of each unit must equal."""
     ga = algebra(l)
     one = ExactScalar.one()
     pairs = ga.pair_indices
@@ -498,21 +501,23 @@ def scalar_probes(l, degree):
 @pytest.mark.parametrize("l", [3, 4, 5])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_integer_probes_match_scalar_route(l, degree):
-    unknowns, probes = (_degree1_probes if degree == 1
-                        else _degree2_probes)(l)
+    """The differential of every unknown's unit 1-chain is the response
+    the scalar route builds bracket by bracket.  Values only: the order of
+    a response's terms is not stored anywhere."""
+    unknowns, units = _units(l, degree)
     ref_unknowns, ref_probes = scalar_probes(l, degree)
     assert unknowns == ref_unknowns
-    for probe, ref in zip(probes, ref_probes, strict=True):
-        assert list(probe.terms.items()) == list(ref.terms.items())
-        assert all(type(v) is ExactScalar for v in probe.terms.values())
+    for unit, ref in zip(units, ref_probes, strict=True):
+        response = differential(unit_chain(l, unit))
+        assert response == ref
+        assert all(type(v) is ExactScalar for v in response.terms.values())
 
 
 def dense_system_rows(l, degree):
     """Rows probed column by column for every reference row key, plus
     degree 1's trace rows: the reference the transposed assembly must
     equal."""
-    unknowns, probes = (_degree1_probes if degree == 1
-                        else _degree2_probes)(l)
+    unknowns, probes = scalar_probes(l, degree)
     row_keys = reference_row_keys(l, degree)
     columns = [codifferential(c) for c in probes]
     rows = []
@@ -593,7 +598,6 @@ def joined_hom_chains(report):
 
 
 def test_curvature_chain_matches_joined_blocks():
-    import random
     reports = [analyze_fixture("obstructed_l4.frame").curvature]
     rng = random.Random(1207)
     while len(reports) < 4:
@@ -604,3 +608,58 @@ def test_curvature_chain_matches_joined_blocks():
     assert any(k.R or k.S or k.T for k in reports[1:])
     for k in reports:
         assert curvature_chain(k) == joined_hom_chains(k)
+
+
+# --- the Bianchi identity on the lowest homogeneity ----------------------
+#
+# The lowest homogeneous component of a normal curvature is harmonic, so
+# closed under the differential as well as the codifferential (Cap &
+# Slovak, Parabolic Geometries I, 3.1.12).  The normalization enforces
+# only the codifferential, so differential(kappa_1) = 0 checks the frame,
+# the structure functions and the degree-1 solve independently.
+
+def lowest_part_closed(curvature):
+    return differential(curvature_chain(curvature).homogeneous_part(1)) \
+        .is_zero()
+
+
+with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:
+    GOLDEN_REPORTS = sorted(name for name, out in json.load(_fh).items()
+                            if out["json"]["exit_code"] == 0)
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_lowest_curvature_part_is_closed_on_goldens(name):
+    assert lowest_part_closed(analyze_fixture(name).curvature)
+
+
+@pytest.mark.parametrize("l", [4, 5])
+def test_lowest_curvature_part_is_closed_on_random_frames(l):
+    rng = random.Random(7)
+    checked = 0
+    while checked < 4:
+        try:
+            curvature = analyze(random_sparse_fields(l, rng)).curvature
+        except (DegenerateFrameError, UnsupportedFrameError):
+            continue
+        assert curvature.P
+        assert lowest_part_closed(curvature)
+        checked += 1
+
+
+def test_homogeneity_two_part_of_obstructed_frame_is_not_closed():
+    """Only the lowest nonzero component need be closed: obstructed_l4 has
+    P != 0, and its homogeneity-2 part is not."""
+    kc = curvature_chain(analyze_fixture("obstructed_l4.frame").curvature)
+    assert not differential(kc.homogeneous_part(2)).is_zero()
+
+
+def test_closedness_check_catches_a_negated_p_entry():
+    """Negating one P entry of obstructed_l4 breaks closedness (the
+    Armstrong frames cannot serve: their single entry negated is still
+    closed)."""
+    P = dict(analyze_fixture("obstructed_l4.frame").curvature.P)
+    assert differential(_chain(4, {"P": P})).is_zero()
+    key = ((3, 4), 1, (2, 3))
+    P[key] = -P[key]
+    assert not differential(_chain(4, {"P": P})).is_zero()

@@ -33,6 +33,8 @@ ALGEBRA_CHECK_MAX_L = 6
 COHOMOLOGY_MIN_L = 3
 COHOMOLOGY_MAX_L = 5
 COHOMOLOGY_MAX_H_VALUES = 64   # homogeneities in one --h range
+SPINOR_MIN_L = 1
+SPINOR_MAX_L = 13   # a dense Pfaffian takes about 14x longer per step of 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,6 +209,10 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def _cmd_spinor(args: argparse.Namespace) -> int:
+    if not SPINOR_MIN_L <= args.l <= SPINOR_MAX_L:
+        raise UnsupportedError(
+            f"spinor supports {SPINOR_MIN_L} <= l <= {SPINOR_MAX_L} "
+            f"(resource guard); got l={args.l}")
     try:
         v = _parse_vector_json(args.vector, args.l)
     except ParseError as exc:

@@ -5,18 +5,21 @@ module determines the unique connection coefficients fixed by the trace
 normalizations, evaluates the curvature of the resulting matrix-valued
 connection form, and reports the invariant tensors.
 
-The curvature engine is convention-free: the connection is a single matrix
-of polynomial 1-forms, its curvature is computed entrywise as dM - M^M, and
-its homogeneity-(1, 2) part is read off as one 2-chain by evaluating
-against the dual frame of the connection coframe and expanding over the
-graded basis with exact reconstruction checks.  Both normalization degrees
-solve on that chain the same way.  Each unknown changes the connection by
-a signed unit 1-chain (``_units``), so it changes the curvature by the Lie
-algebra differential of that chain (Cap & Slovak, Parabolic Geometries I,
-3.1).  The codifferential of the chain is the right-hand side of a linear
-system whose columns are the codifferentials of those differentials,
-factored once per rank, and the chain plus the differential of the solved
-1-chain is the normalized curvature.
+The curvature engine evaluates the structure equation on frame pairs: the
+connection is a single matrix M of 1-forms, its value on each frame field
+is read off the coefficients because the coframe is dual to the frame, and
+the curvature dM - M^M on each frame pair comes from those values, their
+derivatives along the frame, and the frame brackets that the structure
+functions give.  Its homogeneity-(1, 2) part is read off as one 2-chain on
+the dual frame of the connection coframe, expanded over the graded basis
+with exact reconstruction checks.  Both normalization degrees solve on that
+chain the same way.  Each unknown changes the connection by a signed unit
+1-chain (``_units``), so it changes the curvature by the Lie algebra
+differential of that chain (Cap & Slovak, Parabolic Geometries I, 3.1).
+The codifferential of the chain is the right-hand side of a linear system
+whose columns are the codifferentials of those differentials, factored once
+per rank, and the chain plus the differential of the solved 1-chain is the
+normalized curvature.
 
 The curvature tensors P, Q (homogeneity 1) and R, S, T (homogeneity 2)
 are the parts of that chain.  One key rule (``_chain`` and its inverse
@@ -48,11 +51,10 @@ from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey,
                       algebra, codifferential, differential)
 from .cohomology import _term_keys
 from .errors import UnsupportedError
-from .geometry import (Coframe, DifferentialForm, Frame, PairMinors,
-                       StructureFunctions, VectorField, build_frame,
-                       dual_coframe, structure_functions)
+from .geometry import (Frame, FrameKey, StructureFunctions, VectorField,
+                       build_frame, structure_functions)
 from .linalg import FactoredSystem
-from .polynomials import Polynomial, chart
+from .polynomials import Polynomial, add_product, chart
 from .scalars import ExactScalar
 
 Pair = Tuple[int, int]
@@ -236,13 +238,15 @@ def _solve(chain: Chain, degree: int) -> List[Polynomial]:
     """The unknowns x of one degree that make _respond(chain, degree, x)
     codifferential-free on the row keys (and, at degree 1, trace-free)."""
     l = chain.l
-    _, row_keys, system = _system(l, degree)
     d = codifferential(chain).terms
     zero = Polynomial.zero(chart(l))
-    rhs = [-d[rk] if rk in d else zero for rk in row_keys]
-    if degree == 1:
-        rhs.extend([zero] * l)
-    return system.solve(rhs)
+    try:
+        _, row_keys, system = _system(l, degree)
+        rhs = [-d[rk] if rk in d else zero for rk in row_keys]
+        return system.solve(rhs + [zero] * l if degree == 1 else rhs)
+    except ValueError as exc:
+        raise AssertionError(
+            f"degree-{degree} normalization system: {exc}") from exc
 
 
 def _respond(chain: Chain, degree: int, xs: Sequence[Polynomial]) -> Chain:
@@ -293,41 +297,6 @@ def solve_degree1(f: StructureFunctions
 # the curvature engine
 # --------------------------------------------------------------------------
 
-def _connection_forms(frame: Frame, coframe: Coframe,
-                      A: Dict[AKey, Polynomial], C: Dict[CKey, Polynomial]
-                      ) -> Dict[BasisKey, DifferentialForm]:
-    """The component 1-forms of the connection matrix before the
-    homogeneity-2 unknowns, indexed by the graded basis keys they multiply:
-    the negative part and the grade-0 block.  The E and F coefficients
-    reach the curvature through the differentials of their units instead."""
-    l = frame.l
-    chart_ = frame.chart
-    pairs = algebra(l).pair_indices
-    forms: Dict[BasisKey, DifferentialForm] = {}
-    theta_p = {p: coframe.form(("p", p)) for p in pairs}
-    omega_s: Dict[int, DifferentialForm] = {}
-    for i in range(1, l + 1):
-        form = coframe.form(("s", i))
-        for p in pairs:
-            c = C.get((i, p))
-            if c is not None and not c.is_zero():
-                form = form + theta_p[p].scale(c)
-        omega_s[i] = form
-        forms[("lo1", i)] = form
-    for p in pairs:
-        forms[("lo2", p)] = theta_p[p]
-    for i in range(1, l + 1):
-        for j in range(1, l + 1):
-            form = DifferentialForm.zero(chart_, 1)
-            for k in range(1, l + 1):
-                a = A.get((i, k, j))
-                if a is not None and not a.is_zero():
-                    form = form + omega_s[k].scale(a)
-            if not form.is_zero():
-                forms[("zero", (i, j))] = form
-    return forms
-
-
 def _expand_poly_matrix(ga: GradedAlgebra,
                         entries: Dict[Tuple[int, int], Polynomial]
                         ) -> Dict[BasisKey, Polynomial]:
@@ -349,67 +318,106 @@ def _expand_poly_matrix(ga: GradedAlgebra,
     return coeffs
 
 
-def _curvature_values(M: Dict[Tuple[int, int], DifferentialForm],
-                      args: List[Tuple[VectorField, VectorField]]
-                      ) -> List[Dict[Tuple[int, int], Polynomial]]:
-    """The nonzero values of the curvature matrix dM - M wedge M on each
-    argument pair.  The 2-forms are built one matrix row at a time and
-    evaluated at once, so only one row of them is alive: all of them
-    together are the largest transient of an analysis.  Every form is
-    evaluated on all pairs through one PairMinors table, which builds the
-    pairs' minors once for the whole run."""
-    rows: Dict[int, List[Tuple[int, DifferentialForm]]] = {}
-    for (r, c), form in M.items():
-        rows.setdefault(r, []).append((c, form))
-    values: List[Dict[Tuple[int, int], Polynomial]] = [{} for _ in args]
-    minors = PairMinors(args[0][0].chart, args)
-    for r, row in rows.items():
-        omega2 = {c: form.d() for c, form in row}
-        for m, f1 in row:
-            for c, f2 in rows.get(m, ()):
-                w = f1.wedge(f2)
-                if w.is_zero():
-                    continue
-                old = omega2.get(c)
-                omega2[c] = (old - w) if old is not None else -w
-        for c, form in omega2.items():
-            for i, val in minors.values(form).items():
-                values[i][(r, c)] = val
-    return values
-
-
-def _curvature_reads(frame: Frame, A: Dict[AKey, Polynomial],
-                     C: Dict[CKey, Polynomial]) -> Chain:
-    """Run the matrix curvature engine and read its homogeneity-(1, 2)
+def _curvature_reads(frame: Frame, f: StructureFunctions,
+                     A: Dict[AKey, Polynomial], C: Dict[CKey, Polynomial]
+                     ) -> Chain:
+    """Evaluate the curvature K = dM - M^M of the connection matrix on the
+    frame pairs by the structure equation, and read its homogeneity-(1, 2)
     components as one 2-chain; homogeneity-0 components and single-target
-    reads on two single arguments must vanish exactly."""
+    reads on two single arguments must vanish exactly.
+
+    The coframe is dual to the frame F, so M_u = M(F_u) is read off the
+    coefficients, and [F_u, F_v] = -sum_t f^t_uv F_t, so for u < v in frame
+    order K_uv = F_u(M_v) - F_v(M_u) + sum_t f^t_uv M_t - [M_u, M_v].  The
+    dual frame of the connection coframe is W_up1 i = F_s_i and
+    W_up2 p = F_p - sum_m C^m_p F_s_m, and K is tensorial, so its values on
+    W pairs are sums of products of those coefficients with the K_uv."""
     l = frame.l
     ga = algebra(l)
-    forms = _connection_forms(frame, dual_coframe(frame), A, C)
+    chart_ = frame.chart
+    keys = frame.keys()
+    one = Polynomial.const(chart_, 1)
+    frame_key = {key[1]: key for key in keys}  # single index or pair
 
-    # assemble the matrix of 1-forms
-    M: Dict[Tuple[int, int], DifferentialForm] = {}
-    for key, form in forms.items():
-        for pos, n in ga.odd_mat[key].items():
-            add = form.scale(n)
-            old = M.get(pos)
-            M[pos] = add if old is None else old + add
-    M = {pos: f for pos, f in M.items() if not f.is_zero()}
+    # each connection 1-form on each frame field, then M_u by matrix position
+    on: Dict[BasisKey, Dict[FrameKey, Polynomial]] = {
+        ("lo1", i): {("s", i): one} for i in range(1, l + 1)}
+    for (i, p), c in C.items():
+        on[("lo1", i)][("p", p)] = c
+    on.update({("lo2", p): {("p", p): one} for p in ga.pair_indices})
+    for (i, k, j), a in A.items():
+        zero = on.setdefault(("zero", (i, j)), {})
+        for u, c in on[("lo1", k)].items():
+            _accumulate(zero, u, c * a)
+    M: Dict[FrameKey, Dict[Tuple[int, int], Polynomial]] = {
+        u: {} for u in keys}
+    for key, values in on.items():
+        for u, c in values.items():
+            for pos, n in ga.odd_mat[key].items():
+                _accumulate(M[u], pos, c.scale(n))
 
-    # the dual frame of the connection coframe, by positive-part key
-    W = {("up1", i): frame.field(("s", i)) for i in range(1, l + 1)}
-    for p in ga.pair_indices:
-        w = frame.field(("p", p))
-        for m in range(1, l + 1):
-            c = C.get((m, p))
-            if c is not None and not c.is_zero():
-                w = w - W[("up1", m)].scale(c)
-        W[("up2", p)] = w
+    # the bracket coefficients f^t_uv of the frame pairs u < v
+    sf: Dict[Tuple[FrameKey, FrameKey], List] = {
+        (("s", i), ("s", j)): [(("p", (i, j)), one)]
+        for i, j in ga.pair_indices}
+    for _, block in f.blocks():
+        for (t, a, b), c in block.items():
+            sf.setdefault((frame_key[a], frame_key[b]), []).append(
+                (frame_key[t], c))
 
-    args = list(combinations(ga.positive_keys, 2))
-    values = _curvature_values(M, [(W[a], W[b]) for a, b in args])
+    # per frame key: its field's components and its matrix entries, with
+    # both signs; the entries by row, and their partial derivatives, once
+    comps = {u: [c.terms for c in frame.field(u).components] for u in keys}
+    negcomps = {u: [(-c).terms for c in frame.field(u).components]
+                for u in keys}
+    plus = {u: {pos: poly.terms for pos, poly in M[u].items()} for u in keys}
+    minus = {u: {pos: (-poly).terms for pos, poly in M[u].items()}
+             for u in keys}
+    rows: Dict[FrameKey, Dict[int, List]] = {u: {} for u in keys}
+    for u in keys:
+        for (r, c), poly in M[u].items():
+            rows[u].setdefault(r, []).append((c, poly.terms))
+    grads = {u: [(pos, [(d, dp.terms) for d in range(chart_.ncoords)
+                        if (dp := poly.partial_derivative(d))])
+                 for pos, poly in M[u].items()] for u in keys}
+
+    K: Dict[Tuple[FrameKey, FrameKey], Dict[Tuple[int, int], Polynomial]] = {}
+    for n, u in enumerate(keys):
+        for v in keys[n + 1:]:
+            acc: Dict[Tuple[int, int], Dict] = {}
+            # F_u(M_v) - M_u M_v, then -F_v(M_u) + M_v M_u
+            for fx, y, left, right in ((comps[u], v, minus[u], rows[v]),
+                                       (negcomps[v], u, plus[v], rows[u])):
+                for pos, parts in grads[y]:
+                    out = acc.setdefault(pos, {})
+                    for d, dp in parts:
+                        if fx[d]:
+                            add_product(out, fx[d], dp)
+                for (r, m), t in left.items():
+                    for c, q in right.get(m, ()):
+                        add_product(acc.setdefault((r, c), {}), t, q)
+            for t, c in sf.get((u, v), ()):
+                for pos, q in plus[t].items():
+                    add_product(acc.setdefault(pos, {}), c.terms, q)
+            K[(u, v)] = {pos: val for pos, out in acc.items()
+                         if (val := Polynomial(chart_, out))}
+
+    W: Dict[BasisKey, List[Tuple[FrameKey, Polynomial]]] = {
+        ("up1", i): [(("s", i), one)] for i in range(1, l + 1)}
+    W.update({("up2", p): [(("p", p), one)] for p in ga.pair_indices})
+    for (m, p), c in C.items():
+        W[("up2", p)].append((("s", m), -c))
+    rank = {u: n for n, u in enumerate(keys)}
     terms: Dict[TermKey, Polynomial] = {}
-    for slots, entries in zip(args, values):
+    for slots in combinations(ga.positive_keys, 2):
+        entries: Dict[Tuple[int, int], Polynomial] = {}
+        for u, cu in W[slots[0]]:
+            for v, cv in W[slots[1]]:
+                if u != v:
+                    c = cu * cv if rank[u] < rank[v] else -(cu * cv)
+                    pair = (u, v) if rank[u] < rank[v] else (v, u)
+                    for pos, val in K[pair].items():
+                        _accumulate(entries, pos, c * val)
         for key, poly in _expand_poly_matrix(ga, entries).items():
             h = sum(map(GradedAlgebra.grade, slots + (key,)))
             if h == 0:
@@ -440,7 +448,7 @@ def solve_degree2(frame: Frame, f: StructureFunctions,
         raise UnsupportedError(
             "degree-2 normalization requires rank at least 4")
     zero_poly = Polynomial.zero(frame.chart)
-    reads = _curvature_reads(frame, A, C)
+    reads = _curvature_reads(frame, f, A, C)
 
     # cross-check: the engine's homogeneity-1 read must equal the
     # response the degree-1 solve computed from the structure functions

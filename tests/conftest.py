@@ -397,6 +397,33 @@ def armstrong4():
     return armstrong_fields(4)
 
 
+@pytest.fixture
+def flip_unit_sign(monkeypatch):
+    """A mutation of the normalization: flip(l, degree, unknown, item)
+    negates the sign of one item of that unknown's unit 1-chain.  The
+    cached factored systems are rebuilt from the flipped units, and cleared
+    again after the test."""
+    import freedist.normalization as nm
+    units = nm._units
+
+    def flip(l, degree, unknown, item):
+        def flipped(l_, degree_):
+            unknowns, us = units(l_, degree_)
+            if (l_, degree_) == (l, degree):
+                n = unknowns.index(unknown)
+                unit = list(us[n])
+                slots, target, sign = unit[item]
+                unit[item] = (slots, target, -sign)
+                us = us[:n] + (tuple(unit),) + us[n + 1:]
+            return unknowns, us
+
+        monkeypatch.setattr(nm, "_units", flipped)
+        nm._system.cache_clear()
+
+    yield flip
+    nm._system.cache_clear()
+
+
 # Pieces of frame-file text for fuzzing the parser and the CLI: headers,
 # field labels, atoms of the grammar, operators, large numbers (the last
 # one longer than int() accepts), characters that are digits to

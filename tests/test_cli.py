@@ -19,7 +19,8 @@ import freedist.cli as cli_module
 from conftest import data_path, frame_texts
 from freedist.cli import (ALGEBRA_CHECK_MAX_L, ALGEBRA_CHECK_MIN_L,
                           COHOMOLOGY_MAX_H_VALUES, COHOMOLOGY_MAX_L,
-                          COHOMOLOGY_MIN_L, _parse_h_range, main)
+                          COHOMOLOGY_MIN_L, SPINOR_MAX_L, SPINOR_MIN_L,
+                          _parse_h_range, main)
 from freedist.parsing import MAX_DIGITS, MAX_L
 
 JSON_KEY_ORDER = ["l", "nondegenerate", "structure_functions", "A", "C", "E",
@@ -330,6 +331,20 @@ def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("degree, unknown, message", [
+    (1, (2, 1, 3), "inconsistent linear system"),
+    (2, ("F", (1, 2)), "linear system does not determine unknowns [97]")])
+def test_normalization_system_failure_exit_3(capsys, flip_unit_sign, degree,
+                                             unknown, message):
+    """A flipped unit sign breaks a normalization system: the solve's
+    ValueError is reported as one internal-error line naming the degree."""
+    flip_unit_sign(4, degree, unknown, 0)
+    code, out, err = run(capsys, "analyze", data_path("obstructed_l4.frame"))
+    assert code == 3 and out == ""
+    assert err == (f"internal error: degree-{degree} normalization system: "
+                   f"{message}\n")
+
+
 def test_spinor_command(capsys):
     code, out, _ = run(capsys, "spinor", "--l", "3", "--vector",
                        '{"v": {"1": "1", "[2,3]": "1"}}')
@@ -403,6 +418,19 @@ def test_spinor_even_rank_exit_2(capsys):
                        '{"v": {"1": "1"}}')
     assert code == 2
     assert "error: " in err
+
+
+@pytest.mark.parametrize("l", [SPINOR_MIN_L - 2, SPINOR_MAX_L + 2])
+def test_spinor_rank_guard(capsys, monkeypatch, l):
+    def no_pfaffian(m):
+        raise AssertionError("spinor ran past the rank guard")
+
+    monkeypatch.setattr(cli_module, "pfaffian", no_pfaffian)
+    code, out, err = run(capsys, "spinor", "--l", str(l), "--vector",
+                         '{"v": {}}')
+    assert code == 2 and out == ""
+    assert err == (f"error: spinor supports {SPINOR_MIN_L} <= l <= "
+                   f"{SPINOR_MAX_L} (resource guard); got l={l}\n")
 
 
 def test_inclusions(capsys):

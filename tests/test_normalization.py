@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,15 @@ from freedist.algebra import (ODD, Chain, GradedAlgebra, _accumulate,
                               kappa11_normality_test)
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
+from freedist.geometry import (DifferentialForm, PairMinors, build_frame,
+                               dual_coframe, structure_functions)
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
-                                    _chain, _system, _tensors, _units,
-                                    analyze, curvature_chain,
+                                    _chain, _curvature_reads,
+                                    _expand_poly_matrix, _system, _tensors,
+                                    _units, analyze, curvature_chain,
                                     extension_normality_report,
                                     flatness_test, report_from_json,
-                                    report_to_json)
+                                    report_to_json, solve_degree1)
 from freedist.parsing import parse_frame_file
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
@@ -168,7 +172,7 @@ def test_random_frames_self_consistent():
 
 
 def per_form_curvature_values(M, args):
-    """The curvature engine's evaluation without the shared minor table:
+    """pair_minor_values without the shared minor table:
     each row's 2-forms dM - M^M evaluated pair by pair with
     DifferentialForm.evaluate."""
     rows = {}
@@ -194,31 +198,217 @@ def per_form_curvature_values(M, args):
     return values
 
 
-def test_curvature_values_match_per_form_oracle(monkeypatch):
-    import freedist.normalization as nm
-    engine = nm._curvature_values
+def coordinate_connection_forms(frame, A, C, E=None, F=None):
+    """The connection's component 1-forms over coordinate differentials,
+    by the basis key they multiply: omega_s[i] = theta^s_i + C^i_p theta^p
+    on lo1 i, theta^p on lo2 p, A^i_kj omega_s[k] (+ E^ij_p theta^p) on
+    zero (i, j) and, given F, -F_ij omega_s[j] on up1 i."""
+    l = frame.l
+    coframe = dual_coframe(frame)
+    span = range(1, l + 1)
+    pairs = algebra(l).pair_indices
+    E, F = E or {}, F or {}
+    theta_p = {p: coframe.form(("p", p)) for p in pairs}
+    omega_s = {}
+    forms = {}
+    for i in span:
+        form = coframe.form(("s", i))
+        for p in pairs:
+            if C.get((i, p)):
+                form = form + theta_p[p].scale(C[(i, p)])
+        omega_s[i] = forms[("lo1", i)] = form
+    for p in pairs:
+        forms[("lo2", p)] = theta_p[p]
+    for i in span:
+        for j in span:
+            form = DifferentialForm.zero(frame.chart, 1)
+            for k in span:
+                if A.get((i, k, j)):
+                    form = form + omega_s[k].scale(A[(i, k, j)])
+            for p in pairs:
+                if E.get((i, j, p)):
+                    form = form + theta_p[p].scale(E[(i, j, p)])
+            if not form.is_zero():
+                forms[("zero", (i, j))] = form
+        form = DifferentialForm.zero(frame.chart, 1)
+        for j in span:
+            if F.get((i, j)):
+                form = form - omega_s[j].scale(F[(i, j)])
+        if not form.is_zero():
+            forms[("up1", i)] = form
+    return forms
+
+
+def pair_minor_values(M, args):
+    """The values of dM - M^M on each argument pair, one matrix row of
+    2-forms at a time, through one shared PairMinors table."""
+    rows = {}
+    for (r, c), form in M.items():
+        rows.setdefault(r, []).append((c, form))
+    values = [{} for _ in args]
+    minors = PairMinors(args[0][0].chart, args)
+    for r, row in rows.items():
+        omega2 = {c: form.d() for c, form in row}
+        for m, f1 in row:
+            for c, f2 in rows.get(m, ()):
+                w = f1.wedge(f2)
+                if not w.is_zero():
+                    old = omega2.get(c)
+                    omega2[c] = (old - w) if old is not None else -w
+        for c, form in omega2.items():
+            for i, val in minors.values(form).items():
+                values[i][(r, c)] = val
+    return values
+
+
+def coordinate_curvature_reads(frame, A, C, E=None, F=None,
+                               evaluate=pair_minor_values):
+    """The curvature engine on coordinate 2-forms, the reference for
+    _curvature_reads: the matrix of connection 1-forms, its 2-forms
+    dM - M^M evaluated on the dual frame W of the connection coframe, and
+    the same expansion, refusals and homogeneity <= 2 cut."""
+    l = frame.l
+    ga = algebra(l)
+    M = {}
+    for key, form in coordinate_connection_forms(frame, A, C, E, F).items():
+        for pos, n in ga.odd_mat[key].items():
+            M[pos] = form.scale(n) + M[pos] if pos in M else form.scale(n)
+    M = {pos: form for pos, form in M.items() if not form.is_zero()}
+    W = {("up1", i): frame.field(("s", i)) for i in range(1, l + 1)}
+    for p in ga.pair_indices:
+        w = frame.field(("p", p))
+        for m in range(1, l + 1):
+            if C.get((m, p)):
+                w = w - W[("up1", m)].scale(C[(m, p)])
+        W[("up2", p)] = w
+    args = list(combinations(ga.positive_keys, 2))
+    terms = {}
+    for slots, entries in zip(args, evaluate(M, [(W[a], W[b])
+                                                 for a, b in args])):
+        for key, poly in _expand_poly_matrix(ga, entries).items():
+            h = sum(map(GradedAlgebra.grade, slots + (key,)))
+            if h == 0:
+                raise AssertionError(
+                    "homogeneity-0 curvature component is nonzero")
+            if h <= 2:
+                terms[(slots, key)] = poly
+    reads = Chain(ODD, l, 2, terms)
+    if _tensors(reads)["Q"]:
+        raise AssertionError(
+            "single-target homogeneity-1 curvature reads are nonzero")
+    return reads
+
+
+def engine_inputs(fields):
+    frame = build_frame(fields)
+    f = structure_functions(frame)
+    A, C, _ = solve_degree1(f)
+    return frame, f, A, C
+
+
+def seeded_frames(l, seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(engine_inputs(random_sparse_fields(l, rng)))
+        except (DegenerateFrameError, UnsupportedFrameError):
+            continue
+    return out
+
+
+def assert_reads_match_reference(frame, f, A, C):
+    got = _curvature_reads(frame, f, A, C)
+    want = coordinate_curvature_reads(frame, A, C)
+    assert list(got.terms.items()) == list(want.terms.items())
+    return got
+
+
+with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:
+    GOLDEN_REPORTS = sorted(name for name, out in json.load(_fh).items()
+                            if out["json"]["exit_code"] == 0)
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_structure_equation_reads_match_coordinate_engine_on_goldens(name):
+    reads = assert_reads_match_reference(*engine_inputs(load_fields(name)))
+    assert reads.terms or name.startswith("flat")
+
+
+@pytest.mark.parametrize("l, count", [(4, 8), (5, 3)])
+def test_structure_equation_reads_match_coordinate_engine_on_random_frames(
+        l, count):
+    nonzero = 0
+    for inputs in seeded_frames(l, 2024, count):
+        nonzero += bool(assert_reads_match_reference(*inputs).terms)
+    assert 2 * nonzero >= count
+
+
+def test_pair_minor_values_match_per_form_evaluation():
+    """The reference's shared minor table against plain evaluate."""
+    frame, _, A, C = engine_inputs(load_fields("obstructed_l4.frame"))
     nonzero = []
 
     def checked(M, args):
-        got = engine(M, args)
+        got = pair_minor_values(M, args)
         want = per_form_curvature_values(M, args)
         assert [list(e.items()) for e in got] == \
             [list(e.items()) for e in want]
         nonzero.append(sum(map(len, got)))
         return got
 
-    monkeypatch.setattr(nm, "_curvature_values", checked)
-    rng = random.Random(2024)
-    done = 0
-    while done < 6:
+    coordinate_curvature_reads(frame, A, C, evaluate=checked)
+    assert nonzero[0]
+
+
+# --- the full connection: E and F in the connection, not in responses ----
+#
+# The engine reads the curvature of the connection before the degree-2
+# unknowns, and the solve adds the differentials of their unit 1-chains.
+# The reference engine, given E and F in the connection itself (E^ij_p
+# theta^p on zero (i, j), -F_ij omega_s[j] on up1 i), must read the same
+# normalized curvature: that checks the units' signs against the engine.
+
+def full_connection_reads(frame, report):
+    c = report.connection
+    return coordinate_curvature_reads(frame, c.A, c.C, c.E, c.F)
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_full_connection_reads_equal_the_report_on_goldens(name):
+    fields = load_fields(name)
+    report = analyze(fields)
+    assert full_connection_reads(build_frame(fields), report) == \
+        curvature_chain(report.curvature)
+
+
+@pytest.mark.parametrize("l, count", [(4, 4), (5, 2)])
+def test_full_connection_reads_equal_the_report_on_random_frames(l, count):
+    rng = random.Random(31)
+    checked = 0
+    while checked < count:
+        fields = random_sparse_fields(l, rng)
         try:
-            analyze(random_sparse_fields(4, rng))
+            report = analyze(fields)
         except (DegenerateFrameError, UnsupportedFrameError):
             continue
-        done += 1
-    analyze_fixture("armstrong_l5.frame")
-    assert len(nonzero) == 7 and nonzero[-1]
-    assert sum(1 for n in nonzero if n) >= 6
+        assert full_connection_reads(build_frame(fields), report) == \
+            curvature_chain(report.curvature)
+        checked += report.connection.E != {} or report.connection.F != {}
+
+
+def test_full_connection_check_catches_a_flipped_unit_sign(flip_unit_sign):
+    """A flipped E unit sign changes the report of obstructed_l4 while no
+    check inside analyze fires and its P stays closed; the full-connection
+    read disagrees with it."""
+    fields = load_fields("obstructed_l4.frame")
+    before = report_to_json(analyze(fields))
+    flip_unit_sign(4, 2, ("E", (2, 1, (1, 2))), 0)
+    report = analyze(fields)
+    assert report_to_json(report) != before
+    assert lowest_part_closed(report.curvature)
+    assert full_connection_reads(build_frame(fields), report) != \
+        curvature_chain(report.curvature)
 
 
 # --- verdict helpers ------------------------------------------------------
@@ -621,11 +811,6 @@ def test_curvature_chain_matches_joined_blocks():
 def lowest_part_closed(curvature):
     return differential(curvature_chain(curvature).homogeneous_part(1)) \
         .is_zero()
-
-
-with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:
-    GOLDEN_REPORTS = sorted(name for name, out in json.load(_fh).items()
-                            if out["json"]["exit_code"] == 0)
 
 
 @pytest.mark.parametrize("name", GOLDEN_REPORTS)

@@ -47,3 +47,34 @@ def test_package_imports_only_itself_and_the_standard_library():
             found += [f"{name}:{node.lineno}: {m}" for m in modules
                       if m.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def _used_names(tree):
+    """Every name a module reads, also inside quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) \
+                else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= _used_names(ast.parse(note.value, mode="eval"))
+    return used
+
+
+def test_package_has_no_unused_imports():
+    """Every imported name is read in its module; __init__ re-exports its
+    imports through __all__."""
+    found = []
+    for name, tree in _package_trees():
+        used = _used_names(tree) | set(getattr(freedist, "__all__", ())
+                                       if name == "__init__.py" else ())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                found += [f"{name}:{node.lineno}: {alias.name}"
+                          for alias in node.names
+                          if (alias.asname or alias.name).split(".")[0]
+                          not in used]
+    assert found == []

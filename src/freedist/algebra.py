@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, accumulate
 from .scalars import ExactScalar
 
 BasisKey = Tuple[str, object]
@@ -47,29 +47,17 @@ _GRADES = {"lo2": -2, "lo1": -1, "zero": 0, "up1": 1, "up2": 2,
 # sparse integer matrices
 # --------------------------------------------------------------------------
 
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    out: IntMatrix = {}
+def _mat_commutator(a: Dict, b: Dict) -> Dict:
+    """ab - ba for sparse matrices of ints or scalars, zeros dropped."""
+    products = []
     for (r1, c1), v1 in a.items():
         for (r2, c2), v2 in b.items():
-            if c1 != r2:
-                continue
-            key = (r1, c2)
-            s = out.get(key, 0) + v1 * v2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _mat_commutator(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    out = dict(_mat_mul(a, b))
-    for key, v in _mat_mul(b, a).items():
-        s = out.get(key, 0) - v
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+            if c1 == r2:
+                products.append(((r1, c2), v1 * v2))
+            if c2 == r1:
+                products.append(((r2, c1), -(v2 * v1)))
+    out: Dict = {}
+    accumulate(out, products)
     return out
 
 
@@ -179,7 +167,7 @@ class GradedAlgebra:
                 raise AssertionError(f"GradedAlgebra: even basis matrix "
                                      f"{key} does not read 1 at {pos}")
 
-        # read-off position -> (basis index, key), for expand_int
+        # read-off position -> (basis index, key), for expand
         self._readoff_index = {
             side: {pos: (n, key) for n, (key, pos) in enumerate(ro.items())}
             for side, ro in ((ODD, self.odd_readoff),
@@ -288,8 +276,10 @@ class GradedAlgebra:
                 partners.update(by_col.get(r, ()))
             for n2 in sorted(partners):
                 k2, m2 = keys[n2], mats[n2]
-                comm = _mat_commutator(m1, m2)
-                coeffs = self.expand_int(side, comm)
+                coeffs = self.expand(side, _mat_commutator(m1, m2))
+                if coeffs is None:
+                    raise AssertionError("matrix does not lie in the "
+                                         "algebra spanned by the basis")
                 if coeffs:
                     table[(k1, k2)] = tuple(coeffs.items())
                 tr = _mat_trace_product(m1, m2)
@@ -300,26 +290,20 @@ class GradedAlgebra:
                             f"is odd ({tr})")
                     pair_table[(k1, k2)] = -tr // 2
 
-    def expand_int(self, side: str, m: IntMatrix) -> Dict[BasisKey, int]:
-        """Expand an integer matrix over the basis, verifying exactly."""
+    def expand(self, side: str, m: Dict[Tuple[int, int], object]
+               ) -> Optional[Dict[BasisKey, object]]:
+        """The coefficients, in basis order, of a matrix of ints, scalars
+        or polynomials that holds no zero entry: its values at the read-off
+        positions.  None when they do not rebuild the matrix exactly, that
+        is when it does not lie in the algebra."""
         index = self._readoff_index[side]
         mats = self.odd_mat if side == ODD else self.even_mat
-        coeffs: Dict[BasisKey, int] = {
-            key: v for _, key, v in sorted(
-                index[pos] + (v,) for pos, v in m.items()
-                if v and pos in index)}
-        recon: IntMatrix = {}
+        coeffs = {key: v for _, key, v in sorted(
+            index[pos] + (v,) for pos, v in m.items() if pos in index)}
+        recon: Dict = {}
         for key, c in coeffs.items():
-            for pos, v in mats[key].items():
-                s = recon.get(pos, 0) + c * v
-                if s:
-                    recon[pos] = s
-                elif pos in recon:
-                    del recon[pos]
-        if recon != m:
-            raise AssertionError(
-                "matrix does not lie in the algebra spanned by the basis")
-        return coeffs
+            accumulate(recon, mats[key].items(), c)
+        return coeffs if recon == m else None
 
     def bracket_table(self, side: str, k1: BasisKey, k2: BasisKey
                       ) -> Tuple[Tuple[BasisKey, int], ...]:
@@ -335,16 +319,7 @@ class GradedAlgebra:
         out: Dict[BasisKey, ExactScalar] = {}
         for k1, c1 in e1.items():
             for k2, c2 in e2.items():
-                prod = c1 * c2
-                if not prod:
-                    continue
-                for key, n in self.bracket_table(side, k1, k2):
-                    s = out.get(key)
-                    s = prod * n if s is None else s + prod * n
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                accumulate(out, self.bracket_table(side, k1, k2), c1 * c2)
         return out
 
     def pairing_coeffs(self, side: str, e1: Coefficients, e2: Coefficients
@@ -363,15 +338,8 @@ class GradedAlgebra:
         """Image under the canonical embedding (see _embed_int)."""
         out: Dict[BasisKey, ExactScalar] = {}
         for key, c in e.items():
-            image = _embed_int(key)
-            c = c * _HALF_ROOT2 if _GRADES[key[0]] % 2 else c
-            for tkey, n in image:
-                s = out.get(tkey)
-                s = c * n if s is None else s + c * n
-                if s:
-                    out[tkey] = s
-                elif tkey in out:
-                    del out[tkey]
+            accumulate(out, _embed_int(key),
+                       c * _HALF_ROOT2 if _GRADES[key[0]] % 2 else c)
         return out
 
     def transfer_key(self, key: BasisKey) -> Tuple[BasisKey, ExactScalar]:
@@ -387,13 +355,7 @@ class GradedAlgebra:
     def transfer_coeffs(self, e: Coefficients) -> Coefficients:
         out: Dict[BasisKey, ExactScalar] = {}
         for key, c in e.items():
-            tkey, tc = self.transfer_key(key)
-            s = out.get(tkey)
-            s = c * tc if s is None else s + c * tc
-            if s:
-                out[tkey] = s
-            elif tkey in out:
-                del out[tkey]
+            accumulate(out, (self.transfer_key(key),), c)
         return out
 
     # --- transfer-defect elements ------------------------------------------
@@ -448,27 +410,13 @@ class AlgebraElement:
         ga = algebra(l)
         entries: Dict[Tuple[int, int], ExactScalar] = {}
         for key, c in coeffs.items():
-            for pos, v in ga.mat(which, key).items():
-                s = entries.get(pos)
-                s = c * v if s is None else s + c * v
-                if s:
-                    entries[pos] = s
-                elif pos in entries:
-                    del entries[pos]
+            accumulate(entries, ga.mat(which, key).items(), c)
         return AlgebraElement(which, l, entries)
 
     def coefficients(self) -> Coefficients:
         """Expand over the basis, verifying membership exactly."""
-        ga = algebra(self.l)
-        readoff = (ga.odd_readoff if self.algebra == ODD
-                   else ga.even_readoff)
-        coeffs: Coefficients = {}
-        for key, pos in readoff.items():
-            v = self.entries.get(pos)
-            if v:
-                coeffs[key] = v
-        recon = AlgebraElement.from_coefficients(self.algebra, self.l, coeffs)
-        if recon.entries != self.entries:
+        coeffs = algebra(self.l).expand(self.algebra, self.entries)
+        if coeffs is None:
             raise ValueError(
                 "matrix does not lie in the algebra spanned by the basis")
         return coeffs
@@ -479,9 +427,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = entries.get(k)
-            entries[k] = v if s is None else s + v
+        accumulate(entries, other.entries.items())
         return AlgebraElement(self.algebra, self.l, entries)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -516,20 +462,8 @@ def basis(which: str, l: int) -> List[Tuple[BasisKey, AlgebraElement]]:
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     x._check(y)
-    entries: Dict[Tuple[int, int], ExactScalar] = {}
-    for (r1, c1), v1 in x.entries.items():
-        for (r2, c2), v2 in y.entries.items():
-            if c1 == r2:
-                key = (r1, c2)
-                s = entries.get(key)
-                p = v1 * v2
-                entries[key] = p if s is None else s + p
-            if c2 == r1:
-                key = (r2, c1)
-                s = entries.get(key)
-                p = v2 * v1
-                entries[key] = -p if s is None else s - p
-    return AlgebraElement(x.algebra, x.l, entries)
+    return AlgebraElement(x.algebra, x.l,
+                          _mat_commutator(x.entries, y.entries))
 
 
 def pairing(x: AlgebraElement, y: AlgebraElement) -> ExactScalar:
@@ -573,14 +507,6 @@ Coefficient = Union[ExactScalar, Polynomial]
 TermKey = Tuple[Tuple[BasisKey, ...], BasisKey]
 
 
-def _coeff_scale_int(c: Coefficient, n: int) -> Coefficient:
-    if n == 1:
-        return c
-    if isinstance(c, Polynomial):
-        return c.scale(n)
-    return c * n
-
-
 class Chain:
     """A sparse alternating k-chain with positive-part slots.
 
@@ -617,7 +543,7 @@ class Chain:
         """Build a chain, canonicalizing slot order with signs."""
         ranks = algebra(l)._slot_ranks[side]
         valid_kinds = ("up1", "up2") if side == ODD else ("tup",)
-        terms: Dict[TermKey, Coefficient] = {}
+        pairs = []
         for slots, target, coeff in items:
             if len(slots) != k:
                 raise ValueError("slot count does not match chain degree")
@@ -625,11 +551,10 @@ class Chain:
                 if s[0] not in valid_kinds:
                     raise ValueError(f"invalid slot key for {side} side: {s}")
             canon = _canonical_slots(ranks, tuple(slots))
-            if canon is None:
-                continue
-            slots_sorted, sign = canon
-            _accumulate(terms, (slots_sorted, target),
-                        _coeff_scale_int(coeff, sign))
+            if canon is not None:
+                pairs.append(((canon[0], target), coeff * canon[1]))
+        terms: Dict[TermKey, Coefficient] = {}
+        accumulate(terms, pairs)
         return Chain(side, l, k, terms)
 
     def is_zero(self) -> bool:
@@ -638,21 +563,15 @@ class Chain:
     def __add__(self, other: "Chain") -> "Chain":
         self._check(other)
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(terms, key, c)
+        accumulate(terms, other.terms.items())
         return Chain(self.side, self.l, self.k, terms)
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Chain":
-        if isinstance(c, int):
-            return Chain(self.side, self.l, self.k,
-                         {key: _coeff_scale_int(v, c)
-                          for key, v in self.terms.items()})
         return Chain(self.side, self.l, self.k,
-                     {key: v.scale(c) if isinstance(v, Polynomial) else v * c
-                      for key, v in self.terms.items()})
+                     {key: v * c for key, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Chain) and self.side == other.side
@@ -698,24 +617,6 @@ def _canonical_slots(ranks: Dict[BasisKey, int],
         return slots, 1
     return (tuple(sorted(slots, key=ranks.__getitem__)),
             -1 if inversions % 2 else 1)
-
-
-def _accumulate(terms: Dict[TermKey, Coefficient], key: TermKey,
-                c: Coefficient) -> None:
-    """terms[key] += c, dropping the key when the sum is zero.  Where a
-    scalar meets a polynomial, the scalar becomes a constant polynomial."""
-    old = terms.get(key)
-    if old is not None:
-        if type(old) is not type(c):
-            if isinstance(old, Polynomial):
-                c = Polynomial.const(old.chart, c)
-            else:
-                old = Polynomial.const(c.chart, old)
-        c = old + c
-    if not c:
-        terms.pop(key, None)
-    else:
-        terms[key] = c
 
 
 # --------------------------------------------------------------------------
@@ -793,11 +694,8 @@ def _apply(kernel, c: Chain, side: str, k: int, exponent=None) -> Chain:
     terms: Dict[TermKey, Coefficient] = {}
     for (slots, target), coeff in c.terms.items():
         if exponent is not None:
-            f = _root2_power(exponent(slots, target))
-            coeff = coeff.scale(f) if isinstance(coeff, Polynomial) \
-                else coeff * f
-        for key, n in kernel(ga, c.side, slots, target):
-            _accumulate(terms, key, _coeff_scale_int(coeff, n))
+            coeff = coeff * _root2_power(exponent(slots, target))
+        accumulate(terms, kernel(ga, c.side, slots, target), coeff)
     return Chain(side, c.l, k, terms)
 
 
@@ -990,13 +888,8 @@ def _check_form_annihilation(ga: GradedAlgebra) -> bool:
             # contributes v to (Q m) at (qmap[r], c) and, via the
             # transpose, v to (m^t Q) at (c, qmap[r]).
             acc: Dict[Tuple[int, int], int] = {}
-            for (r, c), v in m.items():
-                for key2, val in (((qmap[r], c), v), ((c, qmap[r]), v)):
-                    s = acc.get(key2, 0) + val
-                    if s:
-                        acc[key2] = s
-                    elif key2 in acc:
-                        del acc[key2]
+            accumulate(acc, [(pos, v) for (r, c), v in m.items()
+                             for pos in ((qmap[r], c), (c, qmap[r]))])
             if acc:
                 return False
     return True
@@ -1139,9 +1032,8 @@ def _squares_vanish(ga: GradedAlgebra, kernel, side: str, k: int) -> bool:
         for t in ga.keys(side):
             acc: Dict[TermKey, int] = {}
             for (s2, t2), n in kernel(ga, side, slots, t):
-                for key, m in kernel(ga, side, s2, t2):
-                    acc[key] = acc.get(key, 0) + n * m
-            if any(acc.values()):
+                accumulate(acc, kernel(ga, side, s2, t2), n)
+            if acc:
                 return False
     return True
 
@@ -1164,18 +1056,16 @@ def _check_operator_closed_forms(ga: GradedAlgebra) -> bool:
             e = _root2_exponent(slots, t)
             acc: Dict[TermKey, int] = {}
             for k2, n in _phi_term(ga, ODD, slots, t):
-                for key, m in _codifferential_term(ga, EVEN, *k2):
-                    acc[key] = acc.get(key, 0) + 2 * n * m
+                accumulate(acc, _codifferential_term(ga, EVEN, *k2), 2 * n)
             for k1, n in _codifferential_term(ga, ODD, slots, t):
                 # 2 sqrt2^(e1 - e) = 2^(shift / 2), by homogeneity 1 or 2
                 shift = _root2_exponent(*k1) - e + 2
                 if shift not in (0, 2):
                     return False
-                for key, m in _phi_term(ga, ODD, *k1):
-                    acc[key] = acc.get(key, 0) - (n * m << shift // 2)
-            for key, n in _closed_form_term(ga, ODD, slots, t):
-                acc[key] = acc.get(key, 0) - n
-            if any(acc.values()):
+                accumulate(acc, _phi_term(ga, ODD, *k1),
+                           -(n << shift // 2))
+            accumulate(acc, _closed_form_term(ga, ODD, slots, t), -1)
+            if acc:
                 return False
     return True
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import (DegenerateFrameError, FreeDistError,
                      NotFreeDistributionError, UnsupportedFrameError)
 from .linalg import invert_scalar_matrix, poly_inverse
-from .polynomials import Chart, Exponents, Polynomial, add_product
+from .polynomials import Chart, Exponents, Polynomial, accumulate, add_product
 from .scalars import ExactScalar, ScalarLike
 
 FrameKey = Tuple[str, object]  # ('s', i) or ('p', (j, k)) with j < k
@@ -74,11 +74,7 @@ class VectorField:
 
     def scale(self, c: Union[Polynomial, ScalarLike, ExactScalar]
               ) -> "VectorField":
-        if isinstance(c, Polynomial):
-            if c.chart != self.chart:
-                raise ValueError("mismatched charts in vector-field scaling")
-            return VectorField(self.chart, [a * c for a in self.components])
-        return VectorField(self.chart, [a.scale(c) for a in self.components])
+        return VectorField(self.chart, [a * c for a in self.components])
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Directional derivative of a polynomial along this field."""
@@ -157,8 +153,7 @@ class DifferentialForm:
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         self._check(other)
         terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms[k] + v if k in terms else v
+        accumulate(terms, other.terms.items())
         return DifferentialForm(self.chart, self.degree, terms)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
@@ -170,29 +165,20 @@ class DifferentialForm:
 
     def scale(self, c: Union[Polynomial, ScalarLike, ExactScalar]
               ) -> "DifferentialForm":
-        if isinstance(c, Polynomial):
-            return DifferentialForm(self.chart, self.degree,
-                                    {k: v * c for k, v in self.terms.items()})
         return DifferentialForm(self.chart, self.degree,
-                                {k: v.scale(c) for k, v in self.terms.items()})
+                                {k: v * c for k, v in self.terms.items()})
 
     def d(self) -> "DifferentialForm":
         """Exterior derivative of a degree-1 form."""
         if self.degree != 1:
             raise ValueError("exterior derivative implemented for degree 1")
-        terms: Dict[Tuple[int, ...], Polynomial] = {}
+        pairs = []
         for (c,), g in self.terms.items():
             for dd in range(self.chart.ncoords):
-                if dd == c:
-                    continue
-                dg = g.partial_derivative(dd)
-                if dg.is_zero():
-                    continue
-                if dd < c:
-                    key, val = (dd, c), dg
-                else:
-                    key, val = (c, dd), -dg
-                terms[key] = terms[key] + val if key in terms else val
+                if dd != c and (dg := g.partial_derivative(dd)):
+                    pairs.append(((dd, c), dg) if dd < c else ((c, dd), -dg))
+        terms: Dict[Tuple[int, ...], Polynomial] = {}
+        accumulate(terms, pairs)
         return DifferentialForm(self.chart, 2, terms)
 
     def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
@@ -200,17 +186,11 @@ class DifferentialForm:
             raise ValueError("wedge implemented for two degree-1 forms")
         if self.chart != other.chart:
             raise ValueError("mismatched charts in wedge product")
+        pairs = [((a, b), ga * gb) if a < b else ((b, a), -(ga * gb))
+                 for (a,), ga in self.terms.items()
+                 for (b,), gb in other.terms.items() if a != b]
         terms: Dict[Tuple[int, ...], Polynomial] = {}
-        for (a,), ga in self.terms.items():
-            for (b,), gb in other.terms.items():
-                if a == b:
-                    continue
-                prod = ga * gb
-                if a < b:
-                    key, val = (a, b), prod
-                else:
-                    key, val = (b, a), -prod
-                terms[key] = terms[key] + val if key in terms else val
+        accumulate(terms, pairs)
         return DifferentialForm(self.chart, 2, terms)
 
     def evaluate(self, *fields: VectorField) -> Polynomial:

@@ -19,10 +19,10 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 from operator import add
-from typing import (Any, Dict, Hashable, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from .polynomials import Chart, Polynomial
+from .polynomials import Chart, Polynomial, accumulate
 from .scalars import ExactScalar, _reduced
 
 
@@ -32,25 +32,12 @@ Pivot = Tuple[Hashable, Root2, IntVec, IntVec, int]
 Block = Tuple[List[Pivot], List[Tuple[int, IntVec]]]
 
 
-def _accumulate(dst: Dict[Hashable, Any], c: Any,
-                src: Dict[Hashable, Any]) -> None:
-    """dst += c * src over scalars or integers, dropping the entries that
-    cancel."""
-    for k, v in src.items():
-        old = dst.get(k)
-        w = c * v if old is None else old + c * v
-        if w:
-            dst[k] = w
-        else:
-            dst.pop(k, None)
-
-
 def _axpy(dst: IntVec, c: Root2, src: IntVec) -> IntVec:
     """dst += c * src over Z[sqrt2]; returns dst."""
     (da, db), (a, b), (x, y) = dst, c, src
     for part, f, s in ((da, a, x), (da, 2 * b, y), (db, a, y), (db, b, x)):
         if f:
-            _accumulate(part, f, s)
+            accumulate(part, s.items(), f)
     return dst
 
 
@@ -213,7 +200,7 @@ def _poly_sum(chart_: Chart,
     """sum c * p over the pairs (p, c), as one Polynomial."""
     acc: Dict[Hashable, ExactScalar] = {}
     for p, c in pairs:
-        _accumulate(acc, c, p.terms)
+        accumulate(acc, p.terms.items(), c)
     return Polynomial(chart_, acc)
 
 

@@ -47,14 +47,14 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey,
-                      _accumulate, _codifferential_term, _differential_term,
-                      algebra, codifferential, differential)
+                      _codifferential_term, _differential_term, algebra,
+                      codifferential, differential)
 from .cohomology import _term_keys
 from .errors import UnsupportedError
 from .geometry import (Frame, FrameKey, StructureFunctions, VectorField,
                        build_frame, structure_functions)
 from .linalg import FactoredSystem
-from .polynomials import Polynomial, add_product, chart
+from .polynomials import Polynomial, accumulate, add_product, chart
 from .scalars import ExactScalar
 
 Pair = Tuple[int, int]
@@ -220,8 +220,8 @@ def _system(l: int, degree: int):
         for slots, target, sign in unit:
             for (slots2, target2), n in _differential_term(ga, ODD, slots,
                                                            target):
-                for tk, m in _codifferential_term(ga, ODD, slots2, target2):
-                    _accumulate(column, tk, sign * n * m)
+                accumulate(column, _codifferential_term(ga, ODD, slots2,
+                                                        target2), sign * n)
         for tk, v in column.items():
             n = index.get(tk)
             if n is not None:
@@ -256,8 +256,8 @@ def _respond(chain: Chain, degree: int, xs: Sequence[Polynomial]) -> Chain:
     terms: Dict[TermKey, Polynomial] = {}
     for x, unit in zip(xs, units):
         if not x.is_zero():
-            for slots, target, sign in unit:
-                _accumulate(terms, (slots, target), x if sign == 1 else -x)
+            accumulate(terms, [((slots, target), x if sign == 1 else -x)
+                               for slots, target, sign in unit])
     return chain + differential(Chain(ODD, chain.l, 1, terms))
 
 
@@ -297,27 +297,6 @@ def solve_degree1(f: StructureFunctions
 # the curvature engine
 # --------------------------------------------------------------------------
 
-def _expand_poly_matrix(ga: GradedAlgebra,
-                        entries: Dict[Tuple[int, int], Polynomial]
-                        ) -> Dict[BasisKey, Polynomial]:
-    """Expand a matrix of polynomials over the odd basis, verifying the
-    reconstruction exactly (membership in the algebra)."""
-    coeffs: Dict[BasisKey, Polynomial] = {}
-    for key, pos in ga.odd_readoff.items():
-        v = entries.get(pos)
-        if v is not None and not v.is_zero():
-            coeffs[key] = v
-    recon: Dict[Tuple[int, int], Polynomial] = {}
-    for key, c in coeffs.items():
-        for pos, n in ga.odd_mat[key].items():
-            _accumulate(recon, pos, c.scale(n))
-    cleaned = {pos: v for pos, v in entries.items() if not v.is_zero()}
-    if recon != cleaned:
-        raise AssertionError(
-            "curvature matrix does not lie in the graded algebra")
-    return coeffs
-
-
 def _curvature_reads(frame: Frame, f: StructureFunctions,
                      A: Dict[AKey, Polynomial], C: Dict[CKey, Polynomial]
                      ) -> Chain:
@@ -346,15 +325,13 @@ def _curvature_reads(frame: Frame, f: StructureFunctions,
         on[("lo1", i)][("p", p)] = c
     on.update({("lo2", p): {("p", p): one} for p in ga.pair_indices})
     for (i, k, j), a in A.items():
-        zero = on.setdefault(("zero", (i, j)), {})
-        for u, c in on[("lo1", k)].items():
-            _accumulate(zero, u, c * a)
+        accumulate(on.setdefault(("zero", (i, j)), {}),
+                   on[("lo1", k)].items(), a)
     M: Dict[FrameKey, Dict[Tuple[int, int], Polynomial]] = {
         u: {} for u in keys}
     for key, values in on.items():
         for u, c in values.items():
-            for pos, n in ga.odd_mat[key].items():
-                _accumulate(M[u], pos, c.scale(n))
+            accumulate(M[u], ga.odd_mat[key].items(), c)
 
     # the bracket coefficients f^t_uv of the frame pairs u < v
     sf: Dict[Tuple[FrameKey, FrameKey], List] = {
@@ -416,9 +393,12 @@ def _curvature_reads(frame: Frame, f: StructureFunctions,
                 if u != v:
                     c = cu * cv if rank[u] < rank[v] else -(cu * cv)
                     pair = (u, v) if rank[u] < rank[v] else (v, u)
-                    for pos, val in K[pair].items():
-                        _accumulate(entries, pos, c * val)
-        for key, poly in _expand_poly_matrix(ga, entries).items():
+                    accumulate(entries, K[pair].items(), c)
+        coeffs = ga.expand(ODD, entries)
+        if coeffs is None:
+            raise AssertionError(
+                "curvature matrix does not lie in the graded algebra")
+        for key, poly in coeffs.items():
             h = sum(map(GradedAlgebra.grade, slots + (key,)))
             if h == 0:
                 raise AssertionError(
@@ -516,6 +496,12 @@ def analyze(fields: Sequence[VectorField],
     A, C, P = solve_degree1(f)
     E, F, R, S, T = solve_degree2(frame, f, A, C)
     flat = flatness_test(P)
+    # Bianchi: the lowest nonzero component is harmonic, so closed too
+    lowest = {"R": R, "S": S, "T": T} if flat else {"P": P}
+    if not differential(_chain(frame.l, lowest)).is_zero():
+        raise AssertionError(
+            "Bianchi check: the differential of the lowest nonzero "
+            "curvature component is not zero")
     t_zero = all(poly.is_zero() for poly in T.values())
     kappa11 = t_zero  # Q vanishes identically (asserted by the engine)
     connection = ConnectionData(frame.l, A, C, E, F)

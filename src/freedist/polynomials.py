@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add
-from typing import Dict, Iterable, Tuple
+from typing import Any, Dict, Hashable, Iterable, Optional, Tuple
 
 from .scalars import ExactScalar, ScalarLike
 
@@ -64,6 +64,24 @@ class Chart:
 @lru_cache(maxsize=None)
 def chart(l: int) -> Chart:
     return Chart(l)
+
+
+def accumulate(dst: Dict[Hashable, Any], pairs: Iterable[Tuple[Hashable, Any]],
+               c: Optional[Any] = None) -> None:
+    """dst[k] += c * v (v when c is None) for each (k, v) of pairs, in
+    order, dropping a key whose sum cancels; a later pair on that key puts
+    it back at the end.  One routine for every sparse sum in the package,
+    over ints, scalars and polynomials alike."""
+    for k, v in pairs:
+        if c is not None:
+            v = c * v
+        old = dst.get(k)
+        if old is not None:
+            v = old + v
+        if v:
+            dst[k] = v
+        elif old is not None:
+            del dst[k]
 
 
 def add_product(out: Dict[Exponents, ExactScalar],
@@ -139,13 +157,17 @@ class Polynomial:
         return self.terms.get(zeros, ExactScalar.zero())
 
     # --- ring operations -------------------------------------------------
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    # A scalar operand is the constant polynomial of its value.
+    def __add__(self, other: "Polynomial | ScalarLike") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            other = Polynomial.const(self.chart, other)
         _check_same_chart(self, other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return Polynomial(self.chart, out)
+        accumulate(out, other.terms.items())
+        return _nonzero(self.chart, out)
+
+    def __radd__(self, other: ScalarLike) -> "Polynomial":
+        return Polynomial.const(self.chart, other) + self
 
     def __neg__(self) -> "Polynomial":
         return _nonzero(self.chart, {e: -c for e, c in self.terms.items()})
@@ -153,7 +175,9 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
+    def __mul__(self, other: "Polynomial | ScalarLike") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return self if other == 1 else self.scale(other)
         _check_same_chart(self, other)
         out: Dict[Exponents, ExactScalar] = {}
         add_product(out, self.terms, other.terms)

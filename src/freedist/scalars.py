@@ -84,7 +84,11 @@ class ExactScalar:
 
     # --- arithmetic ---------------------------------------------------
     def __add__(self, other: "ScalarLike") -> "ExactScalar":
-        o = other if type(other) is ExactScalar else ExactScalar.of(other)
+        o = other
+        if type(o) is not ExactScalar:
+            if not isinstance(o, (int, Fraction)):
+                return NotImplemented   # a polynomial adds it as a constant
+            o = ExactScalar.of(o)
         d, od = self.d, o.d
         if d == od:
             return _reduced(self.p + o.p, self.q + o.q, d)
@@ -110,7 +114,11 @@ class ExactScalar:
         return ExactScalar.of(other) - self
 
     def __mul__(self, other: "ScalarLike") -> "ExactScalar":
-        o = other if type(other) is ExactScalar else ExactScalar.of(other)
+        o = other
+        if type(o) is not ExactScalar:
+            if o == 1:   # the commonest integer table entry
+                return self
+            o = ExactScalar.of(o)
         p, q, op, oq = self.p, self.q, o.p, o.q
         # (p + q r)(p' + q' r) = pp' + 2qq' + (pq' + qp') r   with r^2 = 2
         if q or oq:

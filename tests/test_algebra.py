@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, Chain, GradedAlgebra,
-                              algebra, algebra_battery, annihilator_subspace,
+from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, AlgebraElement,
+                              Chain, GradedAlgebra, algebra, algebra_battery,
+                              annihilator_subspace, basis, bracket,
                               codifferential, commutator_operator,
                               commutator_operator_closed_form, differential,
-                              kappa11_normality_test, phi_extension)
+                              embed_alpha, kappa11_normality_test,
+                              phi_extension)
 from conftest import (oracle_closed_form, oracle_codifferential_term,
                       oracle_differential, oracle_phi_extension)
 from freedist.polynomials import Polynomial, chart
@@ -86,23 +88,63 @@ def test_tables_match_full_scan(l, side):
     assert list(ga._pairings[side].items()) == list(pairings.items())
 
 
-def test_expand_int_refuses_a_read_off_entry_without_its_partner():
+def test_expand_refuses_a_read_off_entry_without_its_partner():
     key = ("lo1", 1)
     pos = GA.odd_readoff[key]
     assert len(GA.mat(ODD, key)) == 2
-    assert GA.expand_int(ODD, GA.mat(ODD, key)) == {key: 1}
-    with pytest.raises(AssertionError, match="does not lie in the algebra"):
-        GA.expand_int(ODD, {pos: 1})
+    assert GA.expand(ODD, GA.mat(ODD, key)) == {key: 1}
+    assert GA.expand(ODD, {pos: 1}) is None
 
 
-def test_expand_int_refuses_an_entry_at_no_read_off_position():
+def test_expand_refuses_an_entry_at_no_read_off_position():
     pos = (L, L)   # the centre of the odd form, on the diagonal
     assert pos not in GA.odd_readoff.values()
-    with pytest.raises(AssertionError, match="does not lie in the algebra"):
-        GA.expand_int(ODD, {pos: 1})
+    assert GA.expand(ODD, {pos: 1}) is None
     # also beside entries that do lie in the algebra
-    with pytest.raises(AssertionError, match="does not lie in the algebra"):
-        GA.expand_int(ODD, {**GA.mat(ODD, ("lo1", 2)), pos: 3})
+    assert GA.expand(ODD, {**GA.mat(ODD, ("lo1", 2)), pos: 3}) is None
+
+
+def test_expand_gives_basis_order_for_every_coefficient_type():
+    """One expansion serves int, scalar and polynomial matrices alike,
+    its coefficients in basis order whatever the order of the entries."""
+    keys = [("up2", (1, 2)), ("lo1", 3), ("zero", (2, 1))]
+    ch = chart(L)
+    x1 = Polynomial.coordinate(ch, 0)
+    for coeffs in ({k: n for k, n in zip(keys, (2, -1, 3))},
+                   {k: ExactScalar(n, 1) for k, n in zip(keys, (1, 2, 3))},
+                   {k: x1.scale(n) for k, n in zip(keys, (1, 2, 3))}):
+        m = {}
+        for key, c in coeffs.items():
+            for pos, n in GA.mat(ODD, key).items():
+                m[pos] = c * n
+        m = dict(reversed(list(m.items())))
+        got = GA.expand(ODD, m)
+        assert got == coeffs
+        assert list(got) == sorted(coeffs, key=GA.odd_keys.index)
+
+
+def test_coefficients_refuses_a_matrix_outside_the_algebra():
+    pos = (L, L)
+    element = AlgebraElement(ODD, L, {pos: ExactScalar.one()})
+    with pytest.raises(ValueError, match="does not lie in the algebra"):
+        element.coefficients()
+
+
+def test_element_operations_match_the_tables():
+    """bracket, sums and embed_alpha on matrix elements agree with the
+    bracket table and the coefficient-level embedding."""
+    elements = dict(basis(ODD, L))
+    for k1, x in elements.items():
+        for k2, y in elements.items():
+            assert bracket(x, y).coefficients() == dict(
+                GA.bracket_table(ODD, k1, k2))
+    x = elements[("lo1", 1)] + elements[("up1", 2)].scale(ExactScalar(2))
+    y = elements[("zero", (1, 2))] - elements[("lo1", 1)]
+    assert (x + y).coefficients() == {("zero", (1, 2)): 1, ("up1", 2): 2}
+    assert (x - x).is_zero()
+    assert embed_alpha(bracket(x, y)) == bracket(embed_alpha(x),
+                                                 embed_alpha(y))
+    assert embed_alpha(x).coefficients() == GA.embed_coeffs(x.coefficients())
 
 
 def test_grades_partition_basis():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freedist.cli as cli_module
+import freedist.normalization as normalization_module
 from conftest import data_path, frame_texts
 from freedist.cli import (ALGEBRA_CHECK_MAX_L, ALGEBRA_CHECK_MIN_L,
                           COHOMOLOGY_MAX_H_VALUES, COHOMOLOGY_MAX_L,
@@ -343,6 +344,25 @@ def test_normalization_system_failure_exit_3(capsys, flip_unit_sign, degree,
     assert code == 3 and out == ""
     assert err == (f"internal error: degree-{degree} normalization system: "
                    f"{message}\n")
+
+
+def test_bianchi_check_failure_exit_3(capsys, monkeypatch):
+    """One P entry of obstructed_l4 negated after the degree-1 solve leaves
+    P not closed: analyze's Bianchi check reports one internal-error line.
+    (P = 0 with a nonzero homogeneity-2 part, the check's other branch, has
+    no known frame and stays untested.)"""
+    solve = normalization_module.solve_degree1
+
+    def negated(f):
+        A, C, P = solve(f)
+        key = ((3, 4), 1, (2, 3))
+        return A, C, {**P, key: -P[key]}
+
+    monkeypatch.setattr(normalization_module, "solve_degree1", negated)
+    code, out, err = run(capsys, "analyze", data_path("obstructed_l4.frame"))
+    assert code == 3 and out == ""
+    assert err == ("internal error: Bianchi check: the differential of the "
+                   "lowest nonzero curvature component is not zero\n")
 
 
 def test_spinor_command(capsys):

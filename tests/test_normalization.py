@@ -11,22 +11,22 @@ from hypothesis import strategies as st
 
 from conftest import (armstrong_fields, data_path, flat_fields,
                       random_sparse_fields)
-from freedist.algebra import (ODD, Chain, GradedAlgebra, _accumulate,
-                              algebra, codifferential, differential,
+from freedist.algebra import (ODD, Chain, GradedAlgebra, algebra,
+                              codifferential, differential,
                               kappa11_normality_test)
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
 from freedist.geometry import (DifferentialForm, PairMinors, build_frame,
                                dual_coframe, structure_functions)
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
-                                    _chain, _curvature_reads,
-                                    _expand_poly_matrix, _system, _tensors,
-                                    _units, analyze, curvature_chain,
+                                    _chain, _curvature_reads, _system,
+                                    _tensors, _units, analyze,
+                                    curvature_chain,
                                     extension_normality_report,
                                     flatness_test, report_from_json,
                                     report_to_json, solve_degree1)
 from freedist.parsing import parse_frame_file
-from freedist.polynomials import Polynomial, chart
+from freedist.polynomials import Polynomial, accumulate, chart
 from freedist.scalars import ExactScalar
 
 JSON_KEY_ORDER = ["l", "nondegenerate", "structure_functions", "A", "C", "E",
@@ -285,7 +285,11 @@ def coordinate_curvature_reads(frame, A, C, E=None, F=None,
     terms = {}
     for slots, entries in zip(args, evaluate(M, [(W[a], W[b])
                                                  for a, b in args])):
-        for key, poly in _expand_poly_matrix(ga, entries).items():
+        coeffs = ga.expand(ODD, entries)
+        if coeffs is None:
+            raise AssertionError(
+                "curvature matrix does not lie in the graded algebra")
+        for key, poly in coeffs.items():
             h = sum(map(GradedAlgebra.grade, slots + (key,)))
             if h == 0:
                 raise AssertionError(
@@ -591,8 +595,7 @@ def scalar_probes(l, degree):
     pairs = ga.pair_indices
 
     def bracket_into(acc, e1, e2):
-        for key, val in ga.bracket_coeffs(ODD, e1, e2).items():
-            _accumulate(acc, key, -val)
+        accumulate(acc, ga.bracket_coeffs(ODD, e1, e2).items(), -1)
 
     def emit(items, slots, vals, grade):
         items.extend((slots, k, v) for k, v in vals.items()
@@ -609,8 +612,8 @@ def scalar_probes(l, degree):
                 vals = {}
                 for i in range(1, l + 1):
                     if cvals.get((i, (r, s))):
-                        _accumulate(vals, ("lo1", i),
-                                    ExactScalar.of(cvals[(i, (r, s))]))
+                        accumulate(vals, [(("lo1", i), ExactScalar.of(
+                            cvals[(i, (r, s))]))])
                 if s == j0:
                     bracket_into(vals, {("lo1", r): one}, unit)
                 if r == j0:
@@ -623,7 +626,7 @@ def scalar_probes(l, degree):
                     if q == p and r != m:
                         key, v = ((("lo2", (r, m)), 1) if r < m
                                   else (("lo2", (m, r)), -1))
-                        _accumulate(vals, key, ExactScalar.of(-c * v))
+                        accumulate(vals, [(key, ExactScalar.of(-c * v))])
                 if r == j0:
                     bracket_into(vals, unit, {("lo2", p): one})
                 emit(items, (("up1", r), ("up2", p)), vals, -2)
@@ -651,9 +654,9 @@ def scalar_probes(l, degree):
         def delta(r):
             out = {}
             if r == i0:
-                _accumulate(out, ("up1", j0), -one)
+                accumulate(out, [(("up1", j0), -one)])
             if r == j0 and j0 != i0:
-                _accumulate(out, ("up1", i0), -one)
+                accumulate(out, [(("up1", i0), -one)])
             return out
 
         items = []

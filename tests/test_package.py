@@ -78,3 +78,28 @@ def test_package_has_no_unused_imports():
                           if (alias.asname or alias.name).split(".")[0]
                           not in used]
     assert found == []
+
+
+def test_sparse_sums_go_through_the_one_helper():
+    """``polynomials.accumulate`` is the one accumulate-and-prune step:
+    outside it no statement deletes a subscript and no ``.pop(k, None)``
+    drops a key, and no other function is named for accumulation."""
+    helpers, found = [], []
+    for name, tree in _package_trees():
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and "accumulate" in node.name:
+                helpers.append(f"{name}:{node.name}")
+                inside |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.Delete) and any(
+                    isinstance(t, ast.Subscript) for t in node.targets):
+                found.append(f"{name}:{node.lineno}: del")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "pop" and len(node.args) == 2):
+                found.append(f"{name}:{node.lineno}: pop")
+    assert helpers == ["polynomials.py:accumulate"]
+    assert found == []

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freedist.parsing import parse_expression
-from freedist.polynomials import Polynomial, chart
+import random
+
+from freedist.polynomials import Polynomial, accumulate, chart
 from freedist.scalars import ExactScalar
 
 CH = chart(3)  # 3 single + 3 pair coordinates
@@ -116,6 +118,61 @@ def test_derivative_of_coordinate():
 def test_scale_accepts_plain_rationals():
     x1 = Polynomial.coordinate(CH, CH.x_index(1))
     assert x1.scale(Fraction(1, 2)) + x1.scale(Fraction(1, 2)) == x1
+
+
+def test_scalar_operands_are_constant_polynomials():
+    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    want = x1 + Polynomial.const(CH, 2)
+    for two in (2, ExactScalar(2)):
+        assert x1 + two == want and two + x1 == want
+    one = Polynomial.const(CH, 1)
+    assert (one + ExactScalar(-1)).is_zero()
+    assert (ExactScalar(-1) + one).is_zero()
+    assert x1 * 3 == x1.scale(3) == x1 + x1 + x1
+    assert x1 * ExactScalar.sqrt2() == x1.scale(ExactScalar.sqrt2())
+    assert (x1 * 0).is_zero()
+    with pytest.raises(TypeError):
+        x1 + "x"
+    with pytest.raises(TypeError):
+        x1 * "x"
+
+
+def pruning_reference(dst, key, c):
+    """The add-or-drop step each caller used to write out for itself."""
+    s = dst.get(key, 0) + c
+    if s:
+        dst[key] = s
+    elif key in dst:
+        del dst[key]
+
+
+def test_accumulate_drops_cancelled_keys_in_order():
+    dst = {"a": 1}
+    accumulate(dst, [("b", 2), ("a", -1), ("c", 3), ("a", 4), ("b", -2)])
+    assert list(dst.items()) == [("c", 3), ("a", 4)]
+    scaled = {"x": ExactScalar(1)}
+    accumulate(scaled, [("y", 1), ("x", 1), ("z", 0)], ExactScalar(-1))
+    assert list(scaled.items()) == [("y", -1)]
+    rng = random.Random(3)
+    for _ in range(200):
+        pairs = [(rng.randrange(4), rng.randrange(-2, 3)) for _ in range(12)]
+        c = rng.choice([None, 1, -2])
+        want, got = {}, {}
+        for k, v in pairs:
+            pruning_reference(want, k, v if c is None else c * v)
+        accumulate(got, pairs, c)
+        assert list(got.items()) == list(want.items())
+
+
+def test_accumulate_adds_a_scalar_to_a_polynomial_as_a_constant():
+    for first, second in ((ExactScalar(1), Polynomial.const(CH, 2)),
+                          (Polynomial.const(CH, 2), ExactScalar(1))):
+        dst = {"k": first}
+        accumulate(dst, [("k", second)])
+        assert dst == {"k": Polynomial.const(CH, 3)}
+    dst = {"k": Polynomial.const(CH, 2)}
+    accumulate(dst, [("k", 1)], ExactScalar(-2))
+    assert dst == {}
 
 
 def test_sorted_terms_is_deterministic():

@@ -125,6 +125,14 @@ def test_constants_are_shared_and_canonical():
     assert (x - x).p == (x - x).q == 0 and (x - x).d == 1
 
 
+def test_adding_a_non_number_raises_type_error():
+    with pytest.raises(TypeError):
+        ExactScalar.one() + "x"
+    with pytest.raises(TypeError):
+        "x" + ExactScalar.one()
+    assert ExactScalar.one().__add__("x") is NotImplemented
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         ExactScalar.zero().inverse()

@@ -5,15 +5,15 @@ module determines the unique connection coefficients fixed by the trace
 normalizations, evaluates the curvature of the resulting matrix-valued
 connection form, and reports the invariant tensors.
 
-The curvature engine evaluates the structure equation on frame pairs: the
-connection is a single matrix M of 1-forms, its value on each frame field
-is read off the coefficients because the coframe is dual to the frame, and
-the curvature dM - M^M on each frame pair comes from those values, their
-derivatives along the frame, and the frame brackets that the structure
-functions give.  Its homogeneity-(1, 2) part is read off as one 2-chain on
-the dual frame of the connection coframe, expanded over the graded basis
-with exact reconstruction checks.  Both normalization degrees solve on that
-chain the same way.  Each unknown changes the connection by a signed unit
+The curvature engine evaluates the structure equation on frame pairs in
+basis coefficients: the connection's value on each frame field is read off
+the coefficients because the coframe is dual to the frame, and the
+curvature on each frame pair comes from those values, their derivatives
+along the frame, the frame brackets that the structure functions give and
+the algebra's bracket tables, on the basis keys that can reach homogeneity
+at most 2 only.  Its homogeneity-(1, 2) part is read as one 2-chain on the
+dual frame of the connection coframe.  Both normalization degrees solve on
+that chain the same way.  Each unknown changes the connection by a signed unit
 1-chain (``_units``), so it changes the curvature by the Lie algebra
 differential of that chain (Cap & Slovak, Parabolic Geometries I, 3.1).
 The codifferential of the chain is the right-hand side of a linear system
@@ -300,25 +300,29 @@ def solve_degree1(f: StructureFunctions
 def _curvature_reads(frame: Frame, f: StructureFunctions,
                      A: Dict[AKey, Polynomial], C: Dict[CKey, Polynomial]
                      ) -> Chain:
-    """Evaluate the curvature K = dM - M^M of the connection matrix on the
-    frame pairs by the structure equation, and read its homogeneity-(1, 2)
-    components as one 2-chain; homogeneity-0 components and single-target
-    reads on two single arguments must vanish exactly.
+    """Evaluate the curvature K = dM - M^M of the connection on the frame
+    pairs by the structure equation, on basis coefficients, and read its
+    homogeneity-(1, 2) components as one 2-chain; homogeneity-0 components
+    and single-target reads on two single arguments must vanish exactly.
 
-    The coframe is dual to the frame F, so M_u = M(F_u) is read off the
-    coefficients, and [F_u, F_v] = -sum_t f^t_uv F_t, so for u < v in frame
-    order K_uv = F_u(M_v) - F_v(M_u) + sum_t f^t_uv M_t - [M_u, M_v].  The
-    dual frame of the connection coframe is W_up1 i = F_s_i and
-    W_up2 p = F_p - sum_m C^m_p F_s_m, and K is tensorial, so its values on
-    W pairs are sums of products of those coefficients with the K_uv."""
+    The coframe is dual to the frame F, so M_u = M(F_u) = sum_key
+    on[key][u] key, and [F_u, F_v] = -sum_t f^t_uv F_t, so for u < v in
+    frame order K_uv = F_u(M_v) - F_v(M_u) + sum_t f^t_uv M_t - [M_u, M_v].
+    Every M_u lies in grades <= 0, so fields of grades g_u, g_v (1 single,
+    2 pair) need only the keys of grade <= 2 - g_u - g_v.  The dual frame
+    of the connection coframe is W_up1 i = F_s_i and W_up2 p = F_p -
+    sum_m C^m_p F_s_m, and K is tensorial, so its values on W pairs are
+    sums of products of those coefficients with the K_uv."""
     l = frame.l
     ga = algebra(l)
     chart_ = frame.chart
     keys = frame.keys()
     one = Polynomial.const(chart_, 1)
     frame_key = {key[1]: key for key in keys}  # single index or pair
+    grade = {key: GradedAlgebra.grade(key) for key in ga.odd_keys}
+    order = {key: n for n, key in enumerate(ga.odd_keys)}
 
-    # each connection 1-form on each frame field, then M_u by matrix position
+    # each connection 1-form on each frame field
     on: Dict[BasisKey, Dict[FrameKey, Polynomial]] = {
         ("lo1", i): {("s", i): one} for i in range(1, l + 1)}
     for (i, p), c in C.items():
@@ -327,11 +331,13 @@ def _curvature_reads(frame: Frame, f: StructureFunctions,
     for (i, k, j), a in A.items():
         accumulate(on.setdefault(("zero", (i, j)), {}),
                    on[("lo1", k)].items(), a)
-    M: Dict[FrameKey, Dict[Tuple[int, int], Polynomial]] = {
-        u: {} for u in keys}
+    # M_u by basis key, each coefficient with its nonzero partials
+    M: Dict[FrameKey, Dict[BasisKey, Tuple]] = {u: {} for u in keys}
     for key, values in on.items():
         for u, c in values.items():
-            accumulate(M[u], ga.odd_mat[key].items(), c)
+            used = sorted({d for e in c.terms for d, k in enumerate(e) if k})
+            M[u][key] = c.terms, [(d, c.partial_derivative(d).terms)
+                                  for d in used]
 
     # the bracket coefficients f^t_uv of the frame pairs u < v
     sf: Dict[Tuple[FrameKey, FrameKey], List] = {
@@ -341,70 +347,64 @@ def _curvature_reads(frame: Frame, f: StructureFunctions,
         for (t, a, b), c in block.items():
             sf.setdefault((frame_key[a], frame_key[b]), []).append(
                 (frame_key[t], c))
+    # each field's nonzero components, with both signs
+    comps = {u: {d: c.terms for d, c in enumerate(frame.field(u).components)
+                 if c} for u in keys}
+    negcomps = {u: {d: (-c).terms for d, c in
+                    enumerate(frame.field(u).components) if c} for u in keys}
+    scaled: Dict[Tuple, Dict] = {}   # -b M_u[key] for a bracket entry b
 
-    # per frame key: its field's components and its matrix entries, with
-    # both signs; the entries by row, and their partial derivatives, once
-    comps = {u: [c.terms for c in frame.field(u).components] for u in keys}
-    negcomps = {u: [(-c).terms for c in frame.field(u).components]
-                for u in keys}
-    plus = {u: {pos: poly.terms for pos, poly in M[u].items()} for u in keys}
-    minus = {u: {pos: (-poly).terms for pos, poly in M[u].items()}
-             for u in keys}
-    rows: Dict[FrameKey, Dict[int, List]] = {u: {} for u in keys}
-    for u in keys:
-        for (r, c), poly in M[u].items():
-            rows[u].setdefault(r, []).append((c, poly.terms))
-    grads = {u: [(pos, [(d, dp.terms) for d in range(chart_.ncoords)
-                        if (dp := poly.partial_derivative(d))])
-                 for pos, poly in M[u].items()] for u in keys}
-
-    K: Dict[Tuple[FrameKey, FrameKey], Dict[Tuple[int, int], Polynomial]] = {}
+    K: Dict[Tuple[FrameKey, FrameKey], Dict[BasisKey, Polynomial]] = {}
     for n, u in enumerate(keys):
         for v in keys[n + 1:]:
-            acc: Dict[Tuple[int, int], Dict] = {}
-            # F_u(M_v) - M_u M_v, then -F_v(M_u) + M_v M_u
-            for fx, y, left, right in ((comps[u], v, minus[u], rows[v]),
-                                       (negcomps[v], u, plus[v], rows[u])):
-                for pos, parts in grads[y]:
-                    out = acc.setdefault(pos, {})
-                    for d, dp in parts:
-                        if fx[d]:
-                            add_product(out, fx[d], dp)
-                for (r, m), t in left.items():
-                    for c, q in right.get(m, ()):
-                        add_product(acc.setdefault((r, c), {}), t, q)
+            # 2 - g_u - g_v is 0, -1 or -2 as two, one or no field is single
+            cap = (u[0] == "s") + (v[0] == "s") - 2
+            acc: Dict[BasisKey, Dict] = {}
+            for fx, y in ((comps[u], v), (negcomps[v], u)):
+                for key, (_, parts) in M[y].items():
+                    if grade[key] <= cap:
+                        out = acc.setdefault(key, {})
+                        for d, dp in parts:
+                            if d in fx:
+                                add_product(out, fx[d], dp)
             for t, c in sf.get((u, v), ()):
-                for pos, q in plus[t].items():
-                    add_product(acc.setdefault(pos, {}), c.terms, q)
-            K[(u, v)] = {pos: val for pos, out in acc.items()
+                for key, (q, _) in M[t].items():
+                    if grade[key] <= cap:
+                        add_product(acc.setdefault(key, {}), c.terms, q)
+            for k1, (q1, _) in M[u].items():
+                for k2, (q2, _) in M[v].items():
+                    if grade[k1] + grade[k2] <= cap:
+                        for key, b in ga.bracket_table(ODD, k1, k2):
+                            if (u, k1, b) not in scaled:
+                                scaled[(u, k1, b)] = {e: c * -b for e, c
+                                                      in q1.items()}
+                            add_product(acc.setdefault(key, {}),
+                                        scaled[(u, k1, b)], q2)
+            K[(u, v)] = {key: val for key, out in acc.items()
                          if (val := Polynomial(chart_, out))}
 
-    W: Dict[BasisKey, List[Tuple[FrameKey, Polynomial]]] = {
-        ("up1", i): [(("s", i), one)] for i in range(1, l + 1)}
-    W.update({("up2", p): [(("p", p), one)] for p in ga.pair_indices})
+    W: Dict[BasisKey, List[Tuple[FrameKey, object]]] = {
+        key: [(("s" if key[0] == "up1" else "p", key[1]), 1)]
+        for key in ga.positive_keys}
     for (m, p), c in C.items():
         W[("up2", p)].append((("s", m), -c))
-    rank = {u: n for n, u in enumerate(keys)}
     terms: Dict[TermKey, Polynomial] = {}
     for slots in combinations(ga.positive_keys, 2):
-        entries: Dict[Tuple[int, int], Polynomial] = {}
+        cap = 2 - grade[slots[0]] - grade[slots[1]]
+        entries: Dict[BasisKey, Polynomial] = {}
         for u, cu in W[slots[0]]:
             for v, cv in W[slots[1]]:
                 if u != v:
-                    c = cu * cv if rank[u] < rank[v] else -(cu * cv)
-                    pair = (u, v) if rank[u] < rank[v] else (v, u)
-                    accumulate(entries, K[pair].items(), c)
-        coeffs = ga.expand(ODD, entries)
-        if coeffs is None:
-            raise AssertionError(
-                "curvature matrix does not lie in the graded algebra")
-        for key, poly in coeffs.items():
-            h = sum(map(GradedAlgebra.grade, slots + (key,)))
-            if h == 0:
+                    pair, c = (((u, v), cu * cv) if (u, v) in K
+                               else ((v, u), -(cu * cv)))
+                    accumulate(entries, [(key, val) for key, val
+                                         in K[pair].items()
+                                         if grade[key] <= cap], c)
+        for key in sorted(entries, key=order.__getitem__):
+            if grade[key] == cap - 2:
                 raise AssertionError(
                     "homogeneity-0 curvature component is nonzero")
-            if h <= 2:
-                terms[(slots, key)] = poly
+            terms[(slots, key)] = entries[key]
     reads = Chain(ODD, l, 2, terms)
     if _tensors(reads)["Q"]:
         raise AssertionError(

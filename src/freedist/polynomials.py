@@ -183,6 +183,8 @@ class Polynomial:
         add_product(out, self.terms, other.terms)
         return Polynomial(self.chart, out)
 
+    __rmul__ = __mul__
+
     def scale(self, s: ScalarLike) -> "Polynomial":
         v = ExactScalar.of(s)
         if v.is_zero():

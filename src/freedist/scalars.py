@@ -116,6 +116,8 @@ class ExactScalar:
     def __mul__(self, other: "ScalarLike") -> "ExactScalar":
         o = other
         if type(o) is not ExactScalar:
+            if not isinstance(o, (int, Fraction)):
+                return NotImplemented   # a polynomial scales by it
             if o == 1:   # the commonest integer table entry
                 return self
             o = ExactScalar.of(o)

@@ -365,6 +365,29 @@ def test_pair_minor_values_match_per_form_evaluation():
     assert nonzero[0]
 
 
+def test_engine_refuses_nonzero_single_target_reads():
+    """A unit added to one C coefficient of armstrong_l4 gives the
+    connection a nonzero Q read, which the engine refuses."""
+    frame, f, A, C = engine_inputs(load_fields("armstrong_l4.frame"))
+    C = dict(C)
+    C[(1, (2, 3))] = C.get((1, (2, 3)), Polynomial.zero(frame.chart)) + 1
+    with pytest.raises(AssertionError, match="single-target homogeneity-1 "
+                       "curvature reads are nonzero"):
+        _curvature_reads(frame, f, A, C)
+
+
+def test_engine_refuses_a_nonzero_homogeneity_zero_component(monkeypatch):
+    """[lo1 1, lo1 2] read as 2 lo2 (1, 2) leaves the flat model's
+    homogeneity-0 read of (up1 1, up1 2) at -lo2 (1, 2): refused."""
+    frame, f, A, C = engine_inputs(flat_fields(4))
+    _curvature_reads(frame, f, A, C)
+    monkeypatch.setitem(algebra(4)._tables[ODD], (("lo1", 1), ("lo1", 2)),
+                        ((("lo2", (1, 2)), 2),))
+    with pytest.raises(AssertionError, match="homogeneity-0 curvature "
+                       "component is nonzero"):
+        _curvature_reads(frame, f, A, C)
+
+
 # --- the full connection: E and F in the connection, not in responses ----
 #
 # The engine reads the curvature of the connection before the degree-2
@@ -851,3 +874,78 @@ def test_closedness_check_catches_a_negated_p_entry():
     key = ((3, 4), 1, (2, 3))
     P[key] = -P[key]
     assert not differential(_chain(4, {"P": P})).is_zero()
+
+
+# --- metamorphic invariance ------------------------------------------------
+#
+# flat and kappa11_deg2_zero are properties of the distribution, not of the
+# frame that presents it, and any frame of the flat model has P = R = S = T
+# = 0 however much its structure functions and connection move.
+
+def triangular_change(fields, rng):
+    """X_i -> sum_{j >= i} g_ij X_j for a random constant g with nonzero
+    diagonal."""
+    out = []
+    for i, x in enumerate(fields):
+        y = x.scale(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        for later in fields[i + 1:]:
+            c = rng.choice([0, 0, 1, -1, 2, Fraction(-1, 3)])
+            if c:
+                y = y + later.scale(c)
+        out.append(y)
+    return out
+
+
+def gauge_change(fields, rng):
+    """X_i += m X_j for random i != j and a random monomial m in one or
+    two single coordinates."""
+    ch = fields[0].chart
+    i, j = rng.sample(range(len(fields)), 2)
+    exps = [0] * ch.ncoords
+    for _ in range(rng.randint(1, 2)):
+        exps[ch.x_index(rng.randint(1, ch.l))] += 1
+    m = Polynomial(ch, {tuple(exps): ExactScalar.of(
+        rng.choice([1, -1, 2, Fraction(1, 2)]))})
+    out = list(fields)
+    out[i] = out[i] + fields[j].scale(m)
+    return out
+
+
+def verdicts(fields):
+    k = analyze(fields).curvature
+    return k.flat, k.kappa11_deg2_zero
+
+
+def test_verdicts_are_invariant_under_frame_changes():
+    """Two constant triangular changes and one gauge change per frame."""
+    bases = [load_fields(name) for name in
+             ("flat_l4.frame", "armstrong_l4.frame", "obstructed_l4.frame")]
+    rng = random.Random(5)
+    while len(bases) < 7:
+        fields = random_sparse_fields(4, rng)
+        try:
+            analyze(fields)
+        except (DegenerateFrameError, UnsupportedFrameError):
+            continue
+        bases.append(fields)
+    rng = random.Random(7)
+    seen = set()
+    for fields in bases:
+        want = verdicts(fields)
+        seen.add(want)
+        for _ in range(2):
+            assert verdicts(triangular_change(fields, rng)) == want
+        assert verdicts(gauge_change(fields, rng)) == want
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("l", [4, 5])
+def test_gauge_changed_flat_frames_have_zero_curvature(l):
+    rng = random.Random(l)
+    for _ in range(4):
+        report = analyze(gauge_change(flat_fields(l), rng))
+        c, k = report.connection, report.curvature
+        assert not report.f.is_zero()
+        assert c.A or c.C or c.E or c.F
+        assert not (k.P or k.R or k.S or k.T)
+        assert k.flat and k.kappa11_deg2_zero

@@ -103,3 +103,18 @@ def test_sparse_sums_go_through_the_one_helper():
                 found.append(f"{name}:{node.lineno}: pop")
     assert helpers == ["polynomials.py:accumulate"]
     assert found == []
+
+
+def test_curvature_engine_builds_no_matrix():
+    """The curvature engine works on basis coefficients: normalization.py
+    reads no basis matrix (``odd_mat``) and calls no basis expansion
+    (``.expand(``), so the matrix route cannot come back."""
+    found = []
+    for node in ast.walk(dict(_package_trees())["normalization.py"]):
+        if isinstance(node, ast.Attribute) and node.attr == "odd_mat":
+            found.append(f"{node.lineno}: odd_mat")
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "expand"):
+            found.append(f"{node.lineno}: expand")
+    assert found == []

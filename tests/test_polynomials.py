@@ -137,6 +137,18 @@ def test_scalar_operands_are_constant_polynomials():
         x1 * "x"
 
 
+def test_scalar_times_polynomial_is_scale_on_either_side():
+    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    p = x1 * x1 + Polynomial.const(CH, ExactScalar(Fraction(1, 3), 1))
+    for c in (3, -2, Fraction(1, 2), ExactScalar(3),
+              ExactScalar(Fraction(-1, 2), 1)):
+        assert c * p == p * c == p.scale(c)
+    assert 1 * p is p and ExactScalar.one() * p == p
+    assert (0 * p).is_zero() and (ExactScalar.zero() * p).is_zero()
+    with pytest.raises(TypeError):
+        "x" * x1
+
+
 def pruning_reference(dst, key, c):
     """The add-or-drop step each caller used to write out for itself."""
     s = dst.get(key, 0) + c

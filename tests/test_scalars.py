@@ -133,6 +133,20 @@ def test_adding_a_non_number_raises_type_error():
     assert ExactScalar.one().__add__("x") is NotImplemented
 
 
+def test_multiplying_by_a_non_number_defers_to_the_other_operand():
+    x = ExactScalar(Fraction(3, 4), 2)
+    assert x.__mul__("x") is NotImplemented
+    assert x.__mul__([1]) is NotImplemented
+    with pytest.raises(TypeError):
+        x * "x"
+    with pytest.raises(TypeError):
+        "x" * x
+    # the hot paths keep their results: * 1 is the scalar itself
+    assert x * 1 is x and 1 * x is x
+    assert x * 2 == 2 * x == x + x
+    assert x * Fraction(1, 2) == ExactScalar(Fraction(3, 8), 1)
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         ExactScalar.zero().inverse()

@@ -80,14 +80,12 @@ class VectorField:
         """Directional derivative of a polynomial along this field."""
         if p.chart != self.chart:
             raise ValueError("mismatched charts in directional derivative")
-        out = Polynomial.zero(self.chart)
-        for d, comp in enumerate(self.components):
-            if comp.is_zero():
-                continue
-            dp = p.partial_derivative(d)
-            if not dp.is_zero():
-                out = out + comp * dp
-        return out
+        out: Dict[Exponents, ExactScalar] = {}
+        for d in sorted({d for e in p.terms for d, k in enumerate(e) if k}):
+            comp = self.components[d]
+            if comp.terms:
+                add_product(out, comp.terms, p.partial_derivative(d).terms)
+        return Polynomial(self.chart, out)
 
     def evaluate(self, point: Dict[int, ExactScalar]) -> List[ExactScalar]:
         return [c.evaluate(point) for c in self.components]
@@ -199,21 +197,18 @@ class DifferentialForm:
         for f in fields:
             if f.chart != self.chart:
                 raise ValueError("mismatched charts in form evaluation")
-        out = Polynomial.zero(self.chart)
+        out: Dict[Exponents, ExactScalar] = {}
         if self.degree == 1:
             v = fields[0]
             for (c,), g in self.terms.items():
-                vc = v.components[c]
-                if not vc.is_zero():
-                    out = out + g * vc
-            return out
+                add_product(out, g.terms, v.components[c].terms)
+            return Polynomial(self.chart, out)
         v, w = fields
         for (d, c), g in self.terms.items():
             t = v.components[d] * w.components[c] \
                 - v.components[c] * w.components[d]
-            if not t.is_zero():
-                out = out + g * t
-        return out
+            add_product(out, g.terms, t.terms)
+        return Polynomial(self.chart, out)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, DifferentialForm)
@@ -249,13 +244,13 @@ class PairMinors:
                 raise ValueError("mismatched charts in form evaluation")
             uc, vc = u.components, v.components
             su = [d for d, p in enumerate(uc) if p.terms]
-            sv = [e for e, p in enumerate(vc) if p.terms]
+            minus_v = {e: (-p).terms for e, p in enumerate(vc) if p.terms}
             keys = {(d, e) if d < e else (e, d)
-                    for d in su for e in sv if d != e}
+                    for d in su for e in minus_v if d != e}
             for d, e in keys:
                 out: Dict[Exponents, ExactScalar] = {}
                 add_product(out, uc[d].terms, vc[e].terms)
-                add_product(out, uc[e].terms, (-vc[d]).terms)
+                add_product(out, uc[e].terms, minus_v.get(d, {}))
                 t = Polynomial(chart, out)
                 if t.terms:
                     table.setdefault((d, e), []).append((i, t))
@@ -355,7 +350,8 @@ def _assemble(fields: Sequence[VectorField]
     pairs: Dict[Tuple[int, int], VectorField] = {}
     for j in range(1, l + 1):
         for k in range(j + 1, l + 1):
-            pairs[(j, k)] = -lie_bracket(singles[j - 1], singles[k - 1])
+            # the negated bracket [X_j, X_k] is [X_k, X_j]
+            pairs[(j, k)] = lie_bracket(singles[k - 1], singles[j - 1])
     cols = [singles[key[1] - 1] if key[0] == "s" else pairs[key[1]]
             for key in frame_keys(l)]
     return chart, l, singles, pairs, _jacobian(chart, cols)
@@ -539,7 +535,7 @@ def structure_functions(frame: Frame) -> StructureFunctions:
     for tkey in keys:
         dtheta = coframe.form(tkey).d()
         values = minors.values(dtheta)
-        recon = DifferentialForm.zero(chart, 2)
+        recon: Dict[Tuple[int, ...], Polynomial] = {}
         for idx, (ukey, vkey) in enumerate(pairs):
             coeff = values.get(idx, zero)
             if ukey[0] == "s" and vkey[0] == "s":
@@ -567,8 +563,8 @@ def structure_functions(frame: Frame) -> StructureFunctions:
             if wedge is None:
                 wedge = wedges[idx] = coframe.form(ukey).wedge(
                     coframe.form(vkey))
-            recon = recon + wedge.scale(coeff)
-        if recon != dtheta:
+            accumulate(recon, wedge.terms.items(), coeff)
+        if recon != dtheta.terms:
             raise AssertionError(
                 "structure-function expansion failed to reproduce the "
                 "coframe differential")

@@ -5,8 +5,8 @@ Kernels and linear systems share one sparse elimination core,
 tails (their expressions in the original vectors) along.
 ``kernel_of_columns`` reads the kernel off the dependent columns' tails;
 ``FactoredSystem`` back-substitutes over the pivots once per system, and
-then solves each polynomial right-hand side by one sparse combination per
-unknown; ``invert_scalar_matrix`` does the same back-substitution for a
+then adds each nonzero polynomial right-hand side into the unknowns it
+reaches; ``invert_scalar_matrix`` does the same back-substitution for a
 square scalar matrix and reads its determinant off the pivots and tails.
 Inverses of polynomial matrices with constant determinant are Newton-lifted
 from the inverse of their constant term, up to the cofactor degree bound:
@@ -19,10 +19,10 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 from operator import add
-from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Hashable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
-from .polynomials import Chart, Polynomial, accumulate
+from .polynomials import Polynomial, accumulate
 from .scalars import ExactScalar, _reduced
 
 
@@ -195,15 +195,6 @@ def _solution_operator(blocks: List[List[Pivot]]
     return {u: _scalars(*ints[u]) for u in ints}
 
 
-def _poly_sum(chart_: Chart,
-              pairs: Iterable[Tuple[Polynomial, ExactScalar]]) -> Polynomial:
-    """sum c * p over the pairs (p, c), as one Polynomial."""
-    acc: Dict[Hashable, ExactScalar] = {}
-    for p, c in pairs:
-        accumulate(acc, p.terms.items(), c)
-    return Polynomial(chart_, acc)
-
-
 class FactoredSystem:
     """A constant-coefficient sparse system factored once for many solves.
 
@@ -212,8 +203,10 @@ class FactoredSystem:
     (full column rank; raises ValueError otherwise), and the dependent rows
     are the redundant ones.  ``_solution_operator`` back-substitutes over
     the pivots once, giving each unknown as a fixed combination of
-    right-hand sides; a solve forms that combination, one term dict per
-    unknown, and verifies every row against its right-hand side exactly.
+    right-hand sides, kept by right-hand side: ``_op[r]`` maps unknown j to
+    the coefficient of rhs[r] in x[j], j ascending.  A solve adds only the
+    nonzero right-hand sides into the unknowns' term dicts, then verifies
+    every row against its right-hand side exactly, over nonzero unknowns.
     """
 
     def __init__(self, rows: Sequence[Dict[int, ExactScalar]],
@@ -228,7 +221,10 @@ class FactoredSystem:
                 f"linear system does not determine unknowns {missing[:5]}"
                 + ("..." if len(missing) > 5 else ""))
         op = _solution_operator(blocks)
-        self._op = [op[j] for j in range(nunknowns)]
+        self._op: List[Dict[int, ExactScalar]] = [{} for _ in self.rows]
+        for j in range(nunknowns):
+            for r, c in op[j].items():
+                self._op[r][j] = c
 
     def solve(self, rhs: Sequence[Polynomial]) -> List[Polynomial]:
         if len(rhs) != len(self.rows):
@@ -236,13 +232,20 @@ class FactoredSystem:
         if not rhs:
             raise ValueError("empty system")
         chart_ = rhs[0].chart
-        xs = [_poly_sum(chart_, ((rhs[r], c) for r, c in op.items()))
-              for op in self._op]
+        xs: List[Dict[Hashable, ExactScalar]] = [
+            {} for _ in range(self.nunknowns)]
+        for b, op in zip(rhs, self._op):
+            if b.terms:
+                for j, c in op.items():
+                    accumulate(xs[j], b.terms.items(), c)
         for row, b in zip(self.rows, rhs):
-            lhs = _poly_sum(chart_, ((xs[j], c) for j, c in row.items()))
-            if lhs != b:
+            lhs: Dict[Hashable, ExactScalar] = {}
+            for j, c in row.items():
+                if xs[j]:
+                    accumulate(lhs, xs[j].items(), c)
+            if lhs != b.terms:
                 raise ValueError("inconsistent linear system")
-        return xs
+        return [Polynomial(chart_, x) for x in xs]
 
 
 def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
@@ -283,11 +286,15 @@ def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
 
 def _mat_mul(a: Sequence[Sequence[Polynomial]],
              b: Sequence[Sequence[Polynomial]],
-             below: Optional[int] = None) -> List[List[Polynomial]]:
-    """Product of square polynomial matrices, skipping zero entries; with
-    ``below``, only the terms of total degree < below are formed."""
+             below: Optional[int] = None,
+             base: Optional[Sequence[Sequence[Polynomial]]] = None
+             ) -> List[List[Polynomial]]:
+    """base + a*b for square polynomial matrices (zero base when None),
+    each entry in one term dict, skipping zero entries of a; with
+    ``below``, only product terms of total degree < below are formed."""
     n = len(a)
     chart = a[0][0].chart
+    zero = Polynomial.zero(chart)
     b_terms = [[[(e, sum(e), c) for e, c in b[k][j].terms.items()]
                 for j in range(n)] for k in range(n)]
     out = []
@@ -296,7 +303,7 @@ def _mat_mul(a: Sequence[Sequence[Polynomial]],
                    for k in range(n) if a[i][k].terms]
         row = []
         for j in range(n):
-            acc: Dict[Tuple[int, ...], ExactScalar] = {}
+            acc = dict(base[i][j].terms) if base else {}
             for k, ta in a_terms:
                 tb = b_terms[k][j]
                 for e1, d1, c1 in ta:
@@ -307,7 +314,7 @@ def _mat_mul(a: Sequence[Sequence[Polynomial]],
                         v = c1 * c2
                         s = acc.get(e)
                         acc[e] = v if s is None else s + v
-            row.append(Polynomial(chart, acc))
+            row.append(Polynomial(chart, acc) if acc else zero)
         out.append(row)
     return out
 
@@ -321,7 +328,8 @@ def poly_inverse(m: Sequence[Sequence[Polynomial]],
 
     Starts from X = m(0)^-1 (``x0`` when the caller has it already) and
     repeats: E = I - X*m exactly; return X when E = 0, otherwise double the
-    precision p and set X = X + E*X truncated to total degree < p.  The
+    precision p and set X = X + E*X truncated to total degree < p, both
+    sums formed in ``_mat_mul``'s term dicts (E as I + X*(-m)).  The
     returned X satisfies X*m = I exactly.  An inverse that exists is the
     adjugate over a constant, and a cofactor leaves out one row and one
     column, so its degree is at most the sum of the column degrees less
@@ -347,11 +355,12 @@ def poly_inverse(m: Sequence[Sequence[Polynomial]],
     bound = min(sum(rows) - min(rows), sum(cols) - min(cols))
     one = Polynomial.const(chart, ExactScalar.one())
     zero = Polynomial.zero(chart)
+    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    minus_m = [[-p for p in row] for row in m]
     x = [[Polynomial(chart, {zeros: v}) for v in row] for row in x0]
     precision = 1
     while True:
-        e = [[(one if i == j else zero) - p for j, p in enumerate(row)]
-             for i, row in enumerate(_mat_mul(x, m))]
+        e = _mat_mul(x, minus_m, base=identity)
         if not any(p.terms for row in e for p in row):
             return x
         if precision > bound:
@@ -359,8 +368,7 @@ def poly_inverse(m: Sequence[Sequence[Polynomial]],
                 f"Newton inverse passed the degree bound {bound} without "
                 "X*m = I; the determinant is not a nonzero constant")
         precision *= 2
-        x = [[p + q for p, q in zip(xr, er)]
-             for xr, er in zip(x, _mat_mul(e, x, precision))]
+        x = _mat_mul(e, x, precision, base=x)
 
 
 def signature_of_symmetric(m: Sequence[Sequence[ExactScalar]]

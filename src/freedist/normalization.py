@@ -496,9 +496,11 @@ def analyze(fields: Sequence[VectorField],
     A, C, P = solve_degree1(f)
     E, F, R, S, T = solve_degree2(frame, f, A, C)
     flat = flatness_test(P)
-    # Bianchi: the lowest nonzero component is harmonic, so closed too
-    lowest = {"R": R, "S": S, "T": T} if flat else {"P": P}
-    if not differential(_chain(frame.l, lowest)).is_zero():
+    # the lowest nonzero component is harmonic (Bianchi), and no harmonic
+    # 2-cochain has homogeneity 2, so P = 0 forces R = S = T = 0
+    if flat and (R or S or T):
+        raise AssertionError("flat check: P is zero but R, S or T is not")
+    if not flat and not differential(_chain(frame.l, {"P": P})).is_zero():
         raise AssertionError(
             "Bianchi check: the differential of the lowest nonzero "
             "curvature component is not zero")

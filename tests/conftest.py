@@ -204,8 +204,10 @@ def reference_kernel_of_columns(columns):
 
 
 def reference_solution_operator(rows, nunknowns):
-    """FactoredSystem's per-unknown solution operator by the reference
-    core, with the same ValueError for an underdetermined system."""
+    """FactoredSystem's solution operator by the reference core, with the
+    same ValueError for an underdetermined system.  It is kept by
+    right-hand side, as FactoredSystem keeps it: per row r, each unknown j
+    (ascending) to the coefficient of rhs[r] in x[j]."""
     blocks = [pivots for pivots, _ in reference_eliminate(rows)]
     labels = {p[0] for pivots in blocks for p in pivots}
     missing = [j for j in range(nunknowns) if j not in labels]
@@ -224,7 +226,11 @@ def reference_solution_operator(rows, nunknowns):
                 if k != pkey:
                     _ref_accumulate(x, -v, op[k])
             op[pkey] = x
-    return [op[j] for j in range(nunknowns)]
+    by_rhs = [{} for _ in rows]
+    for j in range(nunknowns):
+        for r, c in op[j].items():
+            by_rhs[r][j] = c
+    return by_rhs
 
 
 # --------------------------------------------------------------------------

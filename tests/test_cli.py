@@ -23,6 +23,7 @@ from freedist.cli import (ALGEBRA_CHECK_MAX_L, ALGEBRA_CHECK_MIN_L,
                           COHOMOLOGY_MIN_L, SPINOR_MAX_L, SPINOR_MIN_L,
                           _parse_h_range, main)
 from freedist.parsing import MAX_DIGITS, MAX_L
+from freedist.polynomials import Polynomial
 
 JSON_KEY_ORDER = ["l", "nondegenerate", "structure_functions", "A", "C", "E",
                   "F", "P", "R", "S", "T", "flat", "kappa11_deg2_zero",
@@ -349,8 +350,7 @@ def test_normalization_system_failure_exit_3(capsys, flip_unit_sign, degree,
 def test_bianchi_check_failure_exit_3(capsys, monkeypatch):
     """One P entry of obstructed_l4 negated after the degree-1 solve leaves
     P not closed: analyze's Bianchi check reports one internal-error line.
-    (P = 0 with a nonzero homogeneity-2 part, the check's other branch, has
-    no known frame and stays untested.)"""
+    (When P = 0 the flat check replaces it; see the next test.)"""
     solve = normalization_module.solve_degree1
 
     def negated(f):
@@ -363,6 +363,39 @@ def test_bianchi_check_failure_exit_3(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("internal error: Bianchi check: the differential of the "
                    "lowest nonzero curvature component is not zero\n")
+
+
+# the flat model with X1 += x2*X3: nonzero structure functions, P = 0
+GAUGE_CHANGED_FLAT_L4 = """l: 4
+X1: Dx1 - x2*Dy[1,2] - x3*Dy[1,3] - x4*Dy[1,4] + x2*Dx3 - x2*x4*Dy[3,4]
+X2: Dx2 - x3*Dy[2,3] - x4*Dy[2,4]
+X3: Dx3 - x4*Dy[3,4]
+X4: Dx4
+"""
+
+
+def test_flat_check_failure_exit_3(capsys, monkeypatch, tmp_path):
+    """An S entry injected after the degree-2 solve of a gauge-changed flat
+    frame breaks P = 0 => R = S = T = 0: one internal-error line names the
+    flat check."""
+    path = tmp_path / "gauge_flat_l4.frame"
+    path.write_text(GAUGE_CHANGED_FLAT_L4, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(path))
+    data = json.loads(out)
+    assert code == 0 and data["flat"] and data["structure_functions"]
+    assert not (data["R"] or data["S"] or data["T"])
+    solve = normalization_module.solve_degree2
+
+    def injected(*args):
+        E, F, R, S, T = solve(*args)
+        one = Polynomial.const(args[0].chart, 1)
+        return E, F, R, {**S, (1, 2, (3, 4)): one}, T
+
+    monkeypatch.setattr(normalization_module, "solve_degree2", injected)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert err == ("internal error: flat check: P is zero but R, S or T is "
+                   "not\n")
 
 
 def test_spinor_command(capsys):

@@ -355,11 +355,42 @@ def test_factored_system_matches_gauss_jordan_on_normalization_systems(
 @pytest.mark.parametrize("degree", [1, 2])
 def test_normalization_operators_match_reference_core(l, degree):
     """The integer systems give the reference core's solution operator:
-    the same values, each unknown's right-hand sides in the same order."""
+    the same values, each right-hand side's unknowns in the same order."""
     _, _, fs = _system(l, degree)
     want = reference_solution_operator(fs.rows, fs.nunknowns)
     assert fs._op == want
     assert [list(op) for op in fs._op] == [list(op) for op in want]
+
+
+def test_zero_right_hand_sides_give_zero_unknowns():
+    zero = Polynomial.zero(CH)
+    fs = FactoredSystem([{0: sc(1)}, {1: sc(2)}, {0: sc(1), 1: sc(1)}], 2)
+    assert fs.solve([zero] * 3) == [zero] * 2
+    _, _, fs = _system(4, 2)
+    assert fs.solve([Polynomial.zero(chart(4))] * len(fs.rows)) \
+        == [Polynomial.zero(chart(4))] * fs.nunknowns
+
+
+def test_solve_checks_rows_the_solution_never_reads():
+    """The solve reads only the nonzero right-hand sides and sums only
+    the nonzero unknowns, but still checks every row: a right-hand side
+    off only on the redundant row, or nonzero only on a row whose unknowns
+    all come out zero, is inconsistent."""
+    x1 = Polynomial.coordinate(CH, 0)
+    zero = Polynomial.zero(CH)
+    fs = FactoredSystem([{0: sc(1)}, {1: sc(2)}, {0: sc(1), 1: sc(1)}], 2)
+    assert fs.solve([x1, x1.scale(2), x1 + x1]) == [x1, x1]
+    for rhs in ([x1, zero, zero], [zero, zero, const(1)]):
+        with pytest.raises(ValueError, match="^inconsistent linear system$"):
+            fs.solve(rhs)
+    _, _, fs = _system(4, 2)
+    ch = chart(4)
+    redundant = [r for r, op in enumerate(fs._op) if not op]
+    assert redundant
+    for r in redundant[:3]:
+        rhs = [Polynomial.zero(ch)] * len(fs.rows)
+        rhs[r] = Polynomial.const(ch, 1)
+        assert solve_outcome(fs, rhs) == "inconsistent linear system"
 
 
 @pytest.mark.parametrize("l", [3, 4, 5])

@@ -158,6 +158,24 @@ def test_obstructed_golden():
     assert_self_consistent(rep)
 
 
+@pytest.mark.parametrize("l", [4, 5])
+def test_paper_normality_criterion_agrees_with_the_verdict(l):
+    """The paper's criterion, ``kappa11_normality_test`` on the curvature
+    chain, gives the reported kappa11_deg2_zero (T = 0) on seeded random
+    frames, obstructed ones (T != 0) among them."""
+    rng = random.Random(l)
+    verdicts = []
+    while len(verdicts) < 12:
+        try:
+            k = analyze(random_sparse_fields(l, rng)).curvature
+        except (DegenerateFrameError, UnsupportedFrameError):
+            continue
+        assert kappa11_normality_test(curvature_chain(k)) \
+            == k.kappa11_deg2_zero == (not k.T)
+        verdicts.append(k.kappa11_deg2_zero)
+    assert verdicts.count(False) >= 2 and verdicts.count(True) >= 2
+
+
 def test_random_frames_self_consistent():
     rng = random.Random(811)
     done = 0

@@ -118,3 +118,29 @@ def test_curvature_engine_builds_no_matrix():
               and node.func.attr == "expand"):
             found.append(f"{node.lineno}: expand")
     assert found == []
+
+
+def _rebound_sums(tree):
+    """Line numbers of ``x = x + ...`` and ``x = x - ...`` inside loops."""
+    return sorted({node.lineno for loop in ast.walk(tree)
+                   if isinstance(loop, (ast.For, ast.While))
+                   for node in ast.walk(loop)
+                   if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.BinOp)
+                   and isinstance(node.value.op, (ast.Add, ast.Sub))
+                   and isinstance(node.value.left, ast.Name)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                   == [node.value.left.id]})
+
+
+def test_frame_and_linear_layers_sum_into_one_term_dict():
+    """In geometry.py and linalg.py a sum over a loop goes into one term
+    dict (``add_product``, ``accumulate``): no loop rebinds a name to
+    itself plus or minus a term, which builds a new object every step."""
+    trees = dict(_package_trees())
+    assert {name: _rebound_sums(trees[name])
+            for name in ("geometry.py", "linalg.py")} \
+        == {"geometry.py": [], "linalg.py": []}
+    assert _rebound_sums(ast.parse(
+        "for p in ps:\n    out = out + p\nwhile q:\n    q = q - 1\n")) \
+        == [2, 4]

@@ -22,7 +22,7 @@ from .normalization import analyze, report_to_json
 from .parsing import parse_frame_file, parse_scalar
 from .scalars import ExactScalar
 from .spinorial import (SpinorIdentification, TangentKey, list_inclusions,
-                        null_cone_member, pfaffian, tangent_to_skew)
+                        pfaffian, tangent_to_skew)
 
 # Resource guards (configuration, not mathematical limits): the graded
 # battery, harmonic scans and frame analysis grow quickly with rank, so the
@@ -224,7 +224,7 @@ def _cmd_spinor(args: argparse.Namespace) -> int:
         "l": args.l,
         "skew_matrix": [[e.to_expr() for e in row] for row in m.entries],
         "pfaffian": pf.to_expr(),
-        "null_cone_member": null_cone_member(v, args.l),
+        "null_cone_member": pf.is_zero(),
     }
     print(json.dumps(data, indent=2))
     return 0

@@ -6,7 +6,8 @@ space with constant determinant (unimodularity), which keeps the dual
 coframe polynomial.  One exact polynomial inverse of the frame matrix both
 certifies that and gives the dual coframe.  Structure functions are the
 coefficients of each coframe differential in the basis of coframe wedge
-products.
+products, read off the interior products of the differentials with the
+frame fields.
 """
 
 from __future__ import annotations
@@ -81,10 +82,7 @@ class VectorField:
         if p.chart != self.chart:
             raise ValueError("mismatched charts in directional derivative")
         out: Dict[Exponents, ExactScalar] = {}
-        for d in sorted({d for e in p.terms for d, k in enumerate(e) if k}):
-            comp = self.components[d]
-            if comp.terms:
-                add_product(out, comp.terms, p.partial_derivative(d).terms)
+        _add_derivative(out, [c.terms for c in self.components], p)
         return Polynomial(self.chart, out)
 
     def evaluate(self, point: Dict[int, ExactScalar]) -> List[ExactScalar]:
@@ -107,12 +105,34 @@ class VectorField:
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """Commutator [v, w] with components v(w^c) - w(v^c)."""
+    """Commutator [v, w] with components v(w^c) - w(v^c), both directional
+    derivatives summed into one term dict per component."""
     if v.chart != w.chart:
         raise ValueError("mismatched charts in Lie bracket")
-    return VectorField(v.chart, [v.apply(wc) - w.apply(vc)
-                                 for vc, wc in zip(v.components,
-                                                   w.components)])
+    v_terms = [p.terms for p in v.components]
+    minus_w = [(-p).terms for p in w.components]
+    comps = []
+    for vc, wc in zip(v.components, w.components):
+        out: Dict[Exponents, ExactScalar] = {}
+        _add_derivative(out, v_terms, wc)
+        _add_derivative(out, minus_w, vc)
+        comps.append(Polynomial(v.chart, out))
+    return VectorField(v.chart, comps)
+
+
+def _variables(p: Polynomial) -> List[int]:
+    """The coordinates p involves, ascending."""
+    return sorted({d for e in p.terms for d, k in enumerate(e) if k})
+
+
+def _add_derivative(out: Dict[Exponents, ExactScalar],
+                    field: Sequence[Dict[Exponents, ExactScalar]],
+                    p: Polynomial) -> None:
+    """Add the derivative of p along the field whose component term dicts
+    are ``field`` into ``out``, coordinate by coordinate."""
+    for d in _variables(p):
+        if field[d]:
+            add_product(out, field[d], p.partial_derivative(d).terms)
 
 
 class DifferentialForm:
@@ -172,8 +192,9 @@ class DifferentialForm:
             raise ValueError("exterior derivative implemented for degree 1")
         pairs = []
         for (c,), g in self.terms.items():
-            for dd in range(self.chart.ncoords):
-                if dd != c and (dg := g.partial_derivative(dd)):
+            for dd in _variables(g):
+                if dd != c:
+                    dg = g.partial_derivative(dd)
                     pairs.append(((dd, c), dg) if dd < c else ((c, dd), -dg))
         terms: Dict[Tuple[int, ...], Polynomial] = {}
         accumulate(terms, pairs)
@@ -222,63 +243,6 @@ class DifferentialForm:
             raise ValueError("mismatched charts in form arithmetic")
         if self.degree != other.degree:
             raise ValueError("mismatched degrees in form arithmetic")
-
-
-class PairMinors:
-    """2-forms evaluated on a fixed list of argument pairs (u, v).
-
-    The table keeps, for each coordinate pair (d, e) with d < e, the
-    nonzero minors u_d*v_e - u_e*v_d as a list of (argument index, minor).
-    A minor depends only on its pair, so it is built once for every form
-    evaluated against the table; ``values`` then walks a form's terms
-    against it.  Pair by pair the result equals DifferentialForm.evaluate.
-    """
-
-    __slots__ = ("chart", "table")
-
-    def __init__(self, chart: Chart,
-                 args: Sequence[Tuple[VectorField, VectorField]]):
-        table: Dict[Tuple[int, int], List[Tuple[int, Polynomial]]] = {}
-        for i, (u, v) in enumerate(args):
-            if u.chart != chart or v.chart != chart:
-                raise ValueError("mismatched charts in form evaluation")
-            uc, vc = u.components, v.components
-            su = [d for d, p in enumerate(uc) if p.terms]
-            minus_v = {e: (-p).terms for e, p in enumerate(vc) if p.terms}
-            keys = {(d, e) if d < e else (e, d)
-                    for d in su for e in minus_v if d != e}
-            for d, e in keys:
-                out: Dict[Exponents, ExactScalar] = {}
-                add_product(out, uc[d].terms, vc[e].terms)
-                add_product(out, uc[e].terms, minus_v.get(d, {}))
-                t = Polynomial(chart, out)
-                if t.terms:
-                    table.setdefault((d, e), []).append((i, t))
-        self.chart = chart
-        self.table = table
-
-    def values(self, form: "DifferentialForm") -> Dict[int, Polynomial]:
-        """The nonzero values of a 2-form, keyed by argument index."""
-        if form.degree != 2:
-            raise ValueError("wrong number of field arguments")
-        if form.chart != self.chart:
-            raise ValueError("mismatched charts in form evaluation")
-        acc: Dict[int, Dict[Exponents, ExactScalar]] = {}
-        for key, g in form.terms.items():
-            entries = self.table.get(key)
-            if entries is None:
-                continue
-            for i, t in entries:
-                out = acc.get(i)
-                if out is None:
-                    out = acc[i] = {}
-                add_product(out, g.terms, t.terms)
-        result = {}
-        for i, out in acc.items():
-            val = Polynomial(self.chart, out)
-            if val.terms:
-                result[i] = val
-        return result
 
 
 def frame_keys(l: int) -> List[FrameKey]:
@@ -514,71 +478,67 @@ class StructureFunctions:
 def structure_functions(frame: Frame) -> StructureFunctions:
     """Expand each coframe differential over coframe wedge products.
 
-    Each dtheta is evaluated on every frame pair at once, through one
-    PairMinors table over all frame pairs.  Verifies the expansion exactly
+    f^t_uv = dtheta^t(F_u, F_v) is read off the interior product
+    iota_{F_u} dtheta^t, built once per target and frame field: a term
+    g dx_d^dx_e contributes g*u_d dx_e - g*u_e dx_d.  Pairing that 1-form
+    with each later F_v gives the values.  Verifies the expansion exactly
     as coordinate 2-forms (each wedge theta_u^theta_v is built once, when a
     first target needs it) and checks that each pair coframe differential
     carries exactly its own single wedge pair with unit coefficient in the
     single-single block (raising NotFreeDistributionError otherwise).
     """
-    l = frame.l
     chart = frame.chart
     coframe = dual_coframe(frame)
     keys = frame.keys()
-    pairs = [(keys[ui], keys[vi]) for ui in range(len(keys))
-             for vi in range(ui + 1, len(keys))]
-    minors = PairMinors(chart, [(frame.field(ukey), frame.field(vkey))
-                                for ukey, vkey in pairs])
-    wedges: Dict[int, DifferentialForm] = {}
-    zero = Polynomial.zero(chart)
-    sf = StructureFunctions(l, chart)
+    comps = [[p.terms for p in frame.field(key).components] for key in keys]
+    minus = [[{e: -c for e, c in t.items()} for t in f] for f in comps]
+    support = [[(c, t) for c, t in enumerate(f) if t] for f in comps]
+    wedges: Dict[Tuple[int, int], DifferentialForm] = {}
+    sf = StructureFunctions(frame.l, chart)
+    zero, one = Polynomial.zero(chart), Polynomial.const(chart, 1)
+    # blocks by target kind and first argument kind: singles come first,
+    # so a single first argument pairs with a pair here
+    tables = {("s", "s"): sf.ss_sp, ("s", "p"): sf.ss_pp,
+              ("p", "s"): sf.pp_sp, ("p", "p"): sf.pp_pp}
     for tkey in keys:
         dtheta = coframe.form(tkey).d()
-        values = minors.values(dtheta)
         recon: Dict[Tuple[int, ...], Polynomial] = {}
-        for idx, (ukey, vkey) in enumerate(pairs):
-            coeff = values.get(idx, zero)
-            if ukey[0] == "s" and vkey[0] == "s":
-                if tkey[0] == "s":
-                    if not coeff.is_zero():
-                        raise AssertionError(
-                            "single coframe differential has a "
-                            "single-single component")
-                    continue
-                want = (ExactScalar.one()
-                        if tkey[1] == (ukey[1], vkey[1])
-                        else ExactScalar.zero())
-                if coeff != Polynomial.const(chart, want):
+        for ui, (ukey, u, minus_u) in enumerate(zip(keys, comps, minus)):
+            iota: Dict[int, Dict[Exponents, ExactScalar]] = {}
+            for (d, e), g in dtheta.terms.items():
+                if u[d]:
+                    add_product(iota.setdefault(e, {}), g.terms, u[d])
+                if u[e]:
+                    add_product(iota.setdefault(d, {}), g.terms, minus_u[e])
+            for vi in range(ui + 1, len(keys)):
+                vkey = keys[vi]
+                out: Dict[Exponents, ExactScalar] = {}
+                for c, terms in support[vi]:
+                    if c in iota:
+                        add_product(out, iota[c], terms)
+                coeff = Polynomial(chart, out) if out else zero
+                if vkey[0] == "p":
+                    if coeff:
+                        tables[(tkey[0], ukey[0])][
+                            (tkey[1], ukey[1], vkey[1])] = coeff
+                elif tkey[0] == "s" and coeff:
+                    raise AssertionError(
+                        "single coframe differential has a single-single "
+                        "component")
+                elif coeff != (one if tkey[1] == (ukey[1], vkey[1])
+                               else zero):
                     raise NotFreeDistributionError(
                         "pair coframe differentials do not reproduce "
                         "the single wedge pairs; the distribution is "
                         "not free of the stated rank")
-                if coeff.is_zero():
-                    continue
-            elif not coeff.is_zero():
-                _store(sf, tkey, ukey, vkey, coeff)
-            else:
-                continue
-            wedge = wedges.get(idx)
-            if wedge is None:
-                wedge = wedges[idx] = coframe.form(ukey).wedge(
-                    coframe.form(vkey))
-            accumulate(recon, wedge.terms.items(), coeff)
+                if coeff:
+                    wedge = wedges.get((ui, vi))
+                    if wedge is None:
+                        wedge = wedges[(ui, vi)] = coframe.form(ukey).wedge(
+                            coframe.form(vkey))
+                    accumulate(recon, wedge.terms.items(), coeff)
         if recon != dtheta.terms:
             raise AssertionError(
                 "structure-function expansion failed to reproduce the "
                 "coframe differential")
     return sf
-
-
-def _store(sf: StructureFunctions, tkey: FrameKey, ukey: FrameKey,
-           vkey: FrameKey, coeff: Polynomial) -> None:
-    target = tkey[1]
-    if ukey[0] == "s" and vkey[0] == "p":
-        table = sf.ss_sp if tkey[0] == "s" else sf.pp_sp
-        table[(target, ukey[1], vkey[1])] = coeff
-    elif ukey[0] == "p" and vkey[0] == "p":
-        table = sf.ss_pp if tkey[0] == "s" else sf.pp_pp
-        table[(target, ukey[1], vkey[1])] = coeff
-    else:  # pragma: no cover - canonical ordering puts singles first
-        raise AssertionError("unexpected argument ordering")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import freedist.cli as cli_module
 import freedist.normalization as normalization_module
+import freedist.spinorial as spinorial_module
 from conftest import data_path, frame_texts
 from freedist.cli import (ALGEBRA_CHECK_MAX_L, ALGEBRA_CHECK_MIN_L,
                           COHOMOLOGY_MAX_H_VALUES, COHOMOLOGY_MAX_L,
@@ -417,6 +418,31 @@ def test_spinor_numeric_values(capsys):
     data = json.loads(out)
     assert data["pfaffian"] == "0"
     assert data["null_cone_member"] is True
+
+
+@pytest.mark.parametrize("l, vector, code", [
+    (3, {"1": "1", "[2,3]": "1"}, 0), (3, {"[1,2]": 2}, 0),
+    (5, {"1": 1, "[2,3]": 1, "[4,5]": 1}, 0), (5, {"[1,2]": 1}, 0),
+    (4, {"1": "1"}, 2)])
+def test_spinor_expands_the_pfaffian_once(capsys, monkeypatch, l, vector,
+                                          code):
+    """One Pfaffian expansion per command: the null-cone verdict is read
+    off the printed Pfaffian, not expanded again."""
+    calls = []
+
+    def counted(m):
+        calls.append(m.size)
+        return pfaffian(m)
+
+    pfaffian = spinorial_module.pfaffian
+    monkeypatch.setattr(cli_module, "pfaffian", counted)
+    monkeypatch.setattr(spinorial_module, "pfaffian", counted)
+    got, out, _ = run(capsys, "spinor", "--l", str(l), "--vector",
+                      json.dumps({"v": vector}))
+    assert got == code and calls == [l + 1]
+    if code == 0:
+        data = json.loads(out)
+        assert data["null_cone_member"] is (data["pfaffian"] == "0")
 
 
 def test_spinor_bad_json_exit_1(capsys):

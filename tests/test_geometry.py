@@ -1,19 +1,21 @@
 """Fields, forms, brackets, frames, coframes, and structure functions."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (armstrong_fields, flat_fields, poly_det,
+from conftest import (armstrong_fields, data_path, flat_fields, poly_det,
                       random_sparse_fields)
 from freedist.errors import (DegenerateFrameError, NotFreeDistributionError,
                              UnsupportedFrameError)
-from freedist.geometry import (DifferentialForm, Frame, PairMinors,
-                               VectorField, _assemble, build_frame,
-                               check_nondegenerate, dual_coframe, frame_keys,
-                               lie_bracket, structure_functions)
+from freedist.geometry import (DifferentialForm, Frame, VectorField,
+                               _assemble, build_frame, check_nondegenerate,
+                               dual_coframe, frame_keys, lie_bracket,
+                               structure_functions)
+from freedist.parsing import parse_frame_file
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -43,6 +45,32 @@ def sparse_fields(draw):
     return VectorField(CH, comps)
 
 
+@st.composite
+def sqrt2_polys(draw):
+    """Zero or up to three monomials of degree <= 2 with coefficients in
+    Q(sqrt2), including ones with a zero rational part."""
+    p = Polynomial.zero(CH)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        mono = Polynomial.const(CH, ExactScalar(
+            draw(st.integers(min_value=-2, max_value=2)),
+            draw(st.integers(min_value=-1, max_value=1))))
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            mono = mono * coord_poly(draw(st.integers(
+                min_value=0, max_value=CH.ncoords - 1)))
+        p = p + mono
+    return p
+
+
+@st.composite
+def dense_fields(draw):
+    """Fields with every component drawn, many of them zero."""
+    return VectorField(CH, [draw(sqrt2_polys()) for _ in range(CH.ncoords)])
+
+
+def any_fields():
+    return st.one_of(sparse_fields(), dense_fields())
+
+
 @given(sparse_fields(), sparse_fields())
 @settings(deadline=None, max_examples=40)
 def test_bracket_antisymmetry(v, w):
@@ -58,7 +86,7 @@ def test_bracket_jacobi(u, v, w):
     assert total.is_zero()
 
 
-@given(sparse_fields(), sparse_fields())
+@given(any_fields(), any_fields())
 @settings(deadline=None, max_examples=30)
 def test_apply_is_a_derivation(v, w):
     p = coord_poly(CH.x_index(1)) * coord_poly(CH.y_index(1, 2))
@@ -93,7 +121,7 @@ def test_exterior_derivative_squares_to_zero():
     assert dd == dd  # stable
 
 
-@given(sparse_fields(), sparse_fields())
+@given(any_fields(), any_fields())
 @settings(deadline=None, max_examples=30)
 def test_intrinsic_exterior_derivative_formula(v, w):
     p = coord_poly(CH.x_index(1)) * coord_poly(CH.x_index(3))
@@ -118,77 +146,6 @@ def test_two_form_evaluation_antisymmetry():
     w = VectorField.coordinate_y(CH, 1, 2)
     om = a.wedge(b)
     assert om.evaluate(v, w) == -(om.evaluate(w, v))
-
-
-@st.composite
-def sqrt2_polys(draw):
-    """Zero or up to three monomials of degree <= 2 with coefficients in
-    Q(sqrt2), including ones with a zero rational part."""
-    p = Polynomial.zero(CH)
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        mono = Polynomial.const(CH, ExactScalar(
-            draw(st.integers(min_value=-2, max_value=2)),
-            draw(st.integers(min_value=-1, max_value=1))))
-        for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            mono = mono * coord_poly(draw(st.integers(
-                min_value=0, max_value=CH.ncoords - 1)))
-        p = p + mono
-    return p
-
-
-@st.composite
-def dense_fields(draw):
-    """Fields with every component drawn, many of them zero."""
-    return VectorField(CH, [draw(sqrt2_polys()) for _ in range(CH.ncoords)])
-
-
-@st.composite
-def two_forms(draw):
-    keys = [(d, e) for d in range(CH.ncoords) for e in range(d + 1,
-                                                              CH.ncoords)]
-    chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
-    return DifferentialForm(CH, 2, {k: draw(sqrt2_polys()) for k in chosen})
-
-
-@st.composite
-def argument_pairs(draw):
-    """Pairs over a small pool of fields, so that pairs repeat, swap or
-    take one field twice."""
-    pool = draw(st.lists(st.one_of(sparse_fields(), dense_fields()),
-                         min_size=1, max_size=4))
-    index = st.integers(min_value=0, max_value=len(pool) - 1)
-    return [(pool[draw(index)], pool[draw(index)])
-            for _ in range(draw(st.integers(min_value=0, max_value=8)))]
-
-
-@given(st.lists(two_forms(), min_size=1, max_size=3), argument_pairs())
-@settings(deadline=None, max_examples=60)
-def test_pair_minors_match_evaluate(forms, args):
-    minors = PairMinors(CH, args)
-    for (d, e), entries in minors.table.items():
-        assert d < e
-        assert [i for i, _ in entries] == sorted({i for i, _ in entries})
-        assert all(not t.is_zero() for _, t in entries)
-    for form in forms:
-        want = {}
-        for i, (u, v) in enumerate(args):
-            val = form.evaluate(u, v)
-            if not val.is_zero():
-                want[i] = val
-        assert minors.values(form) == want
-
-
-def test_pair_minors_argument_checks():
-    v = VectorField.coordinate_x(CH, 1)
-    minors = PairMinors(CH, [(v, VectorField.coordinate_x(CH, 2))])
-    with pytest.raises(ValueError):
-        minors.values(DifferentialForm.dcoord(CH, 0))
-    other = chart(4)
-    with pytest.raises(ValueError):
-        minors.values(DifferentialForm.dcoord(other, 0).wedge(
-            DifferentialForm.dcoord(other, 1)))
-    with pytest.raises(ValueError):
-        PairMinors(other, [(v, v)])
 
 
 def test_frame_keys_ordering():
@@ -416,6 +373,65 @@ def test_structure_functions_match_per_pair_evaluation():
         got = {name: list(table.items())
                for name, table in structure_functions(fr).blocks()}
         assert got == want
+
+
+def stored_value(f, tkey, ukey, vkey):
+    """What structure_functions keeps for dtheta^t(F_u, F_v): a block
+    entry, or zero where nothing is stored; on single-single pairs, which
+    it checks but never stores, 1 for a pair target's own pair, else 0."""
+    if vkey[0] == "s":
+        return Polynomial.const(f.chart, int(tkey[1] == (ukey[1], vkey[1])))
+    if ukey[0] == "s":
+        return f.single_pair(tkey[1], ukey[1], vkey[1])
+    return f.pair_pair(tkey[1], ukey[1], vkey[1])
+
+
+def golden_frame(name):
+    with open(data_path(name), encoding="utf-8") as fh:
+        return build_frame(parse_frame_file(fh.read())[1])
+
+
+def seeded_frames_with_structure(l, seed, count):
+    rng = random.Random(seed)
+    frames = []
+    while len(frames) < count:
+        try:
+            fr = build_frame(random_sparse_fields(l, rng))
+        except (DegenerateFrameError, UnsupportedFrameError):
+            continue
+        if not structure_functions(fr).is_zero():
+            frames.append(fr)
+    return frames
+
+
+with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:
+    GOLDEN_FRAMES = sorted(name for name, out in json.load(_fh).items()
+                           if out["json"]["exit_code"] == 0)
+
+
+@pytest.mark.parametrize("source", GOLDEN_FRAMES + ["seeded_l4",
+                                                    "seeded_l5"])
+def test_structure_functions_equal_the_coordinate_evaluation(source):
+    """Oracle: for every target t and frame pair (u, v), the stored value
+    is dtheta^t evaluated on (F_u, F_v) with DifferentialForm.evaluate,
+    and the blocks hold nothing else."""
+    if source.startswith("seeded"):
+        frames = seeded_frames_with_structure(int(source[-1]), 5, 3)
+    else:
+        frames = [golden_frame(source)]
+    for fr in frames:
+        f = structure_functions(fr)
+        coframe = dual_coframe(fr)
+        keys = fr.keys()
+        stored = 0
+        for tkey in keys:
+            dtheta = coframe.form(tkey).d()
+            for ui, ukey in enumerate(keys):
+                for vkey in keys[ui + 1:]:
+                    val = dtheta.evaluate(fr.field(ukey), fr.field(vkey))
+                    assert stored_value(f, tkey, ukey, vkey) == val
+                    stored += vkey[0] == "p" and not val.is_zero()
+        assert stored == sum(len(table) for _, table in f.blocks())
 
 
 def test_structure_function_accessors_signed():

@@ -16,8 +16,8 @@ from freedist.algebra import (ODD, Chain, GradedAlgebra, algebra,
                               kappa11_normality_test)
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
-from freedist.geometry import (DifferentialForm, PairMinors, build_frame,
-                               dual_coframe, structure_functions)
+from freedist.geometry import (DifferentialForm, build_frame, dual_coframe,
+                               structure_functions)
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
                                     _chain, _curvature_reads, _system,
                                     _tensors, _units, analyze,
@@ -190,9 +190,8 @@ def test_random_frames_self_consistent():
 
 
 def per_form_curvature_values(M, args):
-    """pair_minor_values without the shared minor table:
-    each row's 2-forms dM - M^M evaluated pair by pair with
-    DifferentialForm.evaluate."""
+    """The values of dM - M^M on each argument pair: each matrix row's
+    2-forms evaluated pair by pair with DifferentialForm.evaluate."""
     rows = {}
     for (r, c), form in M.items():
         rows.setdefault(r, []).append((c, form))
@@ -257,30 +256,7 @@ def coordinate_connection_forms(frame, A, C, E=None, F=None):
     return forms
 
 
-def pair_minor_values(M, args):
-    """The values of dM - M^M on each argument pair, one matrix row of
-    2-forms at a time, through one shared PairMinors table."""
-    rows = {}
-    for (r, c), form in M.items():
-        rows.setdefault(r, []).append((c, form))
-    values = [{} for _ in args]
-    minors = PairMinors(args[0][0].chart, args)
-    for r, row in rows.items():
-        omega2 = {c: form.d() for c, form in row}
-        for m, f1 in row:
-            for c, f2 in rows.get(m, ()):
-                w = f1.wedge(f2)
-                if not w.is_zero():
-                    old = omega2.get(c)
-                    omega2[c] = (old - w) if old is not None else -w
-        for c, form in omega2.items():
-            for i, val in minors.values(form).items():
-                values[i][(r, c)] = val
-    return values
-
-
-def coordinate_curvature_reads(frame, A, C, E=None, F=None,
-                               evaluate=pair_minor_values):
+def coordinate_curvature_reads(frame, A, C, E=None, F=None):
     """The curvature engine on coordinate 2-forms, the reference for
     _curvature_reads: the matrix of connection 1-forms, its 2-forms
     dM - M^M evaluated on the dual frame W of the connection coframe, and
@@ -301,8 +277,8 @@ def coordinate_curvature_reads(frame, A, C, E=None, F=None,
         W[("up2", p)] = w
     args = list(combinations(ga.positive_keys, 2))
     terms = {}
-    for slots, entries in zip(args, evaluate(M, [(W[a], W[b])
-                                                 for a, b in args])):
+    for slots, entries in zip(args, per_form_curvature_values(
+            M, [(W[a], W[b]) for a, b in args])):
         coeffs = ga.expand(ODD, entries)
         if coeffs is None:
             raise AssertionError(
@@ -364,23 +340,6 @@ def test_structure_equation_reads_match_coordinate_engine_on_random_frames(
     for inputs in seeded_frames(l, 2024, count):
         nonzero += bool(assert_reads_match_reference(*inputs).terms)
     assert 2 * nonzero >= count
-
-
-def test_pair_minor_values_match_per_form_evaluation():
-    """The reference's shared minor table against plain evaluate."""
-    frame, _, A, C = engine_inputs(load_fields("obstructed_l4.frame"))
-    nonzero = []
-
-    def checked(M, args):
-        got = pair_minor_values(M, args)
-        want = per_form_curvature_values(M, args)
-        assert [list(e.items()) for e in got] == \
-            [list(e.items()) for e in want]
-        nonzero.append(sum(map(len, got)))
-        return got
-
-    coordinate_curvature_reads(frame, A, C, evaluate=checked)
-    assert nonzero[0]
 
 
 def test_engine_refuses_nonzero_single_target_reads():

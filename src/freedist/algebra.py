@@ -25,6 +25,7 @@ from functools import lru_cache, partial
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .linalg import _kernel
 from .polynomials import Polynomial, accumulate
 from .scalars import ExactScalar
 
@@ -862,17 +863,11 @@ def annihilator_subspace(l: int, i: int) -> List[Coefficients]:
     """Exact basis of {X : [defect_up(i), embed(X)] = 0} in the odd algebra,
     as coefficient dicts over the odd basis."""
     ga = algebra(l)
-    columns = []
-    for key in ga.odd_keys:
-        img = ga.bracket_coeffs(EVEN, ga.defect_up(i),
-                                ga.embed_coeffs({key: ExactScalar.one()}))
-        columns.append(img)
-    from .linalg import kernel_of_columns
-    kernel = kernel_of_columns(columns)
-    out = []
-    for vec in kernel:
-        out.append({key: v for key, v in zip(ga.odd_keys, vec) if v})
-    return out
+    columns = [ga.bracket_coeffs(EVEN, ga.defect_up(i),
+                                 ga.embed_coeffs({key: ExactScalar.one()}))
+               for key in ga.odd_keys]
+    return [{ga.odd_keys[j]: v for j, v in vec.items()}
+            for vec in _kernel(columns)]
 
 
 # --------------------------------------------------------------------------
@@ -1024,27 +1019,50 @@ def _check_defect_relations(ga: GradedAlgebra) -> bool:
     return True
 
 
-def _squares_vanish(ga: GradedAlgebra, kernel, side: str, k: int) -> bool:
-    """An integer unit kernel composed with itself kills every unit k-chain
-    of one side, one slot tuple at a time."""
+def _squares_vanish(ga: GradedAlgebra, kind: int, side: str, k: int) -> bool:
+    """A unit kernel (kind _CD or _D) composed with itself kills every unit
+    k-chain of one side.  Its plan sends slots (x) t to terms n rest (x) w(t)
+    for words w = ad z or 1, so the square of a slot tuple is, per inner
+    rest r, r (x) a sum of words ad a ad b, ad a, 1; each sum is formed on
+    the words' integer matrices {(t, key): n}, and must vanish."""
+    table, keys = ga._tables[side], ga.keys(side)
+    words: Dict[tuple, Dict[tuple, int]] = {(): {(t, t): 1 for t in keys}}
+
+    def word_matrix(word: Tuple[BasisKey, ...]) -> Dict[tuple, int]:
+        if word not in words:   # ad word[0] applied to the matrix of word[1:]
+            m = words[word] = {}
+            for (t, key), c in word_matrix(word[1:]).items():
+                accumulate(m, (((t, k2), n) for k2, n in
+                               table.get((word[0], key), ())), c)
+        return words[word]
+
+    def terms(slots: Tuple[BasisKey, ...]):
+        brackets, fixed = ga._plan(kind, side, slots)
+        return ([((z,), rest, s) for z, rest, s in brackets]
+                + [((), rest, n) for rest, n in fixed])
+
     slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
     for slots in combinations(slot_keys, k):
-        for t in ga.keys(side):
-            acc: Dict[TermKey, int] = {}
-            for (s2, t2), n in kernel(ga, side, slots, t):
-                accumulate(acc, kernel(ga, side, s2, t2), n)
+        by_rest: Dict[Tuple[BasisKey, ...], Dict[tuple, int]] = {}
+        for word, rest, s in terms(slots):
+            for inner, r, n in terms(rest):
+                accumulate(by_rest.setdefault(r, {}), ((inner + word, n),), s)
+        for coeffs in by_rest.values():
+            acc: Dict[tuple, int] = {}
+            for word, c in coeffs.items():
+                accumulate(acc, word_matrix(word).items(), c)
             if acc:
                 return False
     return True
 
 
 def _check_codifferential_squares(ga: GradedAlgebra) -> bool:
-    return (_squares_vanish(ga, _codifferential_term, ODD, 3)
-            and _squares_vanish(ga, _codifferential_term, EVEN, 3))
+    return (_squares_vanish(ga, _CD, ODD, 3)
+            and _squares_vanish(ga, _CD, EVEN, 3))
 
 
 def _check_differential_squares(ga: GradedAlgebra) -> bool:
-    return _squares_vanish(ga, _differential_term, ODD, 1)
+    return _squares_vanish(ga, _D, ODD, 1)
 
 
 def _check_operator_closed_forms(ga: GradedAlgebra) -> bool:

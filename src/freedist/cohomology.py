@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Tuple
 from .algebra import (Chain, GradedAlgebra, ODD, TermKey, algebra,
                       codifferential, differential)
 from .errors import UnsupportedError
-from .linalg import kernel_of_columns
+from .linalg import _kernel
 from .scalars import ExactScalar
 
 
@@ -71,9 +71,8 @@ def harmonic_space(l: int, k: int, h: int) -> HarmonicSpace:
                                "degrees 1 and 2 only")
     keys, columns = harmonic_system(l, k, h)
     basis: List[Chain] = []
-    for vec in kernel_of_columns(columns):
-        terms = {tk: c for tk, c in zip(keys, vec) if c}
-        chain = Chain(ODD, l, k, terms)
+    for vec in _kernel(columns):
+        chain = Chain(ODD, l, k, {keys[j]: c for j, c in vec.items()})
         if not differential(chain).is_zero():
             raise AssertionError("harmonic basis chain is not closed")
         if not codifferential(chain).is_zero():

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (DegenerateFrameError, FreeDistError,
                      NotFreeDistributionError, UnsupportedFrameError)
-from .linalg import invert_scalar_matrix, poly_inverse
+from .linalg import _determinant, invert_scalar_matrix, poly_inverse
 from .polynomials import Chart, Exponents, Polynomial, accumulate, add_product
 from .scalars import ExactScalar, ScalarLike
 
@@ -365,19 +365,20 @@ def _certified_frame(fields: Sequence[VectorField],
     chart, l, singles, pairs, jac = _assemble(fields)
     if point is None:
         point = {idx: ExactScalar.zero() for idx in range(chart.ncoords)}
-    det, base_inverse = invert_scalar_matrix(
-        [[e.evaluate(point) for e in row] for row in jac])
-    if base_inverse is None:
+    base = [[e.evaluate(point) for e in row] for row in jac]
+    # the Newton start is the inverse at the origin, else poly_inverse's
+    det, start = (invert_scalar_matrix(base) if not any(point.values())
+                  else (_determinant(base)[0], None))
+    if not det:
         return DegenerateFrameError(
             "frame and its pair fields fail to span the tangent space at "
             "the base point")
     ones = {idx: ExactScalar.one() for idx in range(chart.ncoords)}
     inverse = None
-    if invert_scalar_matrix(
+    if _determinant(
             [[e.evaluate(ones) for e in row] for row in jac])[0] == det:
         try:
-            inverse = poly_inverse(
-                jac, None if any(point.values()) else base_inverse)
+            inverse = poly_inverse(jac, start)
         except ValueError:
             pass
     if inverse is None:

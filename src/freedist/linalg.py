@@ -3,11 +3,12 @@
 Kernels and linear systems share one sparse elimination core,
 ``_eliminate``, fraction-free over Z[sqrt2], whose vectors carry their
 tails (their expressions in the original vectors) along.
-``kernel_of_columns`` reads the kernel off the dependent columns' tails;
+``_kernel`` reads the kernel off the dependent columns' tails;
 ``FactoredSystem`` back-substitutes over the pivots once per system, and
 then adds each nonzero polynomial right-hand side into the unknowns it
-reaches; ``invert_scalar_matrix`` does the same back-substitution for a
-square scalar matrix and reads its determinant off the pivots and tails.
+reaches; ``_determinant`` reads a square scalar matrix's determinant off
+the pivots and tails, and ``invert_scalar_matrix`` adds the same
+back-substitution for its inverse.
 Inverses of polynomial matrices with constant determinant are Newton-lifted
 from the inverse of their constant term, up to the cofactor degree bound:
 lifting either reaches the exact inverse within it, which proves the
@@ -150,25 +151,29 @@ def _eliminate(vectors: Sequence[Dict[Hashable, ExactScalar]]
         yield pivots, dependent
 
 
-def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
-                      ) -> List[List[ExactScalar]]:
-    """Basis of {c : sum_i c_i * columns[i] = 0}, as coefficient lists.
-
-    Columns are sparse dicts keyed by arbitrary hashable row labels.  The
-    returned vectors have one entry per column, in column order: per column
-    i that depends on the earlier ones, in the order of i, its tail over
-    the tail's entry at i, which is e_i minus the unique expression of
-    column i in the earlier independent columns, so neither the block
-    split nor the pivot rows of ``_eliminate`` change the result.
-    """
-    n = len(columns)
-    zero = ExactScalar.zero()
-    kernel: Dict[int, List[ExactScalar]] = {}
+def _kernel(columns: Sequence[Dict[Hashable, ExactScalar]]
+            ) -> List[Dict[int, ExactScalar]]:
+    """Basis of {c : sum_i c_i * columns[i] = 0} for sparse columns keyed
+    by any hashable row labels, as {column index: nonzero value}, indices
+    ascending.  Per column i that depends on the earlier ones, in the order
+    of i: its tail over the tail's entry at i, that is e_i minus column i's
+    unique expression in the earlier independent columns, so neither the
+    block split nor the pivot rows of ``_eliminate`` change the result."""
+    kernel: Dict[int, Dict[int, ExactScalar]] = {}
     for _, dependent in _eliminate(columns):
         for i, tail in dependent:
             vec = _scalars(*_divided(tail, 1, _at(tail, i)))
-            kernel[i] = [vec.get(j, zero) for j in range(n)]
+            kernel[i] = {j: vec[j] for j in sorted(vec)}
     return [kernel[i] for i in sorted(kernel)]
+
+
+def kernel_of_columns(columns: Sequence[Dict[Hashable, ExactScalar]]
+                      ) -> List[List[ExactScalar]]:
+    """The vectors of ``_kernel`` as dense coefficient lists, one entry per
+    column, in column order."""
+    zero = ExactScalar.zero()
+    return [[vec.get(j, zero) for j in range(len(columns))]
+            for vec in _kernel(columns)]
 
 
 def _solution_operator(blocks: List[List[Pivot]]
@@ -251,19 +256,30 @@ class FactoredSystem:
 def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
                          ) -> Tuple[ExactScalar,
                                     Optional[List[List[ExactScalar]]]]:
-    """Determinant and inverse of a square scalar matrix, by ``_eliminate``
-    on its rows; the inverse is None when the determinant is zero.
+    """Determinant (``_determinant``) and inverse of a square scalar
+    matrix, back-substituted over its pivots; the inverse is None when the
+    determinant is zero."""
+    det, blocks = _determinant(m)
+    if not det:
+        return det, None
+    op, zero, n = _solution_operator(blocks), ExactScalar.zero(), len(m)
+    return det, [[op[j].get(r, zero) for r in range(n)] for j in range(n)]
+
+
+def _determinant(m: Sequence[Sequence[ExactScalar]]
+                 ) -> Tuple[ExactScalar, List[List[Pivot]]]:
+    """Determinant of a square scalar matrix off the pivots of
+    ``_eliminate`` on its rows, and the pivot blocks when it is nonzero.
 
     The tails are triangular in elimination order, and the reduced rows
     (tails times m) are triangular once the columns are in pivot order: det
     m is the permutation sign (row -> its pivot column) times the product
     of p_q / t_q over each pivot's entry p_q and its tail's own entry t_q.
     """
-    n = len(m)
     eliminated = list(_eliminate([{j: v for j, v in enumerate(row) if v}
                                   for row in m]))
     if any(dependent for _, dependent in eliminated):
-        return ExactScalar.zero(), None
+        return ExactScalar.zero(), []
     blocks = [pivots for pivots, _ in eliminated]
     column: Dict[int, Hashable] = {}
     num = den = (1, 0)
@@ -273,15 +289,11 @@ def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]
             num, den = _times(num, p), _times(den, _at(tail, i))
     det = ExactScalar(*num) / ExactScalar(*den)
     cycles = 0
-    for j in range(n):
+    for j in range(len(m)):
         cycles += j in column
         while j in column:
             j = column.pop(j)
-    if (n - cycles) % 2:
-        det = -det
-    op = _solution_operator(blocks)
-    zero = ExactScalar.zero()
-    return det, [[op[j].get(r, zero) for r in range(n)] for j in range(n)]
+    return (-det if (len(m) - cycles) % 2 else det), blocks
 
 
 def _mat_mul(a: Sequence[Sequence[Polynomial]],

@@ -9,9 +9,10 @@ from typing import Dict, List, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from freedist.algebra import EVEN, ODD, Chain, _canonical_slots, algebra
+from freedist.algebra import (EVEN, ODD, Chain, _canonical_slots, _unit_term,
+                              algebra)
 from freedist.geometry import VectorField
-from freedist.polynomials import Polynomial, chart
+from freedist.polynomials import Polynomial, accumulate, chart
 from freedist.scalars import ExactScalar
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -260,6 +261,21 @@ def oracle_codifferential_term(ga, side, slots, target):
             if canon is not None:
                 out.append(((canon[0], target), sign * canon[1] * n))
     return out
+
+
+def oracle_squares_vanish(ga, kind, side, k):
+    """Test oracle: a unit kernel (kind _CD or _D) composed with itself on
+    every unit k-chain of one side, one (slot tuple, target) at a time, each
+    emitted term's kernel rebuilt from the cached plans and the table."""
+    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
+    for slots in combinations(slot_keys, k):
+        for t in ga.keys(side):
+            acc = {}
+            for (s2, t2), n in _unit_term(kind, ga, side, slots, t):
+                accumulate(acc, _unit_term(kind, ga, side, s2, t2), n)
+            if acc:
+                return False
+    return True
 
 
 def oracle_differential(c):

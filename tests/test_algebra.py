@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from functools import partial
 from itertools import combinations, permutations
 from math import comb
 
@@ -17,7 +18,8 @@ from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, AlgebraElement,
                               embed_alpha, kappa11_normality_test,
                               phi_extension)
 from conftest import (oracle_closed_form, oracle_codifferential_term,
-                      oracle_differential, oracle_phi_extension)
+                      oracle_differential, oracle_phi_extension,
+                      oracle_squares_vanish)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -600,26 +602,64 @@ def test_codifferential_term_order_after_a_cancellation():
     assert found
 
 
+def flip_table_entry(ga, side, pair, n=0):
+    """Negate the n-th coefficient of one bracket-table entry."""
+    entry = list(ga._tables[side][pair])
+    key, c = entry[n]
+    entry[n] = (key, -c)
+    ga._tables[side][pair] = tuple(entry)
+
+
 @pytest.mark.parametrize("side", [ODD, EVEN])
-def test_codifferential_squares_check_catches_a_flipped_sign(monkeypatch,
-                                                             side):
-    ga = algebra(3)
+def test_codifferential_squares_check_catches_a_flipped_table_entry(side):
+    """The check's target half is the bracket table: one entry [z, t] with
+    z a slot key, negated on a private instance after the plans are built."""
+    ga = GradedAlgebra(3)   # a private instance: the flip must not leak
     check = algebra_module._check_codifferential_squares
     assert check(ga)
-    kernel = algebra_module._codifferential_term
-    # a unit 2-chain reached by some unit 3-chain, with a nonzero image
-    three = all_units(3, side, 3)[0]
-    two = next(key for key in codifferential(three).terms
-               if kernel(ga, side, *key))
-
-    def flipped(ga_, side_, slots, target):
-        out = kernel(ga_, side_, slots, target)
-        if side_ == side and (slots, target) == two:
-            out[0] = (out[0][0], -out[0][1])
-        return out
-
-    monkeypatch.setattr(algebra_module, "_codifferential_term", flipped)
+    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
+    flip_table_entry(ga, side, next(pair for pair in ga._tables[side]
+                                    if pair[0] in slot_keys))
     assert not check(ga)
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_squares_checks_agree_with_the_per_unit_oracle_under_flips(l):
+    """Seeded single sign flips of a cached plan entry (_CD on both sides,
+    _D) or of a bracket-table entry: the ad-word check and the per-unit
+    composition give the same verdict, and some flips are caught."""
+    rng = random.Random(l)
+    ga = GradedAlgebra(l)
+    squares = algebra_module._squares_vanish
+    caught = 0
+    for kind, side, k in ((algebra_module._CD, ODD, 3),
+                          (algebra_module._CD, EVEN, 3),
+                          (algebra_module._D, ODD, 1)):
+        assert squares(ga, kind, side, k)
+        assert oracle_squares_vanish(ga, kind, side, k)
+        halves = [part for record in ga._plans[side].values()
+                  if record[kind] is not None
+                  for part in record[kind] if part]
+        table = ga._tables[side]
+        pairs = list(table)
+        for _ in range(10):
+            if rng.random() < 0.5:
+                part = rng.choice(halves)
+                n = rng.randrange(len(part))
+                *entry, c = part[n]
+                part[n] = (*entry, -c)
+                flip = partial(part.__setitem__, n, (*entry, c))
+            else:
+                pair = rng.choice(pairs)
+                entry = table[pair]
+                flip_table_entry(ga, side, pair, rng.randrange(len(entry)))
+                flip = partial(table.__setitem__, pair, entry)
+            verdict = squares(ga, kind, side, k)
+            assert verdict == oracle_squares_vanish(ga, kind, side, k)
+            caught += not verdict
+            flip()
+        assert squares(ga, kind, side, k)
+    assert caught
 
 
 def flip_first_entry(ga, kind, side, slots):

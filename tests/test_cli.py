@@ -212,14 +212,19 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
-def run_optimized(*argv):
-    """The CLI in a fresh ``python -O`` process; stdout as bytes."""
+def run_fresh(*argv, flags=()):
+    """The CLI in a fresh process, with interpreter flags such as -O;
+    stdout and stderr as bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-O", "-m", "freedist.cli", *argv], env=env,
+        [sys.executable, *flags, "-m", "freedist.cli", *argv], env=env,
         capture_output=True, timeout=300)
+
+
+def run_optimized(*argv):
+    return run_fresh(*argv, flags=("-O",))
 
 
 def test_algebra_check_under_optimize_flag():
@@ -228,18 +233,21 @@ def test_algebra_check_under_optimize_flag():
     assert proc.stdout.decode("utf-8").count(": PASS") == 10
 
 
-def test_algebra_check_l5_matches_its_golden():
-    """The battery's report at l = 5, in a fresh process: stdout byte for
+def assert_algebra_check_golden(l):
+    """The battery's report at rank l, in a fresh process: stdout byte for
     byte as recorded in tests/data, and exit code 0 (all ten PASS)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "freedist.cli", "algebra-check", "--l", "5"],
-        env=env, capture_output=True, timeout=300)
-    with open(data_path("algebra_check_l5.out"), "rb") as fh:
+    proc = run_fresh("algebra-check", "--l", str(l))
+    with open(data_path(f"algebra_check_l{l}.out"), "rb") as fh:
         assert proc.stdout == fh.read()
     assert proc.returncode == 0 and proc.stderr == b""
+
+
+def test_algebra_check_l5_matches_its_golden():
+    assert_algebra_check_golden(5)
+
+
+def test_algebra_check_l6_matches_its_golden():
+    assert_algebra_check_golden(6)
 
 
 with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freedist.geometry as geometry_module
+import freedist.linalg as linalg_module
 from conftest import (armstrong_fields, data_path, flat_fields, poly_det,
                       random_sparse_fields)
 from freedist.errors import (DegenerateFrameError, NotFreeDistributionError,
@@ -449,6 +451,36 @@ def test_structure_function_accessors_signed():
     assert sf.pair_pair((1, 2), (1, 3), (2, 4)) == p
     assert sf.pair_pair((1, 2), (2, 4), (1, 3)) == -p
     assert sf.pair_pair((1, 2), (1, 3), (1, 3)).is_zero()
+
+
+@pytest.mark.parametrize("shift,own", [(0, 1), (1, 0)])
+def test_build_frame_back_substitutes_only_for_the_newton_start(monkeypatch,
+                                                               shift, own):
+    """Both determinants are read off the pivots.  At the origin the one
+    back-substitution of build_frame's own is the inverse it hands to
+    poly_inverse as its start; at a shifted base point it makes none, and
+    poly_inverse inverts the constant term itself."""
+    calls = {"frame": 0, "newton": 0}
+    where = ["frame"]
+    solution_operator = linalg_module._solution_operator
+    poly_inverse = geometry_module.poly_inverse
+
+    def counted(blocks):
+        calls[where[-1]] += 1
+        return solution_operator(blocks)
+
+    def newton(m, x0=None):
+        where.append("newton")
+        try:
+            return poly_inverse(m, x0)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(linalg_module, "_solution_operator", counted)
+    monkeypatch.setattr(geometry_module, "poly_inverse", newton)
+    point = {i: ExactScalar.of(shift) for i in range(chart(4).ncoords)}
+    build_frame(armstrong_fields(4), point)
+    assert calls == {"frame": own, "newton": 1 - own}
 
 
 def test_base_point_override():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (poly_det, reference_kernel_of_columns,
                       reference_solution_operator)
 from freedist.cohomology import harmonic_system
-from freedist.linalg import (FactoredSystem, _eliminate,
+from freedist.linalg import (FactoredSystem, _eliminate, _kernel,
                              invert_scalar_matrix, kernel_of_columns,
                              poly_inverse, signature_of_symmetric)
 from freedist.normalization import _system
@@ -186,6 +186,18 @@ def test_kernel_matches_unsplit_on_harmonic_systems(h):
     keys, cols = harmonic_system(4, 2, h)
     assert keys
     assert kernel_of_columns(cols) == unsplit_kernel(cols)
+
+
+@pytest.mark.parametrize("l,k,h", [(4, 2, 1), (5, 1, -1), (5, 2, 1)])
+def test_sparse_kernel_holds_the_nonzeros_of_the_dense_one(l, k, h):
+    """Each sparse kernel vector is the dense vector's nonzero entries,
+    column indices ascending, in the same vector order."""
+    _, cols = harmonic_system(l, k, h)
+    sparse = _kernel(cols)
+    assert sparse
+    assert sparse == [{j: v for j, v in enumerate(vec) if v}
+                      for vec in kernel_of_columns(cols)]
+    assert all(list(vec) == sorted(vec) for vec in sparse)
 
 
 def test_kernel_vectors_ordered_by_dependent_column():

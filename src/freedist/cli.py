@@ -34,7 +34,7 @@ COHOMOLOGY_MIN_L = 3
 COHOMOLOGY_MAX_L = 5
 COHOMOLOGY_MAX_H_VALUES = 64   # homogeneities in one --h range
 SPINOR_MIN_L = 1
-SPINOR_MAX_L = 13   # a dense Pfaffian takes about 14x longer per step of 2
+SPINOR_MAX_L = 13   # a dense Pfaffian: ~3.5x per step of 2, ~3 ms at 13
 
 
 def _build_parser() -> argparse.ArgumentParser:

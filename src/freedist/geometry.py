@@ -511,6 +511,10 @@ def structure_functions(frame: Frame) -> StructureFunctions:
                     add_product(iota.setdefault(e, {}), g.terms, u[d])
                 if u[e]:
                     add_product(iota.setdefault(d, {}), g.terms, minus_u[e])
+            # an empty interior product reads zero on every later field,
+            # which only a pair target (i, j) under s_i must still refuse
+            if not iota and not (tkey[0] == "p" and ukey == ("s", tkey[1][0])):
+                continue
             for vi in range(ui + 1, len(keys)):
                 vkey = keys[vi]
                 out: Dict[Exponents, ExactScalar] = {}

@@ -10,11 +10,12 @@ form of split signature.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import UnsupportedError
 from .linalg import signature_of_symmetric
-from .scalars import ExactScalar, ScalarLike
+from .scalars import ExactScalar, ScalarLike, _reduced
 
 TangentKey = Union[int, Tuple[int, int]]
 TangentCoefficients = Dict[TangentKey, ScalarLike]
@@ -103,8 +104,7 @@ def tangent_to_skew(v: TangentCoefficients, l: int) -> SkewMatrix:
         c = raw if isinstance(raw, ExactScalar) else ExactScalar.of(raw)
         (a, b), w = ident.basis_image(key)
         val = c * w
-        m[a][b] = m[a][b] + val
-        m[b][a] = m[b][a] - val
+        m[a][b], m[b][a] = val, -val
     return SkewMatrix._skew_by_construction(m)
 
 
@@ -126,33 +126,44 @@ def skew_to_tangent(m: SkewMatrix, l: int) -> Dict[TangentKey, ExactScalar]:
     return out
 
 
-def _pf(rows: Tuple[Tuple[ExactScalar, ...], ...],
-        idx: Tuple[int, ...]) -> ExactScalar:
-    if not idx:
-        return ExactScalar.one()
-    first = idx[0]
-    rest = idx[1:]
-    total = ExactScalar.zero()
-    for pos, c in enumerate(rest):
-        v = rows[first][c]
-        if v.is_zero():
-            continue
-        minor = rest[:pos] + rest[pos + 1:]
-        term = v * _pf(rows, minor)
-        total = total + (term if pos % 2 == 0 else -term)
-    return total
-
-
 def pfaffian(m: SkewMatrix) -> ExactScalar:
-    """Exact Pfaffian of an even-sized skew matrix, by recursive expansion
-    along the first remaining row; its square is the determinant."""
+    """Exact Pfaffian of an even-sized skew matrix; its square is the
+    determinant.
+
+    The entries are brought to their common denominator D and held as
+    integers (a, b) of Z[sqrt2].  Pf(D*M) is expanded along the lowest
+    remaining index, each sub-Pfaffian once per set of remaining indices,
+    and Pf(M) = Pf(D*M) / D^(n/2) is reduced by one gcd.
+    """
     n = m.size
     if n % 2 != 0:
         raise UnsupportedError(
             "the Pfaffian requires an even-sized skew matrix; for even rank "
             "the tangent identification has odd size and carries no "
             "Pfaffian cone")
-    return _pf(m.entries, tuple(range(n)))
+    den = lcm(*(v.d for row in m.entries for v in row))
+    upper = [[(j, v.p * (den // v.d), v.q * (den // v.d))
+              for j, v in enumerate(row) if j > i and v]
+             for i, row in enumerate(m.entries)]
+    memo: Dict[int, Tuple[int, int]] = {0: (1, 0)}
+
+    def pf(mask: int) -> Tuple[int, int]:
+        got = memo.get(mask)
+        if got is None:
+            first = (mask & -mask).bit_length() - 1
+            rest = mask ^ (1 << first)
+            a = b = 0
+            for j, p, q in upper[first]:
+                if rest >> j & 1:
+                    x, y = pf(rest ^ (1 << j))
+                    if (rest & ((1 << j) - 1)).bit_count() & 1:
+                        p, q = -p, -q
+                    a += p * x + 2 * q * y
+                    b += p * y + q * x
+            got = memo[mask] = a, b
+        return got
+
+    return _reduced(*pf((1 << n) - 1), den ** (n // 2))
 
 
 def null_cone_member(v: TangentCoefficients, l: int) -> bool:

@@ -250,6 +250,21 @@ def test_algebra_check_l6_matches_its_golden():
     assert_algebra_check_golden(6)
 
 
+@pytest.mark.parametrize("l, name", [(13, "spinor_l13"),
+                                     (7, "spinor_l7_decomposable")])
+def test_spinor_matches_its_golden(l, name):
+    """``spinor`` on a recorded vector, in a fresh process: stdout byte for
+    byte as recorded in tests/data, and exit code 0.  The rank-13 vector
+    fills all 91 keys with fractions (denominators up to 7) and sqrt2
+    parts; the rank-7 one is decomposable, so it lies on the cone."""
+    with open(data_path(f"{name}_vector.json"), encoding="utf-8") as fh:
+        vector = fh.read()
+    proc = run_fresh("spinor", "--l", str(l), "--vector", vector)
+    with open(data_path(f"{name}.out"), "rb") as fh:
+        assert proc.stdout == fh.read()
+    assert proc.returncode == 0 and proc.stderr == b""
+
+
 with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:
     ANALYZE_GOLDENS = json.load(_fh)
 GOLDEN_FRAMES = sorted(os.path.basename(p)

@@ -331,6 +331,40 @@ def test_doctored_pair_fields_are_not_free():
         structure_functions(doctored)
 
 
+def test_swapped_pair_fields_are_not_free():
+    """With the (1,2) and (2,3) pair fields of the flat frame swapped,
+    dtheta^(1,2) = dx2^dx3 and its interior product with F_1 is empty; the
+    frame is still refused."""
+    fr = build_frame(flat_fields(3))
+    pairs = dict(fr.pairs)
+    pairs[(1, 2)], pairs[(2, 3)] = pairs[(2, 3)], pairs[(1, 2)]
+    swapped = Frame(fr.chart, fr.l, fr.singles, pairs, fr.det, fr.point)
+    assert dual_coframe(swapped).form(("p", (1, 2))).d().terms.keys() \
+        == {(fr.chart.x_index(2), fr.chart.x_index(3))}
+    with pytest.raises(NotFreeDistributionError):
+        structure_functions(swapped)
+
+
+def test_coordinate_frame_is_not_free():
+    """The coordinate fields Dx_i and Dy[j,k] as a frame: every coframe
+    differential is zero, so every interior product is empty, and only
+    the unit value each pair target (i, j) owes on (s_i, s_j) refuses
+    the frame."""
+    fr = build_frame(flat_fields(3))
+    ch = fr.chart
+
+    def unit(c):
+        comps = [Polynomial.zero(ch)] * ch.ncoords
+        comps[c] = Polynomial.const(ch, 1)
+        return VectorField(ch, comps)
+
+    singles = [unit(ch.x_index(i)) for i in range(1, 4)]
+    pairs = {p: unit(ch.y_index(*p)) for p in fr.pairs}
+    coordinate = Frame(ch, 3, singles, pairs, ExactScalar.one(), fr.point)
+    with pytest.raises(NotFreeDistributionError):
+        structure_functions(coordinate)
+
+
 def test_flat_structure_functions_vanish():
     f = structure_functions(build_frame(flat_fields(4)))
     assert f.is_zero()

@@ -135,12 +135,13 @@ def _rebound_sums(tree):
 
 def test_frame_and_linear_layers_sum_into_one_term_dict():
     """In geometry.py and linalg.py a sum over a loop goes into one term
-    dict (``add_product``, ``accumulate``): no loop rebinds a name to
-    itself plus or minus a term, which builds a new object every step."""
+    dict (``add_product``, ``accumulate``), and spinorial.py sums its
+    Pfaffian in integers: no loop rebinds a name to itself plus or minus a
+    term, which builds a new object every step."""
     trees = dict(_package_trees())
     assert {name: _rebound_sums(trees[name])
-            for name in ("geometry.py", "linalg.py")} \
-        == {"geometry.py": [], "linalg.py": []}
+            for name in ("geometry.py", "linalg.py", "spinorial.py")} \
+        == {"geometry.py": [], "linalg.py": [], "spinorial.py": []}
     assert _rebound_sums(ast.parse(
         "for p in ps:\n    out = out + p\nwhile q:\n    q = q - 1\n")) \
         == [2, 4]

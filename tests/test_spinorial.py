@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import poly_det
 from freedist.errors import UnsupportedError
+from freedist.linalg import _determinant
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 from freedist.spinorial import (SkewMatrix, list_inclusions,
@@ -141,6 +142,95 @@ def test_pfaffian_squares_to_determinant():
             m = random_skew(n, rng)
             pf = pfaffian(m)
             assert pf * pf == exact_det(m)
+
+
+def recursive_pfaffian(m):
+    """Test oracle: the Pfaffian by plain recursive expansion along the
+    first remaining row, in ExactScalar arithmetic, with no memo and no
+    common denominator; each sub-Pfaffian is recomputed where met."""
+    rows = m.entries
+
+    def pf(idx):
+        if not idx:
+            return ExactScalar.one()
+        first, rest = idx[0], idx[1:]
+        total = ExactScalar.zero()
+        for pos, c in enumerate(rest):
+            v = rows[first][c]
+            if v.is_zero():
+                continue
+            term = v * pf(rest[:pos] + rest[pos + 1:])
+            total = total + (term if pos % 2 == 0 else -term)
+        return total
+
+    return pf(tuple(range(m.size)))
+
+
+DENOMINATORS = (1, 2, 3, 5, 7, 10, 21, 35)
+
+
+def seeded_skew(n, rng, density, zero_rows=0):
+    """A skew n x n matrix whose upper entries are drawn with the given
+    probability, with sqrt2 parts and mixed, coprime denominators;
+    ``zero_rows`` indices drawn at random get an all-zero row and
+    column."""
+    empty = set(rng.sample(range(n), zero_rows))
+    rows = [[ExactScalar.zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i in empty or j in empty or rng.random() >= density:
+                continue
+            v = ExactScalar(Fraction(rng.randint(-9, 9),
+                                     rng.choice(DENOMINATORS)),
+                            Fraction(rng.randint(-3, 3),
+                                     rng.choice(DENOMINATORS)))
+            rows[i][j], rows[j][i] = v, -v
+    return SkewMatrix(rows)
+
+
+def assert_matches_oracle(m):
+    got, want = pfaffian(m), recursive_pfaffian(m)
+    assert (got.p, got.q, got.d) == (want.p, want.q, want.d)
+    assert got.to_expr() == want.to_expr()
+
+
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_pfaffian_matches_the_recursive_oracle(n):
+    """Exact agreement, on the (p, q, d) triple and the printed form, with
+    the plain recursive expansion: sparse and dense seeded matrices, some
+    with zero rows, with sqrt2 parts and denominators 1..35."""
+    rng = random.Random(100 + n)
+    for density in (0.25, 0.6, 1.0):
+        for zero_rows in (0, 0, 1, 2):
+            if zero_rows <= n:
+                assert_matches_oracle(seeded_skew(n, rng, density,
+                                                  zero_rows))
+
+
+@pytest.mark.parametrize("l", [1, 3, 5, 7, 9])
+def test_pfaffian_of_tangent_vectors_matches_the_oracle(l):
+    """Matrices from tangent_to_skew: the 1/sqrt2 weight of the first row
+    meets pair entries with denominators 5 and 7."""
+    rng = random.Random(200 + l)
+    keys = list(range(1, l + 1)) + [(j, k) for j in range(1, l + 1)
+                                    for k in range(j + 1, l + 1)]
+    for size in (1, l, len(keys) // 2, len(keys)):
+        v = {key: ExactScalar(Fraction(rng.randint(-6, 6),
+                                       rng.choice((1, 5, 7))),
+                              rng.randint(-2, 2))
+             for key in rng.sample(keys, size)}
+        assert_matches_oracle(tangent_to_skew(v, l))
+
+
+def test_pfaffian_squares_to_the_pivot_determinant():
+    """Pf(M)^2 = det M at n = 8, with the determinant read off the pivots
+    of linalg's elimination."""
+    rng = random.Random(43)
+    for density in (0.3, 0.7, 1.0):
+        for _ in range(3):
+            m = seeded_skew(8, rng, density)
+            pf = pfaffian(m)
+            assert pf * pf == _determinant(m.entries)[0]
 
 
 def test_pfaffian_rejects_odd_size():

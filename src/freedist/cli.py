@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import algebra_battery
 from .cohomology import harmonic_space
@@ -97,9 +97,20 @@ def _parse_h_range(text: str) -> List[int]:
     return list(range(a, b + 1))
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object as a dict, refusing a key that repeats literally (a
+    plain dict would keep the last value silently)."""
+    out: Dict[str, object] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", 1, 1)
+        out[key] = value
+    return out
+
+
 def _parse_vector_json(text: str, l: int) -> Dict[TangentKey, ExactScalar]:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON vector: {exc.msg}", exc.lineno,
                          exc.colno)
@@ -127,9 +138,12 @@ def _parse_vector_json(text: str, l: int) -> Dict[TangentKey, ExactScalar]:
         except ValueError as exc:
             raise ParseError(f"invalid key {key_text!r} for l={l}: {exc}",
                              1, 1)
+        if key in out:
+            raise ParseError(f"duplicate key {key_text!r}: an earlier entry "
+                             "names the same tangent key", 1, 1)
         if isinstance(raw, str):
             value = parse_scalar(raw)
-        elif isinstance(raw, int):
+        elif type(raw) is int:   # JSON true and false are bools, not ints
             value = ExactScalar.of(raw)
         else:
             raise ParseError(f"value of {key_text!r} must be an integer or "

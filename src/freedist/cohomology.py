@@ -2,21 +2,27 @@
 
 A cochain is harmonic when both the differential and the codifferential
 annihilate it.  For each homogeneity the space is computed exactly: the
-candidate unit cochains span a finite space, both operators are evaluated
-on every unit, and the joint kernel is extracted by sparse elimination
-over the exact scalar field.
+candidate unit cochains span a finite space, both operators' integer
+kernels are composed on every unit (``algebra._apply``), and the joint
+kernel is extracted by sparse elimination over the exact scalar field.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Tuple
 
-from .algebra import (Chain, GradedAlgebra, ODD, TermKey, algebra,
+from .algebra import (Chain, GradedAlgebra, ODD, TermKey, _apply,
+                      _codifferential_term, _differential_term, algebra,
                       codifferential, differential)
 from .errors import UnsupportedError
 from .linalg import _kernel
 from .scalars import ExactScalar
+
+
+# one shared (immutable) exact scalar per integer column or row coefficient
+_int_scalar = lru_cache(maxsize=None)(ExactScalar.of)
 
 
 class HarmonicSpace:
@@ -42,18 +48,16 @@ def _term_keys(ga: GradedAlgebra, k: int, h: int) -> List[TermKey]:
 def harmonic_system(l: int, k: int, h: int
                     ) -> Tuple[List[TermKey], List[Dict[object, ExactScalar]]]:
     """The unit term keys of degree k and homogeneity h, and for each the
-    column of its differential and codifferential images (row labels
-    ("d", key) and ("cd", key)); harmonic cochains are its kernel."""
-    keys = _term_keys(algebra(l), k, h)
-    one = ExactScalar.one()
+    column of its differential and codifferential images, composed in ints
+    (rows ("d", key) and ("cd", key)); harmonic cochains are its kernel."""
+    ga = algebra(l)
+    keys = _term_keys(ga, k, h)
     columns: List[Dict[object, ExactScalar]] = []
     for tk in keys:
-        unit = Chain(ODD, l, k, {tk: one})
-        col: Dict[object, ExactScalar] = {}
-        for out_key, v in differential(unit).terms.items():
-            col[("d", out_key)] = v
-        for out_key, v in codifferential(unit).terms.items():
-            col[("cd", out_key)] = v
+        d = _apply(_differential_term, ga, ODD, [(tk, 1)])
+        cd = _apply(_codifferential_term, ga, ODD, [(tk, 1)])
+        col = {("d", key): _int_scalar(n) for key, n in d.items()}
+        col.update({("cd", key): _int_scalar(n) for key, n in cd.items()})
         columns.append(col)
     return keys, columns
 

@@ -46,10 +46,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey,
+from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey, _apply,
                       _codifferential_term, _differential_term, algebra,
                       codifferential, differential)
-from .cohomology import _term_keys
+from .cohomology import _int_scalar, _term_keys
 from .errors import UnsupportedError
 from .geometry import (Frame, FrameKey, StructureFunctions, VectorField,
                        build_frame, structure_functions)
@@ -121,16 +121,13 @@ class AnalysisReport:
 # the normalization unknowns and their unit 1-chains
 # --------------------------------------------------------------------------
 
-# one shared (immutable) exact scalar per integer row coefficient
-_int_scalar = lru_cache(maxsize=None)(ExactScalar.of)
-
-Unit = Tuple[Tuple[Tuple[BasisKey, ...], BasisKey, int], ...]
+Unit = Tuple[Tuple[TermKey, int], ...]
 
 
 @lru_cache(maxsize=None)
 def _units(l: int, degree: int) -> Tuple[Tuple, Tuple[Unit, ...]]:
     """The unknowns of one normalization degree, each with its signed unit
-    1-chain as (slots, target, sign) items.  A unit change of the unknown
+    1-chain as ((slots, target), sign) items.  A unit change of the unknown
     changes the connection by that 1-chain, so the curvature by its
     differential: degree 1 has the A coefficients (i, j, k) with their
     induced pair-coframe correction C^i_{jk}, degree 2 the E coefficients
@@ -140,9 +137,9 @@ def _units(l: int, degree: int) -> Tuple[Tuple, Tuple[Unit, ...]]:
     if degree == 1:
         unknowns = tuple((i, j, k) for i in span for j in span for k in span)
         for i, j, k in unknowns:
-            unit = [((("up1", j),), ("zero", (i, k)), -1)]
+            unit = [(((("up1", j),), ("zero", (i, k))), -1)]
             if j != k:
-                unit.append(((("up2", (min(j, k), max(j, k))),), ("lo1", i),
+                unit.append((((("up2", (min(j, k), max(j, k))),), ("lo1", i)),
                              -1 if j < k else 1))
             units.append(tuple(unit))
     else:
@@ -152,12 +149,12 @@ def _units(l: int, degree: int) -> Tuple[Tuple, Tuple[Unit, ...]]:
                             for j in range(i, l + 1)])
         for kind, idx in unknowns:
             if kind == "E":
-                unit = [((("up2", idx[2]),), ("zero", idx[:2]), -1)]
+                unit = [(((("up2", idx[2]),), ("zero", idx[:2])), -1)]
             else:
                 i, j = idx
-                unit = [((("up1", j),), ("up1", i), 1)]
+                unit = [(((("up1", j),), ("up1", i)), 1)]
                 if i != j:
-                    unit.append(((("up1", i),), ("up1", j), 1))
+                    unit.append((((("up1", i),), ("up1", j)), 1))
             units.append(tuple(unit))
     return unknowns, tuple(units)
 
@@ -216,12 +213,8 @@ def _system(l: int, degree: int):
     index = {rk: n for n, rk in enumerate(row_keys)}
     rows: List[Dict[int, ExactScalar]] = [{} for _ in row_keys]
     for uidx, unit in enumerate(units):
-        column: Dict[TermKey, int] = {}
-        for slots, target, sign in unit:
-            for (slots2, target2), n in _differential_term(ga, ODD, slots,
-                                                           target):
-                accumulate(column, _codifferential_term(ga, ODD, slots2,
-                                                        target2), sign * n)
+        column = _apply(_codifferential_term, ga, ODD,
+                        _apply(_differential_term, ga, ODD, unit).items())
         for tk, v in column.items():
             n = index.get(tk)
             if n is not None:
@@ -256,8 +249,7 @@ def _respond(chain: Chain, degree: int, xs: Sequence[Polynomial]) -> Chain:
     terms: Dict[TermKey, Polynomial] = {}
     for x, unit in zip(xs, units):
         if not x.is_zero():
-            accumulate(terms, [((slots, target), x if sign == 1 else -x)
-                               for slots, target, sign in unit])
+            accumulate(terms, unit, x)
     return chain + differential(Chain(ODD, chain.l, 1, terms))
 
 

@@ -434,8 +434,8 @@ def flip_unit_sign(monkeypatch):
             if (l_, degree_) == (l, degree):
                 n = unknowns.index(unknown)
                 unit = list(us[n])
-                slots, target, sign = unit[item]
-                unit[item] = (slots, target, -sign)
+                key, sign = unit[item]
+                unit[item] = (key, -sign)
                 us = us[:n] + (tuple(unit),) + us[n + 1:]
             return unknowns, us
 

@@ -742,12 +742,12 @@ def test_differential_matches_item_by_item_oracle_on_chains(c):
 @given(coefficient_chains().filter(lambda c: c.side == ODD))
 @settings(deadline=None, max_examples=60)
 def test_transfer_and_closed_form_match_oracles_on_chains(c):
-    """Scalar or polynomial coefficients for the transfer; the closed form
-    on the constant degree-2 chains."""
+    """Scalar or polynomial coefficients for the transfer and, on the
+    degree-2 chains, for the operator and its closed form."""
     got, want = phi_extension(c), oracle_phi_extension(c)
     assert got == want
     assert list(got.terms) == list(want.terms)
-    if c.k == 2 and not c.has_polynomial_coefficients():
+    if c.k == 2:
         got = commutator_operator_closed_form(c)
         assert got == oracle_closed_form(c) == commutator_operator(c)
         assert list(got.terms) == list(oracle_closed_form(c).terms)

@@ -515,6 +515,32 @@ def test_spinor_non_integer_value_exit_1(capsys):
     assert err.startswith("vector:1:1: ")
 
 
+@pytest.mark.parametrize("literal", ["true", "false"])
+def test_spinor_boolean_value_exit_1(capsys, literal):
+    """A JSON boolean is not read as the integer 1 or 0."""
+    code, out, err = run(capsys, "spinor", "--l", "3", "--vector",
+                         '{"v": {"1": ' + literal + "}}")
+    assert code == 1 and out == ""
+    assert err == ("vector:1:1: value of '1' must be an integer or a string "
+                   "expression\n")
+
+
+@pytest.mark.parametrize("vector, message", [
+    ('{"v": {"1": "1", " 1": "2"}}',
+     "duplicate key ' 1': an earlier entry names the same tangent key"),
+    ('{"v": {"[1,2]": "1", "[ 1,2]": "2"}}',
+     "duplicate key '[ 1,2]': an earlier entry names the same tangent key"),
+    ('{"v": {"[2,3]": "1", "[2,3]": "2"}}', "duplicate key '[2,3]'"),
+    ('{"v": {}, "v": {"1": "1"}}', "duplicate key 'v'")],
+    ids=["spaced-single", "spaced-pair", "literal-repeat", "outer-repeat"])
+def test_spinor_duplicate_key_exit_1(capsys, vector, message):
+    """Two entries naming one tangent key, spelt apart or repeated
+    literally, are refused instead of keeping the last one."""
+    code, out, err = run(capsys, "spinor", "--l", "3", "--vector", vector)
+    assert code == 1 and out == ""
+    assert err == f"vector:1:1: {message}\n"
+
+
 def test_spinor_even_rank_exit_2(capsys):
     code, _, err = run(capsys, "spinor", "--l", "4", "--vector",
                        '{"v": {"1": "1"}}')

@@ -2,9 +2,39 @@
 
 import pytest
 
-from freedist.algebra import ODD, codifferential, differential
-from freedist.cohomology import HarmonicSpace, harmonic_h1_scan, harmonic_space
+from freedist.algebra import ODD, Chain, algebra, codifferential, differential
+from freedist.cohomology import (HarmonicSpace, _term_keys, harmonic_h1_scan,
+                                 harmonic_space, harmonic_system)
 from freedist.errors import UnsupportedError
+from freedist.scalars import ExactScalar
+
+
+def chain_route_harmonic_system(l, k, h):
+    """Test oracle: the harmonic columns built through one scalar unit
+    Chain per term key and the chain-level operators."""
+    keys = _term_keys(algebra(l), k, h)
+    columns = []
+    for tk in keys:
+        unit = Chain(ODD, l, k, {tk: ExactScalar.one()})
+        col = {("d", key): v for key, v in differential(unit).terms.items()}
+        col.update({("cd", key): v
+                    for key, v in codifferential(unit).terms.items()})
+        columns.append(col)
+    return keys, columns
+
+
+@pytest.mark.parametrize("l", [3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_integer_columns_match_chain_route(l, k):
+    """Same term keys, and per column the same values in the same key
+    order, as the scalar Chain route, at every homogeneity -3..6."""
+    for h in range(-3, 7):
+        keys, columns = harmonic_system(l, k, h)
+        want_keys, want_columns = chain_route_harmonic_system(l, k, h)
+        assert keys == want_keys
+        assert [list(c.items()) for c in columns] \
+            == [list(c.items()) for c in want_columns]
+        assert all(type(v) is ExactScalar for c in columns for v in c.values())
 
 
 def test_rank_guard():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import (armstrong_fields, data_path, flat_fields,
                       random_sparse_fields)
 from freedist.algebra import (ODD, Chain, GradedAlgebra, algebra,
-                              codifferential, differential,
-                              kappa11_normality_test)
+                              codifferential, commutator_operator,
+                              differential, kappa11_normality_test)
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
 from freedist.geometry import (DifferentialForm, build_frame, dual_coframe,
@@ -158,11 +158,26 @@ def test_obstructed_golden():
     assert_self_consistent(rep)
 
 
+def monomial_slice_kappa11(c):
+    """Test oracle: the normality test monomial slice by monomial slice,
+    the commutator operator on one constant chain per monomial."""
+    slices = {}
+    for (slots, target), coeff in c.terms.items():
+        if isinstance(coeff, Polynomial):
+            for mono, s in coeff.terms.items():
+                slices.setdefault(mono, []).append((slots, target, s))
+        else:
+            slices.setdefault((), []).append((slots, target, coeff))
+    return all(commutator_operator(Chain.make(ODD, c.l, 2, items)).is_zero()
+               for items in slices.values())
+
+
 @pytest.mark.parametrize("l", [4, 5])
 def test_paper_normality_criterion_agrees_with_the_verdict(l):
     """The paper's criterion, ``kappa11_normality_test`` on the curvature
-    chain, gives the reported kappa11_deg2_zero (T = 0) on seeded random
-    frames, obstructed ones (T != 0) among them."""
+    chain, gives the reported kappa11_deg2_zero (T = 0) and the monomial
+    slice oracle's verdict on seeded random frames, obstructed ones
+    (T != 0) among them."""
     rng = random.Random(l)
     verdicts = []
     while len(verdicts) < 12:
@@ -170,7 +185,8 @@ def test_paper_normality_criterion_agrees_with_the_verdict(l):
             k = analyze(random_sparse_fields(l, rng)).curvature
         except (DegenerateFrameError, UnsupportedFrameError):
             continue
-        assert kappa11_normality_test(curvature_chain(k)) \
+        chain = curvature_chain(k)
+        assert kappa11_normality_test(chain) == monomial_slice_kappa11(chain) \
             == k.kappa11_deg2_zero == (not k.T)
         verdicts.append(k.kappa11_deg2_zero)
     assert verdicts.count(False) >= 2 and verdicts.count(True) >= 2
@@ -325,6 +341,23 @@ def assert_reads_match_reference(frame, f, A, C):
 with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:
     GOLDEN_REPORTS = sorted(name for name, out in json.load(_fh).items()
                             if out["json"]["exit_code"] == 0)
+
+
+def test_normality_test_matches_monomial_slice_oracle_on_goldens():
+    """On the curvature chain of every recorded golden report, normal and
+    obstructed, the polynomial test agrees with the slice oracle and with
+    the recorded kappa11_deg2_zero."""
+    with open(data_path("analyze_goldens.json"), encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    verdicts = []
+    for name in GOLDEN_REPORTS:
+        data = json.loads(goldens[name]["json"]["stdout"])
+        chain = curvature_chain(report_from_json(data).curvature)
+        verdict = kappa11_normality_test(chain)
+        assert verdict == monomial_slice_kappa11(chain) \
+            == data["kappa11_deg2_zero"]
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("name", GOLDEN_REPORTS)
@@ -581,9 +614,9 @@ def reference_row_keys(l, degree):
 
 
 def unit_chain(l, unit):
-    """The 1-chain of one unknown's (slots, target, sign) unit items."""
+    """The 1-chain of one unknown's ((slots, target), sign) unit items."""
     return Chain.make(ODD, l, 1, [(slots, target, ExactScalar.of(sign))
-                                  for slots, target, sign in unit])
+                                  for (slots, target), sign in unit])
 
 
 def scalar_probes(l, degree):

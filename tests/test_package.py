@@ -145,3 +145,35 @@ def test_frame_and_linear_layers_sum_into_one_term_dict():
     assert _rebound_sums(ast.parse(
         "for p in ps:\n    out = out + p\nwhile q:\n    q = q - 1\n")) \
         == [2, 4]
+
+
+UNIT_KERNELS = {"_differential_term", "_codifferential_term", "_phi_term",
+                "_closed_form_term"}
+
+
+def _kernel_uses_outside_apply(tree):
+    """Line numbers where a unit kernel is named other than as an argument
+    of an ``_apply`` call (a direct call, or any other reference)."""
+    passed = {id(arg) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "_apply"
+              for arg in node.args}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in passed
+                  and (isinstance(node, ast.Name) and node.id in UNIT_KERNELS
+                       or isinstance(node, ast.Attribute)
+                       and node.attr in UNIT_KERNELS))
+
+
+def test_unit_kernels_are_composed_only_through_apply():
+    """Outside algebra.py a unit kernel is only handed to ``algebra._apply``,
+    the one routine that composes it over items."""
+    found = {name: _kernel_uses_outside_apply(tree)
+             for name, tree in _package_trees() if name != "algebra.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _kernel_uses_outside_apply(ast.parse(
+        "_apply(_phi_term, ga, ODD, items)\n"
+        "_differential_term(ga, ODD, s, t)\n"
+        "k = algebra._closed_form_term\n"
+        "_apply(f, ga, ODD, _codifferential_term(ga, ODD, s, t))\n")) \
+        == [2, 3, 4]

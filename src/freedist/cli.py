@@ -19,7 +19,7 @@ from .algebra import algebra_battery
 from .cohomology import harmonic_space
 from .errors import FreeDistError, ParseError, UnsupportedError
 from .normalization import analyze, report_to_json
-from .parsing import parse_frame_file, parse_scalar
+from .parsing import MAX_DIGITS, parse_frame_file, parse_scalar
 from .scalars import ExactScalar
 from .spinorial import (SpinorIdentification, TangentKey, list_inclusions,
                         pfaffian, tangent_to_skew)
@@ -108,6 +108,19 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
     return out
 
 
+def _tangent_key(text: str) -> Optional[TangentKey]:
+    """The key spelt ``i`` or ``[j,k]``, each index a run of decimal digits
+    (at most MAX_DIGITS) after strip(); None for any other spelling."""
+    text = text.strip()
+    pair = text[:1] == "[" and text[-1:] == "]"
+    parts = [t.strip() for t in text[1:-1].split(",")] if pair else [text]
+    if len(parts) != 1 + pair or not all(
+            t.isdecimal() and len(t) <= MAX_DIGITS for t in parts):
+        return None
+    indices = [int(t) for t in parts]
+    return (indices[0], indices[1]) if pair else indices[0]
+
+
 def _parse_vector_json(text: str, l: int) -> Dict[TangentKey, ExactScalar]:
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
@@ -125,15 +138,10 @@ def _parse_vector_json(text: str, l: int) -> Dict[TangentKey, ExactScalar]:
     ident = SpinorIdentification(l)
     out: Dict[TangentKey, ExactScalar] = {}
     for key_text, raw in data["v"].items():
-        kt = key_text.strip()
+        key = _tangent_key(key_text)
         try:
-            if kt.startswith("["):
-                if not kt.endswith("]"):
-                    raise ValueError("malformed pair key")
-                a_text, b_text = kt[1:-1].split(",")
-                key: TangentKey = (int(a_text), int(b_text))
-            else:
-                key = int(kt)
+            if key is None:
+                raise ValueError("expected an index i or a pair [j,k]")
             ident.basis_image(key)
         except ValueError as exc:
             raise ParseError(f"invalid key {key_text!r} for l={l}: {exc}",

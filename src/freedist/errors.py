@@ -25,7 +25,7 @@ class UnsupportedFrameError(FreeDistError):
 
 
 class DegenerateFrameError(FreeDistError):
-    """The frame fields and their brackets fail to span at the base point."""
+    """The frame fields and their brackets fail to span at the origin."""
 
 
 class NotFreeDistributionError(FreeDistError):

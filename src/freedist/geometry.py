@@ -85,9 +85,6 @@ class VectorField:
         _add_derivative(out, [c.terms for c in self.components], p)
         return Polynomial(self.chart, out)
 
-    def evaluate(self, point: Dict[int, ExactScalar]) -> List[ExactScalar]:
-        return [c.evaluate(point) for c in self.components]
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, VectorField) and self.chart == other.chart
                 and self.components == other.components)
@@ -258,13 +255,12 @@ class Frame:
 
     def __init__(self, chart: Chart, l: int, singles: List[VectorField],
                  pairs: Dict[Tuple[int, int], VectorField],
-                 det: ExactScalar, point: Dict[int, ExactScalar]):
+                 det: ExactScalar):
         self.chart = chart
         self.l = l
         self.singles = singles
         self.pairs = pairs
         self.det = det
-        self.point = point
         self._coframe: Optional["Coframe"] = None
 
     def keys(self) -> List[FrameKey]:
@@ -331,17 +327,16 @@ def _coframe_from_inverse(chart: Chart, l: int,
     return Coframe(l, coforms[:l], copairs)
 
 
-def build_frame(fields: Sequence[VectorField],
-                point: Optional[Dict[int, ExactScalar]] = None) -> Frame:
+def build_frame(fields: Sequence[VectorField]) -> Frame:
     """Assemble the full frame, checking spanning and unimodularity.
 
-    Raises DegenerateFrameError if the full frame fails to span at the base
-    point (default: origin), then UnsupportedFrameError if its determinant
-    is not a nonzero constant.  The certificate of unimodularity is the
-    exact polynomial inverse of the frame matrix, which the returned frame
-    keeps as its dual coframe.
+    Raises DegenerateFrameError if the full frame fails to span at the
+    origin, then UnsupportedFrameError if its determinant is not a nonzero
+    constant.  The certificate of unimodularity is the exact polynomial
+    inverse of the frame matrix, which the returned frame keeps as its dual
+    coframe.
     """
-    frame = _certified_frame(fields, point)
+    frame = _certified_frame(fields)
     if isinstance(frame, FreeDistError):
         # Raised here, once _certified_frame has returned, so that the
         # rejection's traceback keeps neither the Jacobian nor its inverse
@@ -350,33 +345,30 @@ def build_frame(fields: Sequence[VectorField],
     return frame
 
 
-def _certified_frame(fields: Sequence[VectorField],
-                     point: Optional[Dict[int, ExactScalar]]
+def _certified_frame(fields: Sequence[VectorField]
                      ) -> Union[Frame, FreeDistError]:
     """build_frame's work: the Frame, or the rejection to raise.
 
     A polynomial matrix has a polynomial inverse iff its determinant is a
-    nonzero constant.  After the spanning check at the base point, a
-    determinant that differs between the base point and the all-ones point
+    nonzero constant.  After the spanning check at the origin, a
+    determinant that differs between the origin and the all-ones point
     refutes that cheaply; otherwise poly_inverse either returns the inverse
     (the certificate, kept as the frame's coframe) or passes its degree
-    bound (the refutation).
+    bound (the refutation).  The matrix at the origin holds each entry's
+    constant term, and at the all-ones point each entry's coefficient sum.
     """
     chart, l, singles, pairs, jac = _assemble(fields)
-    if point is None:
-        point = {idx: ExactScalar.zero() for idx in range(chart.ncoords)}
-    base = [[e.evaluate(point) for e in row] for row in jac]
-    # the Newton start is the inverse at the origin, else poly_inverse's
-    det, start = (invert_scalar_matrix(base) if not any(point.values())
-                  else (_determinant(base)[0], None))
+    zero, zeros = ExactScalar.zero(), (0,) * chart.ncoords
+    # the inverse at the origin is the Newton start
+    det, start = invert_scalar_matrix(
+        [[e.terms.get(zeros, zero) for e in row] for row in jac])
     if not det:
         return DegenerateFrameError(
             "frame and its pair fields fail to span the tangent space at "
             "the base point")
-    ones = {idx: ExactScalar.one() for idx in range(chart.ncoords)}
     inverse = None
-    if _determinant(
-            [[e.evaluate(ones) for e in row] for row in jac])[0] == det:
+    if _determinant([[sum(e.terms.values(), zero) for e in row]
+                     for row in jac])[0] == det:
         try:
             inverse = poly_inverse(jac, start)
         except ValueError:
@@ -385,7 +377,7 @@ def _certified_frame(fields: Sequence[VectorField],
         return UnsupportedFrameError(
             "frame determinant is not constant; only unimodular frames "
             "are supported")
-    frame = Frame(chart, l, singles, pairs, det, point)
+    frame = Frame(chart, l, singles, pairs, det)
     frame._coframe = _coframe_from_inverse(chart, l, inverse)
     return frame
 
@@ -399,7 +391,7 @@ def check_nondegenerate(frame_or_fields) -> bool:
     if isinstance(frame_or_fields, Frame):
         return bool(frame_or_fields.det)
     try:
-        return isinstance(_certified_frame(frame_or_fields, None), Frame)
+        return isinstance(_certified_frame(frame_or_fields), Frame)
     except ValueError:
         return False
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey, _apply,
                       _codifferential_term, _differential_term, algebra,
@@ -478,12 +478,10 @@ def extension_normality_report(report: CurvatureReport) -> Dict[str, object]:
             "verdict": VERDICT_NORMAL if ok else VERDICT_OBSTRUCTED}
 
 
-def analyze(fields: Sequence[VectorField],
-            point: Optional[Dict[int, ExactScalar]] = None
-            ) -> AnalysisReport:
+def analyze(fields: Sequence[VectorField]) -> AnalysisReport:
     """Full pipeline: frame, structure functions, both normalization
     degrees, curvature tensors, and verdicts."""
-    frame = build_frame(fields, point)
+    frame = build_frame(fields)
     f = structure_functions(frame)
     A, C, P = solve_degree1(f)
     E, F, R, S, T = solve_degree2(frame, f, A, C)

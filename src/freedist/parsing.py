@@ -27,7 +27,11 @@ from .scalars import ExactScalar
 
 Token = Tuple[str, object, int, int]  # (type, value, line, col)
 
-_OPS = set("+-*^()[],:/")
+# Every token but a number: its text and its token type.  No text starts
+# a longer one, so the shortest text that matches is the token.
+_LITERALS = {"sqrt2": "sqrt2", "Dx": "dx", "Dy": "dy", "x": "x", "y": "y",
+             **{op: op for op in "+-*^()[],:/"}}
+_SIZES = sorted({len(text) for text in _LITERALS})
 
 # Resource guards: a power is built by repeated multiplication, each level
 # of '(' or unary '-' is one more level of recursion, int() refuses digit
@@ -63,37 +67,15 @@ def tokenize(text: str, start_line: int = 1, start_col: int = 1) -> List[Token]:
             col += j - i
             i = j
             continue
-        if text.startswith("sqrt2", i):
-            tokens.append(("sqrt2", None, line, col))
-            i += 5
-            col += 5
-            continue
-        if text.startswith("Dx", i):
-            tokens.append(("dx", None, line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("Dy", i):
-            tokens.append(("dy", None, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch == "x":
-            tokens.append(("x", None, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "y":
-            tokens.append(("y", None, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, None, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        for size in _SIZES:
+            ttype = _LITERALS.get(text[i:i + size])
+            if ttype:
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append((ttype, None, line, col))
+        i += size
+        col += size
     tokens.append(("end", None, line, col))
     return tokens
 
@@ -257,7 +239,7 @@ class _Parser:
         a = self.expect("num", "a pair index")
         self.expect(",", "','")
         b = self.expect("num", "a pair index")
-        close = self.expect("]", "']'")
+        self.expect("]", "']'")
         if not self.allow_coords:
             raise ParseError("coordinates are not allowed in this expression",
                              t[2], t[3])
@@ -266,7 +248,6 @@ class _Parser:
                 raise ParseError(
                     f"{sym}[{a[1]},{b[1]}] is out of range for l={self.chart.l}",
                     n[2], n[3])
-        del close
         return a[1], b[1]
 
 

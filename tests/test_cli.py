@@ -508,6 +508,19 @@ def test_spinor_bad_key_exit_1(capsys, key):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["+1", "1_0", "[1,1_0]", "[+1,2]",
+                                 "[1,2,3]", "[1]", "[a,b]",
+                                 pytest.param("1" * 1001, id="1001-digits")])
+def test_spinor_malformed_key_exit_1(capsys, key):
+    """An index is decimal digits only: int() would also read a sign or
+    an underscore ('1_0' as 10, a valid index at l = 13)."""
+    code, out, err = run(capsys, "spinor", "--l", "13", "--vector",
+                         json.dumps({"v": {key: "1"}}))
+    assert code == 1 and out == ""
+    assert err == (f"vector:1:1: invalid key {key!r} for l=13: expected an "
+                   "index i or a pair [j,k]\n")
+
+
 def test_spinor_non_integer_value_exit_1(capsys):
     code, _, err = run(capsys, "spinor", "--l", "5", "--vector",
                        '{"v": {"1": 1.5}}')

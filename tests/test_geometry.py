@@ -1,6 +1,7 @@
 """Fields, forms, brackets, frames, coframes, and structure functions."""
 
 import json
+import os
 import random
 
 import pytest
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 
 import freedist.geometry as geometry_module
 import freedist.linalg as linalg_module
-from conftest import (armstrong_fields, data_path, flat_fields, poly_det,
-                      random_sparse_fields)
+from conftest import (DATA_DIR, armstrong_fields, data_path, flat_fields,
+                      poly_det, random_sparse_fields)
 from freedist.errors import (DegenerateFrameError, NotFreeDistributionError,
                              UnsupportedFrameError)
 from freedist.geometry import (DifferentialForm, Frame, VectorField,
                                _assemble, build_frame, check_nondegenerate,
                                dual_coframe, frame_keys, lie_bracket,
                                structure_functions)
+from freedist.linalg import _determinant, invert_scalar_matrix, poly_inverse
 from freedist.parsing import parse_frame_file
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
@@ -282,15 +284,97 @@ def test_newton_inverse_refutes_determinant_equal_at_both_points():
 
 def test_shifted_base_point_with_singular_origin_refused():
     # scaled by x1: the frame spans at the all-ones point but not at the
-    # origin, so its determinant is not constant
+    # origin, where it is refused as degenerate
     fields = first_field_scaled(coord_poly(CH.x_index(1)))
     assert frame_det(fields).evaluate(ORIGIN) == ExactScalar.zero()
-    with pytest.raises(UnsupportedFrameError,
-                       match="^frame determinant is not constant") as info:
-        build_frame(fields, dict(ONES))
-    assert_traceback_holds_no_matrix(info.value)
+    assert frame_det(fields).evaluate(ONES) != ExactScalar.zero()
     with pytest.raises(DegenerateFrameError):
         build_frame(fields)
+
+
+def evaluate_route_outcome(fields):
+    """Oracle: build_frame's outcome with the frame matrix evaluated by
+    Polynomial.evaluate at the origin and at the all-ones point, and
+    whether the Newton inverse ran."""
+    ch, _, _, _, jac = _assemble(fields)
+    origin = {i: ExactScalar.zero() for i in range(ch.ncoords)}
+    ones = {i: ExactScalar.one() for i in range(ch.ncoords)}
+    det, start = invert_scalar_matrix(
+        [[e.evaluate(origin) for e in row] for row in jac])
+    if not det:
+        return DegenerateFrameError, False
+    if _determinant([[e.evaluate(ones) for e in row] for row in jac])[0] \
+            != det:
+        return UnsupportedFrameError, False
+    try:
+        poly_inverse(jac, start)
+    except ValueError:
+        return UnsupportedFrameError, True
+    return det, True
+
+
+def oracle_candidates(l, rng):
+    """random_sparse_fields, with one field scaled by c + x_a (- x_b) a
+    third of the time: c = 0 is singular at the origin, and c = 1 has a
+    nonconstant determinant, refuted at the all-ones point (x_a alone) or
+    by the Newton inverse (x_a - x_b can cancel there)."""
+    fields = random_sparse_fields(l, rng)
+    if rng.random() < 1 / 3:
+        ch = fields[0].chart
+        g = Polynomial.const(ch, rng.choice([0, 1])) \
+            + Polynomial.coordinate(ch, ch.x_index(rng.randint(1, l)))
+        if rng.random() < 0.5:
+            g = g - Polynomial.coordinate(ch, ch.x_index(rng.randint(1, l)))
+        fi = rng.randrange(l)
+        fields[fi] = fields[fi].scale(g)
+    return fields
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_build_frame_matches_the_evaluate_route(monkeypatch, l):
+    """The outcome (det, DegenerateFrameError or UnsupportedFrameError) and
+    whether poly_inverse ran equal the oracle's on seeded candidates."""
+    newton = []
+
+    def counted(m, x0=None):
+        newton.append(1)
+        return poly_inverse(m, x0)
+
+    monkeypatch.setattr(geometry_module, "poly_inverse", counted)
+    rng = random.Random(23 + l)
+    outcomes = []
+    for _ in range(30):
+        fields = oracle_candidates(l, rng)
+        newton.clear()
+        try:
+            outcome = build_frame(fields).det
+        except (DegenerateFrameError, UnsupportedFrameError) as exc:
+            outcome = type(exc)
+        outcomes.append((outcome, bool(newton)))
+        assert outcomes[-1] == evaluate_route_outcome(fields)
+    assert {(o if isinstance(o, type) else "det", ran)
+            for o, ran in outcomes} == {
+        ("det", True), (DegenerateFrameError, False),
+        (UnsupportedFrameError, False), (UnsupportedFrameError, True)}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in os.listdir(DATA_DIR) if name.endswith(".frame")
+    and name != "bad_syntax.frame"))
+def test_jacobian_terms_read_the_origin_and_the_all_ones_point(name):
+    """Each Jacobian entry's constant term is its value at the origin, and
+    its coefficient sum its value at the all-ones point."""
+    with open(data_path(name), encoding="utf-8") as fh:
+        jac = _assemble(parse_frame_file(fh.read())[1])[4]
+    ch = jac[0][0].chart
+    zeros = (0,) * ch.ncoords
+    origin = {i: ExactScalar.zero() for i in range(ch.ncoords)}
+    ones = {i: ExactScalar.one() for i in range(ch.ncoords)}
+    for row in jac:
+        for e in row:
+            assert e.terms.get(zeros, ExactScalar.zero()) == e.evaluate(origin)
+            assert sum(e.terms.values(), ExactScalar.zero()) \
+                == e.evaluate(ones)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32))
@@ -308,25 +392,16 @@ def test_dual_coframe_degree_guard_names_itself():
     singles = nonunimodular_fields()
     pairs = {(j, k): -lie_bracket(singles[j - 1], singles[k - 1])
              for j in range(1, 4) for k in range(j + 1, 4)}
-    point = {i: ExactScalar.zero() for i in range(CH.ncoords)}
-    frame = Frame(CH, 3, singles, pairs, ExactScalar.one(), point)
+    frame = Frame(CH, 3, singles, pairs, ExactScalar.one())
     with pytest.raises(AssertionError, match="^dual_coframe: .*degree bound"):
         dual_coframe(frame)
-
-
-def test_dual_coframe_at_shifted_base_point():
-    point = {i: ExactScalar.of(1) for i in range(chart(4).ncoords)}
-    shifted = dual_coframe(build_frame(armstrong_fields(4), point))
-    origin = dual_coframe(build_frame(armstrong_fields(4)))
-    assert shifted.cosingles == origin.cosingles
-    assert shifted.copairs == origin.copairs
 
 
 def test_doctored_pair_fields_are_not_free():
     fr = build_frame(flat_fields(3))
     pairs = dict(fr.pairs)
     pairs[(1, 2)] = pairs[(1, 2)] + pairs[(1, 3)]
-    doctored = Frame(fr.chart, fr.l, fr.singles, pairs, fr.det, fr.point)
+    doctored = Frame(fr.chart, fr.l, fr.singles, pairs, fr.det)
     with pytest.raises(NotFreeDistributionError):
         structure_functions(doctored)
 
@@ -338,7 +413,7 @@ def test_swapped_pair_fields_are_not_free():
     fr = build_frame(flat_fields(3))
     pairs = dict(fr.pairs)
     pairs[(1, 2)], pairs[(2, 3)] = pairs[(2, 3)], pairs[(1, 2)]
-    swapped = Frame(fr.chart, fr.l, fr.singles, pairs, fr.det, fr.point)
+    swapped = Frame(fr.chart, fr.l, fr.singles, pairs, fr.det)
     assert dual_coframe(swapped).form(("p", (1, 2))).d().terms.keys() \
         == {(fr.chart.x_index(2), fr.chart.x_index(3))}
     with pytest.raises(NotFreeDistributionError):
@@ -360,7 +435,7 @@ def test_coordinate_frame_is_not_free():
 
     singles = [unit(ch.x_index(i)) for i in range(1, 4)]
     pairs = {p: unit(ch.y_index(*p)) for p in fr.pairs}
-    coordinate = Frame(ch, 3, singles, pairs, ExactScalar.one(), fr.point)
+    coordinate = Frame(ch, 3, singles, pairs, ExactScalar.one())
     with pytest.raises(NotFreeDistributionError):
         structure_functions(coordinate)
 
@@ -487,13 +562,10 @@ def test_structure_function_accessors_signed():
     assert sf.pair_pair((1, 2), (1, 3), (1, 3)).is_zero()
 
 
-@pytest.mark.parametrize("shift,own", [(0, 1), (1, 0)])
-def test_build_frame_back_substitutes_only_for_the_newton_start(monkeypatch,
-                                                               shift, own):
-    """Both determinants are read off the pivots.  At the origin the one
-    back-substitution of build_frame's own is the inverse it hands to
-    poly_inverse as its start; at a shifted base point it makes none, and
-    poly_inverse inverts the constant term itself."""
+def test_build_frame_back_substitutes_only_for_the_newton_start(monkeypatch):
+    """Both determinants are read off the pivots.  The one
+    back-substitution of build_frame's own is the inverse at the origin,
+    which it hands to poly_inverse as its start."""
     calls = {"frame": 0, "newton": 0}
     where = ["frame"]
     solution_operator = linalg_module._solution_operator
@@ -512,15 +584,5 @@ def test_build_frame_back_substitutes_only_for_the_newton_start(monkeypatch,
 
     monkeypatch.setattr(linalg_module, "_solution_operator", counted)
     monkeypatch.setattr(geometry_module, "poly_inverse", newton)
-    point = {i: ExactScalar.of(shift) for i in range(chart(4).ncoords)}
-    build_frame(armstrong_fields(4), point)
-    assert calls == {"frame": own, "newton": 1 - own}
-
-
-def test_base_point_override():
-    # at a shifted base point the same fields still span
-    fields = flat_fields(3)
-    point = {i: ExactScalar.of(1) for i in range(CH.ncoords)}
-    fr = build_frame(fields, point)
-    assert fr.det == ExactScalar.of(-1)
-    assert fr.point == point
+    build_frame(armstrong_fields(4))
+    assert calls == {"frame": 1, "newton": 0}

@@ -2,6 +2,7 @@
 statements and no imports outside the standard library."""
 
 import ast
+import inspect
 import pathlib
 import sys
 
@@ -177,3 +178,35 @@ def test_unit_kernels_are_composed_only_through_apply():
         "k = algebra._closed_form_term\n"
         "_apply(f, ga, ODD, _codifferential_term(ga, ODD, s, t))\n")) \
         == [2, 3, 4]
+
+
+def test_frames_are_certified_at_the_origin_only():
+    """build_frame and analyze take only the fields, and Frame keeps no
+    base point: unimodularity does not depend on a point."""
+    from freedist.geometry import Frame, VectorField, build_frame
+    from freedist.normalization import analyze
+    assert [list(inspect.signature(f).parameters)
+            for f in (build_frame, analyze)] == [["fields"], ["fields"]]
+    assert "point" not in inspect.signature(Frame).parameters
+    assert not hasattr(VectorField, "evaluate")
+
+
+def _evaluate_calls(tree):
+    """Line numbers of calls to an attribute named ``evaluate``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "evaluate")
+
+
+def test_frame_layer_evaluates_no_polynomial():
+    """geometry.py reads the origin and the all-ones point off the
+    Jacobian's term dicts (constant terms, coefficient sums), and
+    normalization.py evaluates nothing either."""
+    trees = dict(_package_trees())
+    assert {name: _evaluate_calls(trees[name])
+            for name in ("geometry.py", "normalization.py")} \
+        == {"geometry.py": [], "normalization.py": []}
+    assert _evaluate_calls(ast.parse(
+        "v = e.evaluate(point)\nevaluate(p)\nf(row[0].evaluate(ones))\n")) \
+        == [1, 3]

@@ -7,7 +7,7 @@ from conftest import frame_texts
 from freedist.errors import FreeDistError, ParseError, UnsupportedError
 from freedist.parsing import (MAX_DIGITS, MAX_L, parse_expression,
                               parse_frame_file, parse_scalar,
-                              parse_vector_field)
+                              parse_vector_field, tokenize)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -70,6 +70,18 @@ def test_parse_error_location():
         parse_expression("x1 + @", CH)
     assert exc.value.line == 1
     assert exc.value.col == 6
+
+
+@pytest.mark.parametrize("literal", ["12", "sqrt2", "Dx", "Dy", "x", "y",
+                                     *"+-*^()[],:/", "  ", "\n"])
+def test_unexpected_character_column_after_each_literal(literal):
+    """Each literal advances the column by its length (a newline starts
+    the next line at column 1)."""
+    with pytest.raises(ParseError) as exc:
+        tokenize(literal + "sqrt2$", start_line=3, start_col=5)
+    where = (4, 6) if literal == "\n" else (3, 10 + len(literal))
+    assert (exc.value.message, exc.value.line, exc.value.col) \
+        == ("unexpected character '$'", *where)
 
 
 def test_vector_field_round_trip():

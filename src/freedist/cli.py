@@ -83,7 +83,10 @@ def _parse_h_range(text: str) -> List[int]:
         a_text, b_text = text.split("..", 1)
     else:
         a_text = b_text = text
-    try:
+    bounds = [t.strip().removeprefix("-") for t in (a_text, b_text)]
+    try:   # int() would also read '+1', '1_0' and non-ASCII digits
+        if not all(t.isascii() and t.isdigit() for t in bounds):
+            raise ValueError(text)
         a, b = int(a_text), int(b_text)
     except ValueError:
         raise UnsupportedError(f"invalid homogeneity range {text!r}; "

@@ -209,25 +209,6 @@ class DifferentialForm:
         accumulate(terms, pairs)
         return DifferentialForm(self.chart, 2, terms)
 
-    def evaluate(self, *fields: VectorField) -> Polynomial:
-        if len(fields) != self.degree:
-            raise ValueError("wrong number of field arguments")
-        for f in fields:
-            if f.chart != self.chart:
-                raise ValueError("mismatched charts in form evaluation")
-        out: Dict[Exponents, ExactScalar] = {}
-        if self.degree == 1:
-            v = fields[0]
-            for (c,), g in self.terms.items():
-                add_product(out, g.terms, v.components[c].terms)
-            return Polynomial(self.chart, out)
-        v, w = fields
-        for (d, c), g in self.terms.items():
-            t = v.components[d] * w.components[c] \
-                - v.components[c] * w.components[d]
-            add_product(out, g.terms, t.terms)
-        return Polynomial(self.chart, out)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, DifferentialForm)
                 and self.chart == other.chart and self.degree == other.degree

@@ -211,27 +211,6 @@ class Polynomial:
             e[:idx] + (k - 1,) + e[idx + 1:]: c * k
             for e, c in self.terms.items() if (k := e[idx])})
 
-    def evaluate(self, point: Dict[int, ExactScalar]) -> ExactScalar:
-        """Evaluate at a point given as {coordinate index: value}.
-
-        Every coordinate actually occurring must be assigned; a missing one
-        raises KeyError naming the coordinate.
-        """
-        total = ExactScalar.zero()
-        for e, c in self.terms.items():
-            v = c
-            for idx, k in enumerate(e):
-                if k == 0:
-                    continue
-                if idx not in point:
-                    raise KeyError(
-                        f"no value supplied for coordinate {self.chart.name(idx)}")
-                val = point[idx]
-                for _ in range(k):
-                    v = v * val
-            total = total + v
-        return total
-
     # --- printing -----------------------------------------------------------
     def sorted_terms(self) -> Iterable[Tuple[Exponents, ExactScalar]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)

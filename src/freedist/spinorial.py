@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import UnsupportedError
 from .linalg import signature_of_symmetric
-from .scalars import ExactScalar, ScalarLike, _reduced
+from .scalars import ONE, ExactScalar, ScalarLike, _reduced
 
 TangentKey = Union[int, Tuple[int, int]]
 TangentCoefficients = Dict[TangentKey, ScalarLike]
@@ -98,12 +98,12 @@ def tangent_to_skew(v: TangentCoefficients, l: int) -> SkewMatrix:
     """
     n = l + 1
     zero = ExactScalar.zero()
-    m = [[zero for _ in range(n)] for _ in range(n)]
+    m = [[zero] * n for _ in range(n)]
     ident = SpinorIdentification(l)
     for key, raw in v.items():
         c = raw if isinstance(raw, ExactScalar) else ExactScalar.of(raw)
         (a, b), w = ident.basis_image(key)
-        val = c * w
+        val = c if w is ONE else c * w
         m[a][b], m[b][a] = val, -val
     return SkewMatrix._skew_by_construction(m)
 

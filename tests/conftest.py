@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from freedist.algebra import (EVEN, ODD, Chain, _canonical_slots, _unit_term,
                               algebra)
-from freedist.geometry import VectorField
-from freedist.polynomials import Polynomial, accumulate, chart
+from freedist.cohomology import _column, _term_keys
+from freedist.geometry import DifferentialForm, VectorField
+from freedist.linalg import _kernel
+from freedist.polynomials import Polynomial, accumulate, add_product, chart
 from freedist.scalars import ExactScalar
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -20,6 +22,36 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
+
+
+def poly_value(p: Polynomial, point: Dict[int, ExactScalar]) -> ExactScalar:
+    """Test oracle: a polynomial's value at {coordinate index: value};
+    every coordinate that occurs must be assigned."""
+    total = ExactScalar.zero()
+    for e, c in p.terms.items():
+        for idx, k in enumerate(e):
+            for _ in range(k):
+                c = c * point[idx]
+        total = total + c
+    return total
+
+
+def form_value(form: DifferentialForm, *fields: VectorField) -> Polynomial:
+    """Test oracle: a 1-form on one vector field or a 2-form on two, the
+    coordinate sum of g v^c, or of g (v^d w^c - v^c w^d)."""
+    if len(fields) != form.degree:
+        raise ValueError("wrong number of field arguments")
+    out: Dict = {}
+    if form.degree == 1:
+        for (c,), g in form.terms.items():
+            add_product(out, g.terms, fields[0].components[c].terms)
+        return Polynomial(form.chart, out)
+    v, w = fields
+    for (d, c), g in form.terms.items():
+        t = v.components[d] * w.components[c] \
+            - v.components[c] * w.components[d]
+        add_product(out, g.terms, t.terms)
+    return Polynomial(form.chart, out)
 
 
 def poly_det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -295,6 +327,23 @@ def oracle_differential(c):
                 items.append(((ga.dual_slot(a), ga.dual_slot(b)) + rest,
                               target, coeff * (sign * n)))
     return Chain.make(ODD, c.l, c.k + 1, items)
+
+
+def harmonic_system(l, k, h):
+    """The unit term keys of degree k and homogeneity h, and for each the
+    column of its differential and codifferential images (rows ("d", key)
+    and ("cd", key)): the whole harmonic system, not split by weight."""
+    ga = algebra(l)
+    keys = _term_keys(ga, k, h)
+    return keys, [_column(ga, tk) for tk in keys]
+
+
+def unsplit_harmonic_basis(l, k, h):
+    """Test oracle: a harmonic basis as the kernel of every column of
+    ``harmonic_system`` at once, each kernel vector read as a chain."""
+    keys, columns = harmonic_system(l, k, h)
+    return [Chain(ODD, l, k, {keys[j]: c for j, c in vec.items()})
+            for vec in _kernel(columns)]
 
 
 HALF_ROOT2 = ExactScalar(0, Fraction(1, 2))

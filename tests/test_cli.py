@@ -346,6 +346,25 @@ def test_cohomology_range_width_guard(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["1_0..1_1", "\u0663", "+1..2"])
+def test_cohomology_range_takes_ascii_integers_only(capsys, text):
+    """Underscore separators, non-ASCII digits and a '+' sign, all of which
+    int() reads, are refused with the invalid-range line."""
+    code, out, err = run(capsys, "cohomology", "--l", "3", "--k", "1",
+                         f"--h={text}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: invalid homogeneity range {text!r}; "
+                   "expected A..B with integers\n")
+
+
+def test_cohomology_range_negative_and_spaced_bounds(capsys):
+    code, out, _ = run(capsys, "cohomology", "--l", "3", "--k", "1",
+                       "--h=-1..1")
+    assert code == 0
+    assert json.loads(out)["dimensions"] == {"-1": 6, "0": 0, "1": 0}
+    assert _parse_h_range(" -1 .. 2 ") == [-1, 0, 1, 2]
+
+
 def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
     def broken(l):
         raise AssertionError("GradedAlgebra: stage failed on purpose")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import freedist.geometry as geometry_module
 import freedist.linalg as linalg_module
 from conftest import (DATA_DIR, armstrong_fields, data_path, flat_fields,
-                      poly_det, random_sparse_fields)
+                      form_value, poly_det, poly_value,
+                      random_sparse_fields)
 from freedist.errors import (DegenerateFrameError, NotFreeDistributionError,
                              UnsupportedFrameError)
 from freedist.geometry import (DifferentialForm, Frame, VectorField,
@@ -130,9 +131,9 @@ def test_exterior_derivative_squares_to_zero():
 def test_intrinsic_exterior_derivative_formula(v, w):
     p = coord_poly(CH.x_index(1)) * coord_poly(CH.x_index(3))
     theta = DifferentialForm.dcoord(CH, CH.y_index(1, 2)).scale(p)
-    lhs = theta.d().evaluate(v, w)
-    rhs = (v.apply(theta.evaluate(w)) - w.apply(theta.evaluate(v))
-           - theta.evaluate(lie_bracket(v, w)))
+    lhs = form_value(theta.d(), v, w)
+    rhs = (v.apply(form_value(theta, w)) - w.apply(form_value(theta, v))
+           - form_value(theta, lie_bracket(v, w)))
     assert lhs == rhs
 
 
@@ -149,7 +150,7 @@ def test_two_form_evaluation_antisymmetry():
     v = VectorField.coordinate_x(CH, 1)
     w = VectorField.coordinate_y(CH, 1, 2)
     om = a.wedge(b)
-    assert om.evaluate(v, w) == -(om.evaluate(w, v))
+    assert form_value(om, v, w) == -(form_value(om, w, v))
 
 
 def test_frame_keys_ordering():
@@ -185,7 +186,7 @@ def test_dual_coframe_duality():
         for b in keys:
             want = (Polynomial.const(fr.chart, ExactScalar.one())
                     if a == b else Polynomial.zero(fr.chart))
-            assert co.form(a).evaluate(fr.field(b)) == want
+            assert form_value(co.form(a), fr.field(b)) == want
 
 
 def test_degenerate_frame_rejected():
@@ -274,7 +275,8 @@ def test_newton_inverse_refutes_determinant_equal_at_both_points():
     fields = newton_refuted_fields()
     det = frame_det(fields)
     assert not det.is_constant()
-    assert det.evaluate(ORIGIN) == det.evaluate(ONES) == ExactScalar.of(-1)
+    assert poly_value(det, ORIGIN) == poly_value(det, ONES) \
+        == ExactScalar.of(-1)
     with pytest.raises(UnsupportedFrameError,
                        match="^frame determinant is not constant; only "
                              "unimodular frames are supported$"):
@@ -286,24 +288,24 @@ def test_shifted_base_point_with_singular_origin_refused():
     # scaled by x1: the frame spans at the all-ones point but not at the
     # origin, where it is refused as degenerate
     fields = first_field_scaled(coord_poly(CH.x_index(1)))
-    assert frame_det(fields).evaluate(ORIGIN) == ExactScalar.zero()
-    assert frame_det(fields).evaluate(ONES) != ExactScalar.zero()
+    assert poly_value(frame_det(fields), ORIGIN) == ExactScalar.zero()
+    assert poly_value(frame_det(fields), ONES) != ExactScalar.zero()
     with pytest.raises(DegenerateFrameError):
         build_frame(fields)
 
 
 def evaluate_route_outcome(fields):
     """Oracle: build_frame's outcome with the frame matrix evaluated by
-    Polynomial.evaluate at the origin and at the all-ones point, and
+    poly_value at the origin and at the all-ones point, and
     whether the Newton inverse ran."""
     ch, _, _, _, jac = _assemble(fields)
     origin = {i: ExactScalar.zero() for i in range(ch.ncoords)}
     ones = {i: ExactScalar.one() for i in range(ch.ncoords)}
     det, start = invert_scalar_matrix(
-        [[e.evaluate(origin) for e in row] for row in jac])
+        [[poly_value(e, origin) for e in row] for row in jac])
     if not det:
         return DegenerateFrameError, False
-    if _determinant([[e.evaluate(ones) for e in row] for row in jac])[0] \
+    if _determinant([[poly_value(e, ones) for e in row] for row in jac])[0] \
             != det:
         return UnsupportedFrameError, False
     try:
@@ -372,9 +374,10 @@ def test_jacobian_terms_read_the_origin_and_the_all_ones_point(name):
     ones = {i: ExactScalar.one() for i in range(ch.ncoords)}
     for row in jac:
         for e in row:
-            assert e.terms.get(zeros, ExactScalar.zero()) == e.evaluate(origin)
+            assert e.terms.get(zeros, ExactScalar.zero()) \
+                == poly_value(e, origin)
             assert sum(e.terms.values(), ExactScalar.zero()) \
-                == e.evaluate(ones)
+                == poly_value(e, ones)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32))
@@ -458,7 +461,7 @@ def test_armstrong_structure_functions_single_entry():
 
 def test_structure_functions_match_per_pair_evaluation():
     """Every block entry, in order, is dtheta evaluated on one frame pair
-    with DifferentialForm.evaluate, and no nonzero value is missing."""
+    with form_value, and no nonzero value is missing."""
     rng = random.Random(7)
     frames = [build_frame(armstrong_fields(4))]
     while len(frames) < 5:
@@ -476,7 +479,8 @@ def test_structure_functions_match_per_pair_evaluation():
                 for vkey in keys[ui + 1:]:
                     if ukey[0] == "s" and vkey[0] == "s":
                         continue
-                    val = dtheta.evaluate(fr.field(ukey), fr.field(vkey))
+                    val = form_value(dtheta, fr.field(ukey),
+                                     fr.field(vkey))
                     if not val.is_zero():
                         block = f"{tkey[0] * 2}_{ukey[0]}{vkey[0]}"
                         want[block].append(((tkey[1], ukey[1], vkey[1]),
@@ -524,7 +528,7 @@ with open(data_path("analyze_goldens.json"), encoding="utf-8") as _fh:
                                                     "seeded_l5"])
 def test_structure_functions_equal_the_coordinate_evaluation(source):
     """Oracle: for every target t and frame pair (u, v), the stored value
-    is dtheta^t evaluated on (F_u, F_v) with DifferentialForm.evaluate,
+    is dtheta^t evaluated on (F_u, F_v) with form_value,
     and the blocks hold nothing else."""
     if source.startswith("seeded"):
         frames = seeded_frames_with_structure(int(source[-1]), 5, 3)
@@ -539,7 +543,8 @@ def test_structure_functions_equal_the_coordinate_evaluation(source):
             dtheta = coframe.form(tkey).d()
             for ui, ukey in enumerate(keys):
                 for vkey in keys[ui + 1:]:
-                    val = dtheta.evaluate(fr.field(ukey), fr.field(vkey))
+                    val = form_value(dtheta, fr.field(ukey),
+                                     fr.field(vkey))
                     assert stored_value(f, tkey, ukey, vkey) == val
                     stored += vkey[0] == "p" and not val.is_zero()
         assert stored == sum(len(table) for _, table in f.blocks())

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (poly_det, reference_kernel_of_columns,
+from conftest import (harmonic_system, poly_det, reference_kernel_of_columns,
                       reference_solution_operator)
-from freedist.cohomology import harmonic_system
 from freedist.linalg import (FactoredSystem, _eliminate, _kernel,
                              invert_scalar_matrix, kernel_of_columns,
                              poly_inverse, signature_of_symmetric)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (armstrong_fields, data_path, flat_fields,
+from conftest import (armstrong_fields, data_path, flat_fields, form_value,
                       random_sparse_fields)
 from freedist.algebra import (ODD, Chain, GradedAlgebra, algebra,
                               codifferential, commutator_operator,
@@ -207,7 +207,7 @@ def test_random_frames_self_consistent():
 
 def per_form_curvature_values(M, args):
     """The values of dM - M^M on each argument pair: each matrix row's
-    2-forms evaluated pair by pair with DifferentialForm.evaluate."""
+    2-forms evaluated pair by pair with form_value."""
     rows = {}
     for (r, c), form in M.items():
         rows.setdefault(r, []).append((c, form))
@@ -225,7 +225,7 @@ def per_form_curvature_values(M, args):
             if form.is_zero():
                 continue
             for entries, (u, v) in zip(values, args):
-                val = form.evaluate(u, v)
+                val = form_value(form, u, v)
                 if not val.is_zero():
                     entries[(r, c)] = val
     return values

@@ -181,7 +181,7 @@ def _report_text(data: Dict[str, object]) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")   # a leading BOM
     except UnicodeDecodeError as exc:
         print(f"{args.path}: not valid UTF-8 ({exc.reason} at byte "
               f"{exc.start})", file=sys.stderr)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Tuple
 
-from .algebra import (Chain, GradedAlgebra, ODD, TermKey, _apply,
+from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey, _apply,
                       _codifferential_term, _differential_term, algebra,
                       codifferential, differential)
 from .errors import UnsupportedError
@@ -44,11 +44,15 @@ class HarmonicSpace:
 
 def _term_keys(ga: GradedAlgebra, k: int, h: int) -> List[TermKey]:
     """All degree-k term keys of the named homogeneity, in canonical order
-    (slots strictly increasing in the positive-part rank order)."""
+    (slots strictly increasing in the positive-part rank order), each slot
+    tuple taking only the odd targets of the grade that completes h."""
+    targets: Dict[int, List[BasisKey]] = {}
+    for target in ga.odd_keys:
+        targets.setdefault(GradedAlgebra.grade(target), []).append(target)
     return [(slots, target)
             for slots in combinations(ga.positive_keys, k)
-            for target in ga.odd_keys
-            if sum(map(GradedAlgebra.grade, slots + (target,))) == h]
+            for target in targets.get(
+                h - sum(map(GradedAlgebra.grade, slots)), ())]
 
 
 def _column(ga: GradedAlgebra, tk: TermKey) -> Dict[object, ExactScalar]:

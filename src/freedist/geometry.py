@@ -37,24 +37,6 @@ class VectorField:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("VectorField is immutable")
 
-    @staticmethod
-    def zero(chart: Chart) -> "VectorField":
-        z = Polynomial.zero(chart)
-        return VectorField(chart, [z] * chart.ncoords)
-
-    @staticmethod
-    def coordinate_x(chart: Chart, i: int) -> "VectorField":
-        comps = [Polynomial.zero(chart)] * chart.ncoords
-        comps[chart.x_index(i)] = Polynomial.const(chart, ExactScalar.one())
-        return VectorField(chart, comps)
-
-    @staticmethod
-    def coordinate_y(chart: Chart, j: int, k: int) -> "VectorField":
-        comps = [Polynomial.zero(chart)] * chart.ncoords
-        comps[chart.y_index(j, k)] = Polynomial.const(chart,
-                                                      ExactScalar.one())
-        return VectorField(chart, comps)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 

@@ -18,19 +18,19 @@ All reported errors carry the 1-based line and column of the offending token.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError, UnsupportedError
 from .geometry import VectorField
-from .polynomials import Chart, Polynomial, chart as make_chart
+from .polynomials import (Chart, Exponents, Polynomial, accumulate,
+                          add_product, chart as make_chart)
 from .scalars import ExactScalar
 
 Token = Tuple[str, object, int, int]  # (type, value, line, col)
 
-# Every token but a number: its text and its token type.  No text starts
+# Every token but a number, whose text is its token type.  No text starts
 # a longer one, so the shortest text that matches is the token.
-_LITERALS = {"sqrt2": "sqrt2", "Dx": "dx", "Dy": "dy", "x": "x", "y": "y",
-             **{op: op for op in "+-*^()[],:/"}}
+_LITERALS = {"sqrt2", "Dx", "Dy", "x", "y", *"+-*^()[],:/"}
 _SIZES = sorted({len(text) for text in _LITERALS})
 
 # Resource guards: a power is built by repeated multiplication, each level
@@ -68,8 +68,8 @@ def tokenize(text: str, start_line: int = 1, start_col: int = 1) -> List[Token]:
             i = j
             continue
         for size in _SIZES:
-            ttype = _LITERALS.get(text[i:i + size])
-            if ttype:
+            ttype = text[i:i + size]
+            if ttype in _LITERALS:
                 break
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col)
@@ -80,7 +80,11 @@ def tokenize(text: str, start_line: int = 1, start_col: int = 1) -> List[Token]:
     return tokens
 
 
-Value = Tuple[str, Union[Polynomial, VectorField]]  # ('p', poly) | ('v', field)
+# A value's kind, 'p' (scalar) or 'v' (vector field), and its terms: c*x^e
+# along D_d keyed (1 + d,) + e, a scalar c*x^e keyed (0,) + e, so a
+# product's key is the sum of its factors' keys.  Each value is built fresh
+# and used once, so a sum may accumulate into its left operand.
+Value = Tuple[str, Dict[Exponents, ExactScalar]]
 
 
 class _Parser:
@@ -92,6 +96,7 @@ class _Parser:
         self.allow_fields = allow_fields
         self.allow_coords = allow_coords
         self.depth = 0
+        self.one = (0,) * (1 + chart_.ncoords)   # the key of a constant
 
     # --- token helpers ----------------------------------------------------
     def peek(self) -> Token:
@@ -117,18 +122,17 @@ class _Parser:
         if a[0] != b[0]:
             raise self.error("cannot combine a scalar expression with a "
                              "vector field", tok)
-        if a[0] == "p":
-            return ("p", a[1] + b[1] if op == "+" else a[1] - b[1])
-        return ("v", a[1] + b[1] if op == "+" else a[1] - b[1])
+        accumulate(a[1], (b[1] if op == "+" else _negated(b[1])).items())
+        return a
 
     def _mul(self, a: Value, b: Value, tok: Token) -> Value:
-        if a[0] == "p" and b[0] == "p":
-            return ("p", a[1] * b[1])
-        if a[0] == "p" and b[0] == "v":
-            return ("v", b[1].scale(a[1]))
-        if a[0] == "v" and b[0] == "p":
-            return ("v", a[1].scale(b[1]))
-        raise self.error("cannot multiply vector fields", tok)
+        if a[0] == b[0] == "v":
+            raise self.error("cannot multiply vector fields", tok)
+        if b[0] == "v":   # the field's terms lead, as in VectorField.scale
+            a, b = b, a
+        out: Dict[Exponents, ExactScalar] = {}
+        add_product(out, a[1], b[1])
+        return a[0], {key: c for key, c in out.items() if c}
 
     # --- grammar -------------------------------------------------------------
     def parse_expr(self) -> Value:
@@ -157,7 +161,7 @@ class _Parser:
             self.next()
             if t[0] == "-":
                 v = self.parse_factor()
-                v = (v[0], -v[1])
+                v = (v[0], _negated(v[1]))
             else:
                 v = self.parse_expr()
                 self.expect(")", "')'")
@@ -172,7 +176,10 @@ class _Parser:
             if n[1] > MAX_EXPONENT:
                 raise _guard(f"exponent {n[1]} is larger than {MAX_EXPONENT}",
                              n[2], n[3])
-            return ("p", v[1] ** n[1])
+            power = self._constant(ExactScalar.one())
+            for _ in range(n[1]):
+                power = self._mul(power, v, tok)
+            return power
         return v
 
     def parse_atom(self) -> Value:
@@ -186,36 +193,32 @@ class _Parser:
                 q = Fraction(t[1], d[1])
             else:
                 q = Fraction(t[1])
-            return ("p", Polynomial.const(self.chart, ExactScalar(q)))
+            return self._constant(ExactScalar(q))
         if t[0] == "sqrt2":
-            return ("p", Polynomial.const(self.chart, ExactScalar.sqrt2()))
-        if t[0] == "x":
-            i = self._index_after(t, "x")
-            return ("p", Polynomial.coordinate(self.chart,
-                                               self.chart.x_index(i)))
-        if t[0] == "y":
-            j, k = self._pair_after(t, "y")
-            if j == k:
-                return ("p", Polynomial.zero(self.chart))
-            if j > k:
-                p = Polynomial.coordinate(self.chart, self.chart.y_index(k, j))
-                return ("p", -p)
-            return ("p", Polynomial.coordinate(self.chart,
-                                               self.chart.y_index(j, k)))
-        if t[0] == "dx":
-            self._require_fields(t)
-            i = self._index_after(t, "Dx")
-            return ("v", VectorField.coordinate_x(self.chart, i))
-        if t[0] == "dy":
-            self._require_fields(t)
-            j, k = self._pair_after(t, "Dy")
-            if j == k:
-                return ("v", VectorField.zero(self.chart))
-            if j > k:
-                return ("v", -VectorField.coordinate_y(self.chart, k, j))
-            return ("v", VectorField.coordinate_y(self.chart, j, k))
+            return self._constant(ExactScalar.sqrt2())
+        if t[0] in ("x", "y", "Dx", "Dy"):
+            kind = "v" if t[0].startswith("D") else "p"
+            if kind == "v":
+                self._require_fields(t)
+            if t[0].endswith("x"):
+                idx, sign = self.chart.x_index(self._index_after(t, t[0])), 1
+            else:
+                j, k = self._pair_after(t, t[0])
+                if j == k:
+                    return kind, {}
+                idx = self.chart.y_index(min(j, k), max(j, k))
+                sign = 1 if j < k else -1
+            key = list(self.one)
+            if kind == "v":
+                key[0] = 1 + idx
+            else:
+                key[1 + idx] = 1
+            return kind, {tuple(key): ExactScalar.of(sign)}
         raise ParseError("expected a number, 'sqrt2', a coordinate, or '('",
                          t[2], t[3])
+
+    def _constant(self, c: ExactScalar) -> Value:
+        return "p", ({self.one: c} if c else {})
 
     # --- atom helpers -----------------------------------------------------
     def _require_fields(self, t: Token) -> None:
@@ -251,6 +254,11 @@ class _Parser:
         return a[1], b[1]
 
 
+def _negated(terms: Dict[Exponents, ExactScalar]
+             ) -> Dict[Exponents, ExactScalar]:
+    return {key: -c for key, c in terms.items()}
+
+
 def _guard(message: str, line: int, col: int) -> UnsupportedError:
     return UnsupportedError(f"{message} at line {line}, column {col} "
                             "(resource guard)")
@@ -278,14 +286,14 @@ def parse_expression(text: str, chart_: Chart) -> Polynomial:
     """Parse a scalar polynomial expression on the given chart."""
     v = _run_parser(tokenize(text), chart_, allow_fields=False,
                     allow_coords=True)
-    return v[1]
+    return Polynomial(chart_, {key[1:]: c for key, c in v[1].items()})
 
 
 def parse_scalar(text: str) -> ExactScalar:
     """Parse a coordinate-free expression to an exact Q(sqrt2) value."""
     v = _run_parser(tokenize(text), make_chart(2), allow_fields=False,
                     allow_coords=False)
-    return v[1].constant_value()
+    return next(iter(v[1].values()), ExactScalar.zero())  # its constant term
 
 
 def parse_vector_field(text: str, chart_: Chart, start_line: int = 1,
@@ -295,7 +303,10 @@ def parse_vector_field(text: str, chart_: Chart, start_line: int = 1,
     if v[0] != "v":
         raise ParseError("expression does not denote a vector field",
                          tokens[0][2], tokens[0][3])
-    return v[1]
+    components = [{} for _ in range(chart_.ncoords)]
+    for key, c in v[1].items():
+        components[key[0] - 1][key[1:]] = c
+    return VectorField(chart_, [Polynomial(chart_, t) for t in components])
 
 
 def parse_frame_file(text: str) -> Tuple[int, List[VectorField]]:

@@ -191,14 +191,6 @@ class Polynomial:
             return Polynomial.zero(self.chart)
         return _nonzero(self.chart, {e: c * v for e, c in self.terms.items()})
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        out = Polynomial.const(self.chart, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -106,6 +106,28 @@ def test_analyze_non_utf8_exit_1(capsys, tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_analyze_reads_a_leading_byte_order_mark(capsys, tmp_path):
+    """A file saved with a UTF-8 BOM analyzes as the file without it; a
+    BOM further in is a misplaced character, and a bad byte after a BOM
+    keeps its offset in the file."""
+    with open(data_path("flat_l4.frame"), "rb") as fh:
+        data = fh.read()
+    want = run(capsys, "analyze", data_path("flat_l4.frame"))
+    bom = "\ufeff".encode("utf-8")
+    cases = {"bom": bom + data, "inner": data.replace(b"X2: ", b"X2: " + bom),
+             "bad": bom + b"l: 4\nX1: \xe9\n"}
+    for name, content in cases.items():
+        (tmp_path / f"{name}.frame").write_bytes(content)
+    assert want[0] == 0
+    assert run(capsys, "analyze", str(tmp_path / "bom.frame")) == want
+    inner = str(tmp_path / "inner.frame")
+    assert run(capsys, "analyze", inner) == (
+        1, "", f"{inner}:4:5: unexpected character '\\ufeff'\n")
+    code, out, err = run(capsys, "analyze", str(tmp_path / "bad.frame"))
+    assert (code, out) == (1, "")
+    assert "not valid UTF-8 (invalid continuation byte at byte 12)" in err
+
+
 def flat_frame_text(l):
     lines = [f"l: {l}"]
     for i in range(1, l + 1):

@@ -1,6 +1,6 @@
 """Harmonic cochain spaces: guards, verification, and small exact values."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -226,3 +226,18 @@ def test_weight_block_size_mismatch_raises(monkeypatch):
                         lambda ga, k, h: term_keys(ga, k, h)[:-1])
     with pytest.raises(AssertionError, match="differs in size"):
         harmonic_space(4, 2, 1)
+
+
+@pytest.mark.parametrize("l", range(3, 9))
+def test_term_keys_equal_the_grade_filter(l):
+    """Taking each slot tuple's targets by grade gives the list that
+    filtering every (slots, target) pair by homogeneity gives, in order."""
+    ga = algebra(l)
+    grade = ga.grade
+    for k in (1, 2):
+        for h in range(-4, 7):
+            assert _term_keys(ga, k, h) == [
+                (slots, target)
+                for slots in combinations(ga.positive_keys, k)
+                for target in ga.odd_keys
+                if sum(map(grade, slots + (target,))) == h]

@@ -35,6 +35,13 @@ def const_poly(v):
     return Polynomial.const(CH, ExactScalar.of(v))
 
 
+def coord_field(idx):
+    """The coordinate vector field along chart coordinate idx."""
+    comps = [Polynomial.zero(CH)] * CH.ncoords
+    comps[idx] = const_poly(1)
+    return VectorField(CH, comps)
+
+
 @st.composite
 def sparse_fields(draw):
     comps = [Polynomial.zero(CH) for _ in range(CH.ncoords)]
@@ -102,16 +109,6 @@ def test_apply_is_a_derivation(v, w):
         v.apply(p))
 
 
-def test_coordinate_field_constructors():
-    vx = VectorField.coordinate_x(CH, 2)
-    vy = VectorField.coordinate_y(CH, 1, 3)
-    assert vx.components[CH.x_index(2)] == Polynomial.const(
-        CH, ExactScalar.one())
-    assert vy.components[CH.y_index(1, 3)] == Polynomial.const(
-        CH, ExactScalar.one())
-    assert VectorField.zero(CH).is_zero()
-
-
 def test_exterior_derivative_squares_to_zero():
     p = coord_poly(CH.x_index(1)) * coord_poly(CH.y_index(2, 3))
     theta = DifferentialForm.dcoord(CH, CH.x_index(2)).scale(p)
@@ -147,8 +144,8 @@ def test_wedge_antisymmetry():
 def test_two_form_evaluation_antisymmetry():
     a = DifferentialForm.dcoord(CH, 0)
     b = DifferentialForm.dcoord(CH, 3)
-    v = VectorField.coordinate_x(CH, 1)
-    w = VectorField.coordinate_y(CH, 1, 2)
+    v = coord_field(CH.x_index(1))
+    w = coord_field(CH.y_index(1, 2))
     om = a.wedge(b)
     assert form_value(om, v, w) == -(form_value(om, w, v))
 
@@ -190,8 +187,7 @@ def test_dual_coframe_duality():
 
 
 def test_degenerate_frame_rejected():
-    ch = CH
-    fields = [VectorField.coordinate_x(ch, i) for i in range(1, 4)]
+    fields = [coord_field(CH.x_index(i)) for i in range(1, 4)]
     with pytest.raises(DegenerateFrameError):
         build_frame(fields)
 
@@ -233,7 +229,7 @@ def newton_refuted_fields():
 
 
 def degenerate_fields():
-    return [VectorField.coordinate_x(CH, i) for i in range(1, 4)]
+    return [coord_field(CH.x_index(i)) for i in range(1, 4)]
 
 
 def frame_det(fields):

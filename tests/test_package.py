@@ -135,17 +135,44 @@ def _rebound_sums(tree):
 
 
 def test_frame_and_linear_layers_sum_into_one_term_dict():
-    """In geometry.py and linalg.py a sum over a loop goes into one term
-    dict (``add_product``, ``accumulate``), and spinorial.py sums its
-    Pfaffian in integers: no loop rebinds a name to itself plus or minus a
-    term, which builds a new object every step."""
+    """In geometry.py, linalg.py and parsing.py a sum over a loop goes into
+    one term dict (``add_product``, ``accumulate``), and spinorial.py sums
+    its Pfaffian in integers: no loop rebinds a name to itself plus or
+    minus a term, which builds a new object every step."""
     trees = dict(_package_trees())
-    assert {name: _rebound_sums(trees[name])
-            for name in ("geometry.py", "linalg.py", "spinorial.py")} \
-        == {"geometry.py": [], "linalg.py": [], "spinorial.py": []}
+    names = ("geometry.py", "linalg.py", "parsing.py", "spinorial.py")
+    assert {name: _rebound_sums(trees[name]) for name in names} \
+        == {name: [] for name in names}
     assert _rebound_sums(ast.parse(
         "for p in ps:\n    out = out + p\nwhile q:\n    q = q - 1\n")) \
         == [2, 4]
+
+
+def _object_uses(tree, names=("Polynomial", "VectorField")):
+    """Line numbers, inside class ``_Parser``, of calls to the named classes
+    and of attribute reads on them."""
+    bases = [node.func if isinstance(node, ast.Call) else node.value
+             for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name == "_Parser"
+             for node in ast.walk(cls)
+             if isinstance(node, (ast.Call, ast.Attribute))]
+    return sorted(base.lineno for base in bases
+                  if isinstance(base, ast.Name) and base.id in names)
+
+
+def test_parser_builds_no_polynomial_or_vector_field():
+    """The parser's values are term dicts: inside ``_Parser`` nothing calls
+    Polynomial or VectorField or reads an attribute of either; only the
+    entry points convert a parsed value, once."""
+    assert _object_uses(dict(_package_trees())["parsing.py"]) == []
+    assert _object_uses(ast.parse(
+        "class _Parser:\n"
+        "    def atom(self):\n"
+        "        return Polynomial.zero(self.chart)\n"
+        "    def field(self, c):\n"
+        "        return VectorField(self.chart, c), ExactScalar.one()\n"
+        "def parse(c):\n"
+        "    return Polynomial(c, {})\n")) == [3, 5]
 
 
 UNIT_KERNELS = {"_differential_term", "_codifferential_term", "_phi_term",

@@ -1,10 +1,14 @@
 """Grammar coverage and error reporting for the expression/frame parsers."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import frame_texts
 from freedist.errors import FreeDistError, ParseError, UnsupportedError
+from freedist.geometry import VectorField
 from freedist.parsing import (MAX_DIGITS, MAX_L, parse_expression,
                               parse_frame_file, parse_scalar,
                               parse_vector_field, tokenize)
@@ -202,7 +206,9 @@ def test_nesting_and_exponent_guards():
                  "-" * 5000 + "x1", "x1*" + "(-" * 60 + "x2" + ")" * 60):
         with pytest.raises(UnsupportedError, match="nested deeper"):
             P(text)
-    assert P(f"x1^{MAX_EXPONENT}") == P("x1") ** MAX_EXPONENT
+    x1_power = (MAX_EXPONENT,) + (0,) * (CH.ncoords - 1)
+    assert P(f"x1^{MAX_EXPONENT}") == Polynomial(
+        CH, {x1_power: ExactScalar.one()})
     for text in (f"x1^{MAX_EXPONENT + 1}", "2^99999999"):
         with pytest.raises(UnsupportedError, match="resource guard"):
             P(text)
@@ -223,3 +229,147 @@ def test_parse_frame_file_fuzz(text):
         return
     assert 2 <= l <= MAX_L and len(fields) == l
     assert all(f.chart == chart(l) for f in fields)
+
+
+# An expression for the property tests below: its text, and the value that
+# the public operators give it when its text starts at a column, or the
+# ParseError that the parser must raise there; fields=False refuses the
+# Dx and Dy atoms, as a scalar expression does.
+
+def _leaf(text, kind, value):
+    def value_at(col, fields):
+        if kind == "v" and not fields:
+            raise ParseError("vector-field symbol is not allowed in a scalar "
+                             "expression", 1, col)
+        return kind, value
+    return text, value_at
+
+
+def _coordinate(j, k=None):
+    """x_j, or y[j,k] = -y[k,j] (zero for j = k)."""
+    if k is None:
+        return Polynomial.coordinate(CH, CH.x_index(j))
+    if j == k:
+        return Polynomial.zero(CH)
+    p = Polynomial.coordinate(CH, CH.y_index(min(j, k), max(j, k)))
+    return p if j < k else -p
+
+
+def _direction(j, k=None):
+    """D_x_j, or D_y[j,k] = -D_y[k,j] (the zero field for j = k)."""
+    comps = [Polynomial.zero(CH)] * CH.ncoords
+    if k is None:
+        comps[CH.x_index(j)] = Polynomial.const(CH, 1)
+    elif j != k:
+        comps[CH.y_index(min(j, k), max(j, k))] = Polynomial.const(
+            CH, 1 if j < k else -1)
+    return VectorField(CH, comps)
+
+
+INDEX = st.integers(min_value=1, max_value=CH.l)
+NUMBER = st.integers(min_value=0, max_value=5)
+CONSTANT_LEAVES = st.one_of(
+    NUMBER.map(lambda n: _leaf(str(n), "p", Polynomial.const(CH, n))),
+    st.tuples(NUMBER, st.integers(min_value=1, max_value=4)).map(
+        lambda nd: _leaf(f"{nd[0]}/{nd[1]}", "p", Polynomial.const(
+            CH, ExactScalar.of(Fraction(*nd))))),
+    st.just(_leaf("sqrt2", "p", Polynomial.const(CH, ExactScalar.sqrt2()))))
+LEAVES = st.one_of(
+    CONSTANT_LEAVES,
+    INDEX.map(lambda j: _leaf(f"x{j}", "p", _coordinate(j))),
+    st.tuples(INDEX, INDEX).map(
+        lambda p: _leaf(f"y[{p[0]},{p[1]}]", "p", _coordinate(*p))),
+    INDEX.map(lambda j: _leaf(f"Dx{j}", "v", _direction(j))),
+    st.tuples(INDEX, INDEX).map(
+        lambda p: _leaf(f"Dy[{p[0]},{p[1]}]", "v", _direction(*p))))
+
+
+def _power(leaf, n):
+    text, base_at = leaf
+
+    def value_at(col, fields):
+        kind, base = base_at(col, fields)
+        if kind == "v":
+            raise ParseError("cannot raise a vector field to a power", 1,
+                             col + len(text))
+        value = Polynomial.const(CH, 1)
+        for _ in range(n):
+            value = value * base
+        return kind, value
+    return f"{text}^{n}", value_at
+
+
+def _negation(child):
+    text, child_at = child
+
+    def value_at(col, fields):
+        kind, value = child_at(col + 1, fields)
+        return kind, value.scale(-1) if kind == "v" else -value
+    return "-" + text, value_at
+
+
+def _binary(op, left, right):
+    (ltext, left_at), (rtext, right_at) = left, right
+
+    def value_at(col, fields):
+        op_col = col + len(ltext) + 2
+        (lkind, a), (rkind, b) = (left_at(col + 1, fields),
+                                  right_at(op_col + 2, fields))
+        if op == "*":
+            if lkind == rkind == "v":
+                raise ParseError("cannot multiply vector fields", 1, op_col)
+            if lkind == rkind:
+                return "p", a * b
+            return "v", b.scale(a) if rkind == "v" else a.scale(b)
+        if lkind != rkind:
+            raise ParseError("cannot combine a scalar expression with a "
+                             "vector field", 1, op_col)
+        if lkind == "v":
+            return "v", a + (b if op == "+" else b.scale(-1))
+        return "p", a + b if op == "+" else a - b
+    return f"({ltext} {op} {rtext})", value_at
+
+
+def expressions(leaves):
+    return st.recursive(
+        st.one_of(leaves, st.tuples(leaves, st.integers(0, 3)).map(
+            lambda t: _power(*t))),
+        lambda inner: st.one_of(
+            inner.map(_negation),
+            st.tuples(st.sampled_from("+-*"), inner, inner).map(
+                lambda t: _binary(*t))),
+        max_leaves=8)
+
+
+def _refusal(parse):
+    with pytest.raises(ParseError) as exc:
+        parse()
+    return exc.value.message, exc.value.line, exc.value.col
+
+
+@given(expressions(LEAVES))
+@settings(deadline=None, max_examples=300)
+def test_parsed_values_equal_the_public_operators(expr):
+    """parse_vector_field and parse_expression give the value the public
+    Polynomial and VectorField operators build, and refuse a mixed or
+    misplaced expression with the parser's message at its column."""
+    text, value_at = expr
+    for fields, parse in ((True, lambda: parse_vector_field(text, CH)),
+                          (False, lambda: P(text))):
+        try:
+            kind, want = value_at(1, fields)
+        except ParseError as err:
+            assert _refusal(parse) == (err.message, err.line, err.col)
+            continue
+        if fields and kind == "p":
+            assert _refusal(parse) \
+                == ("expression does not denote a vector field", 1, 1)
+        else:
+            assert parse() == want
+
+
+@given(expressions(CONSTANT_LEAVES))
+@settings(deadline=None, max_examples=100)
+def test_parsed_scalars_equal_the_public_operators(expr):
+    text, value_at = expr
+    assert parse_scalar(text) == value_at(1, False)[1].constant_value()

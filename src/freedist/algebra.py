@@ -25,7 +25,6 @@ from functools import lru_cache, partial
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .linalg import _kernel
 from .polynomials import Polynomial, accumulate
 from .scalars import ExactScalar
 
@@ -227,21 +226,12 @@ class GradedAlgebra:
     def mat(self, side: str, key: BasisKey) -> IntMatrix:
         return (self.odd_mat if side == ODD else self.even_mat)[key]
 
-    def size(self, side: str) -> int:
-        return self.odd_size if side == ODD else self.even_size
-
     def form_pairing_map(self, side: str) -> Dict[int, int]:
         return self._odd_qmap if side == ODD else self._even_qmap
 
     @staticmethod
     def grade(key: BasisKey) -> int:
         return _GRADES[key[0]]
-
-    def slot_rank(self, side: str, key: BasisKey) -> int:
-        table = self._slot_ranks[side]
-        if key not in table:
-            raise ValueError(f"{key} is not a positive-part basis key")
-        return table[key]
 
     def dual_slot(self, key: BasisKey) -> BasisKey:
         """Positive-part key dual to a negative-part key (and back)."""
@@ -842,17 +832,6 @@ def kappa11_normality_test(c: Chain) -> bool:
     if c.side != ODD or c.k != 2:
         raise ValueError("test applies to odd-side degree-2 chains")
     return commutator_operator(c).is_zero()
-
-
-def annihilator_subspace(l: int, i: int) -> List[Coefficients]:
-    """Exact basis of {X : [defect_up(i), embed(X)] = 0} in the odd algebra,
-    as coefficient dicts over the odd basis."""
-    ga = algebra(l)
-    columns = [ga.bracket_coeffs(EVEN, ga.defect_up(i),
-                                 ga.embed_coeffs({key: ExactScalar.one()}))
-               for key in ga.odd_keys]
-    return [{ga.odd_keys[j]: v for j, v in vec.items()}
-            for vec in _kernel(columns)]
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import (DegenerateFrameError, FreeDistError,
                      NotFreeDistributionError, UnsupportedFrameError)
 from .linalg import _determinant, invert_scalar_matrix, poly_inverse
 from .polynomials import Chart, Exponents, Polynomial, accumulate, add_product
-from .scalars import ExactScalar, ScalarLike
+from .scalars import ExactScalar
 
 FrameKey = Tuple[str, object]  # ('s', i) or ('p', (j, k)) with j < k
 
@@ -40,42 +40,11 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        self._check(other)
-        return VectorField(self.chart,
-                           [a + b for a, b in zip(self.components,
-                                                  other.components)])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        self._check(other)
-        return VectorField(self.chart,
-                           [a - b for a, b in zip(self.components,
-                                                  other.components)])
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, [-a for a in self.components])
-
-    def scale(self, c: Union[Polynomial, ScalarLike, ExactScalar]
-              ) -> "VectorField":
-        return VectorField(self.chart, [a * c for a in self.components])
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        """Directional derivative of a polynomial along this field."""
-        if p.chart != self.chart:
-            raise ValueError("mismatched charts in directional derivative")
-        out: Dict[Exponents, ExactScalar] = {}
-        _add_derivative(out, [c.terms for c in self.components], p)
-        return Polynomial(self.chart, out)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, VectorField) and self.chart == other.chart
                 and self.components == other.components)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def _check(self, other: "VectorField") -> None:
-        if self.chart != other.chart:
-            raise ValueError("mismatched charts in vector-field arithmetic")
 
     def __repr__(self) -> str:  # pragma: no cover
         parts = [f"({c.to_expr()})*D{self.chart.name(d)}"
@@ -135,35 +104,8 @@ class DifferentialForm:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("DifferentialForm is immutable")
 
-    @staticmethod
-    def zero(chart: Chart, degree: int) -> "DifferentialForm":
-        return DifferentialForm(chart, degree, {})
-
-    @staticmethod
-    def dcoord(chart: Chart, idx: int) -> "DifferentialForm":
-        one = Polynomial.const(chart, ExactScalar.one())
-        return DifferentialForm(chart, 1, {(idx,): one})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._check(other)
-        terms = dict(self.terms)
-        accumulate(terms, other.terms.items())
-        return DifferentialForm(self.chart, self.degree, terms)
-
-    def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return self + (-other)
-
-    def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm(self.chart, self.degree,
-                                {k: -v for k, v in self.terms.items()})
-
-    def scale(self, c: Union[Polynomial, ScalarLike, ExactScalar]
-              ) -> "DifferentialForm":
-        return DifferentialForm(self.chart, self.degree,
-                                {k: v * c for k, v in self.terms.items()})
 
     def d(self) -> "DifferentialForm":
         """Exterior derivative of a degree-1 form."""
@@ -197,12 +139,6 @@ class DifferentialForm:
                 and self.terms == other.terms)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def _check(self, other: "DifferentialForm") -> None:
-        if self.chart != other.chart:
-            raise ValueError("mismatched charts in form arithmetic")
-        if self.degree != other.degree:
-            raise ValueError("mismatched degrees in form arithmetic")
 
 
 def frame_keys(l: int) -> List[FrameKey]:
@@ -389,7 +325,8 @@ class StructureFunctions:
       pp_sp[((r,s), i, (j,k))]     : pair target, (single, pair) arguments
       pp_pp[((r,s), (i,j), (k,l))] : pair target, (pair, pair) arguments
     Pair-pair argument keys are stored with (i,j) < (k,l) lexicographically;
-    the swapped order is the negative (see pair_pair()).
+    the swapped order (k,l), (i,j) holds the negative value, because
+    dtheta^t(F_u, F_v) = -dtheta^t(F_v, F_u).  A key not stored is zero.
     """
 
     def __init__(self, l: int, chart: Chart):
@@ -402,26 +339,6 @@ class StructureFunctions:
                          Polynomial] = {}
         self.pp_pp: Dict[Tuple[Tuple[int, int], Tuple[int, int],
                                Tuple[int, int]], Polynomial] = {}
-
-    def single_pair(self, target, arg_single: int,
-                    arg_pair: Tuple[int, int]) -> Polynomial:
-        """Value keyed by (target, single argument, pair argument); target
-        may be a single index or a pair."""
-        table = self.ss_sp if isinstance(target, int) else self.pp_sp
-        return table.get((target, arg_single, arg_pair),
-                         Polynomial.zero(self.chart))
-
-    def pair_pair(self, target, left: Tuple[int, int],
-                  right: Tuple[int, int]) -> Polynomial:
-        """Signed lookup of a (pair, pair)-argument value."""
-        if left == right:
-            return Polynomial.zero(self.chart)
-        table = self.ss_pp if isinstance(target, int) else self.pp_pp
-        if left < right:
-            return table.get((target, left, right),
-                             Polynomial.zero(self.chart))
-        v = table.get((target, right, left))
-        return -v if v is not None else Polynomial.zero(self.chart)
 
     def is_zero(self) -> bool:
         return not (self.ss_sp or self.ss_pp or self.pp_sp or self.pp_pp)

@@ -132,29 +132,12 @@ class Polynomial:
         zeros = (0,) * chart_.ncoords
         return Polynomial(chart_, {zeros: v})
 
-    @staticmethod
-    def coordinate(chart_: Chart, idx: int) -> "Polynomial":
-        e = [0] * chart_.ncoords
-        e[idx] = 1
-        return Polynomial(chart_, {tuple(e): ExactScalar.one()})
-
     # --- predicates -----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_constant(self) -> bool:
-        zeros = (0,) * self.chart.ncoords
-        return all(e == zeros for e in self.terms)
-
-    def constant_value(self) -> ExactScalar:
-        """The scalar value, provided the polynomial is constant."""
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        zeros = (0,) * self.chart.ncoords
-        return self.terms.get(zeros, ExactScalar.zero())
 
     # --- ring operations -------------------------------------------------
     # A scalar operand is the constant polynomial of its value.

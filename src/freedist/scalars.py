@@ -76,9 +76,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not (self.p or self.q)
 
-    def is_rational(self) -> bool:
-        return not self.q
-
     def __bool__(self) -> bool:
         return bool(self.p or self.q)
 

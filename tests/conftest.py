@@ -14,7 +14,8 @@ from freedist.algebra import (EVEN, ODD, Chain, _canonical_slots, _unit_term,
 from freedist.cohomology import _column, _term_keys
 from freedist.geometry import DifferentialForm, VectorField
 from freedist.linalg import _kernel
-from freedist.polynomials import Polynomial, accumulate, add_product, chart
+from freedist.polynomials import (Chart, Polynomial, accumulate,
+                                  add_product, chart)
 from freedist.scalars import ExactScalar
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -34,6 +35,44 @@ def poly_value(p: Polynomial, point: Dict[int, ExactScalar]) -> ExactScalar:
                 c = c * point[idx]
         total = total + c
     return total
+
+
+def coordinate(ch: Chart, idx: int) -> Polynomial:
+    """The coordinate function at chart index idx."""
+    e = [0] * ch.ncoords
+    e[idx] = 1
+    return Polynomial(ch, {tuple(e): ExactScalar.one()})
+
+
+def constant_term(p: Polynomial) -> ExactScalar:
+    """The coefficient of p's empty monomial: its value if p is constant."""
+    return p.terms.get((0,) * p.chart.ncoords, ExactScalar.zero())
+
+
+def directional_derivative(v: VectorField, p: Polynomial) -> Polynomial:
+    """Test oracle: v(p), the sum over the coordinates d of v^d dp/dx_d."""
+    return sum((c * p.partial_derivative(d)
+                for d, c in enumerate(v.components)), Polynomial.zero(p.chart))
+
+
+def field_combination(terms) -> VectorField:
+    """The vector field sum of c v over the (c, v) terms, each c a scalar or
+    a polynomial."""
+    ch = terms[0][1].chart
+    comps: Dict = {}
+    for c, v in terms:
+        accumulate(comps, enumerate(v.components), c)
+    return VectorField(ch, [comps.get(d, Polynomial.zero(ch))
+                            for d in range(ch.ncoords)])
+
+
+def form_combination(ch: Chart, degree: int, terms) -> DifferentialForm:
+    """The form sum of c form over the (c, form) terms, each c a scalar or
+    a polynomial."""
+    out: Dict = {}
+    for c, form in terms:
+        accumulate(out, form.terms.items(), c)
+    return DifferentialForm(ch, degree, out)
 
 
 def form_value(form: DifferentialForm, *fields: VectorField) -> Polynomial:
@@ -421,8 +460,7 @@ def flat_fields(l: int) -> List[VectorField]:
         comps = [Polynomial.zero(ch) for _ in range(ch.ncoords)]
         comps[ch.x_index(i)] = Polynomial.const(ch, ExactScalar.one())
         for p in range(i + 1, l + 1):
-            comps[ch.y_index(i, p)] = -Polynomial.coordinate(
-                ch, ch.x_index(p))
+            comps[ch.y_index(i, p)] = -coordinate(ch, ch.x_index(p))
         out.append(VectorField(ch, comps))
     return out
 
@@ -433,7 +471,7 @@ def armstrong_fields(l: int) -> List[VectorField]:
     fields = flat_fields(l)
     first = list(fields[0].components)
     first[ch.y_index(3, 4)] = first[ch.y_index(3, 4)] + \
-        Polynomial.coordinate(ch, ch.y_index(1, 2))
+        coordinate(ch, ch.y_index(1, 2))
     return [VectorField(ch, first)] + list(fields[1:])
 
 

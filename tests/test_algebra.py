@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, AlgebraElement,
                               Chain, GradedAlgebra, algebra, algebra_battery,
-                              annihilator_subspace, basis, bracket,
-                              codifferential, commutator_operator,
+                              basis, bracket, codifferential,
+                              commutator_operator,
                               commutator_operator_closed_form, differential,
                               embed_alpha, kappa11_normality_test,
                               phi_extension)
-from conftest import (oracle_closed_form, oracle_codifferential_term,
-                      oracle_differential, oracle_phi_extension,
-                      oracle_squares_vanish)
+from conftest import (coordinate, oracle_closed_form,
+                      oracle_codifferential_term, oracle_differential,
+                      oracle_phi_extension, oracle_squares_vanish)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -111,7 +111,7 @@ def test_expand_gives_basis_order_for_every_coefficient_type():
     its coefficients in basis order whatever the order of the entries."""
     keys = [("up2", (1, 2)), ("lo1", 3), ("zero", (2, 1))]
     ch = chart(L)
-    x1 = Polynomial.coordinate(ch, 0)
+    x1 = coordinate(ch, 0)
     for coeffs in ({k: n for k, n in zip(keys, (2, -1, 3))},
                    {k: ExactScalar(n, 1) for k, n in zip(keys, (1, 2, 3))},
                    {k: x1.scale(n) for k, n in zip(keys, (1, 2, 3))}):
@@ -442,7 +442,7 @@ def oracle_codifferential(c):
                               (-1) ** (i + j) * n))
     terms = {}
     for slots, target, coeff, n in items:
-        ranks = [ga.slot_rank(c.side, s) for s in slots]
+        ranks = [ga._slot_ranks[c.side][s] for s in slots]
         if len(set(ranks)) != len(ranks):
             continue
         order = sorted(range(len(ranks)), key=ranks.__getitem__)
@@ -493,7 +493,7 @@ def coefficient_chains(draw):
         c = ExactScalar(draw(st.fractions(-3, 3, max_denominator=3)),
                         draw(st.integers(-2, 2))) or ONE
         if polynomial:
-            x = Polynomial.coordinate(ch, draw(st.integers(0, 2)))
+            x = coordinate(ch, draw(st.integers(0, 2)))
             c = Polynomial.const(ch, c) + x.scale(draw(st.integers(-2, 2)))
         terms[key] = c
     return Chain(side, l, k, terms)
@@ -539,9 +539,9 @@ def mixed_chain_pairs(draw):
             c = ExactScalar(draw(st.integers(-2, 2)),
                             draw(st.integers(-1, 1))) or ONE
             if draw(st.booleans()):
-                c = Polynomial.const(ch, c) + Polynomial.coordinate(
-                    ch, draw(st.integers(0, 2))).scale(draw(st.integers(-1,
-                                                                        1)))
+                c = Polynomial.const(ch, c) + coordinate(
+                    ch, draw(st.integers(0, 2))).scale(
+                        draw(st.integers(-1, 1)))
             terms[key] = c
         chains.append(Chain(side, l, k, terms))
     return chains
@@ -813,16 +813,6 @@ def test_normality_test_on_simple_chains():
     # a pure single-single chain is never annihilated
     c = unit2(L, ("up1", 1), ("up1", 2), ("lo2", (1, 2)))
     assert not kappa11_normality_test(c)
-
-
-def test_annihilator_subspace_defining_property():
-    for i in (1, 2):
-        basis = annihilator_subspace(L, i)
-        assert basis
-        for coeffs in basis:
-            img = GA.bracket_coeffs(EVEN, GA.defect_up(i),
-                                    GA.embed_coeffs(coeffs))
-            assert img == {}
 
 
 def test_positive_part_lies_in_every_annihilator():

@@ -241,3 +241,48 @@ def test_term_keys_equal_the_grade_filter(l):
                 for slots in combinations(ga.positive_keys, k)
                 for target in ga.odd_keys
                 if sum(map(grade, slots + (target,))) == h]
+
+
+def weyl_dimension(weight):
+    """The dimension of the gl(l) irreducible of the non-increasing highest
+    weight: the product over i < j of (w_i - w_j + j - i) / (j - i)."""
+    pairs = list(combinations(range(len(weight)), 2))
+    return (prod(weight[i] - weight[j] + j - i for i, j in pairs)
+            // prod(j - i for i, j in pairs))
+
+
+def test_weyl_dimension_of_small_weights():
+    """The standard, adjoint, symmetric and exterior modules, and the
+    partition (2, 1) of gl(4) (20 by the hook content formula)."""
+    assert [weyl_dimension(w) for w in ((1, 0, 0), (1, 0, -1), (3, 0, 0),
+                                        (1, 1, 0, 0), (2, 1, 0, 0))] \
+        == [3, 8, 10, 6, 20]
+
+
+@pytest.mark.parametrize("l", range(3, 9))
+def test_h1_is_the_weyl_module_of_its_highest_weight(l):
+    """H^1 sits at homogeneity -1, as the gl(l) module of highest weight
+    (1, 1, 0, ..., 0, -1)."""
+    weight = (1, 1) + (0,) * (l - 3) + (-1,)
+    assert harmonic_space(l, 1, -1).dimension == weyl_dimension(weight)
+
+
+@pytest.mark.parametrize("l", range(4, 8))
+def test_h2_is_the_weyl_module_of_its_highest_weight(l):
+    """For l >= 4, H^2 sits at homogeneity 1, as the gl(l) module of
+    highest weight (2, 1, 0, ..., 0, -1, -1)."""
+    weight = (2, 1) + (0,) * (l - 4) + (-1, -1)
+    assert harmonic_space(l, 2, 1).dimension == weyl_dimension(weight)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5])
+def test_cohomology_vanishes_off_its_homogeneity(l):
+    """Every other homogeneity is zero: h = -3..4 for H^1 and h = -3..6 for
+    H^2; at l = 3, H^2 sits at homogeneity 3 instead, with dimension 27."""
+    h2 = 3 if l == 3 else 1
+    assert {h: harmonic_space(l, 1, h).dimension for h in range(-3, 5)
+            if h != -1} == dict.fromkeys(set(range(-3, 5)) - {-1}, 0)
+    assert {h: harmonic_space(l, 2, h).dimension for h in range(-3, 7)
+            if h != h2} == dict.fromkeys(set(range(-3, 7)) - {h2}, 0)
+    if l == 3:
+        assert harmonic_space(3, 2, 3).dimension == 27

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import freedist.geometry as geometry_module
 import freedist.linalg as linalg_module
-from conftest import (DATA_DIR, armstrong_fields, data_path, flat_fields,
-                      form_value, poly_det, poly_value,
-                      random_sparse_fields)
+from conftest import (DATA_DIR, armstrong_fields, constant_term, coordinate,
+                      data_path, directional_derivative, field_combination,
+                      flat_fields, form_combination, form_value, poly_det,
+                      poly_value, random_sparse_fields)
 from freedist.errors import (DegenerateFrameError, NotFreeDistributionError,
                              UnsupportedFrameError)
 from freedist.geometry import (DifferentialForm, Frame, VectorField,
@@ -28,7 +29,7 @@ CH = chart(3)
 
 
 def coord_poly(idx):
-    return Polynomial.coordinate(CH, idx)
+    return coordinate(CH, idx)
 
 
 def const_poly(v):
@@ -86,39 +87,37 @@ def any_fields():
 @given(sparse_fields(), sparse_fields())
 @settings(deadline=None, max_examples=40)
 def test_bracket_antisymmetry(v, w):
-    assert lie_bracket(v, w) == -lie_bracket(w, v)
+    assert lie_bracket(v, w) == field_combination([(-1, lie_bracket(w, v))])
 
 
 @given(sparse_fields(), sparse_fields(), sparse_fields())
 @settings(deadline=None, max_examples=30)
 def test_bracket_jacobi(u, v, w):
-    total = (lie_bracket(u, lie_bracket(v, w))
-             + lie_bracket(v, lie_bracket(w, u))
-             + lie_bracket(w, lie_bracket(u, v)))
+    total = field_combination([(1, lie_bracket(u, lie_bracket(v, w))),
+                               (1, lie_bracket(v, lie_bracket(w, u))),
+                               (1, lie_bracket(w, lie_bracket(u, v)))])
     assert total.is_zero()
 
 
 @given(any_fields(), any_fields())
 @settings(deadline=None, max_examples=30)
 def test_apply_is_a_derivation(v, w):
+    D = directional_derivative
     p = coord_poly(CH.x_index(1)) * coord_poly(CH.y_index(1, 2))
     q = coord_poly(CH.x_index(2))
-    assert v.apply(p * q) == v.apply(p) * q + p * v.apply(q)
+    assert D(v, p * q) == D(v, p) * q + p * D(v, q)
     # bracket acts as commutator of derivations
-    assert lie_bracket(v, w).apply(p) == v.apply(w.apply(p)) - w.apply(
-        v.apply(p))
+    assert D(lie_bracket(v, w), p) == D(v, D(w, p)) - D(w, D(v, p))
 
 
 def test_exterior_derivative_squares_to_zero():
     p = coord_poly(CH.x_index(1)) * coord_poly(CH.y_index(2, 3))
-    theta = DifferentialForm.dcoord(CH, CH.x_index(2)).scale(p)
+    theta = DifferentialForm(CH, 1, {(CH.x_index(2),): p})
     assert theta.d().degree == 2
     dd = theta.d()
     # d of a 2-form is not represented; instead verify d(df) = 0 for functions
-    df = DifferentialForm.zero(CH, 1)
-    for idx in range(CH.ncoords):
-        df = df + DifferentialForm.dcoord(CH, idx).scale(
-            p.partial_derivative(idx))
+    df = DifferentialForm(CH, 1, {(idx,): p.partial_derivative(idx)
+                                  for idx in range(CH.ncoords)})
     assert df.d().is_zero()
     assert dd == dd  # stable
 
@@ -127,23 +126,24 @@ def test_exterior_derivative_squares_to_zero():
 @settings(deadline=None, max_examples=30)
 def test_intrinsic_exterior_derivative_formula(v, w):
     p = coord_poly(CH.x_index(1)) * coord_poly(CH.x_index(3))
-    theta = DifferentialForm.dcoord(CH, CH.y_index(1, 2)).scale(p)
+    theta = DifferentialForm(CH, 1, {(CH.y_index(1, 2),): p})
     lhs = form_value(theta.d(), v, w)
-    rhs = (v.apply(form_value(theta, w)) - w.apply(form_value(theta, v))
+    rhs = (directional_derivative(v, form_value(theta, w))
+           - directional_derivative(w, form_value(theta, v))
            - form_value(theta, lie_bracket(v, w)))
     assert lhs == rhs
 
 
 def test_wedge_antisymmetry():
-    a = DifferentialForm.dcoord(CH, 0)
-    b = DifferentialForm.dcoord(CH, 1).scale(coord_poly(2))
-    assert a.wedge(b) == -(b.wedge(a))
+    a = DifferentialForm(CH, 1, {(0,): const_poly(1)})
+    b = DifferentialForm(CH, 1, {(1,): coord_poly(2)})
+    assert a.wedge(b) == form_combination(CH, 2, [(-1, b.wedge(a))])
     assert a.wedge(a).is_zero()
 
 
 def test_two_form_evaluation_antisymmetry():
-    a = DifferentialForm.dcoord(CH, 0)
-    b = DifferentialForm.dcoord(CH, 3)
+    a = DifferentialForm(CH, 1, {(0,): const_poly(1)})
+    b = DifferentialForm(CH, 1, {(3,): const_poly(1)})
     v = coord_field(CH.x_index(1))
     w = coord_field(CH.y_index(1, 2))
     om = a.wedge(b)
@@ -210,7 +210,7 @@ ORIGIN = {i: ExactScalar.zero() for i in range(CH.ncoords)}
 
 def first_field_scaled(g):
     fields = flat_fields(3)
-    fields[0] = fields[0].scale(g)
+    fields[0] = field_combination([(g, fields[0])])
     return fields
 
 
@@ -270,7 +270,7 @@ def test_rejection_traceback_holds_no_jacobian(make_fields, error):
 def test_newton_inverse_refutes_determinant_equal_at_both_points():
     fields = newton_refuted_fields()
     det = frame_det(fields)
-    assert not det.is_constant()
+    assert det != const_poly(constant_term(det))
     assert poly_value(det, ORIGIN) == poly_value(det, ONES) \
         == ExactScalar.of(-1)
     with pytest.raises(UnsupportedFrameError,
@@ -320,11 +320,11 @@ def oracle_candidates(l, rng):
     if rng.random() < 1 / 3:
         ch = fields[0].chart
         g = Polynomial.const(ch, rng.choice([0, 1])) \
-            + Polynomial.coordinate(ch, ch.x_index(rng.randint(1, l)))
+            + coordinate(ch, ch.x_index(rng.randint(1, l)))
         if rng.random() < 0.5:
-            g = g - Polynomial.coordinate(ch, ch.x_index(rng.randint(1, l)))
+            g = g - coordinate(ch, ch.x_index(rng.randint(1, l)))
         fi = rng.randrange(l)
-        fields[fi] = fields[fi].scale(g)
+        fields[fi] = field_combination([(g, fields[fi])])
     return fields
 
 
@@ -381,15 +381,16 @@ def test_jacobian_terms_read_the_origin_and_the_all_ones_point(name):
 def test_check_nondegenerate_matches_det_oracle(seed):
     fields = random_sparse_fields(4, random.Random(seed))
     det = frame_det(fields)
+    value = constant_term(det)
     assert check_nondegenerate(fields) == (
-        det.is_constant() and bool(det.constant_value()))
+        bool(value) and det == Polynomial.const(det.chart, value))
 
 
 def test_dual_coframe_degree_guard_names_itself():
     # A Frame built by hand skips build_frame's unimodularity check, so
     # the Newton inverse runs past its degree bound.
     singles = nonunimodular_fields()
-    pairs = {(j, k): -lie_bracket(singles[j - 1], singles[k - 1])
+    pairs = {(j, k): lie_bracket(singles[k - 1], singles[j - 1])
              for j in range(1, 4) for k in range(j + 1, 4)}
     frame = Frame(CH, 3, singles, pairs, ExactScalar.one())
     with pytest.raises(AssertionError, match="^dual_coframe: .*degree bound"):
@@ -399,7 +400,8 @@ def test_dual_coframe_degree_guard_names_itself():
 def test_doctored_pair_fields_are_not_free():
     fr = build_frame(flat_fields(3))
     pairs = dict(fr.pairs)
-    pairs[(1, 2)] = pairs[(1, 2)] + pairs[(1, 3)]
+    pairs[(1, 2)] = field_combination([(1, pairs[(1, 2)]),
+                                       (1, pairs[(1, 3)])])
     doctored = Frame(fr.chart, fr.l, fr.singles, pairs, fr.det)
     with pytest.raises(NotFreeDistributionError):
         structure_functions(doctored)
@@ -492,9 +494,8 @@ def stored_value(f, tkey, ukey, vkey):
     it checks but never stores, 1 for a pair target's own pair, else 0."""
     if vkey[0] == "s":
         return Polynomial.const(f.chart, int(tkey[1] == (ukey[1], vkey[1])))
-    if ukey[0] == "s":
-        return f.single_pair(tkey[1], ukey[1], vkey[1])
-    return f.pair_pair(tkey[1], ukey[1], vkey[1])
+    table = dict(f.blocks())[f"{tkey[0] * 2}_{ukey[0]}{vkey[0]}"]
+    return table.get((tkey[1], ukey[1], vkey[1]), Polynomial.zero(f.chart))
 
 
 def golden_frame(name):
@@ -544,23 +545,6 @@ def test_structure_functions_equal_the_coordinate_evaluation(source):
                     assert stored_value(f, tkey, ukey, vkey) == val
                     stored += vkey[0] == "p" and not val.is_zero()
         assert stored == sum(len(table) for _, table in f.blocks())
-
-
-def test_structure_function_accessors_signed():
-    fr = build_frame(armstrong_fields(4))
-    f = structure_functions(fr)
-    assert f.single_pair((3, 4), 1, (1, 2)) == Polynomial.const(
-        fr.chart, ExactScalar.one())
-    assert f.single_pair(2, 1, (1, 2)).is_zero()
-    # signed pair-pair lookup on a synthetic table
-    from freedist.geometry import StructureFunctions
-    ch = chart(4)
-    sf = StructureFunctions(4, ch)
-    p = Polynomial.coordinate(ch, ch.x_index(1))
-    sf.pp_pp[((1, 2), (1, 3), (2, 4))] = p
-    assert sf.pair_pair((1, 2), (1, 3), (2, 4)) == p
-    assert sf.pair_pair((1, 2), (2, 4), (1, 3)) == -p
-    assert sf.pair_pair((1, 2), (1, 3), (1, 3)).is_zero()
 
 
 def test_build_frame_back_substitutes_only_for_the_newton_start(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (harmonic_system, poly_det, reference_kernel_of_columns,
+from conftest import (constant_term, coordinate, harmonic_system, poly_det,
+                      reference_kernel_of_columns,
                       reference_solution_operator)
 from freedist.linalg import (FactoredSystem, _eliminate, _kernel,
                              invert_scalar_matrix, kernel_of_columns,
@@ -282,7 +283,7 @@ def test_factored_system_unique_solution():
 
 
 def test_factored_system_polynomial_rhs_redundant_row():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x1 = coordinate(CH, CH.x_index(1))
     rows = [{0: sc(2)}, {0: sc(2)}]  # redundant row
     xs = FactoredSystem(rows, 1).solve([x1, x1])
     assert xs == [x1.scale(Fraction(1, 2))]
@@ -387,7 +388,7 @@ def test_solve_checks_rows_the_solution_never_reads():
     the nonzero unknowns, but still checks every row: a right-hand side
     off only on the redundant row, or nonzero only on a row whose unknowns
     all come out zero, is inconsistent."""
-    x1 = Polynomial.coordinate(CH, 0)
+    x1 = coordinate(CH, 0)
     zero = Polynomial.zero(CH)
     fs = FactoredSystem([{0: sc(1)}, {1: sc(2)}, {0: sc(1), 1: sc(1)}], 2)
     assert fs.solve([x1, x1.scale(2), x1 + x1]) == [x1, x1]
@@ -540,7 +541,7 @@ def mat_mul(a, b):
 def cofactor_inverse(m):
     """Test oracle: inv[i][j] = (-1)^(i+j) * minor(j, i) / det."""
     n = len(m)
-    inv_det = poly_det(m).constant_value().inverse()
+    inv_det = constant_term(poly_det(m)).inverse()
     out = [[None] * n for _ in range(n)]
     for r in range(n):
         for c in range(n):
@@ -558,7 +559,7 @@ def small_polys(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         term = const(draw(st.integers(min_value=-3, max_value=3)))
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            term = term * Polynomial.coordinate(
+            term = term * coordinate(
                 CH, draw(st.integers(min_value=0, max_value=2)))
         p = p + term
     return p
@@ -595,8 +596,8 @@ def test_poly_inverse_matches_cofactor_oracle(m):
 
 
 def test_poly_inverse_degree_guard_rejects_nonconstant_determinant():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
-    x2 = Polynomial.coordinate(CH, CH.x_index(2))
+    x1 = coordinate(CH, CH.x_index(1))
+    x2 = coordinate(CH, CH.x_index(2))
     # det = 1 - x1*x2: m(0) = I is invertible, but the inverse is a power
     # series, so the iteration passes the cofactor degree bound 1.
     m = [[const(1), x1], [x2, const(1)]]
@@ -607,7 +608,7 @@ def test_poly_inverse_degree_guard_rejects_nonconstant_determinant():
 
 
 def test_poly_inverse_reaches_the_cofactor_bound():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x1 = coordinate(CH, CH.x_index(1))
     zero = const(0)
     # unitriangular: the column degrees 0, 1, 1 bound every cofactor by
     # 1 + 1 = 2, and the corner entry of the inverse has degree exactly 2
@@ -622,7 +623,7 @@ def test_poly_inverse_reaches_the_cofactor_bound():
 
 
 def test_poly_inverse_rejects_singular_constant_term():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x1 = coordinate(CH, CH.x_index(1))
     with pytest.raises(ValueError, match="singular"):
         poly_inverse([[x1, const(1)], [const(0), const(1)]])
 
@@ -676,14 +677,14 @@ def test_invert_sparse_scalar_matrix_matches_det_oracle(m):
 
 
 def test_poly_det_with_polynomial_entries():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
-    x2 = Polynomial.coordinate(CH, CH.x_index(2))
+    x1 = coordinate(CH, CH.x_index(1))
+    x2 = coordinate(CH, CH.x_index(2))
     m = [[const(1), x1], [x2, const(1)]]
     assert poly_det(m) == const(1) - x1 * x2
 
 
 def test_poly_det_triangular():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x1 = coordinate(CH, CH.x_index(1))
     m = [[const(2), x1, x1 * x1],
          [Polynomial.zero(CH), const(3), x1],
          [Polynomial.zero(CH), Polynomial.zero(CH), const(-1)]]

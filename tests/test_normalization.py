@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (armstrong_fields, data_path, flat_fields, form_value,
+from conftest import (armstrong_fields, data_path, field_combination,
+                      flat_fields, form_combination, form_value,
                       random_sparse_fields)
 from freedist.algebra import (ODD, Chain, GradedAlgebra, algebra,
                               codifferential, commutator_operator,
                               differential, kappa11_normality_test)
 from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
-from freedist.geometry import (DifferentialForm, build_frame, dual_coframe,
-                               structure_functions)
+from freedist.geometry import build_frame, dual_coframe, structure_functions
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
                                     _chain, _curvature_reads, _system,
                                     _tensors, _units, analyze,
@@ -213,15 +213,12 @@ def per_form_curvature_values(M, args):
         rows.setdefault(r, []).append((c, form))
     values = [{} for _ in args]
     for r, row in rows.items():
-        omega2 = {c: form.d() for c, form in row}
+        omega2 = {c: [(1, form.d())] for c, form in row}
         for m, f1 in row:
             for c, f2 in rows.get(m, ()):
-                w = f1.wedge(f2)
-                if w.is_zero():
-                    continue
-                old = omega2.get(c)
-                omega2[c] = (old - w) if old is not None else -w
-        for c, form in omega2.items():
+                omega2.setdefault(c, []).append((-1, f1.wedge(f2)))
+        for c, terms in omega2.items():
+            form = form_combination(row[0][1].chart, 2, terms)
             if form.is_zero():
                 continue
             for entries, (u, v) in zip(values, args):
@@ -245,28 +242,24 @@ def coordinate_connection_forms(frame, A, C, E=None, F=None):
     omega_s = {}
     forms = {}
     for i in span:
-        form = coframe.form(("s", i))
-        for p in pairs:
-            if C.get((i, p)):
-                form = form + theta_p[p].scale(C[(i, p)])
+        form = form_combination(frame.chart, 1, [(1, coframe.form(("s", i)))]
+                                + [(C[(i, p)], theta_p[p]) for p in pairs
+                                   if C.get((i, p))])
         omega_s[i] = forms[("lo1", i)] = form
     for p in pairs:
         forms[("lo2", p)] = theta_p[p]
     for i in span:
         for j in span:
-            form = DifferentialForm.zero(frame.chart, 1)
-            for k in span:
-                if A.get((i, k, j)):
-                    form = form + omega_s[k].scale(A[(i, k, j)])
-            for p in pairs:
-                if E.get((i, j, p)):
-                    form = form + theta_p[p].scale(E[(i, j, p)])
+            form = form_combination(
+                frame.chart, 1,
+                [(A[(i, k, j)], omega_s[k]) for k in span if A.get((i, k, j))]
+                + [(E[(i, j, p)], theta_p[p]) for p in pairs
+                   if E.get((i, j, p))])
             if not form.is_zero():
                 forms[("zero", (i, j))] = form
-        form = DifferentialForm.zero(frame.chart, 1)
-        for j in span:
-            if F.get((i, j)):
-                form = form - omega_s[j].scale(F[(i, j)])
+        form = form_combination(frame.chart, 1, [(-F[(i, j)], omega_s[j])
+                                                 for j in span
+                                                 if F.get((i, j))])
         if not form.is_zero():
             forms[("up1", i)] = form
     return forms
@@ -279,18 +272,21 @@ def coordinate_curvature_reads(frame, A, C, E=None, F=None):
     the same expansion, refusals and homogeneity <= 2 cut."""
     l = frame.l
     ga = algebra(l)
-    M = {}
+    by_pos = {}
     for key, form in coordinate_connection_forms(frame, A, C, E, F).items():
         for pos, n in ga.odd_mat[key].items():
-            M[pos] = form.scale(n) + M[pos] if pos in M else form.scale(n)
-    M = {pos: form for pos, form in M.items() if not form.is_zero()}
+            by_pos.setdefault(pos, []).append((n, form))
+    M = {}
+    for pos, terms in by_pos.items():
+        form = form_combination(frame.chart, 1, terms)
+        if not form.is_zero():
+            M[pos] = form
     W = {("up1", i): frame.field(("s", i)) for i in range(1, l + 1)}
     for p in ga.pair_indices:
-        w = frame.field(("p", p))
-        for m in range(1, l + 1):
-            if C.get((m, p)):
-                w = w - W[("up1", m)].scale(C[(m, p)])
-        W[("up2", p)] = w
+        W[("up2", p)] = field_combination(
+            [(1, frame.field(("p", p)))]
+            + [(-C[(m, p)], W[("up1", m)]) for m in range(1, l + 1)
+               if C.get((m, p))])
     args = list(combinations(ga.positive_keys, 2))
     terms = {}
     for slots, entries in zip(args, per_form_curvature_values(
@@ -897,12 +893,11 @@ def triangular_change(fields, rng):
     diagonal."""
     out = []
     for i, x in enumerate(fields):
-        y = x.scale(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        terms = [(rng.choice([1, -1, 2, Fraction(1, 2)]), x)]
         for later in fields[i + 1:]:
-            c = rng.choice([0, 0, 1, -1, 2, Fraction(-1, 3)])
-            if c:
-                y = y + later.scale(c)
-        out.append(y)
+            terms.append((rng.choice([0, 0, 1, -1, 2, Fraction(-1, 3)]),
+                          later))
+        out.append(field_combination(terms))
     return out
 
 
@@ -917,7 +912,7 @@ def gauge_change(fields, rng):
     m = Polynomial(ch, {tuple(exps): ExactScalar.of(
         rng.choice([1, -1, 2, Fraction(1, 2)]))})
     out = list(fields)
-    out[i] = out[i] + fields[j].scale(m)
+    out[i] = field_combination([(1, out[i]), (m, fields[j])])
     return out
 
 

@@ -237,3 +237,53 @@ def test_frame_layer_evaluates_no_polynomial():
     assert _evaluate_calls(ast.parse(
         "v = e.evaluate(point)\nevaluate(p)\nf(row[0].evaluate(ones))\n")) \
         == [1, 3]
+
+
+def _unreferenced_defs(defining, referring, exported):
+    """Non-dunder functions defined in the ``defining`` trees that are
+    neither exported nor referenced in the ``referring`` trees by a Name or
+    Attribute node or an ImportFrom alias; strings and comments do not
+    count."""
+    referenced = set(exported)
+    for tree in referring:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(f"{name}:{node.name}" for name, tree in defining
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))
+                  and node.name not in referenced)
+
+
+def test_every_function_is_exported_or_referenced():
+    """A function that only tests call is dead code: each non-dunder
+    function of the package is exported or referenced in the package or
+    the benchmark."""
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    package = list(_package_trees())
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(perfbench.glob("*.py"))]
+    assert bench
+    assert _unreferenced_defs(package, [tree for _, tree in package] + bench,
+                              freedist.__all__) == []
+    assert _unreferenced_defs(
+        [("m.py", ast.parse(
+            "def called(): pass\n"
+            "def exported(): pass\n"
+            "def only_named_in_text(): pass\n"
+            "class C:\n"
+            "    def __eq__(self, other): pass\n"
+            "    def read(self): pass\n"
+            "    def imported(self): pass\n"
+            "    async def awaited(self): pass\n"))],
+        [ast.parse("called()\n"
+                   "f(c.read)\n"
+                   "from m import imported\n"
+                   "'only_named_in_text'  # awaited\n")],
+        ["exported"]) == ["m.py:awaited", "m.py:only_named_in_text"]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_texts
+from conftest import (constant_term, coordinate, field_combination,
+                      frame_texts)
 from freedist.errors import FreeDistError, ParseError, UnsupportedError
 from freedist.geometry import VectorField
 from freedist.parsing import (MAX_DIGITS, MAX_L, parse_expression,
@@ -38,10 +39,8 @@ def test_scalar_rejects_coordinates():
 
 def test_precedence_and_parentheses():
     assert P("2 + 3*x1") == (Polynomial.const(CH, ExactScalar.of(2))
-                             + Polynomial.coordinate(
-                                 CH, CH.x_index(1)).scale(3))
-    assert P("(2 + 3)*x1") == Polynomial.coordinate(
-        CH, CH.x_index(1)).scale(5)
+                             + coordinate(CH, CH.x_index(1)).scale(3))
+    assert P("(2 + 3)*x1") == coordinate(CH, CH.x_index(1)).scale(5)
     assert P("2*x1^3") == P("2*x1*x1*x1")
     assert P("(x1 + x2)*(x1 + x2)") == P("x1^2 + 2*x1*x2 + x2^2")
 
@@ -53,7 +52,7 @@ def test_power_binds_to_atoms_only():
 
 
 def test_unary_minus():
-    assert P("-x1") == -Polynomial.coordinate(CH, CH.x_index(1))
+    assert P("-x1") == -coordinate(CH, CH.x_index(1))
     assert P("3 - -x1") == P("3 + x1")
     assert P("-(x1 - x2)") == P("x2 - x1")
 
@@ -92,15 +91,14 @@ def test_vector_field_round_trip():
     v = parse_vector_field("Dx1 - x2*Dy[1,2] + sqrt2*Dy[3,4]", CH)
     assert v.components[CH.x_index(1)] == Polynomial.const(
         CH, ExactScalar.one())
-    assert v.components[CH.y_index(1, 2)] == -Polynomial.coordinate(
-        CH, CH.x_index(2))
+    assert v.components[CH.y_index(1, 2)] == -coordinate(CH, CH.x_index(2))
     assert v.components[CH.y_index(3, 4)] == Polynomial.const(
         CH, ExactScalar.sqrt2())
 
 
 def test_vector_field_pair_direction_antisymmetry():
-    assert parse_vector_field("Dy[2,1]", CH) == -parse_vector_field(
-        "Dy[1,2]", CH)
+    assert parse_vector_field("Dy[2,1]", CH) == field_combination(
+        [(-1, parse_vector_field("Dy[1,2]", CH))])
 
 
 def test_frame_file_parses_fixture():
@@ -232,9 +230,9 @@ def test_parse_frame_file_fuzz(text):
 
 
 # An expression for the property tests below: its text, and the value that
-# the public operators give it when its text starts at a column, or the
-# ParseError that the parser must raise there; fields=False refuses the
-# Dx and Dy atoms, as a scalar expression does.
+# the Polynomial operators and field_combination give it when its text
+# starts at a column, or the ParseError that the parser must raise there;
+# fields=False refuses the Dx and Dy atoms, as a scalar expression does.
 
 def _leaf(text, kind, value):
     def value_at(col, fields):
@@ -248,10 +246,10 @@ def _leaf(text, kind, value):
 def _coordinate(j, k=None):
     """x_j, or y[j,k] = -y[k,j] (zero for j = k)."""
     if k is None:
-        return Polynomial.coordinate(CH, CH.x_index(j))
+        return coordinate(CH, CH.x_index(j))
     if j == k:
         return Polynomial.zero(CH)
-    p = Polynomial.coordinate(CH, CH.y_index(min(j, k), max(j, k)))
+    p = coordinate(CH, CH.y_index(min(j, k), max(j, k)))
     return p if j < k else -p
 
 
@@ -304,7 +302,8 @@ def _negation(child):
 
     def value_at(col, fields):
         kind, value = child_at(col + 1, fields)
-        return kind, value.scale(-1) if kind == "v" else -value
+        return kind, (field_combination([(-1, value)]) if kind == "v"
+                      else -value)
     return "-" + text, value_at
 
 
@@ -320,12 +319,14 @@ def _binary(op, left, right):
                 raise ParseError("cannot multiply vector fields", 1, op_col)
             if lkind == rkind:
                 return "p", a * b
-            return "v", b.scale(a) if rkind == "v" else a.scale(b)
+            return "v", field_combination([(a, b)] if rkind == "v"
+                                          else [(b, a)])
         if lkind != rkind:
             raise ParseError("cannot combine a scalar expression with a "
                              "vector field", 1, op_col)
         if lkind == "v":
-            return "v", a + (b if op == "+" else b.scale(-1))
+            return "v", field_combination([(1, a),
+                                           (1 if op == "+" else -1, b)])
         return "p", a + b if op == "+" else a - b
     return f"({ltext} {op} {rtext})", value_at
 
@@ -351,7 +352,7 @@ def _refusal(parse):
 @settings(deadline=None, max_examples=300)
 def test_parsed_values_equal_the_public_operators(expr):
     """parse_vector_field and parse_expression give the value the public
-    Polynomial and VectorField operators build, and refuse a mixed or
+    Polynomial operators and field_combination build, and refuse a mixed or
     misplaced expression with the parser's message at its column."""
     text, value_at = expr
     for fields, parse in ((True, lambda: parse_vector_field(text, CH)),
@@ -372,4 +373,4 @@ def test_parsed_values_equal_the_public_operators(expr):
 @settings(deadline=None, max_examples=100)
 def test_parsed_scalars_equal_the_public_operators(expr):
     text, value_at = expr
-    assert parse_scalar(text) == value_at(1, False)[1].constant_value()
+    assert parse_scalar(text) == constant_term(value_at(1, False)[1])

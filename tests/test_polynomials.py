@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_value
+from conftest import coordinate, poly_value
 from freedist.parsing import parse_expression
 import random
 
@@ -97,33 +97,34 @@ def test_expression_round_trip(p):
 
 
 def test_coordinate_and_const():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
-    y23 = Polynomial.coordinate(CH, CH.y_index(2, 3))
+    x1 = coordinate(CH, CH.x_index(1))
+    y23 = coordinate(CH, CH.y_index(2, 3))
     two = Polynomial.const(CH, ExactScalar.of(2))
     prod = x1 * y23 * two
-    assert not prod.is_zero()
-    assert not prod.is_constant()
+    e = [0] * CH.ncoords
+    e[CH.x_index(1)] = e[CH.y_index(2, 3)] = 1
+    assert prod.terms == {tuple(e): ExactScalar.of(2)}
     pt = {i: ExactScalar.zero() for i in range(CH.ncoords)}
     pt[CH.x_index(1)] = ExactScalar.of(3)
     pt[CH.y_index(2, 3)] = ExactScalar.of(Fraction(1, 2))
     assert poly_value(prod, pt) == ExactScalar.of(3)
-    assert two.is_constant() and two.constant_value() == ExactScalar.of(2)
+    assert two.terms == {(0,) * CH.ncoords: ExactScalar.of(2)}
 
 
 def test_derivative_of_coordinate():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x1 = coordinate(CH, CH.x_index(1))
     d = x1.partial_derivative(CH.x_index(1))
-    assert d.is_constant() and d.constant_value() == ExactScalar.one()
+    assert d == Polynomial.const(CH, 1)
     assert x1.partial_derivative(CH.x_index(2)).is_zero()
 
 
 def test_scale_accepts_plain_rationals():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x1 = coordinate(CH, CH.x_index(1))
     assert x1.scale(Fraction(1, 2)) + x1.scale(Fraction(1, 2)) == x1
 
 
 def test_scalar_operands_are_constant_polynomials():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x1 = coordinate(CH, CH.x_index(1))
     want = x1 + Polynomial.const(CH, 2)
     for two in (2, ExactScalar(2)):
         assert x1 + two == want and two + x1 == want
@@ -140,7 +141,7 @@ def test_scalar_operands_are_constant_polynomials():
 
 
 def test_scalar_times_polynomial_is_scale_on_either_side():
-    x1 = Polynomial.coordinate(CH, CH.x_index(1))
+    x1 = coordinate(CH, CH.x_index(1))
     p = x1 * x1 + Polynomial.const(CH, ExactScalar(Fraction(1, 3), 1))
     for c in (3, -2, Fraction(1, 2), ExactScalar(3),
               ExactScalar(Fraction(-1, 2), 1)):
@@ -190,7 +191,7 @@ def test_accumulate_adds_a_scalar_to_a_polynomial_as_a_constant():
 
 
 def test_sorted_terms_is_deterministic():
-    p = (Polynomial.coordinate(CH, 0) * Polynomial.coordinate(CH, 3)
+    p = (coordinate(CH, 0) * coordinate(CH, 3)
          + Polynomial.const(CH, ExactScalar.sqrt2()))
     assert p.sorted_terms() == p.sorted_terms()
     assert len(p.sorted_terms()) == 2

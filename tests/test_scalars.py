@@ -19,8 +19,6 @@ nonzero_scalars = scalars.filter(lambda s: not s.is_zero())
 def test_constants():
     assert ExactScalar.zero().is_zero()
     assert not ExactScalar.one().is_zero()
-    assert ExactScalar.one().is_rational()
-    assert not ExactScalar.sqrt2().is_rational()
     assert ExactScalar.of(Fraction(3, 4)) == ExactScalar(Fraction(3, 4), 0)
 
 

@@ -70,6 +70,20 @@ def _wedge(p: int, q: int, qmap: Dict[int, int]) -> IntMatrix:
     return {(p, qmap[q]): 1, (q, qmap[p]): -1}
 
 
+class _PerSide(dict):
+    """Tables by side, a side's built by ``build(side)`` on first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, side: str):
+        if side not in (ODD, EVEN):
+            raise KeyError(side)
+        self.build(side)
+        return self[side]
+
+
 # --------------------------------------------------------------------------
 # the algebra pair
 # --------------------------------------------------------------------------
@@ -81,8 +95,6 @@ class GradedAlgebra:
         if l < 2:
             raise ValueError("rank must be at least 2")
         self.l = l
-        self.odd_size = 2 * l + 1
-        self.even_size = 2 * l + 2
 
         # odd algebra: vectors a_i <-> i-1 (i=1..l), center <-> l,
         # b_i <-> l+i; the form pairs a_i with b_i and the center with itself
@@ -172,23 +184,12 @@ class GradedAlgebra:
             side: {pos: (n, key) for n, (key, pos) in enumerate(ro.items())}
             for side, ro in ((ODD, self.odd_readoff),
                              (EVEN, self.even_readoff))}
-        self._tables: Dict[str, Dict[Tuple[BasisKey, BasisKey],
-                                     Tuple[Tuple[BasisKey, int], ...]]] = {
-            ODD: {}, EVEN: {}}
-        self._pairings: Dict[str, Dict[Tuple[BasisKey, BasisKey], int]] = {
-            ODD: {}, EVEN: {}}
+        # per side: bracket and pairing tables, EVEN's built on first use
+        self._tables = _PerSide(self._build_tables)
+        self._pairings = _PerSide(self._build_tables)
         self._build_tables(ODD)
-        self._build_tables(EVEN)
 
-        # construction sanity: dual normalization and the lowering bracket
-        for side, lo, up, idxs in ((ODD, "lo1", "up1", range(1, l + 1)),
-                                   (ODD, "lo2", "up2", pairs),
-                                   (EVEN, "tlo", "tup", tpairs)):
-            for p in idxs:
-                if self.pairing_int(side, (lo, p), (up, p)) != 1:
-                    raise AssertionError(
-                        f"GradedAlgebra: pairing of ({lo!r}, {p}) with "
-                        f"({up!r}, {p}) is not 1")
+        # construction sanity: the lowering bracket
         for i, j in pairs:
             got = dict(self.bracket_table(ODD, ("lo1", i), ("lo1", j)))
             if got != {("lo2", (i, j)): 1}:
@@ -249,7 +250,8 @@ class GradedAlgebra:
     def _build_tables(self, side: str) -> None:
         """Brackets and trace pairings of the basis pairs whose supports
         meet (a column of one is a row of the other; all other products
-        vanish), each key's partners visited in basis order."""
+        vanish), each key's partners visited in basis order; then check
+        that each lowering key pairs to 1 with its dual raising key."""
         keys = self.keys(side)
         mats = [self.mat(side, k) for k in keys]
         by_row: Dict[int, List[int]] = {}
@@ -258,8 +260,8 @@ class GradedAlgebra:
             for r, c in m:
                 by_row.setdefault(r, []).append(n)
                 by_col.setdefault(c, []).append(n)
-        table = self._tables[side]
-        pair_table = self._pairings[side]
+        table: Dict[Tuple[BasisKey, BasisKey], Tuple] = {}
+        pair_table: Dict[Tuple[BasisKey, BasisKey], int] = {}
         for k1, m1 in zip(keys, mats):
             partners = set()
             for r, c in m1:
@@ -280,6 +282,16 @@ class GradedAlgebra:
                             f"GradedAlgebra: trace product of {k1} and {k2} "
                             f"is odd ({tr})")
                     pair_table[(k1, k2)] = -tr // 2
+        duals = ((("lo1", "up1", range(1, self.l + 1)),
+                  ("lo2", "up2", self.pair_indices)) if side == ODD
+                 else (("tlo", "tup", self.ext_pair_indices),))
+        for lo, up, idxs in duals:
+            for p in idxs:
+                if pair_table.get(((lo, p), (up, p))) != 1:
+                    raise AssertionError(
+                        f"GradedAlgebra: pairing of ({lo!r}, {p}) with "
+                        f"({up!r}, {p}) is not 1")
+        self._tables[side], self._pairings[side] = table, pair_table
 
     def expand(self, side: str, m: Dict[Tuple[int, int], object]
                ) -> Optional[Dict[BasisKey, object]]:
@@ -867,23 +879,14 @@ def _check_bracket_grading(ga: GradedAlgebra) -> bool:
 
 
 def _check_pairing_values(ga: GradedAlgebra) -> bool:
-    l = ga.l
-    for i in range(1, l + 1):
-        m1, m2 = ga.mat(ODD, ("lo1", i)), ga.mat(ODD, ("up1", i))
-        if _mat_trace_product(m1, m2) != -2:
+    span = range(1, ga.l + 1)
+    for k1, k2, tr in ([(("lo1", i), ("up1", i), -2) for i in span]
+                       + [(("lo2", p), ("up2", p), -2)
+                          for p in ga.pair_indices]
+                       + [(("zero", (i, j)), ("zero", (j, i)), 2)
+                          for i in span for j in span if i != j]):
+        if _mat_trace_product(ga.mat(ODD, k1), ga.mat(ODD, k2)) != tr:
             return False
-    for p in ga.pair_indices:
-        m1, m2 = ga.mat(ODD, ("lo2", p)), ga.mat(ODD, ("up2", p))
-        if _mat_trace_product(m1, m2) != -2:
-            return False
-    for i in range(1, l + 1):
-        for j in range(1, l + 1):
-            if i == j:
-                continue
-            m1 = ga.mat(ODD, ("zero", (i, j)))
-            m2 = ga.mat(ODD, ("zero", (j, i)))
-            if _mat_trace_product(m1, m2) != 2:
-                return False
     # cross-grade orthogonality
     for k1 in ga.odd_keys:
         for k2 in ga.odd_keys:

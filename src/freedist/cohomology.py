@@ -80,6 +80,21 @@ def _moved(sigma: List[int], tk: TermKey, c: ExactScalar):
     return keys[:-1], keys[-1], c
 
 
+def _weight_blocks(l: int, keys: Iterable[TermKey]
+                   ) -> Dict[Tuple[int, ...], List[int]]:
+    """The positions of term keys grouped by torus weight, weights in order
+    of first appearance.  Both operators preserve the weight (they are
+    g_0-equivariant), so each group is a block of their matrices."""
+    blocks: Dict[Tuple[int, ...], List[int]] = {}
+    for n, tk in enumerate(keys):
+        w = [0] * (l + 1)
+        for kind, idx in tk[0] + (tk[1],):
+            for i, s in zip(idx if kind in _PAIRS else (idx,), _WEIGHT[kind]):
+                w[i] += s
+        blocks.setdefault(tuple(w[1:]), []).append(n)
+    return blocks
+
+
 def harmonic_space(l: int, k: int, h: int) -> HarmonicSpace:
     """The harmonic k-cochains of homogeneity h (k = 1 or 2, l >= 3).
 
@@ -96,13 +111,9 @@ def harmonic_space(l: int, k: int, h: int) -> HarmonicSpace:
         raise UnsupportedError("harmonic spaces are computed for cochain "
                                "degrees 1 and 2 only")
     ga = algebra(l)
-    blocks: Dict[Tuple[int, ...], List[TermKey]] = {}
-    for tk in _term_keys(ga, k, h):
-        w = [0] * (l + 1)
-        for kind, idx in tk[0] + (tk[1],):
-            for i, s in zip(idx if kind in _PAIRS else (idx,), _WEIGHT[kind]):
-                w[i] += s
-        blocks.setdefault(tuple(w[1:]), []).append(tk)
+    term_keys = _term_keys(ga, k, h)
+    blocks = {w: [term_keys[n] for n in ns]
+              for w, ns in _weight_blocks(l, term_keys).items()}
     kernels: Dict[Tuple[int, ...], List[Dict[int, ExactScalar]]] = {}
     basis: List[Chain] = []
     for w, keys in blocks.items():

@@ -203,31 +203,32 @@ def _solution_operator(blocks: List[List[Pivot]]
 class FactoredSystem:
     """A constant-coefficient sparse system factored once for many solves.
 
-    Rows map unknown indices to scalars.  ``_eliminate`` factors the rows
-    as vectors keyed by unknown; every unknown must become a pivot label
-    (full column rank; raises ValueError otherwise), and the dependent rows
-    are the redundant ones.  ``_solution_operator`` back-substitutes over
-    the pivots once, giving each unknown as a fixed combination of
-    right-hand sides, kept by right-hand side: ``_op[r]`` maps unknown j to
-    the coefficient of rhs[r] in x[j], j ascending.  A solve adds only the
-    nonzero right-hand sides into the unknowns' term dicts, then verifies
-    every row against its right-hand side exactly, over nonzero unknowns.
+    Rows map the unknowns (integer labels, ascending) to scalars.
+    ``_eliminate`` factors the rows as vectors keyed by unknown; every
+    unknown must become a pivot label (full column rank; raises ValueError
+    otherwise), and the dependent rows are the redundant ones.
+    ``_solution_operator`` back-substitutes over the pivots once, giving
+    each unknown as a fixed combination of right-hand sides, kept by
+    right-hand side: ``_op[r]`` maps unknown j to the coefficient of rhs[r]
+    in x[j], j ascending.  A solve adds only the nonzero right-hand sides
+    into the unknowns' term dicts, then verifies every row against its
+    right-hand side exactly, over nonzero unknowns.
     """
 
     def __init__(self, rows: Sequence[Dict[int, ExactScalar]],
-                 nunknowns: int):
+                 unknowns: Sequence[int]):
         self.rows = [dict(r) for r in rows]
-        self.nunknowns = nunknowns
+        self.unknowns = list(unknowns)
         blocks = [pivots for pivots, _ in _eliminate(self.rows)]
         labels = {p[0] for pivots in blocks for p in pivots}
-        missing = [j for j in range(nunknowns) if j not in labels]
+        missing = [j for j in self.unknowns if j not in labels]
         if missing:
             raise ValueError(
                 f"linear system does not determine unknowns {missing[:5]}"
                 + ("..." if len(missing) > 5 else ""))
         op = _solution_operator(blocks)
         self._op: List[Dict[int, ExactScalar]] = [{} for _ in self.rows]
-        for j in range(nunknowns):
+        for j in self.unknowns:
             for r, c in op[j].items():
                 self._op[r][j] = c
 
@@ -237,8 +238,8 @@ class FactoredSystem:
         if not rhs:
             raise ValueError("empty system")
         chart_ = rhs[0].chart
-        xs: List[Dict[Hashable, ExactScalar]] = [
-            {} for _ in range(self.nunknowns)]
+        xs: Dict[int, Dict[Hashable, ExactScalar]] = {
+            j: {} for j in self.unknowns}
         for b, op in zip(rhs, self._op):
             if b.terms:
                 for j, c in op.items():
@@ -250,7 +251,7 @@ class FactoredSystem:
                     accumulate(lhs, xs[j].items(), c)
             if lhs != b.terms:
                 raise ValueError("inconsistent linear system")
-        return [Polynomial(chart_, x) for x in xs]
+        return [Polynomial(chart_, x) for x in xs.values()]
 
 
 def invert_scalar_matrix(m: Sequence[Sequence[ExactScalar]]

@@ -17,8 +17,10 @@ that chain the same way.  Each unknown changes the connection by a signed unit
 1-chain (``_units``), so it changes the curvature by the Lie algebra
 differential of that chain (Cap & Slovak, Parabolic Geometries I, 3.1).
 The codifferential of the chain is the right-hand side of a linear system
-whose columns are the codifferentials of those differentials, factored once
-per rank, and the chain plus the differential of the solved 1-chain is the
+whose columns are the codifferentials of those differentials.  These are
+g_0-equivariant (Cap & Slovak 3.1-3.3), so the system splits into one block
+per torus weight, factored when a right-hand side is first nonzero there
+(``_block``); the chain plus the differential of the solved 1-chain is the
 normalized curvature.
 
 The curvature tensors P, Q (homogeneity 1) and R, S, T (homogeneity 2)
@@ -42,14 +44,15 @@ key means the zero polynomial; pair indices are stored sorted):
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BasisKey, Chain, GradedAlgebra, ODD, TermKey, _apply,
                       _codifferential_term, _differential_term, algebra,
                       codifferential, differential)
-from .cohomology import _int_scalar, _term_keys
+from .cohomology import _int_scalar, _term_keys, _weight_blocks
 from .errors import UnsupportedError
 from .geometry import (Frame, FrameKey, StructureFunctions, VectorField,
                        build_frame, structure_functions)
@@ -198,48 +201,63 @@ def _tensors(chain: Chain) -> Dict[str, Dict[Tuple, Polynomial]]:
 
 
 # --------------------------------------------------------------------------
-# factored normalization systems (constant per rank) and their solve
+# factored normalization blocks (constant per rank and weight) and the solve
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _system(l: int, degree: int):
-    """The factored normalization system of one degree: per row key (the
-    1-chain term keys of that homogeneity), the codifferential of the
-    differential of each unknown's unit, composed in integers from the two
-    per-term kernels; degree 1 adds its l trace rows."""
+def _weights(l: int, degree: int):
+    """The row keys of one degree (the 1-chain term keys of that
+    homogeneity), and per torus weight its row and unknown indices."""
+    row_keys = _term_keys(algebra(l), 1, degree)
+    return row_keys, _weight_blocks(l, row_keys), _weight_blocks(
+        l, [unit[0][0] for unit in _units(l, degree)[1]])
+
+
+@lru_cache(maxsize=None)
+def _block(l: int, degree: int, w: Tuple[int, ...]):
+    """The factored normalization system of one degree at torus weight w:
+    per row key of weight w, the codifferential of the differential of
+    each unknown's unit of weight w (by its index among all unknowns),
+    composed in integers; at degree 1 the trace row k joins w = e_k."""
     unknowns, units = _units(l, degree)
+    row_keys, rows_at, unknowns_at = _weights(l, degree)
+    keys = [row_keys[n] for n in rows_at.get(w, ())]
+    block = unknowns_at.get(w, [])
     ga = algebra(l)
-    row_keys = _term_keys(ga, 1, degree)
-    index = {rk: n for n, rk in enumerate(row_keys)}
-    rows: List[Dict[int, ExactScalar]] = [{} for _ in row_keys]
-    for uidx, unit in enumerate(units):
+    index = {rk: n for n, rk in enumerate(keys)}
+    rows: List[Dict[int, ExactScalar]] = [{} for _ in keys]
+    for u in block:
         column = _apply(_codifferential_term, ga, ODD,
-                        _apply(_differential_term, ga, ODD, unit).items())
+                        _apply(_differential_term, ga, ODD, units[u]).items())
         for tk, v in column.items():
             n = index.get(tk)
             if n is not None:
-                rows[n][uidx] = _int_scalar(v)
-    if degree == 1:
-        uindex = {u: n for n, u in enumerate(unknowns)}
-        for k in range(1, l + 1):
-            rows.append({uindex[(i, i, k)]: ExactScalar.one()
-                         for i in range(1, l + 1)})
-    return unknowns, row_keys, FactoredSystem(rows, len(unknowns))
+                rows[n][u] = _int_scalar(v)
+    if degree == 1 and sum(map(abs, w)) == sum(w) == 1:   # w = e_k
+        rows.append({u: ExactScalar.one() for u in block
+                     if unknowns[u][0] == unknowns[u][1]})
+    return keys, FactoredSystem(rows, block)
 
 
 def _solve(chain: Chain, degree: int) -> List[Polynomial]:
     """The unknowns x of one degree that make _respond(chain, degree, x)
-    codifferential-free on the row keys (and, at degree 1, trace-free)."""
+    codifferential-free on the row keys (and, at degree 1, trace-free),
+    solved only at the weights where the chain's codifferential is not 0."""
     l = chain.l
     d = codifferential(chain).terms
     zero = Polynomial.zero(chart(l))
+    xs = [zero] * len(_units(l, degree)[0])
     try:
-        _, row_keys, system = _system(l, degree)
-        rhs = [-d[rk] if rk in d else zero for rk in row_keys]
-        return system.solve(rhs + [zero] * l if degree == 1 else rhs)
+        for w in _weight_blocks(l, d):
+            row_keys, system = _block(l, degree, w)
+            rhs = [-d[rk] if rk in d else zero for rk in row_keys]
+            rhs += [zero] * (len(system.rows) - len(rhs))   # a trace row
+            for u, x in zip(system.unknowns, system.solve(rhs)):
+                xs[u] = x
     except ValueError as exc:
         raise AssertionError(
             f"degree-{degree} normalization system: {exc}") from exc
+    return xs
 
 
 def _respond(chain: Chain, degree: int, xs: Sequence[Polynomial]) -> Chain:
@@ -313,6 +331,7 @@ def _curvature_reads(frame: Frame, f: StructureFunctions,
     frame_key = {key[1]: key for key in keys}  # single index or pair
     grade = {key: GradedAlgebra.grade(key) for key in ga.odd_keys}
     order = {key: n for n, key in enumerate(ga.odd_keys)}
+    brackets = ga._tables[ODD]
 
     # each connection 1-form on each frame field
     on: Dict[BasisKey, Dict[FrameKey, Polynomial]] = {
@@ -366,7 +385,7 @@ def _curvature_reads(frame: Frame, f: StructureFunctions,
             for k1, (q1, _) in M[u].items():
                 for k2, (q2, _) in M[v].items():
                     if grade[k1] + grade[k2] <= cap:
-                        for key, b in ga.bracket_table(ODD, k1, k2):
+                        for key, b in brackets.get((k1, k2), ()):
                             if (u, k1, b) not in scaled:
                                 scaled[(u, k1, b)] = {e: c * -b for e, c
                                                       in q1.items()}
@@ -409,25 +428,25 @@ def _curvature_reads(frame: Frame, f: StructureFunctions,
 # --------------------------------------------------------------------------
 
 def solve_degree2(frame: Frame, f: StructureFunctions,
-                  A: Dict[AKey, Polynomial], C: Dict[CKey, Polynomial]
+                  A: Dict[AKey, Polynomial], C: Dict[CKey, Polynomial],
+                  P: Optional[Dict[PKey, Polynomial]] = None
                   ) -> Tuple[Dict[EKey, Polynomial], Dict[FKey, Polynomial],
                              Dict[RKey, Polynomial], Dict[SKey, Polynomial],
                              Dict[SKey, Polynomial]]:
     """Determine the homogeneity-2 coefficients fixed by the codifferential
-    normalization, and the resulting curvature tensors."""
+    normalization, and the resulting curvature tensors.  P is the tensor
+    solve_degree1(f) returned with A and C (computed again when omitted)."""
     l = frame.l
     if l < 4:
         raise UnsupportedError(
             "degree-2 normalization requires rank at least 4")
-    zero_poly = Polynomial.zero(frame.chart)
     reads = _curvature_reads(frame, f, A, C)
 
-    # cross-check: the engine's homogeneity-1 read must equal the
-    # response the degree-1 solve computed from the structure functions
-    a_unknowns, _ = _units(l, 1)
-    expected = _respond(_chain(l, {"P": f.pp_sp}), 1,
-                        [A.get(u, zero_poly) for u in a_unknowns])
-    if reads.homogeneous_part(1) != expected:
+    # cross-check: the engine's homogeneity-1 read must equal the P (its
+    # Q part is empty) that the degree-1 solve computed from f
+    if P is None:
+        P = solve_degree1(f)[2]
+    if reads.homogeneous_part(1) != _chain(l, {"P": P}):
         raise AssertionError(
             "engine homogeneity-1 read disagrees with the degree-1 response")
 
@@ -484,18 +503,18 @@ def analyze(fields: Sequence[VectorField]) -> AnalysisReport:
     frame = build_frame(fields)
     f = structure_functions(frame)
     A, C, P = solve_degree1(f)
-    E, F, R, S, T = solve_degree2(frame, f, A, C)
     flat = flatness_test(P)
     # the lowest nonzero component is harmonic (Bianchi), and no harmonic
     # 2-cochain has homogeneity 2, so P = 0 forces R = S = T = 0
-    if flat and (R or S or T):
-        raise AssertionError("flat check: P is zero but R, S or T is not")
     if not flat and not differential(_chain(frame.l, {"P": P})).is_zero():
         raise AssertionError(
             "Bianchi check: the differential of the lowest nonzero "
             "curvature component is not zero")
-    t_zero = all(poly.is_zero() for poly in T.values())
-    kappa11 = t_zero  # Q vanishes identically (asserted by the engine)
+    E, F, R, S, T = solve_degree2(frame, f, A, C, P)
+    if flat and (R or S or T):
+        raise AssertionError("flat check: P is zero but R, S or T is not")
+    # Q vanishes identically (asserted by the engine)
+    kappa11 = all(poly.is_zero() for poly in T.values())
     connection = ConnectionData(frame.l, A, C, E, F)
     curvature = CurvatureReport(frame.l, P, {}, R, S, T, flat, kappa11,
                                 kappa11)
@@ -527,34 +546,15 @@ def _share_equal_values(tables: List[Dict[Tuple, Polynomial]]) -> None:
 # JSON serialization of analysis reports
 # --------------------------------------------------------------------------
 
-def _fmt_idx(part) -> str:
-    if isinstance(part, tuple):
-        return f"[{part[0]},{part[1]}]"
-    return str(part)
-
-
 def _fmt_key(parts) -> str:
-    return ",".join(_fmt_idx(p) for p in parts)
+    """Indices and [j,k] pairs, comma-joined."""
+    return json.dumps(parts, separators=(",", ":"))[1:-1]
 
 
 def _parse_key(text: str) -> Tuple[object, ...]:
-    parts: List[object] = []
-    i = 0
-    while i < len(text):
-        if text[i] == "[":
-            j = text.index("]", i)
-            a, b = text[i + 1:j].split(",")
-            parts.append((int(a), int(b)))
-            i = j + 1
-            if i < len(text) and text[i] == ",":
-                i += 1
-        else:
-            j = text.find(",", i)
-            if j == -1:
-                j = len(text)
-            parts.append(int(text[i:j]))
-            i = j + 1
-    return tuple(parts)
+    """The inverse of _fmt_key."""
+    return tuple(tuple(p) if isinstance(p, list) else p
+                 for p in json.loads(f"[{text}]"))
 
 
 def _key_order(parts) -> Tuple:
@@ -563,20 +563,14 @@ def _key_order(parts) -> Tuple:
 
 
 def _tensor_to_json(table: Dict) -> Dict[str, str]:
-    out = {}
-    for key in sorted(table.keys(), key=_key_order):
-        poly = table[key]
-        if not poly.is_zero():
-            out[_fmt_key(key)] = poly.to_expr()
-    return out
+    return {_fmt_key(key): table[key].to_expr()
+            for key in sorted(table, key=_key_order)
+            if not table[key].is_zero()}
 
 
 def _structure_to_json(f: StructureFunctions) -> Dict[str, str]:
-    merged: Dict[Tuple, Polynomial] = {}
-    for _, block in f.blocks():
-        for key, poly in block.items():
-            merged[key] = poly
-    return _tensor_to_json(merged)
+    return _tensor_to_json({key: poly for _, block in f.blocks()
+                            for key, poly in block.items()})
 
 
 def report_to_json(report: AnalysisReport) -> Dict[str, object]:

@@ -17,6 +17,7 @@ All reported errors carry the 1-based line and column of the offending token.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -28,10 +29,12 @@ from .scalars import ExactScalar
 
 Token = Tuple[str, object, int, int]  # (type, value, line, col)
 
-# Every token but a number, whose text is its token type.  No text starts
-# a longer one, so the shortest text that matches is the token.
+# Every token but a number, whose text is its token type.
 _LITERALS = {"sqrt2", "Dx", "Dy", "x", "y", *"+-*^()[],:/"}
-_SIZES = sorted({len(text) for text in _LITERALS})
+# The text cut into whitespace runs, digit runs, the multi-character
+# literals and single characters; no literal starts a longer one, so each
+# piece is one token, one run of whitespace, or an unexpected character.
+_PIECES = re.compile(r"\s+|\d+|sqrt2|D[xy]|.", re.S)
 
 # Resource guards: a power is built by repeated multiplication, each level
 # of '(' or unary '-' is one more level of recursion, int() refuses digit
@@ -46,36 +49,19 @@ MAX_L = 8
 def tokenize(text: str, start_line: int = 1, start_col: int = 1) -> List[Token]:
     tokens: List[Token] = []
     line, col = start_line, start_col
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("num", _read_int(text[i:j], line, col), line,
-                           col))
-            col += j - i
-            i = j
-            continue
-        for size in _SIZES:
-            ttype = text[i:i + size]
-            if ttype in _LITERALS:
-                break
+    for piece in _PIECES.findall(text):
+        if piece in _LITERALS:
+            tokens.append((piece, None, line, col))
+        elif piece.isspace():
+            if "\n" in piece:   # columns restart after the last newline
+                line += piece.count("\n")
+                col = len(piece) - piece.rfind("\n")
+                continue
+        elif piece.isdecimal():
+            tokens.append(("num", _read_int(piece, line, col), line, col))
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append((ttype, None, line, col))
-        i += size
-        col += size
+            raise ParseError(f"unexpected character {piece!r}", line, col)
+        col += len(piece)
     tokens.append(("end", None, line, col))
     return tokens
 

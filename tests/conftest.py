@@ -3,17 +3,20 @@
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from freedist.algebra import (EVEN, ODD, Chain, _canonical_slots, _unit_term,
-                              algebra)
+import freedist.normalization as nm
+from freedist.algebra import (EVEN, ODD, Chain, _apply, _canonical_slots,
+                              _codifferential_term, _differential_term,
+                              _unit_term, algebra)
 from freedist.cohomology import _column, _term_keys
 from freedist.geometry import DifferentialForm, VectorField
-from freedist.linalg import _kernel
+from freedist.linalg import FactoredSystem, _kernel
 from freedist.polynomials import (Chart, Polynomial, accumulate,
                                   add_product, chart)
 from freedist.scalars import ExactScalar
@@ -506,31 +509,65 @@ def armstrong4():
     return armstrong_fields(4)
 
 
+@lru_cache(maxsize=None)
+def whole_rank_system(l, degree):
+    """Test oracle: the factored normalization system of one degree, not
+    split by torus weight: per row key (the 1-chain term keys of that
+    homogeneity), the codifferential of the differential of each unknown's
+    unit (read from ``normalization._units`` when called); degree 1 adds
+    its l trace rows.  The weight blocks of ``normalization._block`` must
+    be its pieces."""
+    unknowns, units = nm._units(l, degree)
+    ga = algebra(l)
+    row_keys = _term_keys(ga, 1, degree)
+    index = {rk: n for n, rk in enumerate(row_keys)}
+    rows = [{} for _ in row_keys]
+    for uidx, unit in enumerate(units):
+        column = _apply(_codifferential_term, ga, ODD,
+                        _apply(_differential_term, ga, ODD, unit).items())
+        for tk, v in column.items():
+            n = index.get(tk)
+            if n is not None:
+                rows[n][uidx] = ExactScalar.of(v)
+    if degree == 1:
+        uindex = {u: n for n, u in enumerate(unknowns)}
+        for k in range(1, l + 1):
+            rows.append({uindex[(i, i, k)]: ExactScalar.one()
+                         for i in range(1, l + 1)})
+    return unknowns, row_keys, FactoredSystem(rows, range(len(unknowns)))
+
+
+def clear_normalization_caches():
+    nm._weights.cache_clear()
+    nm._block.cache_clear()
+    whole_rank_system.cache_clear()
+
+
 @pytest.fixture
 def flip_unit_sign(monkeypatch):
     """A mutation of the normalization: flip(l, degree, unknown, item)
-    negates the sign of one item of that unknown's unit 1-chain.  The
-    cached factored systems are rebuilt from the flipped units, and cleared
+    negates the sign of one item of that unknown's unit 1-chain (with
+    factor=0, drops that item instead).  The cached weight blocks (and the
+    whole-rank oracle) are rebuilt from the flipped units, and cleared
     again after the test."""
-    import freedist.normalization as nm
     units = nm._units
 
-    def flip(l, degree, unknown, item):
+    def flip(l, degree, unknown, item, factor=-1):
         def flipped(l_, degree_):
             unknowns, us = units(l_, degree_)
             if (l_, degree_) == (l, degree):
                 n = unknowns.index(unknown)
                 unit = list(us[n])
                 key, sign = unit[item]
-                unit[item] = (key, -sign)
+                unit[item] = (key, factor * sign)
                 us = us[:n] + (tuple(unit),) + us[n + 1:]
             return unknowns, us
 
         monkeypatch.setattr(nm, "_units", flipped)
-        nm._system.cache_clear()
+        clear_normalization_caches()
 
     yield flip
-    nm._system.cache_clear()
+    clear_normalization_caches()
 
 
 # Pieces of frame-file text for fuzzing the parser and the CLI: headers,

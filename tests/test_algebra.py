@@ -49,8 +49,11 @@ def test_basis_sizes():
         ga = algebra(l)
         assert len(ga.odd_keys) == l * (2 * l + 1)
         assert len(ga.even_keys) == (l + 1) * (2 * l + 1)
-        assert ga.odd_size == 2 * l + 1
-        assert ga.even_size == 2 * l + 2
+        # the basis matrices are square of sizes 2l+1 and 2l+2, every
+        # row and column index in use
+        for mats, size in ((ga.odd_mat, 2 * l + 1), (ga.even_mat, 2 * l + 2)):
+            assert {i for m in mats.values() for pos in m for i in pos} \
+                == set(range(size))
 
 
 def dense_tables(ga, side):
@@ -88,6 +91,25 @@ def test_tables_match_full_scan(l, side):
     table, pairings = dense_tables(ga, side)
     assert list(ga._tables[side].items()) == list(table.items())
     assert list(ga._pairings[side].items()) == list(pairings.items())
+
+
+def test_even_tables_are_built_on_first_even_use(monkeypatch):
+    """A new algebra holds the ODD tables only; the first EVEN read builds
+    both EVEN tables and runs their dual-pairing check, which refuses a
+    doubled trace form (every pairing 2, not 1)."""
+    ga = GradedAlgebra(3)
+    assert list(ga._tables) == list(ga._pairings) == [ODD]
+    assert ga.pairing_int(EVEN, ("tlo", (0, 1)), ("tup", (0, 1))) == 1
+    assert list(ga._tables) == list(ga._pairings) == [ODD, EVEN]
+    ga = GradedAlgebra(3)
+    trace = algebra_module._mat_trace_product
+    monkeypatch.setattr(algebra_module, "_mat_trace_product",
+                        lambda a, b: 2 * trace(a, b))
+    with pytest.raises(AssertionError, match=r"^GradedAlgebra: pairing of "
+                       r"\('tlo', \(0, 1\)\) with \('tup', \(0, 1\)\) is "
+                       r"not 1$"):
+        ga.bracket_table(EVEN, ("tlo", (0, 1)), ("tup", (0, 1)))
+    assert list(ga._tables) == [ODD]
 
 
 def test_expand_refuses_a_read_off_entry_without_its_partner():

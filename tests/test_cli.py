@@ -234,19 +234,49 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
-def run_fresh(*argv, flags=()):
-    """The CLI in a fresh process, with interpreter flags such as -O;
-    stdout and stderr as bytes."""
+def run_python(*args):
+    """Python on the package in a fresh process; stdout and stderr as
+    bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "freedist.cli", *argv], env=env,
-        capture_output=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=300)
+
+
+def run_fresh(*argv, flags=()):
+    """The CLI in a fresh process, with interpreter flags such as -O."""
+    return run_python(*flags, "-m", "freedist.cli", *argv)
 
 
 def run_optimized(*argv):
     return run_fresh(*argv, flags=("-O",))
+
+
+# analyze in a fresh process, then what it built: the normalization blocks
+# factored, and whether the rank's algebra holds EVEN tables
+COLD_ANALYZE = """
+import contextlib, io, sys
+from freedist.algebra import EVEN, algebra
+from freedist.cli import main
+from freedist.normalization import _block
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["analyze", sys.argv[1]])
+print(code, _block.cache_info().currsize,
+      EVEN in algebra(int(sys.argv[2]))._tables)
+"""
+
+
+@pytest.mark.parametrize("name, l, blocks", [("armstrong_l4.frame", 4, 0),
+                                             ("armstrong_l6.frame", 6, 0),
+                                             ("obstructed_l4.frame", 4, 9)])
+def test_cold_analyze_factors_only_the_weights_it_solves(name, l, blocks):
+    """A cold analyze factors only the weight blocks where a right-hand
+    side is nonzero: none on the armstrong frames, which are normal
+    already, and 4 + 5 of the 28 + 38 of degrees 1 and 2 on
+    obstructed_l4.  It never reads the even-side algebra."""
+    proc = run_python("-c", COLD_ANALYZE, data_path(name), str(l))
+    assert proc.stdout.decode() == f"0 {blocks} False\n", proc.stderr
 
 
 def test_algebra_check_under_optimize_flag():
@@ -398,14 +428,22 @@ def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("degree, unknown, message", [
-    (1, (2, 1, 3), "inconsistent linear system"),
-    (2, ("F", (1, 2)), "linear system does not determine unknowns [97]")])
+@pytest.mark.parametrize("degree, unknown, factor, message", [
+    pytest.param(1, (2, 1, 3), -1, "inconsistent linear system",
+                 id="1-unknown0-inconsistent linear system"),
+    pytest.param(2, ("F", (1, 1)), 0,
+                 "linear system does not determine unknowns [96]",
+                 id="2-unknown1-linear system does not determine unknowns "
+                    "[96]")])
 def test_normalization_system_failure_exit_3(capsys, flip_unit_sign, degree,
-                                             unknown, message):
-    """A flipped unit sign breaks a normalization system: the solve's
-    ValueError is reported as one internal-error line naming the degree."""
-    flip_unit_sign(4, degree, unknown, 0)
+                                             unknown, factor, message):
+    """A flipped or dropped unit item breaks a normalization block that
+    obstructed_l4 solves: the solve's ValueError is reported as one
+    internal-error line naming the degree.  (A flip cannot make a degree-2
+    block it solves rank-deficient: their units have one item each, so a
+    flip only negates a column; F(1, 1), at weight (2, 0, 0, 0), loses
+    its one item instead.)"""
+    flip_unit_sign(4, degree, unknown, 0, factor)
     code, out, err = run(capsys, "analyze", data_path("obstructed_l4.frame"))
     assert code == 3 and out == ""
     assert err == (f"internal error: degree-{degree} normalization system: "

@@ -1,6 +1,7 @@
 """Harmonic cochain spaces: guards, verification, and small exact values."""
 
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
@@ -286,3 +287,51 @@ def test_cohomology_vanishes_off_its_homogeneity(l):
             if h != h2} == dict.fromkeys(set(range(-3, 7)) - {h2}, 0)
     if l == 3:
         assert harmonic_space(3, 2, 3).dimension == 27
+
+
+@lru_cache(maxsize=None)
+def kostka(shape, content):
+    """The number of semistandard tableaux of a partition shape with the
+    given content: the boxes holding the largest entry form a horizontal
+    strip, so strip them off every way (an inner partition interlacing the
+    shape) and count the rest (Fulton & Harris 15.3)."""
+    if not content:
+        return int(not any(shape))
+    below = shape[1:] + (0,)
+    return sum(kostka(inner, content[:-1])
+               for inner in product(*map(range, below,
+                                         (s + 1 for s in shape)))
+               if sum(shape) - sum(inner) == content[-1])
+
+
+def test_kostka_numbers_of_small_shapes():
+    """Tableaux listed by hand: the standard ones of (2, 1) and (2, 2),
+    (3, 2) filled with 1 1 2 2 3 (rows 112/23 and 113/22), (2, 2) with
+    1 1 2 3 (rows 11/23), and none of (2, 1) with 1 1 1."""
+    assert kostka((2, 1, 0), (1, 1, 1)) == 2
+    assert kostka((2, 2, 0, 0), (1, 1, 1, 1)) == 2
+    assert kostka((3, 2, 0), (2, 2, 1)) == 2
+    assert kostka((2, 2, 0), (2, 1, 1)) == 1
+    assert kostka((2, 1), (3, 0)) == 0
+
+
+def test_h2_weight_multiplicities_are_kostka_numbers():
+    """On each dominant weight mu, the number of harmonic basis chains of
+    weight mu in H^2 at l = 5 is the multiplicity of mu in the module of
+    highest weight lambda = (2, 1, 0, -1, -1): the Kostka number
+    K(lambda + 2, mu + 2), on every dominant mu of the same size."""
+    lam = (2, 1, 0, -1, -1)
+    counts = {}
+    for chain in harmonic_space(5, 2, 1).basis:
+        (w, _), = cohomology._weight_blocks(5, chain.terms).items()
+        if list(w) == sorted(w, reverse=True):
+            counts[w] = counts.get(w, 0) + 1
+    shifted = tuple(x + 2 for x in lam)
+    want = {}
+    for nu in product(range(sum(shifted) + 1), repeat=5):
+        if sum(nu) == sum(shifted) and list(nu) == sorted(nu, reverse=True):
+            if k := kostka(shifted, nu):
+                want[tuple(x - 2 for x in nu)] = k
+    assert counts == want
+    assert [want[mu] for mu in ((2, 0, 0, 0, -1), (1, 1, 1, -1, -1),
+                                (1, 1, 0, 0, -1))] == [2, 2, 4]

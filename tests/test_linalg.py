@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import (constant_term, coordinate, harmonic_system, poly_det,
                       reference_kernel_of_columns,
-                      reference_solution_operator)
+                      reference_solution_operator, whole_rank_system)
 from freedist.linalg import (FactoredSystem, _eliminate, _kernel,
                              invert_scalar_matrix, kernel_of_columns,
                              poly_inverse, signature_of_symmetric)
-from freedist.normalization import _system
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -278,31 +277,31 @@ class GaussJordanSystem:
 def test_factored_system_unique_solution():
     # x0 + x1 = 3, x0 - x1 = 1  ->  x0 = 2, x1 = 1
     rows = [{0: sc(1), 1: sc(1)}, {0: sc(1), 1: sc(-1)}]
-    xs = FactoredSystem(rows, 2).solve([const(3), const(1)])
+    xs = FactoredSystem(rows, range(2)).solve([const(3), const(1)])
     assert xs == [const(2), const(1)]
 
 
 def test_factored_system_polynomial_rhs_redundant_row():
     x1 = coordinate(CH, CH.x_index(1))
     rows = [{0: sc(2)}, {0: sc(2)}]  # redundant row
-    xs = FactoredSystem(rows, 1).solve([x1, x1])
+    xs = FactoredSystem(rows, range(1)).solve([x1, x1])
     assert xs == [x1.scale(Fraction(1, 2))]
 
 
 def test_factored_system_rejects_inconsistent():
     rows = [{0: sc(1)}, {0: sc(1)}]
     with pytest.raises(ValueError, match="inconsistent"):
-        FactoredSystem(rows, 1).solve([const(1), const(2)])
+        FactoredSystem(rows, range(1)).solve([const(1), const(2)])
 
 
 def test_factored_system_rejects_underdetermined():
     with pytest.raises(ValueError, match=r"does not determine unknowns \[1\]"):
-        FactoredSystem([{0: sc(1)}], 2)
+        FactoredSystem([{0: sc(1)}], range(2))
 
 
 def test_factored_system_matches_direct_solve():
     rows = [{0: sc(1), 1: sc(2)}, {1: sc(1)}, {0: sc(1), 1: sc(3)}]
-    fs = FactoredSystem(rows, 2)
+    fs = FactoredSystem(rows, range(2))
     oracle = GaussJordanSystem(rows, 2)
     for rhs, want in (([const(5), const(1), const(6)], [3, 1]),
                       ([const(0), const(7), const(7)], [-14, 7])):
@@ -311,7 +310,7 @@ def test_factored_system_matches_direct_solve():
 
 def test_factored_system_checks_consistency_per_solve():
     rows = [{0: sc(1)}, {0: sc(1)}]
-    fs = FactoredSystem(rows, 1)
+    fs = FactoredSystem(rows, range(1))
     assert fs.solve([const(4), const(4)]) == [const(4)]
     with pytest.raises(ValueError):
         fs.solve([const(4), const(5)])
@@ -345,12 +344,12 @@ def test_factored_system_matches_gauss_jordan_on_normalization_systems(
         l, degree):
     """Consistent right-hand sides b = M x give back x on both; one row of
     b shifted by a constant gives the same outcome on both."""
-    _, _, fs = _system(l, degree)
-    oracle = GaussJordanSystem(fs.rows, fs.nunknowns)
+    _, _, fs = whole_rank_system(l, degree)
+    oracle = GaussJordanSystem(fs.rows, len(fs.unknowns))
     ch = chart(l)
     rng = random.Random(1000 * l + degree)
     for _ in range(2):
-        x = [random_poly(rng, ch) for _ in range(fs.nunknowns)]
+        x = [random_poly(rng, ch) for _ in range(len(fs.unknowns))]
         rhs = []
         for row in fs.rows:
             acc = Polynomial.zero(ch)
@@ -368,19 +367,20 @@ def test_factored_system_matches_gauss_jordan_on_normalization_systems(
 def test_normalization_operators_match_reference_core(l, degree):
     """The integer systems give the reference core's solution operator:
     the same values, each right-hand side's unknowns in the same order."""
-    _, _, fs = _system(l, degree)
-    want = reference_solution_operator(fs.rows, fs.nunknowns)
+    _, _, fs = whole_rank_system(l, degree)
+    want = reference_solution_operator(fs.rows, len(fs.unknowns))
     assert fs._op == want
     assert [list(op) for op in fs._op] == [list(op) for op in want]
 
 
 def test_zero_right_hand_sides_give_zero_unknowns():
     zero = Polynomial.zero(CH)
-    fs = FactoredSystem([{0: sc(1)}, {1: sc(2)}, {0: sc(1), 1: sc(1)}], 2)
+    fs = FactoredSystem([{0: sc(1)}, {1: sc(2)}, {0: sc(1), 1: sc(1)}],
+                        range(2))
     assert fs.solve([zero] * 3) == [zero] * 2
-    _, _, fs = _system(4, 2)
+    _, _, fs = whole_rank_system(4, 2)
     assert fs.solve([Polynomial.zero(chart(4))] * len(fs.rows)) \
-        == [Polynomial.zero(chart(4))] * fs.nunknowns
+        == [Polynomial.zero(chart(4))] * len(fs.unknowns)
 
 
 def test_solve_checks_rows_the_solution_never_reads():
@@ -390,12 +390,13 @@ def test_solve_checks_rows_the_solution_never_reads():
     all come out zero, is inconsistent."""
     x1 = coordinate(CH, 0)
     zero = Polynomial.zero(CH)
-    fs = FactoredSystem([{0: sc(1)}, {1: sc(2)}, {0: sc(1), 1: sc(1)}], 2)
+    fs = FactoredSystem([{0: sc(1)}, {1: sc(2)}, {0: sc(1), 1: sc(1)}],
+                        range(2))
     assert fs.solve([x1, x1.scale(2), x1 + x1]) == [x1, x1]
     for rhs in ([x1, zero, zero], [zero, zero, const(1)]):
         with pytest.raises(ValueError, match="^inconsistent linear system$"):
             fs.solve(rhs)
-    _, _, fs = _system(4, 2)
+    _, _, fs = whole_rank_system(4, 2)
     ch = chart(4)
     redundant = [r for r, op in enumerate(fs._op) if not op]
     assert redundant
@@ -451,9 +452,9 @@ def test_factored_system_and_kernel_match_reference_core(system):
         want = reference_solution_operator(rows, n)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            FactoredSystem(rows, n)
+            FactoredSystem(rows, range(n))
         return
-    assert FactoredSystem(rows, n)._op == want
+    assert FactoredSystem(rows, range(n))._op == want
 
 
 def assert_no_stored_zero(vectors):
@@ -502,7 +503,7 @@ def test_pure_sqrt2_pivot_solves_and_kernels():
                 assert acc == sc(1 if i == j else 0)
     assert invert_scalar_matrix([[-R2 * sc(2), sc(1)], [sc(3), R2]])[0] \
         == sc(-7)
-    fs = FactoredSystem(PURE_R2_ROWS, 3)
+    fs = FactoredSystem(PURE_R2_ROWS, range(3))
     assert fs._op == reference_solution_operator(PURE_R2_ROWS, 3)
     x = [const(1), const(R2), const(Fraction(-1, 3))]
     rhs = [sum((x[j].scale(c) for j, c in row.items()),
@@ -514,10 +515,11 @@ def test_pure_sqrt2_pivot_solves_and_kernels():
     assert kernel_of_columns(cols)[0] == [-R2, sc(0), sc(0), sc(1)]
     assert kernel_of_columns(PIVOT_MINUS_2R2) \
         == reference_kernel_of_columns(PIVOT_MINUS_2R2)
-    assert FactoredSystem(PIVOT_MINUS_2R2, 2)._op \
+    assert FactoredSystem(PIVOT_MINUS_2R2, range(2))._op \
         == reference_solution_operator(PIVOT_MINUS_2R2, 2)
     with pytest.raises(ValueError, match=r"does not determine unknowns"):
-        FactoredSystem(PURE_R2_ROWS[:1] + [{0: sc(-2) * R2, 1: sc(-2)}], 2)
+        FactoredSystem(PURE_R2_ROWS[:1] + [{0: sc(-2) * R2, 1: sc(-2)}],
+                       range(2))
 
 
 def identity(n):

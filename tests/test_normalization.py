@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (armstrong_fields, data_path, field_combination,
                       flat_fields, form_combination, form_value,
-                      random_sparse_fields)
+                      random_sparse_fields, whole_rank_system)
 from freedist.algebra import (ODD, Chain, GradedAlgebra, algebra,
                               codifferential, commutator_operator,
                               differential, kappa11_normality_test)
@@ -19,8 +19,8 @@ from freedist.errors import (DegenerateFrameError, UnsupportedError,
                              UnsupportedFrameError)
 from freedist.geometry import build_frame, dual_coframe, structure_functions
 from freedist.normalization import (VERDICT_NORMAL, VERDICT_OBSTRUCTED,
-                                    _chain, _curvature_reads, _system,
-                                    _tensors, _units, analyze,
+                                    _block, _chain, _curvature_reads,
+                                    _tensors, _units, _weights, analyze,
                                     curvature_chain,
                                     extension_normality_report,
                                     flatness_test, report_from_json,
@@ -761,12 +761,70 @@ def dense_system_rows(l, degree):
 @pytest.mark.parametrize("l", [4, 5])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_transposed_system_rows_match_dense_probe_assembly(l, degree):
-    unknowns, row_keys, system = _system(l, degree)
+    unknowns, row_keys, system = whole_rank_system(l, degree)
     ref_unknowns, ref_keys, ref_rows = dense_system_rows(l, degree)
     assert unknowns == ref_unknowns and row_keys == ref_keys
     assert [list(r.items()) for r in system.rows] \
         == [list(r.items()) for r in ref_rows]
     assert all(type(v) is ExactScalar for r in system.rows for v in r.values())
+
+
+def weight_blocks(l, degree):
+    """Every torus weight of one degree's rows or unknowns, with its
+    factored block (which raises unless every unknown is a pivot)."""
+    _, rows_at, unknowns_at = _weights(l, degree)
+    return {w: _block(l, degree, w) for w in {**rows_at, **unknowns_at}}
+
+
+@pytest.mark.parametrize("l", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_every_weight_block_has_full_column_rank(l, degree):
+    """Each weight's block factors with every unknown a pivot, and the
+    blocks split the unknowns, the row keys and degree 1's trace rows
+    between them."""
+    unknowns, _ = _units(l, degree)
+    row_keys = _weights(l, degree)[0]
+    blocks = weight_blocks(l, degree).values()
+    assert sorted(u for _, system in blocks for u in system.unknowns) \
+        == list(range(len(unknowns)))
+    assert sorted(row_keys.index(rk) for keys, _ in blocks
+                  for rk in keys) == list(range(len(row_keys)))
+    assert sum(len(system.rows) for _, system in blocks) \
+        == len(row_keys) + (l if degree == 1 else 0)
+
+
+@pytest.mark.parametrize("l", [4, 5, 6, 7])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_weight_blocks_are_pieces_of_the_whole_rank_system(l, degree):
+    """Each block's rows and solution-operator entries are those of the
+    whole-rank system on the same rows, in the same order; degree 1's
+    trace row k sits in the block of e_k."""
+    _, row_keys, whole = whole_rank_system(l, degree)
+    index = {rk: n for n, rk in enumerate(row_keys)}
+    seen = []
+    for w, (keys, system) in weight_blocks(l, degree).items():
+        rows = [index[rk] for rk in keys]
+        if len(system.rows) > len(keys):
+            assert degree == 1 and sorted(w) == [0] * (l - 1) + [1]
+            rows.append(len(row_keys) + w.index(1))
+        seen += rows
+        assert [list(whole.rows[r].items()) for r in rows] \
+            == [list(row.items()) for row in system.rows]
+        assert [list(whole._op[r].items()) for r in rows] \
+            == [list(op.items()) for op in system._op]
+    assert sorted(seen) == list(range(len(whole.rows)))
+
+
+def test_every_weight_rank_check_catches_a_flipped_f_unit(flip_unit_sign):
+    """F(1, 2)'s unit with its first item flipped leaves unknown 97
+    undetermined.  Its weight (1, 1, 0, 0) is one that obstructed_l4 never
+    solves at, so analyze does not see it; building every block does."""
+    flip_unit_sign(4, 2, ("F", (1, 2)), 0)
+    message = r"^linear system does not determine unknowns \[97\]$"
+    with pytest.raises(ValueError, match=message):
+        _block(4, 2, (1, 1, 0, 0))
+    with pytest.raises(ValueError, match=message):
+        weight_blocks(4, 2)
 
 
 # --- the key rule between the curvature chain and its tensors ------------

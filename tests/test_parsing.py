@@ -87,6 +87,62 @@ def test_unexpected_character_column_after_each_literal(literal):
         == ("unexpected character '$'", *where)
 
 
+def reference_tokenize(text, start_line=1, start_col=1):
+    """Test oracle: the tokenizer one character at a time, each literal
+    found by slicing every literal length."""
+    literals = {"sqrt2", "Dx", "Dy", "x", "y", *"+-*^()[],:/"}
+    tokens = []
+    line, col = start_line, start_col
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+            i += 1
+            continue
+        j = i
+        while j < len(text) and text[j].isdecimal():
+            j += 1
+        if j > i:
+            tokens.append(("num", int(text[i:j]), line, col))
+        else:
+            j = next((i + size for size in (1, 2, 5)
+                      if text[i:i + size] in literals), None)
+            if j is None:
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+            tokens.append((text[i:j], None, line, col))
+        col += j - i
+        i = j
+    tokens.append(("end", None, line, col))
+    return tokens
+
+
+TOKEN_PIECES = ["sqrt2", "sqrt", "s", "Dx", "Dy", "D", "x", "y", "1", "23",
+                "\u0663", "\u00b2", " ", "   ", "\t", "\n", "\r\n", "\r",
+                "\x0b", "\x0c", "\x85", "\u2028", "\u3000", "\xa0",
+                *"+-*^()[],:/", "#", "$", "\u00e9", "\x00"]
+
+
+def tokenize_outcome(tokenizer, text, line, col):
+    try:
+        return tokenizer(text, line, col)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+
+
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=30),
+       st.integers(1, 9), st.integers(1, 9))
+@settings(deadline=None, max_examples=300)
+def test_tokenize_matches_the_character_by_character_reference(pieces,
+                                                               line, col):
+    """Whitespace runs of every kind (only '\\n' starts a line), numbers
+    in any decimal digits, literals and bad characters: the same tokens
+    with the same lines and columns, or the same error."""
+    text = "".join(pieces)
+    assert tokenize_outcome(tokenize, text, line, col) \
+        == tokenize_outcome(reference_tokenize, text, line, col)
+
+
 def test_vector_field_round_trip():
     v = parse_vector_field("Dx1 - x2*Dy[1,2] + sqrt2*Dy[3,4]", CH)
     assert v.components[CH.x_index(1)] == Polynomial.const(

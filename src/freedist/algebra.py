@@ -764,9 +764,9 @@ def _transfer_half(ga: GradedAlgebra, side: str,
 _HALVES = (_codifferential_half, _differential_half, _transfer_half)
 
 
-def _root2_exponent(slots: Tuple[BasisKey, ...], target: BasisKey) -> int:
-    """One per up1 slot, less one on a grade +-1 target (see _phi_term)."""
-    return sum(s[0] == "up1" for s in slots) - _GRADES[target[0]] % 2
+def _root2_exponent(slots: Tuple[BasisKey, ...], grade: int) -> int:
+    """One per up1 slot, less one for a target of odd grade (_phi_term)."""
+    return sum(s[0] == "up1" for s in slots) - grade % 2
 
 
 @lru_cache(maxsize=None)
@@ -789,8 +789,9 @@ def phi_extension(c: Chain) -> Chain:
     transfer on every slot and the canonical embedding on the target."""
     if c.side != ODD:
         raise ValueError("transfer applies to odd-side chains")
-    items = [(key, coeff * _root2_power(_root2_exponent(*key)))
-             for key, coeff in c.terms.items()]
+    items = [((slots, t), coeff * _root2_power(
+        _root2_exponent(slots, _GRADES[t[0]])))
+        for (slots, t), coeff in c.terms.items()]
     return Chain(EVEN, c.l, c.k, _apply(_phi_term, algebra(c.l), ODD, items))
 
 
@@ -802,28 +803,33 @@ def commutator_operator(c: Chain) -> Chain:
     return codifferential(phi_extension(c)) - phi_extension(codifferential(c))
 
 
-def _closed_form_term(ga: GradedAlgebra, side: str,
-                      slots: Tuple[BasisKey, ...], target: BasisKey
-                      ) -> List[Tuple[TermKey, int]]:
-    """The operator's closed form on one odd unit 2-term's slot-type block:
-    sqrt2^(e - 2) (``_root2_exponent``) times these (key, n) pairs."""
-    alpha = dict(_embed_int(target))
-
-    def defect_bracket(i: int):   # both defect_up coefficients are 1
-        return ga.bracket_coeffs(EVEN, dict.fromkeys(ga.defect_up(i), 1),
-                                 alpha).items()
-
+def _closed_form_words(ga: GradedAlgebra, slots: Tuple[BasisKey, ...]):
+    """The operator's closed form on an odd unit 2-term's slot-type block,
+    target t: sqrt2^(e - 2) (``_root2_exponent``) times n rest (x) a(t), or
+    n rest (x) the sum of [z, a(t)] over the keys z of a defect_up (both of
+    coefficient 1), per (even rest, those keys or (), n)."""
     kinds = (slots[0][0], slots[1][0])
     if kinds == ("up2", "up2"):
         return []
     if kinds == ("up1", "up2"):
-        return [(((("tup", slots[1][1]),), key), -v)
-                for key, v in defect_bracket(slots[0][1])]
+        return [((("tup", slots[1][1]),), tuple(ga.defect_up(slots[0][1])),
+                 -1)]
     i, j = slots[0][1], slots[1][1]
-    return ([(((("tup", (i, j)),), key), n) for key, n in alpha.items()]
-            + [(((("tup", (0, i)),), key), v) for key, v in defect_bracket(j)]
-            + [(((("tup", (0, j)),), key), -v)
-               for key, v in defect_bracket(i)])
+    return [((("tup", (i, j)),), (), 1),
+            ((("tup", (0, i)),), tuple(ga.defect_up(j)), 1),
+            ((("tup", (0, j)),), tuple(ga.defect_up(i)), -1)]
+
+
+def _closed_form_term(ga: GradedAlgebra, side: str,
+                      slots: Tuple[BasisKey, ...], target: BasisKey
+                      ) -> List[Tuple[TermKey, int]]:
+    """The closed form (``_closed_form_words``) on one odd unit 2-term:
+    sqrt2^(e - 2) times these (key, n) pairs."""
+    alpha = dict(_embed_int(target))
+    return [((rest, key), n * v)
+            for rest, zs, n in _closed_form_words(ga, slots)
+            for key, v in (ga.bracket_coeffs(EVEN, dict.fromkeys(zs, 1),
+                                             alpha) if zs else alpha).items()]
 
 
 def commutator_operator_closed_form(c: Chain) -> Chain:
@@ -831,8 +837,9 @@ def commutator_operator_closed_form(c: Chain) -> Chain:
     on the three slot-type blocks (used as a cross-check oracle)."""
     if c.side != ODD or c.k != 2:
         raise ValueError("operator is defined on odd-side degree-2 chains")
-    items = [(key, coeff * _root2_power(_root2_exponent(*key) - 2))
-             for key, coeff in c.terms.items()]
+    items = [((slots, t), coeff * _root2_power(
+        _root2_exponent(slots, _GRADES[t[0]]) - 2))
+        for (slots, t), coeff in c.terms.items()]
     return Chain(EVEN, c.l, 1,
                  _apply(_closed_form_term, algebra(c.l), ODD, items))
 
@@ -867,15 +874,12 @@ def _check_form_annihilation(ga: GradedAlgebra) -> bool:
 
 
 def _check_bracket_grading(ga: GradedAlgebra) -> bool:
-    for side in (ODD, EVEN):
-        for k1 in ga.keys(side):
-            g1 = GradedAlgebra.grade(k1)
-            for k2 in ga.keys(side):
-                g2 = GradedAlgebra.grade(k2)
-                for key, _ in ga.bracket_table(side, k1, k2):
-                    if GradedAlgebra.grade(key) != g1 + g2:
-                        return False
-    return True
+    """Stored brackets [k1, k2] lie in grade g(k1) + g(k2) (others: 0)."""
+    grade = GradedAlgebra.grade
+    return all(grade(key) == grade(k1) + grade(k2)
+               for side in (ODD, EVEN)
+               for (k1, k2), entry in ga._tables[side].items()
+               for key, _ in entry)
 
 
 def _check_pairing_values(ga: GradedAlgebra) -> bool:
@@ -887,13 +891,10 @@ def _check_pairing_values(ga: GradedAlgebra) -> bool:
                           for i in span for j in span if i != j]):
         if _mat_trace_product(ga.mat(ODD, k1), ga.mat(ODD, k2)) != tr:
             return False
-    # cross-grade orthogonality
-    for k1 in ga.odd_keys:
-        for k2 in ga.odd_keys:
-            if (GradedAlgebra.grade(k1) + GradedAlgebra.grade(k2) != 0
-                    and ga.pairing_int(ODD, k1, k2) != 0):
-                return False
-    return True
+    # cross-grade orthogonality, on the stored (nonzero) pairings
+    grade = GradedAlgebra.grade
+    return all(n == 0 or grade(k1) + grade(k2) == 0
+               for (k1, k2), n in ga._pairings[ODD].items())
 
 
 def _check_embedding_homomorphism(ga: GradedAlgebra) -> bool:
@@ -946,80 +947,83 @@ def _check_transfer_duality(ga: GradedAlgebra) -> bool:
 
 
 def _check_defect_relations(ga: GradedAlgebra) -> bool:
-    l = ga.l
+    """[defect_up(i), a(x)] for every odd basis key x: defect_up(s) on
+    zero (i, s), -defect_diag on lo1 i, +-defect_lo of the other index on
+    a lo2 pair holding i, and zero otherwise."""
     one = ExactScalar.one()
-    for i in range(1, l + 1):
+
+    def neg(e: Coefficients) -> Coefficients:
+        return {k: -v for k, v in e.items()}
+
+    for i in range(1, ga.l + 1):
         d = ga.defect_up(i)
-        for r in range(1, l + 1):
-            for s in range(1, l + 1):
-                got = ga.bracket_coeffs(
-                    EVEN, d, ga.embed_coeffs({("zero", (r, s)): one}))
-                want = ga.defect_up(s) if r == i else {}
-                if got != want:
-                    return False
-        for s in range(1, l + 1):
-            got = ga.bracket_coeffs(
-                EVEN, d, ga.embed_coeffs({("lo1", s): one}))
-            want = {k: -v for k, v in ga.defect_diag().items()} \
-                if s == i else {}
-            if got != want:
-                return False
-        for p in ga.pair_indices:
-            r, s = p
-            got = ga.bracket_coeffs(
-                EVEN, d, ga.embed_coeffs({("lo2", p): one}))
+        for key in ga.odd_keys:
+            kind, idx = key
             want: Coefficients = {}
-            if i == r:
-                want = dict(ga.defect_lo(s))
-            elif i == s:
-                want = {k: -v for k, v in ga.defect_lo(r).items()}
-            if got != want:
-                return False
-        for s in range(1, l + 1):
-            if ga.bracket_coeffs(EVEN, d,
-                                 ga.embed_coeffs({("up1", s): one})):
-                return False
-        for p in ga.pair_indices:
-            if ga.bracket_coeffs(EVEN, d,
-                                 ga.embed_coeffs({("up2", p): one})):
+            if kind == "zero" and idx[0] == i:
+                want = ga.defect_up(idx[1])
+            elif kind == "lo1" and idx == i:
+                want = neg(ga.defect_diag())
+            elif kind == "lo2" and i in idx:
+                r, s = idx
+                want = ga.defect_lo(s) if i == r else neg(ga.defect_lo(r))
+            if ga.bracket_coeffs(EVEN, d, ga.embed_coeffs({key: one})) != want:
                 return False
     return True
 
 
-def _squares_vanish(ga: GradedAlgebra, kind: int, side: str, k: int) -> bool:
-    """A unit kernel (kind _CD or _D) composed with itself kills every unit
-    k-chain of one side.  Its plan sends slots (x) t to terms n rest (x) w(t)
-    for words w = ad z or 1, so the square of a slot tuple is, per inner
-    rest r, r (x) a sum of words ad a ad b, ad a, 1; each sum is formed on
-    the words' integer matrices {(t, key): n}, and must vanish."""
-    table, keys = ga._tables[side], ga.keys(side)
-    words: Dict[tuple, Dict[tuple, int]] = {(): {(t, t): 1 for t in keys}}
+def _word_sums(base: Dict[tuple, int], step):
+    """A test that each rest's sum of words in {rest: {word: n}} vanishes on
+    the words' integer matrices {(t, key): n}, memoized: () is the base, and
+    (a,) + w sends t through w, then each key to the pairs step(a, key)."""
+    words: Dict[tuple, Dict[tuple, int]] = {(): base}
 
-    def word_matrix(word: Tuple[BasisKey, ...]) -> Dict[tuple, int]:
-        if word not in words:   # ad word[0] applied to the matrix of word[1:]
+    def word_matrix(word: tuple) -> Dict[tuple, int]:
+        if word not in words:
             m = words[word] = {}
             for (t, key), c in word_matrix(word[1:]).items():
-                accumulate(m, (((t, k2), n) for k2, n in
-                               table.get((word[0], key), ())), c)
+                accumulate(m, (((t, k2), n) for k2, n in step(word[0], key)),
+                           c)
         return words[word]
 
-    def terms(slots: Tuple[BasisKey, ...]):
-        brackets, fixed = ga._plan(kind, side, slots)
-        return ([((z,), rest, s) for z, rest, s in brackets]
-                + [((), rest, n) for rest, n in fixed])
-
-    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
-    for slots in combinations(slot_keys, k):
-        by_rest: Dict[Tuple[BasisKey, ...], Dict[tuple, int]] = {}
-        for word, rest, s in terms(slots):
-            for inner, r, n in terms(rest):
-                accumulate(by_rest.setdefault(r, {}), ((inner + word, n),), s)
+    def vanish(by_rest: Dict[tuple, Dict[tuple, int]]) -> bool:
         for coeffs in by_rest.values():
             acc: Dict[tuple, int] = {}
             for word, c in coeffs.items():
                 accumulate(acc, word_matrix(word).items(), c)
             if acc:
                 return False
+        return True
+    return vanish
+
+
+def _plan_words(ga: GradedAlgebra, kind: int, side: str,
+                slots: Tuple[BasisKey, ...]):
+    """The plan of a unit kernel (kind _CD or _D) as (word, rest, n): slots
+    (x) t goes to the sum of n rest (x) word(t), a word (z,) being ad z."""
+    brackets, fixed = ga._plan(kind, side, slots)
+    return ([((z,), rest, s) for z, rest, s in brackets]
+            + [((), rest, n) for rest, n in fixed])
+
+
+def _squares_vanish(ga: GradedAlgebra, kind: int, side: str, k: int) -> bool:
+    """A unit kernel (kind _CD or _D) composed with itself kills every unit
+    k-chain of one side.  Its plan sends slots (x) t to terms n rest (x) w(t)
+    for words w = ad z or 1, so the square of a slot tuple is, per inner
+    rest r, r (x) a sum of words ad a ad b, ad a, 1, which must vanish
+    (``_word_sums``)."""
+    table = ga._tables[side]
+    vanish = _word_sums({(t, t): 1 for t in ga.keys(side)},
+                        lambda z, key: table.get((z, key), ()))
+
+    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
+    for slots in combinations(slot_keys, k):
+        by_rest: Dict[Tuple[BasisKey, ...], Dict[tuple, int]] = {}
+        for word, rest, s in _plan_words(ga, kind, side, slots):
+            for inner, r, n in _plan_words(ga, kind, side, rest):
+                accumulate(by_rest.setdefault(r, {}), ((inner + word, n),), s)
+        if not vanish(by_rest):
+            return False
     return True
 
 
@@ -1035,22 +1039,44 @@ def _check_differential_squares(ga: GradedAlgebra) -> bool:
 def _check_operator_closed_forms(ga: GradedAlgebra) -> bool:
     """codifferential(transfer(u)) - transfer(codifferential(u)) equals the
     closed form on every unit 2-chain u (so vanishes on two up2 slots), all
-    in integers: both sides over sqrt2^e / 2, e = _root2_exponent(u)."""
+    in integers: both sides over sqrt2^e / 2, e = _root2_exponent(u) of the
+    slots and the target's grade parity p.  Per slot tuple and p, each side
+    is, per even rest, a sum of words (``_word_sums``) on the target: the
+    embedding a, written (None,), ad z a for even z and a ad z for odd z."""
+    def step(z, key):   # a pair is stored in at most one side's table
+        return _embed_int(key) if z is None else (
+            ga.bracket_table(ODD, z, key) or ga.bracket_table(EVEN, z, key))
+
+    vanish = [_word_sums({(t, t): 1 for t in ga.odd_keys
+                          if _GRADES[t[0]] % 2 == p}, step) for p in (0, 1)]
     for slots in combinations(ga.positive_keys, 2):
-        for t in ga.odd_keys:
-            e = _root2_exponent(slots, t)
-            acc: Dict[TermKey, int] = {}
-            for k2, n in _phi_term(ga, ODD, slots, t):
-                accumulate(acc, _codifferential_term(ga, EVEN, *k2), 2 * n)
-            for k1, n in _codifferential_term(ga, ODD, slots, t):
+        # (even rest, word, n) of 2 cd(transfer(u)) - the closed form
+        words = []
+        canon = ga._plan(_PHI, ODD, slots)
+        if canon is not None:
+            words += [(rest, w + (None,), 2 * canon[1] * n)
+                      for w, rest, n in _plan_words(ga, _CD, EVEN, canon[0])]
+        for rest, zs, n in _closed_form_words(ga, slots):
+            words += [(rest, (z, None), -n) for z in zs] or [
+                (rest, (None,), -n)]
+        # (word, odd rest, n, grade of the ad in the word) of transfer(cd(u))
+        inner = [((None,) + w, rest, n, sum(_GRADES[z[0]] for z in w))
+                 for w, rest, n in _plan_words(ga, _CD, ODD, slots)]
+        for p in (0, 1):
+            e = _root2_exponent(slots, p)
+            by_rest: Dict[Tuple[BasisKey, ...], Dict[tuple, int]] = {}
+            for rest, word, n in words:
+                accumulate(by_rest.setdefault(rest, {}), ((word, n),))
+            for word, rest, n, g in inner:
                 # 2 sqrt2^(e1 - e) = 2^(shift / 2), by homogeneity 1 or 2
-                shift = _root2_exponent(*k1) - e + 2
+                shift = _root2_exponent(rest, p + g) - e + 2
                 if shift not in (0, 2):
                     return False
-                accumulate(acc, _phi_term(ga, ODD, *k1),
-                           -(n << shift // 2))
-            accumulate(acc, _closed_form_term(ga, ODD, slots, t), -1)
-            if acc:
+                moved = ga._plan(_PHI, ODD, rest)
+                if moved is not None:
+                    accumulate(by_rest.setdefault(moved[0], {}),
+                               ((word, -(moved[1] * n << shift // 2)),))
+            if not vanish[p](by_rest):
                 return False
     return True
 

@@ -29,12 +29,22 @@ from .spinorial import (SpinorIdentification, TangentKey, list_inclusions,
 # CLI refuses ranks whose exact runs would be disproportionate.  The frame
 # parser refuses ranks above parsing.MAX_L for ``analyze``.
 ALGEBRA_CHECK_MIN_L = 3
-ALGEBRA_CHECK_MAX_L = 6
+ALGEBRA_CHECK_MAX_L = 8
 COHOMOLOGY_MIN_L = 3
 COHOMOLOGY_MAX_L = 5
 COHOMOLOGY_MAX_H_VALUES = 64   # homogeneities in one --h range
 SPINOR_MIN_L = 1
 SPINOR_MAX_L = 13   # a dense Pfaffian: ~3.5x per step of 2, ~3 ms at 13
+
+
+def _integer(text: str) -> int:
+    """An optional '-' and at most MAX_DIGITS ASCII digits, spaces around
+    them allowed (int() would also read '+1', '1_0' and non-ASCII digits):
+    the argparse type of --l and --k, and each bound of --h."""
+    digits = text.strip().removeprefix("-")
+    if digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,18 +68,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra-check", parents=[common],
                        help="run the graded-algebra invariant battery")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_integer, required=True)
 
     p = sub.add_parser("cohomology", parents=[common],
                        help="harmonic cochain dimensions over a range")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--k", type=int, choices=(1, 2), required=True)
+    p.add_argument("--l", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, choices=(1, 2), required=True)
     p.add_argument("--h", required=True, metavar="A..B",
                    help="inclusive homogeneity range, e.g. 0..3")
 
     p = sub.add_parser("spinor", parents=[common],
                        help="skew matrix, Pfaffian, and cone membership")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_integer, required=True)
     p.add_argument("--vector", required=True,
                    help='JSON {"v": {"1": "...", "[2,3]": "..."}}')
 
@@ -83,12 +93,9 @@ def _parse_h_range(text: str) -> List[int]:
         a_text, b_text = text.split("..", 1)
     else:
         a_text = b_text = text
-    bounds = [t.strip().removeprefix("-") for t in (a_text, b_text)]
-    try:   # int() would also read '+1', '1_0' and non-ASCII digits
-        if not all(t.isascii() and t.isdigit() for t in bounds):
-            raise ValueError(text)
-        a, b = int(a_text), int(b_text)
-    except ValueError:
+    try:
+        a, b = _integer(a_text), _integer(b_text)
+    except argparse.ArgumentTypeError:
         raise UnsupportedError(f"invalid homogeneity range {text!r}; "
                                "expected A..B with integers")
     if b < a:
@@ -203,13 +210,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_rank(args: argparse.Namespace, low: int, high: int) -> None:
+    if not low <= args.l <= high:
+        raise UnsupportedError(f"{args.command} supports {low} <= l <= "
+                               f"{high} (resource guard); got l={args.l}")
+
+
 def _cmd_algebra_check(args: argparse.Namespace) -> int:
-    l = args.l
-    if not ALGEBRA_CHECK_MIN_L <= l <= ALGEBRA_CHECK_MAX_L:
-        raise UnsupportedError(
-            f"algebra-check supports {ALGEBRA_CHECK_MIN_L} <= l <= "
-            f"{ALGEBRA_CHECK_MAX_L} (resource guard); got l={l}")
-    results = algebra_battery(l)
+    _check_rank(args, ALGEBRA_CHECK_MIN_L, ALGEBRA_CHECK_MAX_L)
+    results = algebra_battery(args.l)
     ok = True
     for name, passed in results:
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
@@ -219,10 +228,7 @@ def _cmd_algebra_check(args: argparse.Namespace) -> int:
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     l = args.l
-    if not COHOMOLOGY_MIN_L <= l <= COHOMOLOGY_MAX_L:
-        raise UnsupportedError(
-            f"cohomology supports {COHOMOLOGY_MIN_L} <= l <= "
-            f"{COHOMOLOGY_MAX_L} (resource guard); got l={l}")
+    _check_rank(args, COHOMOLOGY_MIN_L, COHOMOLOGY_MAX_L)
     hs = _parse_h_range(args.h)
     dims = {}
     for h in hs:
@@ -234,10 +240,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def _cmd_spinor(args: argparse.Namespace) -> int:
-    if not SPINOR_MIN_L <= args.l <= SPINOR_MAX_L:
-        raise UnsupportedError(
-            f"spinor supports {SPINOR_MIN_L} <= l <= {SPINOR_MAX_L} "
-            f"(resource guard); got l={args.l}")
+    _check_rank(args, SPINOR_MIN_L, SPINOR_MAX_L)
     try:
         v = _parse_vector_json(args.vector, args.l)
     except ParseError as exc:

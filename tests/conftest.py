@@ -11,9 +11,10 @@ import pytest
 from hypothesis import strategies as st
 
 import freedist.normalization as nm
-from freedist.algebra import (EVEN, ODD, Chain, _apply, _canonical_slots,
+from freedist.algebra import (_GRADES, EVEN, ODD, Chain, _apply,
+                              _canonical_slots, _closed_form_term,
                               _codifferential_term, _differential_term,
-                              _unit_term, algebra)
+                              _phi_term, _root2_exponent, _unit_term, algebra)
 from freedist.cohomology import _column, _term_keys
 from freedist.geometry import DifferentialForm, VectorField
 from freedist.linalg import FactoredSystem, _kernel
@@ -347,6 +348,30 @@ def oracle_squares_vanish(ga, kind, side, k):
             acc = {}
             for (s2, t2), n in _unit_term(kind, ga, side, slots, t):
                 accumulate(acc, _unit_term(kind, ga, side, s2, t2), n)
+            if acc:
+                return False
+    return True
+
+
+def oracle_operator_closed_forms(ga):
+    """Test oracle: codifferential(transfer(u)) - transfer(codifferential(u))
+    equals the closed form on every unit 2-chain u, one (slot tuple, target)
+    at a time, in integers: both sides over sqrt2^e / 2, e the sqrt2
+    exponent of u."""
+    for slots in combinations(ga.positive_keys, 2):
+        for t in ga.odd_keys:
+            e = _root2_exponent(slots, _GRADES[t[0]])
+            acc = {}
+            for k2, n in _phi_term(ga, ODD, slots, t):
+                accumulate(acc, _codifferential_term(ga, EVEN, *k2), 2 * n)
+            for (rest, t1), n in _codifferential_term(ga, ODD, slots, t):
+                # 2 sqrt2^(e1 - e) = 2^(shift / 2), by homogeneity 1 or 2
+                shift = _root2_exponent(rest, _GRADES[t1[0]]) - e + 2
+                if shift not in (0, 2):
+                    return False
+                accumulate(acc, _phi_term(ga, ODD, rest, t1),
+                           -(n << shift // 2))
+            accumulate(acc, _closed_form_term(ga, ODD, slots, t), -1)
             if acc:
                 return False
     return True

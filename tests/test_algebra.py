@@ -19,7 +19,8 @@ from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, AlgebraElement,
                               phi_extension)
 from conftest import (coordinate, oracle_closed_form,
                       oracle_codifferential_term, oracle_differential,
-                      oracle_phi_extension, oracle_squares_vanish)
+                      oracle_operator_closed_forms, oracle_phi_extension,
+                      oracle_squares_vanish)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -728,6 +729,53 @@ def test_operator_closed_forms_check_catches_a_flipped_plan_sign(kind, side,
                  if len(s) == k and record[getattr(algebra_module, kind)])
     flip_first_entry(ga, getattr(algebra_module, kind), side, slots)
     assert not check(ga)
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_operator_check_agrees_with_the_per_unit_oracle_under_flips(l):
+    """Seeded single sign flips of a bracket-table entry on either side, of
+    a cached _CD plan entry on either side or of a cached transfer sign:
+    the ad-word check and the per-unit oracle give the same verdict, and
+    some flips are caught."""
+    rng = random.Random(l)
+    ga = GradedAlgebra(l)
+    check = algebra_module._check_operator_closed_forms
+    assert check(ga)   # builds the plans the check and the oracle read
+    assert oracle_operator_closed_forms(ga)
+    cd, phi = algebra_module._CD, algebra_module._PHI
+    halves = [part for side in (ODD, EVEN)
+              for record in ga._plans[side].values() if record[cd]
+              for part in record[cd] if part]
+    transfers = [record for record in ga._plans[ODD].values()
+                 if record[phi]]
+    caught = 0
+    for _ in range(30):
+        roll = rng.random()
+        if roll < 0.4:
+            table = ga._tables[rng.choice((ODD, EVEN))]
+            pair = rng.choice(list(table))
+            entry = table[pair]
+            n = rng.randrange(len(entry))
+            key, c = entry[n]
+            table[pair] = entry[:n] + ((key, -c),) + entry[n + 1:]
+            flip = partial(table.__setitem__, pair, entry)
+        elif roll < 0.8:
+            part = rng.choice(halves)
+            n = rng.randrange(len(part))
+            *entry, c = part[n]
+            part[n] = (*entry, -c)
+            flip = partial(part.__setitem__, n, (*entry, c))
+        else:
+            record = rng.choice(transfers)
+            eslots, sign = record[phi]
+            record[phi] = (eslots, -sign)
+            flip = partial(record.__setitem__, phi, (eslots, sign))
+        verdict = check(ga)
+        assert verdict == oracle_operator_closed_forms(ga)
+        caught += not verdict
+        flip()
+    assert check(ga)
+    assert caught
 
 
 @pytest.mark.parametrize("l", [3, 4, 5])

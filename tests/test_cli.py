@@ -302,6 +302,10 @@ def test_algebra_check_l6_matches_its_golden():
     assert_algebra_check_golden(6)
 
 
+def test_algebra_check_l8_matches_its_golden():
+    assert_algebra_check_golden(8)
+
+
 @pytest.mark.parametrize("l, name", [(13, "spinor_l13"),
                                      (7, "spinor_l7_decomposable")])
 def test_spinor_matches_its_golden(l, name):
@@ -356,6 +360,46 @@ def test_algebra_check_guard(capsys):
     assert code == 2 and "error: " in err
 
 
+RANK_OPTIONS = [("algebra-check", "--l", "N"),
+                ("cohomology", "--l", "N", "--k", "1", "--h", "1"),
+                ("spinor", "--l", "N", "--vector", '{"v": {}}')]
+INTEGER_OPTIONS = RANK_OPTIONS + [("cohomology", "--l", "3", "--k", "N",
+                                   "--h", "1")]
+
+
+@pytest.mark.parametrize("text", ["\u0663", "+3", "0_3", "3.0", "", "- 3",
+                                  "1" * (MAX_DIGITS + 1)])
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS)
+def test_integer_options_take_ascii_digits_only(capsys, argv, text):
+    """--l and --k read as --h does: an optional '-' and ASCII digits.
+    Non-ASCII digits, a '+' sign and underscores, all of which int() reads,
+    are a usage error (exit 2) naming the option."""
+    with pytest.raises(SystemExit) as exc:
+        main([text if a == "N" else a for a in argv])
+    captured = capsys.readouterr()
+    option = argv[argv.index("N") - 1]
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"error: argument {option}: invalid integer {text!r}" \
+        in captured.err
+
+
+@pytest.mark.parametrize("argv", RANK_OPTIONS)
+def test_rank_options_keep_spaced_and_negative_values(capsys, argv):
+    """Spaces around the digits are read, as int() and --h read them, and a
+    negative rank reaches the command's guard."""
+    code, out, _ = run(capsys, *[" 3 " if a == "N" else a for a in argv])
+    assert code == 0 and out
+    code, out, err = run(capsys, *["-3" if a == "N" else a for a in argv])
+    assert (code, out) == (2, "") and err.endswith("got l=-3\n")
+
+
+def test_non_ascii_rank_exits_2_without_a_traceback():
+    proc = run_fresh("algebra-check", "--l", "\u0663")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode("utf-8").endswith(
+        "error: argument --l: invalid integer '\u0663'\n")
+
+
 def test_cohomology_range(capsys):
     code, out, _ = run(capsys, "cohomology", "--l", "3", "--k", "2",
                        "--h", "2..3")
@@ -398,10 +442,12 @@ def test_cohomology_range_width_guard(capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", ["1_0..1_1", "\u0663", "+1..2"])
+@pytest.mark.parametrize("text", ["1_0..1_1", "\u0663", "+1..2",
+                                  "0.." + "1" * (MAX_DIGITS + 1)])
 def test_cohomology_range_takes_ascii_integers_only(capsys, text):
     """Underscore separators, non-ASCII digits and a '+' sign, all of which
-    int() reads, are refused with the invalid-range line."""
+    int() reads, and bounds of more than MAX_DIGITS digits are refused with
+    the invalid-range line."""
     code, out, err = run(capsys, "cohomology", "--l", "3", "--k", "1",
                          f"--h={text}")
     assert (code, out) == (2, "")

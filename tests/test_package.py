@@ -207,6 +207,36 @@ def test_unit_kernels_are_composed_only_through_apply():
         == [2, 3, 4]
 
 
+def _unit_kernel_uses_in(tree, function):
+    """Line numbers where the named top-level function calls or names a unit
+    kernel or ``_unit_term``; None when the tree defines no such function."""
+    names = UNIT_KERNELS | {"_unit_term"}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == function:
+            return sorted(node.lineno for node in ast.walk(fn)
+                          if isinstance(node, ast.Name) and node.id in names
+                          or isinstance(node, ast.Attribute)
+                          and node.attr in names)
+    return None
+
+
+def test_operator_check_composes_no_unit_term():
+    """The battery checks the operator's closed forms per slot tuple on
+    ad-word matrices; the per-unit route lives on only as the test oracle
+    ``oracle_operator_closed_forms``."""
+    tree = dict(_package_trees())["algebra.py"]
+    assert _unit_kernel_uses_in(tree, "_check_operator_closed_forms") == []
+    assert _unit_kernel_uses_in(ast.parse(
+        "def _check_operator_closed_forms(ga):\n"
+        "    acc = _phi_term(ga, ODD, s, t)\n"
+        "    f = partial(algebra._unit_term, 0)\n"
+        "    return _apply(_closed_form_term, ga, ODD, items)\n"
+        "def other():\n"
+        "    return _codifferential_term(ga, EVEN, s, t)\n"),
+        "_check_operator_closed_forms") == [2, 3, 4]
+    assert _unit_kernel_uses_in(ast.parse("x = 1\n"), "f") is None
+
+
 def test_frames_are_certified_at_the_origin_only():
     """build_frame and analyze take only the fields, and Frame keeps no
     base point: unimodularity does not depend on a point."""

@@ -9,7 +9,9 @@ Two algebras per rank l:
 
 All basis matrices are wedges v(Qw)^t - w(Qv)^t of standard vectors, so
 every bracket is an honest matrix commutator and structure constants are
-never transcribed by hand.  Basis keys name grade and indices:
+never transcribed by hand.  One wedge rule (``_WEDGE_RULE``) builds both
+algebras, each into one side record (``_Side``).  Basis keys name grade and
+indices:
 
   odd:  ('lo2',(i,j)) ('lo1',i) ('zero',(i,j)) ('up1',i) ('up2',(i,j))
   even: ('tlo',(r,s)) ('tzero',(r,s)) ('tup',(r,s))   (indices 0..l)
@@ -70,198 +72,83 @@ def _wedge(p: int, q: int, qmap: Dict[int, int]) -> IntMatrix:
     return {(p, qmap[q]): 1, (q, qmap[p]): -1}
 
 
-class _PerSide(dict):
-    """Tables by side, a side's built by ``build(side)`` on first lookup."""
+# per side: the first index of its vector pairs a_i, b_i and its kinds in
+# basis order
+_SIDES = {ODD: (1, ("lo2", "lo1", "zero", "up1", "up2")),
+          EVEN: (0, ("tlo", "tzero", "tup"))}
 
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
+# the wedge rule: per kind, the indices it runs over ("pairs" i < j, "span"
+# i or "square" (i, j)) and the standard vectors (p, q) of the basis matrix
+# at index idx, from the vector positions a[i], b[i] and the centre c
+_WEDGE_RULE = {
+    "lo2": ("pairs", lambda a, b, c, idx: (a[idx[1]], a[idx[0]])),
+    "lo1": ("span", lambda a, b, c, i: (a[i], c)),
+    "zero": ("square", lambda a, b, c, idx: (a[idx[0]], b[idx[1]])),
+    "up1": ("span", lambda a, b, c, i: (b[i], c)),
+    "up2": ("pairs", lambda a, b, c, idx: (b[idx[1]], b[idx[0]])),
+}
+_WEDGE_RULE.update(tlo=_WEDGE_RULE["lo2"], tzero=_WEDGE_RULE["zero"],
+                   tup=_WEDGE_RULE["up2"])
 
-    def __missing__(self, side: str):
-        if side not in (ODD, EVEN):
-            raise KeyError(side)
-        self.build(side)
-        return self[side]
+_DUALS = {"lo1": "up1", "lo2": "up2", "tlo": "tup",
+          "up1": "lo1", "up2": "lo2", "tup": "tlo"}
 
 
-# --------------------------------------------------------------------------
-# the algebra pair
-# --------------------------------------------------------------------------
+class _Side:
+    """One algebra of rank l, built from the wedge rule: basis keys and
+    matrices, the read-off index (position -> (basis index, key)), the
+    form map, the positive-part slot keys and their ranks, the bracket and
+    pairing tables, and each slot tuple's cached kernel halves (plans)."""
 
-class GradedAlgebra:
-    """Basis matrices, bracket tables, pairings, and grade data for one l."""
+    __slots__ = ("keys", "mats", "index", "qmap", "slot_keys", "ranks",
+                 "table", "pairing", "plans")
 
-    def __init__(self, l: int):
-        if l < 2:
-            raise ValueError("rank must be at least 2")
-        self.l = l
-
-        # odd algebra: vectors a_i <-> i-1 (i=1..l), center <-> l,
-        # b_i <-> l+i; the form pairs a_i with b_i and the center with itself
-        qmap = {l: l}
-        for i in range(1, l + 1):
-            qmap[i - 1] = l + i
-            qmap[l + i] = i - 1
-        self._odd_qmap = qmap
-
-        # even algebra: a_r <-> r (r=0..l), b_r <-> l+1+r
-        tqmap = {}
-        for r in range(0, l + 1):
-            tqmap[r] = l + 1 + r
-            tqmap[l + 1 + r] = r
-        self._even_qmap = tqmap
-
-        pairs = [(i, j) for i in range(1, l + 1) for j in range(i + 1, l + 1)]
-        tpairs = [(r, s) for r in range(0, l + 1) for s in range(r + 1, l + 1)]
-        self.pair_indices = pairs
-        self.ext_pair_indices = tpairs
-
-        self.odd_keys: List[BasisKey] = (
-            [("lo2", p) for p in pairs]
-            + [("lo1", i) for i in range(1, l + 1)]
-            + [("zero", (i, j)) for i in range(1, l + 1)
-               for j in range(1, l + 1)]
-            + [("up1", i) for i in range(1, l + 1)]
-            + [("up2", p) for p in pairs])
-        self.even_keys: List[BasisKey] = (
-            [("tlo", p) for p in tpairs]
-            + [("tzero", (r, s)) for r in range(0, l + 1)
-               for s in range(0, l + 1)]
-            + [("tup", p) for p in tpairs])
-
-        self.odd_mat: Dict[BasisKey, IntMatrix] = {}
-        self.odd_readoff: Dict[BasisKey, Tuple[int, int]] = {}
-        for key in self.odd_keys:
-            kind, idx = key
-            if kind == "lo2":
-                i, j = idx
-                m = _wedge(j - 1, i - 1, qmap)
-                pos = (j - 1, l + i)
-            elif kind == "lo1":
-                m = _wedge(idx - 1, l, qmap)
-                pos = (idx - 1, l)
-            elif kind == "zero":
-                i, j = idx
-                m = _wedge(i - 1, l + j, qmap)
-                pos = (i - 1, j - 1)
-            elif kind == "up1":
-                m = _wedge(l + idx, l, qmap)
-                pos = (l + idx, l)
-            else:  # up2
-                i, j = idx
-                m = _wedge(l + j, l + i, qmap)
-                pos = (l + j, i - 1)
-            self.odd_mat[key] = m
-            self.odd_readoff[key] = pos
+    def __init__(self, l: int, side: str):
+        first, kinds = _SIDES[side]
+        span = range(first, l + 1)
+        a = {i: i - first for i in span}
+        b = {i: i - first + l + 1 for i in span}
+        # the form pairs a_i with b_i, and the odd form's centre c = l with
+        # itself (on the even side, l is a_l)
+        qmap = self.qmap = {l: l}
+        for i in span:
+            qmap[a[i]], qmap[b[i]] = b[i], a[i]
+        indices = {"pairs": list(combinations(span, 2)), "span": list(span),
+                   "square": [(i, j) for i in span for j in span]}
+        self.keys: List[BasisKey] = [
+            (kind, idx) for kind in kinds
+            for idx in indices[_WEDGE_RULE[kind][0]]]
+        self.mats: Dict[BasisKey, IntMatrix] = {}
+        self.index: Dict[Tuple[int, int], Tuple[int, BasisKey]] = {}
+        for n, key in enumerate(self.keys):
+            p, q = _WEDGE_RULE[key[0]][1](a, b, l, key[1])
+            m = self.mats[key] = _wedge(p, q, qmap)
+            pos = (p, qmap[q])
             if m.get(pos) != 1:
-                raise AssertionError(f"GradedAlgebra: odd basis matrix {key} "
-                                     f"does not read 1 at {pos}")
-
-        self.even_mat: Dict[BasisKey, IntMatrix] = {}
-        self.even_readoff: Dict[BasisKey, Tuple[int, int]] = {}
-        for key in self.even_keys:
-            kind, idx = key
-            if kind == "tlo":
-                r, s = idx
-                m = _wedge(s, r, tqmap)
-                pos = (s, l + 1 + r)
-            elif kind == "tzero":
-                r, s = idx
-                m = _wedge(r, l + 1 + s, tqmap)
-                pos = (r, s)
-            else:  # tup
-                r, s = idx
-                m = _wedge(l + 1 + s, l + 1 + r, tqmap)
-                pos = (l + 1 + s, r)
-            self.even_mat[key] = m
-            self.even_readoff[key] = pos
-            if m.get(pos) != 1:
-                raise AssertionError(f"GradedAlgebra: even basis matrix "
+                raise AssertionError(f"GradedAlgebra: {side} basis matrix "
                                      f"{key} does not read 1 at {pos}")
+            self.index[pos] = (n, key)
+        self.slot_keys = [k for k in self.keys if _GRADES[k[0]] > 0]
+        self.ranks = {k: n for n, k in enumerate(self.slot_keys)}
+        self._build_tables()
+        # slot tuple -> its [_CD, _D, _PHI] kernel halves
+        self.plans: Dict[tuple, list] = {}
 
-        # read-off position -> (basis index, key), for expand
-        self._readoff_index = {
-            side: {pos: (n, key) for n, (key, pos) in enumerate(ro.items())}
-            for side, ro in ((ODD, self.odd_readoff),
-                             (EVEN, self.even_readoff))}
-        # per side: bracket and pairing tables, EVEN's built on first use
-        self._tables = _PerSide(self._build_tables)
-        self._pairings = _PerSide(self._build_tables)
-        self._build_tables(ODD)
-
-        # construction sanity: the lowering bracket
-        for i, j in pairs:
-            got = dict(self.bracket_table(ODD, ("lo1", i), ("lo1", j)))
-            if got != {("lo2", (i, j)): 1}:
-                raise AssertionError(
-                    f"GradedAlgebra: [lo1 {i}, lo1 {j}] is {got}, "
-                    f"not lo2 {(i, j)}")
-
-        self.positive_keys: List[BasisKey] = (
-            [("up1", i) for i in range(1, l + 1)]
-            + [("up2", p) for p in pairs])
-        self.negative_keys: List[BasisKey] = (
-            [("lo1", i) for i in range(1, l + 1)]
-            + [("lo2", p) for p in pairs])
-        # u -> the pairs a < b of negative keys with [a, b] = n u
-        self.negative_pair_brackets: Dict[
-            BasisKey, List[Tuple[BasisKey, BasisKey, int]]] = {}
-        for ai, a in enumerate(self.negative_keys):
-            for b in self.negative_keys[ai + 1:]:
-                for u, n in self.bracket_table(ODD, a, b):
-                    self.negative_pair_brackets.setdefault(u, []).append(
-                        (a, b, n))
-        self.ext_positive_keys: List[BasisKey] = [("tup", p) for p in tpairs]
-        self._slot_ranks: Dict[str, Dict[BasisKey, int]] = {
-            side: {k: n for n, k in enumerate(keys)}
-            for side, keys in ((ODD, self.positive_keys),
-                               (EVEN, self.ext_positive_keys))}
-        # per side: slot tuple -> its [_CD, _D, _PHI] kernel halves
-        self._plans: Dict[str, Dict[tuple, list]] = {ODD: {}, EVEN: {}}
-
-    # --- structure data ---------------------------------------------------
-
-    def keys(self, side: str) -> List[BasisKey]:
-        return self.odd_keys if side == ODD else self.even_keys
-
-    def mat(self, side: str, key: BasisKey) -> IntMatrix:
-        return (self.odd_mat if side == ODD else self.even_mat)[key]
-
-    def form_pairing_map(self, side: str) -> Dict[int, int]:
-        return self._odd_qmap if side == ODD else self._even_qmap
-
-    @staticmethod
-    def grade(key: BasisKey) -> int:
-        return _GRADES[key[0]]
-
-    def dual_slot(self, key: BasisKey) -> BasisKey:
-        """Positive-part key dual to a negative-part key (and back)."""
-        kind, idx = key
-        swap = {"lo1": "up1", "lo2": "up2", "up1": "lo1", "up2": "lo2"}
-        return (swap[kind], idx)
-
-    def _plan(self, kind: int, side: str, slots: Tuple[BasisKey, ...]):
-        """One target-independent kernel half of a slot tuple, cached."""
-        record = self._plans[side].setdefault(slots, [None, None, None])
-        if record[kind] is None:
-            record[kind] = _HALVES[kind](self, side, slots)
-        return record[kind]
-
-    def _build_tables(self, side: str) -> None:
+    def _build_tables(self) -> None:
         """Brackets and trace pairings of the basis pairs whose supports
         meet (a column of one is a row of the other; all other products
         vanish), each key's partners visited in basis order; then check
-        that each lowering key pairs to 1 with its dual raising key."""
-        keys = self.keys(side)
-        mats = [self.mat(side, k) for k in keys]
+        that each raising key pairs to 1 with its dual lowering key."""
+        keys = self.keys
+        mats = [self.mats[k] for k in keys]
         by_row: Dict[int, List[int]] = {}
         by_col: Dict[int, List[int]] = {}
         for n, m in enumerate(mats):
             for r, c in m:
                 by_row.setdefault(r, []).append(n)
                 by_col.setdefault(c, []).append(n)
-        table: Dict[Tuple[BasisKey, BasisKey], Tuple] = {}
-        pair_table: Dict[Tuple[BasisKey, BasisKey], int] = {}
+        self.table: Dict[Tuple[BasisKey, BasisKey], Tuple] = {}
+        self.pairing: Dict[Tuple[BasisKey, BasisKey], int] = {}
         for k1, m1 in zip(keys, mats):
             partners = set()
             for r, c in m1:
@@ -269,51 +156,120 @@ class GradedAlgebra:
                 partners.update(by_col.get(r, ()))
             for n2 in sorted(partners):
                 k2, m2 = keys[n2], mats[n2]
-                coeffs = self.expand(side, _mat_commutator(m1, m2))
+                coeffs = self.expand(_mat_commutator(m1, m2))
                 if coeffs is None:
                     raise AssertionError("matrix does not lie in the "
                                          "algebra spanned by the basis")
                 if coeffs:
-                    table[(k1, k2)] = tuple(coeffs.items())
+                    self.table[(k1, k2)] = tuple(coeffs.items())
                 tr = _mat_trace_product(m1, m2)
                 if tr:
                     if tr % 2:
                         raise AssertionError(
                             f"GradedAlgebra: trace product of {k1} and {k2} "
                             f"is odd ({tr})")
-                    pair_table[(k1, k2)] = -tr // 2
-        duals = ((("lo1", "up1", range(1, self.l + 1)),
-                  ("lo2", "up2", self.pair_indices)) if side == ODD
-                 else (("tlo", "tup", self.ext_pair_indices),))
-        for lo, up, idxs in duals:
-            for p in idxs:
-                if pair_table.get(((lo, p), (up, p))) != 1:
-                    raise AssertionError(
-                        f"GradedAlgebra: pairing of ({lo!r}, {p}) with "
-                        f"({up!r}, {p}) is not 1")
-        self._tables[side], self._pairings[side] = table, pair_table
+                    self.pairing[(k1, k2)] = -tr // 2
+        for up in self.slot_keys:
+            lo = GradedAlgebra.dual_slot(up)
+            if self.pairing.get((lo, up)) != 1:
+                raise AssertionError(
+                    f"GradedAlgebra: pairing of {lo} with {up} is not 1")
 
-    def expand(self, side: str, m: Dict[Tuple[int, int], object]
+    def expand(self, m: Dict[Tuple[int, int], object]
                ) -> Optional[Dict[BasisKey, object]]:
         """The coefficients, in basis order, of a matrix of ints, scalars
         or polynomials that holds no zero entry: its values at the read-off
         positions.  None when they do not rebuild the matrix exactly, that
         is when it does not lie in the algebra."""
-        index = self._readoff_index[side]
-        mats = self.odd_mat if side == ODD else self.even_mat
+        index = self.index
         coeffs = {key: v for _, key, v in sorted(
             index[pos] + (v,) for pos, v in m.items() if pos in index)}
         recon: Dict = {}
         for key, c in coeffs.items():
-            accumulate(recon, mats[key].items(), c)
+            accumulate(recon, self.mats[key].items(), c)
         return coeffs if recon == m else None
+
+
+class _Sides(dict):
+    """Side records by side, each built on first lookup."""
+
+    def __init__(self, l: int):
+        super().__init__()
+        self.l = l
+
+    def __missing__(self, side: str) -> _Side:
+        if side not in _SIDES:
+            raise ValueError("algebra must be 'odd' or 'even'")
+        record = self[side] = _Side(self.l, side)
+        return record
+
+
+# --------------------------------------------------------------------------
+# the algebra pair
+# --------------------------------------------------------------------------
+
+class GradedAlgebra:
+    """Both side records of one rank l (the even one built on first use),
+    and the odd side's grade data."""
+
+    def __init__(self, l: int):
+        if l < 2:
+            raise ValueError("rank must be at least 2")
+        self.l = l
+        self.sides = _Sides(l)
+        odd = self.sides[ODD]
+        self.odd_keys: List[BasisKey] = odd.keys
+        self.positive_keys: List[BasisKey] = odd.slot_keys
+        self.pair_indices = list(combinations(range(1, l + 1), 2))
+
+        # construction sanity: the lowering bracket
+        for i, j in self.pair_indices:
+            got = dict(odd.table.get((("lo1", i), ("lo1", j)), ()))
+            if got != {("lo2", (i, j)): 1}:
+                raise AssertionError(
+                    f"GradedAlgebra: [lo1 {i}, lo1 {j}] is {got}, "
+                    f"not lo2 {(i, j)}")
+
+        self.negative_keys: List[BasisKey] = [
+            self.dual_slot(k) for k in self.positive_keys]
+        # u -> the pairs a < b of negative keys with [a, b] = n u
+        self.negative_pair_brackets: Dict[
+            BasisKey, List[Tuple[BasisKey, BasisKey, int]]] = {}
+        for ai, a in enumerate(self.negative_keys):
+            for b in self.negative_keys[ai + 1:]:
+                for u, n in odd.table.get((a, b), ()):
+                    self.negative_pair_brackets.setdefault(u, []).append(
+                        (a, b, n))
+
+    # --- structure data ---------------------------------------------------
+
+    @staticmethod
+    def grade(key: BasisKey) -> int:
+        return _GRADES[key[0]]
+
+    @staticmethod
+    def dual_slot(key: BasisKey) -> BasisKey:
+        """Positive-part key dual to a negative-part key (and back)."""
+        return (_DUALS[key[0]], key[1])
+
+    def _plan(self, kind: int, side: str, slots: Tuple[BasisKey, ...]):
+        """One target-independent kernel half of a slot tuple, cached."""
+        halves = self.sides[side].plans.setdefault(slots, [None, None, None])
+        if halves[kind] is None:
+            halves[kind] = _HALVES[kind](self, side, slots)
+        return halves[kind]
+
+    def expand(self, side: str, m: Dict[Tuple[int, int], object]
+               ) -> Optional[Dict[BasisKey, object]]:
+        """``_Side.expand`` on the named side."""
+        return self.sides[side].expand(m)
 
     def bracket_table(self, side: str, k1: BasisKey, k2: BasisKey
                       ) -> Tuple[Tuple[BasisKey, int], ...]:
-        return self._tables[side].get((k1, k2), ())
+        return self.sides[side].table.get((k1, k2), ())
 
     def pairing_int(self, side: str, k1: BasisKey, k2: BasisKey) -> int:
-        return self._pairings[side].get((k1, k2), 0)
+        return self.sides[side].pairing.get((k1, k2), 0)
 
     # --- element-level operations (coefficient dicts) ----------------------
 
@@ -403,17 +359,17 @@ class AlgebraElement:
 
     @staticmethod
     def from_key(which: str, l: int, key: BasisKey) -> "AlgebraElement":
-        m = algebra(l).mat(which, key)
+        m = algebra(l).sides[which].mats[key]
         return AlgebraElement(which, l,
                               {pos: ExactScalar.of(v) for pos, v in m.items()})
 
     @staticmethod
     def from_coefficients(which: str, l: int, coeffs: Coefficients
                           ) -> "AlgebraElement":
-        ga = algebra(l)
+        mats = algebra(l).sides[which].mats
         entries: Dict[Tuple[int, int], ExactScalar] = {}
         for key, c in coeffs.items():
-            accumulate(entries, ga.mat(which, key).items(), c)
+            accumulate(entries, mats[key].items(), c)
         return AlgebraElement(which, l, entries)
 
     def coefficients(self) -> Coefficients:
@@ -458,9 +414,8 @@ class AlgebraElement:
 
 def basis(which: str, l: int) -> List[Tuple[BasisKey, AlgebraElement]]:
     """All basis elements of one algebra, in canonical grade order."""
-    ga = algebra(l)
     return [(key, AlgebraElement.from_key(which, l, key))
-            for key in ga.keys(which)]
+            for key in algebra(l).sides[which].keys]
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -544,15 +499,11 @@ class Chain:
              items: Iterable[Tuple[Sequence[BasisKey], BasisKey, Coefficient]]
              ) -> "Chain":
         """Build a chain, canonicalizing slot order with signs."""
-        ranks = algebra(l)._slot_ranks[side]
-        valid_kinds = ("up1", "up2") if side == ODD else ("tup",)
+        ranks = algebra(l).sides[side].ranks
         pairs = []
         for slots, target, coeff in items:
             if len(slots) != k:
                 raise ValueError("slot count does not match chain degree")
-            for s in slots:
-                if s[0] not in valid_kinds:
-                    raise ValueError(f"invalid slot key for {side} side: {s}")
             canon = _canonical_slots(ranks, tuple(slots))
             if canon is not None:
                 pairs.append(((canon[0], target), coeff * canon[1]))
@@ -631,7 +582,8 @@ def _codifferential_half(ga: GradedAlgebra, side: str,
                          slots: Tuple[BasisKey, ...]):
     """Slot removals (z, canonical rest, (-1)^(i+1) sign) and pair-bracket
     terms [z_i, z_j] + rest, canonical, with (-1)^(i+j) sign n."""
-    ranks, table = ga._slot_ranks[side], ga._tables[side]
+    record = ga.sides[side]
+    ranks, table = record.ranks, record.table
     removals = []
     for i0, z in enumerate(slots):
         canon = _canonical_slots(ranks, slots[:i0] + slots[i0 + 1:])
@@ -652,7 +604,7 @@ def _differential_half(ga: GradedAlgebra, side: str,
                        slots: Tuple[BasisKey, ...]):
     """Per negative key x, (x, canonical (x*,) + slots, sign); per slot u_i
     and a < b with [a, b] = n u_i, (a*, b*) + rest, canonical, sign n."""
-    ranks = ga._slot_ranks[side]
+    ranks = ga.sides[side].ranks
     xs = []
     for x in ga.negative_keys:
         canon = _canonical_slots(ranks, (ga.dual_slot(x),) + slots)
@@ -676,7 +628,7 @@ def _unit_term(kind: int, ga: GradedAlgebra, side: str,
     """One differential (kind _CD or _D) of one unit term, as (canonical
     key, n) pairs in emission order (a key may repeat); integers only."""
     brackets, fixed = ga._plan(kind, side, slots)
-    table = ga._tables[side]
+    table = ga.sides[side].table
     out = [((rest, key), s * n) for z, rest, s in brackets
            for key, n in table.get((z, target), ())]
     out.extend(((rest, target), n) for rest, n in fixed)
@@ -757,7 +709,7 @@ def _embed_int(key: BasisKey) -> Tuple[Tuple[BasisKey, int], ...]:
 def _transfer_half(ga: GradedAlgebra, side: str,
                    slots: Tuple[BasisKey, ...]):
     """The transferred slots, canonical with their sign (None on a repeat)."""
-    return _canonical_slots(ga._slot_ranks[EVEN],
+    return _canonical_slots(ga.sides[EVEN].ranks,
                             tuple(ga.transfer_key(s)[0] for s in slots))
 
 
@@ -858,10 +810,9 @@ def kappa11_normality_test(c: Chain) -> bool:
 # --------------------------------------------------------------------------
 
 def _check_form_annihilation(ga: GradedAlgebra) -> bool:
-    for side in (ODD, EVEN):
-        qmap = ga.form_pairing_map(side)
-        for key in ga.keys(side):
-            m = ga.mat(side, key)
+    for record in (ga.sides[ODD], ga.sides[EVEN]):
+        qmap = record.qmap
+        for m in record.mats.values():
             # With Q the 0/1 involution permutation, entry (r,c,v) of m
             # contributes v to (Q m) at (qmap[r], c) and, via the
             # transpose, v to (m^t Q) at (c, qmap[r]).
@@ -878,23 +829,24 @@ def _check_bracket_grading(ga: GradedAlgebra) -> bool:
     grade = GradedAlgebra.grade
     return all(grade(key) == grade(k1) + grade(k2)
                for side in (ODD, EVEN)
-               for (k1, k2), entry in ga._tables[side].items()
+               for (k1, k2), entry in ga.sides[side].table.items()
                for key, _ in entry)
 
 
 def _check_pairing_values(ga: GradedAlgebra) -> bool:
     span = range(1, ga.l + 1)
+    odd = ga.sides[ODD]
     for k1, k2, tr in ([(("lo1", i), ("up1", i), -2) for i in span]
                        + [(("lo2", p), ("up2", p), -2)
                           for p in ga.pair_indices]
                        + [(("zero", (i, j)), ("zero", (j, i)), 2)
                           for i in span for j in span if i != j]):
-        if _mat_trace_product(ga.mat(ODD, k1), ga.mat(ODD, k2)) != tr:
+        if _mat_trace_product(odd.mats[k1], odd.mats[k2]) != tr:
             return False
     # cross-grade orthogonality, on the stored (nonzero) pairings
     grade = GradedAlgebra.grade
     return all(n == 0 or grade(k1) + grade(k2) == 0
-               for (k1, k2), n in ga._pairings[ODD].items())
+               for (k1, k2), n in odd.pairing.items())
 
 
 def _check_embedding_homomorphism(ga: GradedAlgebra) -> bool:
@@ -1012,12 +964,12 @@ def _squares_vanish(ga: GradedAlgebra, kind: int, side: str, k: int) -> bool:
     for words w = ad z or 1, so the square of a slot tuple is, per inner
     rest r, r (x) a sum of words ad a ad b, ad a, 1, which must vanish
     (``_word_sums``)."""
-    table = ga._tables[side]
-    vanish = _word_sums({(t, t): 1 for t in ga.keys(side)},
+    record = ga.sides[side]
+    table = record.table
+    vanish = _word_sums({(t, t): 1 for t in record.keys},
                         lambda z, key: table.get((z, key), ()))
 
-    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
-    for slots in combinations(slot_keys, k):
+    for slots in combinations(record.slot_keys, k):
         by_rest: Dict[Tuple[BasisKey, ...], Dict[tuple, int]] = {}
         for word, rest, s in _plan_words(ga, kind, side, slots):
             for inner, r, n in _plan_words(ga, kind, side, rest):

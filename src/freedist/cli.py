@@ -31,7 +31,7 @@ from .spinorial import (SpinorIdentification, TangentKey, list_inclusions,
 ALGEBRA_CHECK_MIN_L = 3
 ALGEBRA_CHECK_MAX_L = 8
 COHOMOLOGY_MIN_L = 3
-COHOMOLOGY_MAX_L = 5
+COHOMOLOGY_MAX_L = 8
 COHOMOLOGY_MAX_H_VALUES = 64   # homogeneities in one --h range
 SPINOR_MIN_L = 1
 SPINOR_MAX_L = 13   # a dense Pfaffian: ~3.5x per step of 2, ~3 ms at 13

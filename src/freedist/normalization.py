@@ -331,7 +331,7 @@ def _curvature_reads(frame: Frame, f: StructureFunctions,
     frame_key = {key[1]: key for key in keys}  # single index or pair
     grade = {key: GradedAlgebra.grade(key) for key in ga.odd_keys}
     order = {key: n for n, key in enumerate(ga.odd_keys)}
-    brackets = ga._tables[ODD]
+    brackets = ga.sides[ODD].table
 
     # each connection 1-form on each frame field
     on: Dict[BasisKey, Dict[FrameKey, Polynomial]] = {

@@ -300,12 +300,14 @@ def parse_frame_file(text: str) -> Tuple[int, List[VectorField]]:
 
     ``#`` starts a comment; blank lines are ignored.  The field lines must
     appear in order X1..Xl.  A header rank above MAX_L raises
-    UnsupportedError before the rank's chart is built.
+    UnsupportedError before the rank's chart is built.  Lines end at
+    newline characters only, as the tokenizer counts them, not at the other
+    breaks of ``str.splitlines``.
     """
     l: Optional[int] = None
     fields: List[VectorField] = []
     chart_: Optional[Chart] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

@@ -317,8 +317,8 @@ def reference_solution_operator(rows, nunknowns):
 def oracle_codifferential_term(ga, side, slots, target):
     """Test oracle: the codifferential of one unit term as (canonical key,
     n) pairs in emission order, every slot order recomputed per target."""
-    ranks = ga._slot_ranks[side]
-    table = ga._tables[side]
+    ranks = ga.sides[side].ranks
+    table = ga.sides[side].table
     out = []
     for i0, z in enumerate(slots):
         sign = 1 if i0 % 2 else -1
@@ -342,9 +342,8 @@ def oracle_squares_vanish(ga, kind, side, k):
     """Test oracle: a unit kernel (kind _CD or _D) composed with itself on
     every unit k-chain of one side, one (slot tuple, target) at a time, each
     emitted term's kernel rebuilt from the cached plans and the table."""
-    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
-    for slots in combinations(slot_keys, k):
-        for t in ga.keys(side):
+    for slots in combinations(ga.sides[side].slot_keys, k):
+        for t in ga.sides[side].keys:
             acc = {}
             for (s2, t2), n in _unit_term(kind, ga, side, slots, t):
                 accumulate(acc, _unit_term(kind, ga, side, s2, t2), n)

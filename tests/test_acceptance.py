@@ -185,8 +185,8 @@ def test_criterion_03_pairing_values_and_algebra_battery():
     ga = algebra(4)
 
     def raw_trace_form(k1, k2):
-        m1 = ga.mat(ODD, k1)
-        m2 = ga.mat(ODD, k2)
+        m1 = ga.sides[ODD].mats[k1]
+        m2 = ga.sides[ODD].mats[k2]
         return sum(v1 * m2.get((c1, r1), 0) for (r1, c1), v1 in m1.items())
 
     for p in ga.pair_indices:

@@ -49,12 +49,18 @@ def test_basis_sizes():
     for l in (3, 4):
         ga = algebra(l)
         assert len(ga.odd_keys) == l * (2 * l + 1)
-        assert len(ga.even_keys) == (l + 1) * (2 * l + 1)
+        assert len(ga.sides[EVEN].keys) == (l + 1) * (2 * l + 1)
         # the basis matrices are square of sizes 2l+1 and 2l+2, every
         # row and column index in use
-        for mats, size in ((ga.odd_mat, 2 * l + 1), (ga.even_mat, 2 * l + 2)):
+        for side, size in ((ODD, 2 * l + 1), (EVEN, 2 * l + 2)):
+            mats = ga.sides[side].mats
             assert {i for m in mats.values() for pos in m for i in pos} \
                 == set(range(size))
+
+
+def readoffs(ga, side):
+    """Each basis key's read-off position, in basis order."""
+    return {key: pos for pos, (_, key) in ga.sides[side].index.items()}
 
 
 def dense_tables(ga, side):
@@ -62,18 +68,19 @@ def dense_tables(ga, side):
     pair, each commutator expanded by reading every read-off position in
     basis order and reconstructed exactly.  The reference the
     support-meeting build must equal, order included."""
-    readoff = ga.odd_readoff if side == ODD else ga.even_readoff
+    record = ga.sides[side]
+    readoff = readoffs(ga, side)
     table, pairings = {}, {}
-    for k1 in ga.keys(side):
-        m1 = ga.mat(side, k1)
-        for k2 in ga.keys(side):
-            m2 = ga.mat(side, k2)
+    for k1 in record.keys:
+        m1 = record.mats[k1]
+        for k2 in record.keys:
+            m2 = record.mats[k2]
             comm = algebra_module._mat_commutator(m1, m2)
             coeffs = {k: comm[pos] for k, pos in readoff.items()
                       if comm.get(pos)}
             recon = {}
             for k, c in coeffs.items():
-                for pos, v in ga.mat(side, k).items():
+                for pos, v in record.mats[k].items():
                     recon[pos] = recon.get(pos, 0) + c * v
             assert {p: v for p, v in recon.items() if v} == comm
             if coeffs:
@@ -90,8 +97,8 @@ def dense_tables(ga, side):
 def test_tables_match_full_scan(l, side):
     ga = GradedAlgebra(l)
     table, pairings = dense_tables(ga, side)
-    assert list(ga._tables[side].items()) == list(table.items())
-    assert list(ga._pairings[side].items()) == list(pairings.items())
+    assert list(ga.sides[side].table.items()) == list(table.items())
+    assert list(ga.sides[side].pairing.items()) == list(pairings.items())
 
 
 def test_even_tables_are_built_on_first_even_use(monkeypatch):
@@ -99,9 +106,9 @@ def test_even_tables_are_built_on_first_even_use(monkeypatch):
     both EVEN tables and runs their dual-pairing check, which refuses a
     doubled trace form (every pairing 2, not 1)."""
     ga = GradedAlgebra(3)
-    assert list(ga._tables) == list(ga._pairings) == [ODD]
+    assert list(ga.sides) == [ODD]
     assert ga.pairing_int(EVEN, ("tlo", (0, 1)), ("tup", (0, 1))) == 1
-    assert list(ga._tables) == list(ga._pairings) == [ODD, EVEN]
+    assert list(ga.sides) == [ODD, EVEN]
     ga = GradedAlgebra(3)
     trace = algebra_module._mat_trace_product
     monkeypatch.setattr(algebra_module, "_mat_trace_product",
@@ -110,23 +117,34 @@ def test_even_tables_are_built_on_first_even_use(monkeypatch):
                        r"\('tlo', \(0, 1\)\) with \('tup', \(0, 1\)\) is "
                        r"not 1$"):
         ga.bracket_table(EVEN, ("tlo", (0, 1)), ("tup", (0, 1)))
-    assert list(ga._tables) == [ODD]
+    assert list(ga.sides) == [ODD]
+
+
+def test_an_unknown_side_is_refused():
+    ga = GradedAlgebra(3)
+    for call in (lambda: basis("both", 3),
+                 lambda: ga.bracket_table("both", ("up1", 1), ("lo1", 1)),
+                 lambda: Chain.make("both", 3, 1, [])):
+        with pytest.raises(ValueError, match="^algebra must be 'odd' or "
+                           "'even'$"):
+            call()
+    assert list(ga.sides) == [ODD]
 
 
 def test_expand_refuses_a_read_off_entry_without_its_partner():
     key = ("lo1", 1)
-    pos = GA.odd_readoff[key]
-    assert len(GA.mat(ODD, key)) == 2
-    assert GA.expand(ODD, GA.mat(ODD, key)) == {key: 1}
+    pos = readoffs(GA, ODD)[key]
+    assert len(GA.sides[ODD].mats[key]) == 2
+    assert GA.expand(ODD, GA.sides[ODD].mats[key]) == {key: 1}
     assert GA.expand(ODD, {pos: 1}) is None
 
 
 def test_expand_refuses_an_entry_at_no_read_off_position():
     pos = (L, L)   # the centre of the odd form, on the diagonal
-    assert pos not in GA.odd_readoff.values()
+    assert pos not in GA.sides[ODD].index
     assert GA.expand(ODD, {pos: 1}) is None
     # also beside entries that do lie in the algebra
-    assert GA.expand(ODD, {**GA.mat(ODD, ("lo1", 2)), pos: 3}) is None
+    assert GA.expand(ODD, {**GA.sides[ODD].mats[("lo1", 2)], pos: 3}) is None
 
 
 def test_expand_gives_basis_order_for_every_coefficient_type():
@@ -140,7 +158,7 @@ def test_expand_gives_basis_order_for_every_coefficient_type():
                    {k: x1.scale(n) for k, n in zip(keys, (1, 2, 3))}):
         m = {}
         for key, c in coeffs.items():
-            for pos, n in GA.mat(ODD, key).items():
+            for pos, n in GA.sides[ODD].mats[key].items():
                 m[pos] = c * n
         m = dict(reversed(list(m.items())))
         got = GA.expand(ODD, m)
@@ -230,7 +248,7 @@ def test_pairing_nondegenerate_on_basis():
 def test_pairing_invariance_sampled():
     # B([x,y],z) = B(x,[y,z]) on the trace form of the defining realization
     rng = random.Random(11)
-    keys = GA.odd_keys
+    keys, mats = GA.odd_keys, GA.sides[ODD].mats
 
     def tp(m1, m2):
         return sum(v1 * m2.get((c1, r1), 0)
@@ -239,7 +257,7 @@ def test_pairing_invariance_sampled():
     def mat_of(coeffs):
         acc = {}
         for k, v in coeffs.items():
-            for pos, n in GA.mat(ODD, k).items():
+            for pos, n in mats[k].items():
                 acc[pos] = acc.get(pos, 0) + (v.a if hasattr(v, "a")
                                               else v) * n
         return acc
@@ -248,9 +266,9 @@ def test_pairing_invariance_sampled():
         x, y, z = (keys[rng.randrange(len(keys))] for _ in range(3))
         xy = GA.bracket_coeffs(ODD, {x: ONE}, {y: ONE})
         yz = GA.bracket_coeffs(ODD, {y: ONE}, {z: ONE})
-        lhs = sum((v * ExactScalar.of(tp(GA.mat(ODD, k), GA.mat(ODD, z)))
+        lhs = sum((v * ExactScalar.of(tp(mats[k], mats[z]))
                    for k, v in xy.items()), ExactScalar.zero())
-        rhs = sum((v * ExactScalar.of(tp(GA.mat(ODD, x), GA.mat(ODD, k)))
+        rhs = sum((v * ExactScalar.of(tp(mats[x], mats[k]))
                    for k, v in yz.items()), ExactScalar.zero())
         assert lhs == rhs
 
@@ -307,8 +325,8 @@ def test_differential_rejects_bad_inputs():
     c3 = Chain(ODD, L, 3, {tk3: ONE})
     with pytest.raises(ValueError):
         differential(c3)
-    even = Chain(EVEN, L, 1, {((GA.ext_positive_keys[0],), ("tzero", (0, 0))):
-                              ONE})
+    even = Chain(EVEN, L, 1, {((GA.sides[EVEN].slot_keys[0],),
+                               ("tzero", (0, 0))): ONE})
     with pytest.raises(ValueError):
         differential(even)
 
@@ -465,7 +483,7 @@ def oracle_codifferential(c):
                               (-1) ** (i + j) * n))
     terms = {}
     for slots, target, coeff, n in items:
-        ranks = [ga._slot_ranks[c.side][s] for s in slots]
+        ranks = [ga.sides[c.side].ranks[s] for s in slots]
         if len(set(ranks)) != len(ranks):
             continue
         order = sorted(range(len(ranks)), key=ranks.__getitem__)
@@ -484,9 +502,10 @@ def oracle_codifferential(c):
 
 def all_units(l, side, k):
     ga = algebra(l)
-    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
+    record = ga.sides[side]
     return [Chain(side, l, k, {(slots, t): ONE})
-            for slots in combinations(slot_keys, k) for t in ga.keys(side)]
+            for slots in combinations(record.slot_keys, k)
+            for t in record.keys]
 
 
 @pytest.mark.parametrize("l", [3, 4])
@@ -627,10 +646,10 @@ def test_codifferential_term_order_after_a_cancellation():
 
 def flip_table_entry(ga, side, pair, n=0):
     """Negate the n-th coefficient of one bracket-table entry."""
-    entry = list(ga._tables[side][pair])
+    entry = list(ga.sides[side].table[pair])
     key, c = entry[n]
     entry[n] = (key, -c)
-    ga._tables[side][pair] = tuple(entry)
+    ga.sides[side].table[pair] = tuple(entry)
 
 
 @pytest.mark.parametrize("side", [ODD, EVEN])
@@ -640,9 +659,9 @@ def test_codifferential_squares_check_catches_a_flipped_table_entry(side):
     ga = GradedAlgebra(3)   # a private instance: the flip must not leak
     check = algebra_module._check_codifferential_squares
     assert check(ga)
-    slot_keys = ga.positive_keys if side == ODD else ga.ext_positive_keys
-    flip_table_entry(ga, side, next(pair for pair in ga._tables[side]
-                                    if pair[0] in slot_keys))
+    record = ga.sides[side]
+    flip_table_entry(ga, side, next(pair for pair in record.table
+                                    if pair[0] in record.slot_keys))
     assert not check(ga)
 
 
@@ -660,10 +679,10 @@ def test_squares_checks_agree_with_the_per_unit_oracle_under_flips(l):
                           (algebra_module._D, ODD, 1)):
         assert squares(ga, kind, side, k)
         assert oracle_squares_vanish(ga, kind, side, k)
-        halves = [part for record in ga._plans[side].values()
+        halves = [part for record in ga.sides[side].plans.values()
                   if record[kind] is not None
                   for part in record[kind] if part]
-        table = ga._tables[side]
+        table = ga.sides[side].table
         pairs = list(table)
         for _ in range(10):
             if rng.random() < 0.5:
@@ -687,7 +706,7 @@ def test_squares_checks_agree_with_the_per_unit_oracle_under_flips(l):
 
 def flip_first_entry(ga, kind, side, slots):
     """Negate the sign of the first entry of one cached kernel half."""
-    record = ga._plans[side][slots]
+    record = ga.sides[side].plans[slots]
     if kind == algebra_module._PHI:
         eslots, sign = record[kind]
         record[kind] = (eslots, -sign)
@@ -702,7 +721,7 @@ def test_codifferential_squares_check_catches_a_flipped_plan_sign(side):
     ga = GradedAlgebra(3)   # a private instance: the flip must not leak
     check = algebra_module._check_codifferential_squares
     assert check(ga)
-    two = next(slots for slots in ga._plans[side] if len(slots) == 2)
+    two = next(slots for slots in ga.sides[side].plans if len(slots) == 2)
     flip_first_entry(ga, algebra_module._CD, side, two)
     assert not check(ga)
 
@@ -711,7 +730,7 @@ def test_differential_squares_check_catches_a_flipped_plan_sign():
     ga = GradedAlgebra(3)
     check = algebra_module._check_differential_squares
     assert check(ga)
-    two = next(slots for slots in ga._plans[ODD] if len(slots) == 2)
+    two = next(slots for slots in ga.sides[ODD].plans if len(slots) == 2)
     flip_first_entry(ga, algebra_module._D, ODD, two)
     assert not check(ga)
 
@@ -725,7 +744,7 @@ def test_operator_closed_forms_check_catches_a_flipped_plan_sign(kind, side,
     ga = GradedAlgebra(3)
     check = algebra_module._check_operator_closed_forms
     assert check(ga)
-    slots = next(s for s, record in ga._plans[side].items()
+    slots = next(s for s, record in ga.sides[side].plans.items()
                  if len(s) == k and record[getattr(algebra_module, kind)])
     flip_first_entry(ga, getattr(algebra_module, kind), side, slots)
     assert not check(ga)
@@ -744,15 +763,15 @@ def test_operator_check_agrees_with_the_per_unit_oracle_under_flips(l):
     assert oracle_operator_closed_forms(ga)
     cd, phi = algebra_module._CD, algebra_module._PHI
     halves = [part for side in (ODD, EVEN)
-              for record in ga._plans[side].values() if record[cd]
+              for record in ga.sides[side].plans.values() if record[cd]
               for part in record[cd] if part]
-    transfers = [record for record in ga._plans[ODD].values()
+    transfers = [record for record in ga.sides[ODD].plans.values()
                  if record[phi]]
     caught = 0
     for _ in range(30):
         roll = rng.random()
         if roll < 0.4:
-            table = ga._tables[rng.choice((ODD, EVEN))]
+            table = ga.sides[rng.choice((ODD, EVEN))].table
             pair = rng.choice(list(table))
             entry = table[pair]
             n = rng.randrange(len(entry))
@@ -827,15 +846,17 @@ def test_battery_plans_are_lazy_and_bounded_by_the_slot_tuples():
     """algebra(5) builds no plan; the battery keeps at most one record per
     slot tuple of degree <= 3 on each side (a guard on peak memory)."""
     ga = GradedAlgebra(5)   # the battery's checks on a fresh instance
-    assert ga._plans == {ODD: {}, EVEN: {}}
+    assert {side: r.plans for side, r in ga.sides.items()} == {ODD: {}}
     assert all(fn(ga) for _, fn in ALGEBRA_CHECKS)
-    for side, keys in ((ODD, ga.positive_keys), (EVEN, ga.ext_positive_keys)):
-        assert 0 < len(ga._plans[side]) <= sum(comb(len(keys), k)
-                                               for k in range(4))
+    for side in (ODD, EVEN):
+        record = ga.sides[side]
+        assert 0 < len(record.plans) <= sum(comb(len(record.slot_keys), k)
+                                            for k in range(4))
     assert algebra_battery(5) == [(name, True) for name, _ in ALGEBRA_CHECKS]
-    for side, keys in ((ODD, ga.positive_keys), (EVEN, ga.ext_positive_keys)):
-        assert len(algebra(5)._plans[side]) <= sum(comb(len(keys), k)
-                                                   for k in range(4))
+    for side in (ODD, EVEN):
+        record = algebra(5).sides[side]
+        assert len(record.plans) <= sum(comb(len(record.slot_keys), k)
+                                        for k in range(4))
 
 
 def test_differential_linearity_on_units():

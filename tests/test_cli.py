@@ -254,7 +254,7 @@ def run_optimized(*argv):
 
 
 # analyze in a fresh process, then what it built: the normalization blocks
-# factored, and whether the rank's algebra holds EVEN tables
+# factored, and whether the rank's algebra holds an EVEN record
 COLD_ANALYZE = """
 import contextlib, io, sys
 from freedist.algebra import EVEN, algebra
@@ -263,7 +263,7 @@ from freedist.normalization import _block
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["analyze", sys.argv[1]])
 print(code, _block.cache_info().currsize,
-      EVEN in algebra(int(sys.argv[2]))._tables)
+      EVEN in algebra(int(sys.argv[2])).sides)
 """
 
 
@@ -413,6 +413,16 @@ def test_cohomology_single_h(capsys):
                        "--h", "0")
     assert code == 0
     assert json.loads(out)["dimensions"] == {"0": 0}
+
+
+def test_cohomology_at_the_largest_rank(capsys):
+    """H^2 at rank COHOMOLOGY_MAX_L = 8 is the gl(8) module of Weyl
+    dimension 4200, at homogeneity 1 only."""
+    code, out, _ = run(capsys, "cohomology", "--l", str(COHOMOLOGY_MAX_L),
+                       "--k", "2", "--h", "0..2")
+    assert code == 0
+    assert json.loads(out) == {"l": 8, "k": 2,
+                               "dimensions": {"0": 0, "1": 4200, "2": 0}}
 
 
 def test_cohomology_guards(capsys):

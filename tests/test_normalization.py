@@ -274,7 +274,7 @@ def coordinate_curvature_reads(frame, A, C, E=None, F=None):
     ga = algebra(l)
     by_pos = {}
     for key, form in coordinate_connection_forms(frame, A, C, E, F).items():
-        for pos, n in ga.odd_mat[key].items():
+        for pos, n in ga.sides[ODD].mats[key].items():
             by_pos.setdefault(pos, []).append((n, form))
     M = {}
     for pos, terms in by_pos.items():
@@ -387,7 +387,7 @@ def test_engine_refuses_a_nonzero_homogeneity_zero_component(monkeypatch):
     homogeneity-0 read of (up1 1, up1 2) at -lo2 (1, 2): refused."""
     frame, f, A, C = engine_inputs(flat_fields(4))
     _curvature_reads(frame, f, A, C)
-    monkeypatch.setitem(algebra(4)._tables[ODD], (("lo1", 1), ("lo1", 2)),
+    monkeypatch.setitem(algebra(4).sides[ODD].table, (("lo1", 1), ("lo1", 2)),
                         ((("lo2", (1, 2)), 2),))
     with pytest.raises(AssertionError, match="homogeneity-0 curvature "
                        "component is nonzero"):
@@ -979,18 +979,25 @@ def verdicts(fields):
     return k.flat, k.kappa11_deg2_zero
 
 
-def test_verdicts_are_invariant_under_frame_changes():
-    """Two constant triangular changes and one gauge change per frame."""
+def rank4_bases(count):
+    """The three rank-4 goldens, then seeded rank-4 frames that analyze
+    accepts, count frames in all."""
     bases = [load_fields(name) for name in
              ("flat_l4.frame", "armstrong_l4.frame", "obstructed_l4.frame")]
     rng = random.Random(5)
-    while len(bases) < 7:
+    while len(bases) < count:
         fields = random_sparse_fields(4, rng)
         try:
             analyze(fields)
         except (DegenerateFrameError, UnsupportedFrameError):
             continue
         bases.append(fields)
+    return bases
+
+
+def test_verdicts_are_invariant_under_frame_changes():
+    """Two constant triangular changes and one gauge change per frame."""
+    bases = rank4_bases(7)
     rng = random.Random(7)
     seen = set()
     for fields in bases:
@@ -1000,6 +1007,42 @@ def test_verdicts_are_invariant_under_frame_changes():
             assert verdicts(triangular_change(fields, rng)) == want
         assert verdicts(gauge_change(fields, rng)) == want
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def ordered_pair(a, b):
+    """The pair (a, b) with a < b, and the sign of putting it in order."""
+    return ((a, b), 1) if a < b else ((b, a), -1)
+
+
+def test_p_is_g0_equivariant():
+    """P transforms under constant g in g0 = gl(l), entry by entry: under
+    X_i -> t_i X_i each P[((i, j), r, (s, u))] scales by t_r t_s t_u /
+    (t_i t_j), and under the relabelling X'_i = X_sigma(i) the entry of
+    indices sigma(i), .. moves to i, .., with -1 for each pair that
+    sigma^-1 reverses."""
+    rng = random.Random(11)
+    sizes = []
+    for fields in rank4_bases(6):
+        P = analyze(fields).curvature.P
+        sizes.append(len(P))
+        t = {i: rng.choice([2, -1, Fraction(1, 2), 3, Fraction(-2, 3)])
+             for i in range(1, 5)}
+        scaled = [field_combination([(t[i], x)])
+                  for i, x in enumerate(fields, start=1)]
+        assert analyze(scaled).curvature.P == {
+            key: v.scale(ExactScalar(Fraction(t[r] * t[s] * t[u],
+                                              t[i] * t[j])))
+            for key, v in P.items()
+            for (i, j), r, (s, u) in (key,)}
+        sigma = rng.sample(range(1, 5), 4)   # X'_i = X_sigma[i - 1]
+        back = {m: i for i, m in enumerate(sigma, start=1)}
+        want = {}
+        for ((i, j), r, (s, u)), v in P.items():
+            (p, e1), (q, e2) = (ordered_pair(back[i], back[j]),
+                                ordered_pair(back[s], back[u]))
+            want[(p, back[r], q)] = v.scale(e1 * e2)
+        assert analyze([fields[m - 1] for m in sigma]).curvature.P == want
+    assert sizes[:3] == [0, 1, 17] and all(sizes[3:])
 
 
 @pytest.mark.parametrize("l", [4, 5])

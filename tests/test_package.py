@@ -108,16 +108,27 @@ def test_sparse_sums_go_through_the_one_helper():
 
 def test_curvature_engine_builds_no_matrix():
     """The curvature engine works on basis coefficients: normalization.py
-    reads no basis matrix (``odd_mat``) and calls no basis expansion
-    (``.expand(``), so the matrix route cannot come back."""
+    reads no basis matrix (a side record's ``mats``) and calls no basis
+    expansion (``.expand(``), so the matrix route cannot come back."""
     found = []
     for node in ast.walk(dict(_package_trees())["normalization.py"]):
-        if isinstance(node, ast.Attribute) and node.attr == "odd_mat":
-            found.append(f"{node.lineno}: odd_mat")
+        if isinstance(node, ast.Attribute) and node.attr == "mats":
+            found.append(f"{node.lineno}: mats")
         elif (isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
               and node.func.attr == "expand"):
             found.append(f"{node.lineno}: expand")
+    assert found == []
+
+
+def test_algebra_chooses_no_side_data_by_a_conditional():
+    """Each side's data lives in one record built by one wedge rule, so
+    algebra.py has no ``... if side == ODD else ...`` expression."""
+    found = [f"{node.lineno}" for node in ast.walk(
+        dict(_package_trees())["algebra.py"])
+        if isinstance(node, ast.IfExp) and any(
+            isinstance(n, ast.Name) and n.id in ("ODD", "EVEN")
+            for n in ast.walk(node.test))]
     assert found == []
 
 

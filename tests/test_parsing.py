@@ -179,6 +179,25 @@ X3: Dx3 + x1*Dy[1,2]
     assert l == 3 and len(fields) == 3
 
 
+@pytest.mark.parametrize("ws", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                "\x85", "\u2028", "\u2029"])
+def test_frame_file_lines_end_at_newline_only(ws):
+    """A whitespace character that str.splitlines() also breaks at is
+    whitespace inside a field line, as in the tokenizer: the frame parses
+    equal to the same frame with a space, and the line of a later error
+    counts newlines only."""
+    text = "l: 2\nX1: Dx1 +{} x1*Dx2\n"
+    frame = text + "X2: Dx2\n"
+    assert parse_frame_file(frame.format(ws)) \
+        == parse_frame_file(frame.format(" "))
+    with pytest.raises(ParseError) as exc:
+        parse_frame_file((text + "X2: Dx2 ?\n").format(ws))
+    assert (exc.value.line, exc.value.col) == (3, 9)
+    with pytest.raises(ParseError, match="ends after 1 of 2 fields") as exc:
+        parse_frame_file(text.format(ws))
+    assert exc.value.line == 3
+
+
 def test_frame_file_bad_header():
     with pytest.raises(ParseError):
         parse_frame_file("X1: Dx1\n")

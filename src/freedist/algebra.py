@@ -63,7 +63,8 @@ def _mat_commutator(a: Dict, b: Dict) -> Dict:
     return out
 
 
-def _mat_trace_product(a: IntMatrix, b: IntMatrix) -> int:
+def _mat_trace_product(a: Dict, b: Dict):
+    """trace(ab) for sparse matrices of ints or scalars."""
     return sum(v1 * b.get((c1, r1), 0) for (r1, c1), v1 in a.items())
 
 
@@ -259,11 +260,6 @@ class GradedAlgebra:
             halves[kind] = _HALVES[kind](self, side, slots)
         return halves[kind]
 
-    def expand(self, side: str, m: Dict[Tuple[int, int], object]
-               ) -> Optional[Dict[BasisKey, object]]:
-        """``_Side.expand`` on the named side."""
-        return self.sides[side].expand(m)
-
     def bracket_table(self, side: str, k1: BasisKey, k2: BasisKey
                       ) -> Tuple[Tuple[BasisKey, int], ...]:
         return self.sides[side].table.get((k1, k2), ())
@@ -359,22 +355,27 @@ class AlgebraElement:
 
     @staticmethod
     def from_key(which: str, l: int, key: BasisKey) -> "AlgebraElement":
-        m = algebra(l).sides[which].mats[key]
-        return AlgebraElement(which, l,
-                              {pos: ExactScalar.of(v) for pos, v in m.items()})
+        return AlgebraElement.from_coefficients(
+            which, l, {key: ExactScalar.one()})
 
     @staticmethod
     def from_coefficients(which: str, l: int, coeffs: Coefficients
                           ) -> "AlgebraElement":
+        """sum_k c_k * basis matrix k; raises ValueError for a key outside
+        the side's basis."""
         mats = algebra(l).sides[which].mats
         entries: Dict[Tuple[int, int], ExactScalar] = {}
         for key, c in coeffs.items():
+            if key not in mats:
+                raise ValueError(
+                    f"{key!r} is not a basis key of the {which} algebra "
+                    f"of rank {l}")
             accumulate(entries, mats[key].items(), c)
         return AlgebraElement(which, l, entries)
 
     def coefficients(self) -> Coefficients:
         """Expand over the basis, verifying membership exactly."""
-        coeffs = algebra(self.l).expand(self.algebra, self.entries)
+        coeffs = algebra(self.l).sides[self.algebra].expand(self.entries)
         if coeffs is None:
             raise ValueError(
                 "matrix does not lie in the algebra spanned by the basis")
@@ -426,12 +427,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 def pairing(x: AlgebraElement, y: AlgebraElement) -> ExactScalar:
     x._check(y)
-    tr = ExactScalar.zero()
-    for (r1, c1), v1 in x.entries.items():
-        v2 = y.entries.get((c1, r1))
-        if v2:
-            tr = tr + v1 * v2
-    return tr * _NEG_HALF
+    return _mat_trace_product(x.entries, y.entries) * _NEG_HALF
 
 
 def embed_alpha(x: AlgebraElement) -> AlgebraElement:

@@ -383,44 +383,3 @@ def poly_inverse(m: Sequence[Sequence[Polynomial]],
         precision *= 2
         x = _mat_mul(e, x, precision, base=x)
 
-
-def signature_of_symmetric(m: Sequence[Sequence[ExactScalar]]
-                           ) -> Tuple[int, int]:
-    """(positive, negative) inertia of a symmetric matrix over Q(sqrt2),
-    computed by exact congruence diagonalization."""
-    n = len(m)
-    a = [[m[i][j] for j in range(n)] for i in range(n)]
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("matrix is not symmetric")
-    pos = neg = 0
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i]), None)
-        if piv is None:
-            found = next(((i, j) for i in range(k, n)
-                          for j in range(i + 1, n) if a[i][j]), None)
-            if found is None:
-                break  # remaining block is zero
-            i, j = found
-            for t in range(n):
-                a[i][t] = a[i][t] + a[j][t]
-            for t in range(n):
-                a[t][i] = a[t][i] + a[t][j]
-            piv = i
-        if piv != k:
-            a[piv], a[k] = a[k], a[piv]
-            for t in range(n):
-                a[t][piv], a[t][k] = a[t][k], a[t][piv]
-        d = a[k][k]
-        if d.sign() > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            f = a[r][k] / d
-            if not f:
-                continue
-            for t in range(n):
-                a[r][t] = a[r][t] - f * a[k][t]
-            for t in range(n):
-                a[t][r] = a[t][r] - f * a[t][k]
-    return pos, neg

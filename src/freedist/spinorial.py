@@ -11,10 +11,11 @@ form of split signature.
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import UnsupportedError
-from .linalg import signature_of_symmetric
+from .linalg import _determinant, invert_scalar_matrix
 from .scalars import ONE, ExactScalar, ScalarLike, _reduced
 
 TangentKey = Union[int, Tuple[int, int]]
@@ -215,8 +216,30 @@ def pfaffian_quadratic_form(l: int) -> List[List[ExactScalar]]:
 
 
 def quadratic_form_signature(b: List[List[ExactScalar]]) -> Tuple[int, int]:
-    """Signature (positive, negative inertia) of a symmetric exact matrix."""
-    return signature_of_symmetric(b)
+    """Signature (positive, negative inertia) of a symmetric exact matrix.
+
+    The characteristic polynomial p(t) = det(tI - b) of a symmetric matrix
+    has real roots only, so Descartes' rule of signs counts them exactly:
+    the positive eigenvalues are the sign changes of p's coefficients and
+    the negative ones those of p(-t)'s, zero coefficients skipped (a zero
+    eigenvalue is a factor t^k and changes no sign).  p is read at
+    t = 0..n by ``_determinant``, and its coefficients are those values
+    times the inverse of the Vandermonde matrix (t^k).
+    """
+    n = len(b)
+    if any(b[i][j] != b[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    values = [_determinant([[(t if i == j else 0) - b[i][j]
+                             for j in range(n)] for i in range(n)])[0]
+              for t in range(n + 1)]
+    _, inverse = invert_scalar_matrix(
+        [[ExactScalar.of(t ** k) for k in range(n + 1)]
+         for t in range(n + 1)])
+    coeffs = [sum(map(mul, row, values)) for row in inverse]
+    signs = [(c.sign(), (-1) ** k * c.sign())
+             for k, c in enumerate(coeffs) if c]
+    pos, neg = (sum(x != y for x, y in zip(s, s[1:])) for s in zip(*signs))
+    return pos, neg
 
 
 def list_inclusions() -> List[Dict[str, str]]:

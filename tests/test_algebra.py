@@ -16,7 +16,7 @@ from freedist.algebra import (ALGEBRA_CHECKS, EVEN, ODD, AlgebraElement,
                               commutator_operator,
                               commutator_operator_closed_form, differential,
                               embed_alpha, kappa11_normality_test,
-                              phi_extension)
+                              pairing, phi_extension)
 from conftest import (coordinate, oracle_closed_form,
                       oracle_codifferential_term, oracle_differential,
                       oracle_operator_closed_forms, oracle_phi_extension,
@@ -135,16 +135,17 @@ def test_expand_refuses_a_read_off_entry_without_its_partner():
     key = ("lo1", 1)
     pos = readoffs(GA, ODD)[key]
     assert len(GA.sides[ODD].mats[key]) == 2
-    assert GA.expand(ODD, GA.sides[ODD].mats[key]) == {key: 1}
-    assert GA.expand(ODD, {pos: 1}) is None
+    assert GA.sides[ODD].expand(GA.sides[ODD].mats[key]) == {key: 1}
+    assert GA.sides[ODD].expand({pos: 1}) is None
 
 
 def test_expand_refuses_an_entry_at_no_read_off_position():
     pos = (L, L)   # the centre of the odd form, on the diagonal
     assert pos not in GA.sides[ODD].index
-    assert GA.expand(ODD, {pos: 1}) is None
+    assert GA.sides[ODD].expand({pos: 1}) is None
     # also beside entries that do lie in the algebra
-    assert GA.expand(ODD, {**GA.sides[ODD].mats[("lo1", 2)], pos: 3}) is None
+    odd = GA.sides[ODD]
+    assert odd.expand({**odd.mats[("lo1", 2)], pos: 3}) is None
 
 
 def test_expand_gives_basis_order_for_every_coefficient_type():
@@ -161,7 +162,7 @@ def test_expand_gives_basis_order_for_every_coefficient_type():
             for pos, n in GA.sides[ODD].mats[key].items():
                 m[pos] = c * n
         m = dict(reversed(list(m.items())))
-        got = GA.expand(ODD, m)
+        got = GA.sides[ODD].expand(m)
         assert got == coeffs
         assert list(got) == sorted(coeffs, key=GA.odd_keys.index)
 
@@ -171,6 +172,24 @@ def test_coefficients_refuses_a_matrix_outside_the_algebra():
     element = AlgebraElement(ODD, L, {pos: ExactScalar.one()})
     with pytest.raises(ValueError, match="does not lie in the algebra"):
         element.coefficients()
+
+
+def test_an_element_from_a_key_outside_its_side_is_refused():
+    """A key of the other side, an unknown kind and an index out of range
+    are each refused with the key and the side named."""
+    for call, text in (
+            (lambda: AlgebraElement.from_coefficients(
+                EVEN, 3, {("up1", 1): ExactScalar.one()}),
+             r"^\('up1', 1\) is not a basis key of the even algebra "
+             r"of rank 3$"),
+            (lambda: AlgebraElement.from_key(ODD, 3, ("tup", (0, 1))),
+             r"^\('tup', \(0, 1\)\) is not a basis key of the odd algebra "
+             r"of rank 3$"),
+            (lambda: AlgebraElement.from_key(ODD, 3, ("up1", 9)),
+             r"^\('up1', 9\) is not a basis key of the odd algebra "
+             r"of rank 3$")):
+        with pytest.raises(ValueError, match=text):
+            call()
 
 
 def test_element_operations_match_the_tables():
@@ -188,6 +207,25 @@ def test_element_operations_match_the_tables():
     assert embed_alpha(bracket(x, y)) == bracket(embed_alpha(x),
                                                  embed_alpha(y))
     assert embed_alpha(x).coefficients() == GA.embed_coeffs(x.coefficients())
+
+
+def test_pairing_matches_the_pairing_table():
+    """pairing on matrix elements is -1/2 trace(xy), the pairing table on
+    basis elements and ``pairing_coeffs`` on combinations, an exact
+    scalar also for the zero element."""
+    for side in (ODD, EVEN):
+        elements = dict(basis(side, L))
+        for k1, x in elements.items():
+            for k2, y in elements.items():
+                assert pairing(x, y) == GA.pairing_int(side, k1, k2)
+        x = y = AlgebraElement(side, L, {})
+        for n, e in enumerate(elements.values()):
+            x = x + e.scale(ExactScalar(n + 1, 1))
+            y = y + e.scale(ExactScalar(n - 2, 1))
+        assert pairing(x, y) == GA.pairing_coeffs(
+            side, x.coefficients(), y.coefficients())
+        zero = pairing(x - x, y)
+        assert type(zero) is ExactScalar and zero.is_zero()
 
 
 def test_grades_partition_basis():

@@ -123,15 +123,15 @@ def test_rank5_degree2_profile():
 def signed_key_action(ga, sigma):
     """Per odd basis key, (image, s) with P M_key P^-1 = s M_image, for P
     the permutation matrix of i -> sigma[i] on the a_i and on the b_i (the
-    centre fixed), read off by ``GradedAlgebra.expand``."""
+    centre fixed), read off by the odd side record's ``expand``."""
     l = ga.l
     pos = {l: l}
     for i in range(1, l + 1):
         pos[i - 1], pos[l + i] = sigma[i] - 1, l + sigma[i]
     action = {}
     for key, m in ga.sides[ODD].mats.items():
-        moved = ga.expand(ODD, {(pos[r], pos[c]): v
-                                for (r, c), v in m.items()})
+        moved = ga.sides[ODD].expand({(pos[r], pos[c]): v
+                                      for (r, c), v in m.items()})
         assert moved is not None and len(moved) == 1
         (image, s), = moved.items()
         assert s in (1, -1)

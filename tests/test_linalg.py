@@ -1,4 +1,4 @@
-"""Exact kernels, linear solves, determinants, inverses, and inertia."""
+"""Exact kernels, linear solves, determinants and inverses."""
 
 import random
 import re
@@ -13,7 +13,7 @@ from conftest import (constant_term, coordinate, harmonic_system, poly_det,
                       reference_solution_operator, whole_rank_system)
 from freedist.linalg import (FactoredSystem, _eliminate, _kernel,
                              invert_scalar_matrix, kernel_of_columns,
-                             poly_inverse, signature_of_symmetric)
+                             poly_inverse)
 from freedist.polynomials import Polynomial, chart
 from freedist.scalars import ExactScalar
 
@@ -692,29 +692,3 @@ def test_poly_det_triangular():
          [Polynomial.zero(CH), Polynomial.zero(CH), const(-1)]]
     assert poly_det(m) == const(-6)
 
-
-def test_signature_diagonal():
-    m = [[sc(2), sc(0)], [sc(0), sc(-3)]]
-    assert signature_of_symmetric(m) == (1, 1)
-
-
-def test_signature_needs_off_diagonal_pivot():
-    # hyperbolic plane: signature (1,1) with zero diagonal
-    m = [[sc(0), sc(1)], [sc(1), sc(0)]]
-    assert signature_of_symmetric(m) == (1, 1)
-
-
-def test_signature_with_sqrt2_entries():
-    r = ExactScalar.sqrt2()
-    m = [[r, sc(0)], [sc(0), -r]]
-    assert signature_of_symmetric(m) == (1, 1)
-
-
-def test_signature_degenerate_block():
-    m = [[sc(1), sc(0)], [sc(0), sc(0)]]
-    assert signature_of_symmetric(m) == (1, 0)
-
-
-def test_signature_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        signature_of_symmetric([[sc(0), sc(1)], [sc(2), sc(0)]])

@@ -291,7 +291,7 @@ def coordinate_curvature_reads(frame, A, C, E=None, F=None):
     terms = {}
     for slots, entries in zip(args, per_form_curvature_values(
             M, [(W[a], W[b]) for a, b in args])):
-        coeffs = ga.expand(ODD, entries)
+        coeffs = ga.sides[ODD].expand(entries)
         if coeffs is None:
             raise AssertionError(
                 "curvature matrix does not lie in the graded algebra")

@@ -132,6 +132,25 @@ def test_algebra_chooses_no_side_data_by_a_conditional():
     assert found == []
 
 
+def test_only_the_determinant_divides():
+    """Exact elimination lives in ``_eliminate``, fraction-free: the one
+    true division in linalg.py and spinorial.py is ``_determinant``'s
+    product of pivots over the product of tail entries, so a dense
+    elimination that divides by its pivots cannot come back."""
+    found = []
+    for name, tree in _package_trees():
+        if name not in ("linalg.py", "spinorial.py"):
+            continue
+        inside = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef)
+                  and f.name == "_determinant" for n in ast.walk(f)}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)
+                  and id(node) not in inside]
+    assert found == []
+
+
 def _rebound_sums(tree):
     """Line numbers of ``x = x + ...`` and ``x = x - ...`` inside loops."""
     return sorted({node.lineno for loop in ast.walk(tree)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,59 @@ def test_quadratic_form_and_signature():
         for j in range(6):
             assert b[i][j] == b[j][i]
     assert quadratic_form_signature(b) == (3, 3)
+
+
+def test_signature_diagonal():
+    m = [[sc(2), sc(0)], [sc(0), sc(-3)]]
+    assert quadratic_form_signature(m) == (1, 1)
+
+
+def test_signature_needs_off_diagonal_pivot():
+    # hyperbolic plane: signature (1,1) with zero diagonal
+    m = [[sc(0), sc(1)], [sc(1), sc(0)]]
+    assert quadratic_form_signature(m) == (1, 1)
+
+
+def test_signature_with_sqrt2_entries():
+    r = ExactScalar.sqrt2()
+    m = [[r, sc(0)], [sc(0), -r]]
+    assert quadratic_form_signature(m) == (1, 1)
+
+
+def test_signature_degenerate_block():
+    m = [[sc(1), sc(0)], [sc(0), sc(0)]]
+    assert quadratic_form_signature(m) == (1, 0)
+
+
+def test_signature_rejects_asymmetric():
+    with pytest.raises(ValueError):
+        quadratic_form_signature([[sc(0), sc(1)], [sc(2), sc(0)]])
+
+
+def test_signature_is_the_inertia_of_a_congruent_diagonal():
+    """Sylvester's law of inertia, with no elimination in the reference:
+    B = M^t diag(d) M, M with r <= n rows of full row rank over Q(sqrt2),
+    has d's counts of positive and negative entries as its signature."""
+    rng = random.Random(30)
+    zero = ExactScalar.zero()
+    for n in range(1, 7):
+        for r in range(n + 1):
+            while True:
+                m = [[ExactScalar(Fraction(rng.randint(-3, 3),
+                                           rng.randint(1, 2)),
+                                  rng.choice((0, 0, rng.randint(-1, 1))))
+                      for _ in range(n)] for _ in range(r)]
+                gram = [[sum(map(mul, u, v), zero) for v in m] for u in m]
+                if _determinant(gram)[0]:
+                    break
+            d = [sc(rng.choice((-2, -1, 1, 3))) for _ in range(r)]
+            b = [[sum((m[k][i] * d[k] * m[k][j] for k in range(r)), zero)
+                  for j in range(n)] for i in range(n)]
+            assert quadratic_form_signature(b) == (
+                sum(x > 0 for x in d), sum(x < 0 for x in d))
+    assert quadratic_form_signature([]) == (0, 0)
+    for n in range(1, 7):
+        assert quadratic_form_signature([[zero] * n] * n) == (0, 0)
 
 
 def test_quadratic_form_polarizes_the_pfaffian():

@@ -7,11 +7,11 @@ Two algebras per rank l:
 * the "even" algebra — matrices annihilating a split form of even size
   2l+2, carrying a 3-part grading (-1,0,1).
 
-All basis matrices are wedges v(Qw)^t - w(Qv)^t of standard vectors, so
-every bracket is an honest matrix commutator and structure constants are
-never transcribed by hand.  One wedge rule (``_WEDGE_RULE``) builds both
-algebras, each into one side record (``_Side``).  Basis keys name grade and
-indices:
+All basis matrices are wedges v(Qw)^t - w(Qv)^t of standard vectors; the
+bracket and pairing tables are read off the form by the wedge identities
+(matrix commutators stay in ``bracket()``, the battery and the tests' dense
+oracle).  One wedge rule (``_WEDGE_RULE``) builds both algebras, each into
+one side record (``_Side``).  Basis keys name grade and indices:
 
   odd:  ('lo2',(i,j)) ('lo1',i) ('zero',(i,j)) ('up1',i) ('up2',(i,j))
   even: ('tlo',(r,s)) ('tzero',(r,s)) ('tup',(r,s))   (indices 0..l)
@@ -121,8 +121,8 @@ class _Side:
             for idx in indices[_WEDGE_RULE[kind][0]]]
         self.mats: Dict[BasisKey, IntMatrix] = {}
         self.index: Dict[Tuple[int, int], Tuple[int, BasisKey]] = {}
-        for n, key in enumerate(self.keys):
-            p, q = _WEDGE_RULE[key[0]][1](a, b, l, key[1])
+        vectors = [_WEDGE_RULE[k[0]][1](a, b, l, k[1]) for k in self.keys]
+        for n, (key, (p, q)) in enumerate(zip(self.keys, vectors)):
             m = self.mats[key] = _wedge(p, q, qmap)
             pos = (p, qmap[q])
             if m.get(pos) != 1:
@@ -131,50 +131,48 @@ class _Side:
             self.index[pos] = (n, key)
         self.slot_keys = [k for k in self.keys if _GRADES[k[0]] > 0]
         self.ranks = {k: n for n, k in enumerate(self.slot_keys)}
-        self._build_tables()
-        # slot tuple -> its [_CD, _D, _PHI] kernel halves
-        self.plans: Dict[tuple, list] = {}
-
-    def _build_tables(self) -> None:
-        """Brackets and trace pairings of the basis pairs whose supports
-        meet (a column of one is a row of the other; all other products
-        vanish), each key's partners visited in basis order; then check
-        that each raising key pairs to 1 with its dual lowering key."""
-        keys = self.keys
-        mats = [self.mats[k] for k in keys]
-        by_row: Dict[int, List[int]] = {}
-        by_col: Dict[int, List[int]] = {}
-        for n, m in enumerate(mats):
-            for r, c in m:
-                by_row.setdefault(r, []).append(n)
-                by_col.setdefault(c, []).append(n)
-        self.table: Dict[Tuple[BasisKey, BasisKey], Tuple] = {}
-        self.pairing: Dict[Tuple[BasisKey, BasisKey], int] = {}
-        for k1, m1 in zip(keys, mats):
-            partners = set()
-            for r, c in m1:
-                partners.update(by_row.get(c, ()))
-                partners.update(by_col.get(r, ()))
-            for n2 in sorted(partners):
-                k2, m2 = keys[n2], mats[n2]
-                coeffs = self.expand(_mat_commutator(m1, m2))
-                if coeffs is None:
-                    raise AssertionError("matrix does not lie in the "
-                                         "algebra spanned by the basis")
-                if coeffs:
-                    self.table[(k1, k2)] = tuple(coeffs.items())
-                tr = _mat_trace_product(m1, m2)
-                if tr:
-                    if tr % 2:
-                        raise AssertionError(
-                            f"GradedAlgebra: trace product of {k1} and {k2} "
-                            f"is odd ({tr})")
-                    self.pairing[(k1, k2)] = -tr // 2
+        self._build_tables(side, vectors)
         for up in self.slot_keys:
             lo = GradedAlgebra.dual_slot(up)
             if self.pairing.get((lo, up)) != 1:
                 raise AssertionError(
                     f"GradedAlgebra: pairing of {lo} with {up} is not 1")
+        # slot tuple -> its [_CD, _D, _PHI] kernel halves
+        self.plans: Dict[tuple, list] = {}
+
+    def _build_tables(self, side: str, vectors: List[Tuple[int, int]]
+                      ) -> None:
+        """Brackets and pairings of the basis wedges by the form B(u, v) =
+        [v = q(u)]: [x^y, z^w] = B(y,z) x^w - B(y,w) x^z - B(x,z) y^w +
+        B(x,w) y^z and -tr(x^y z^w)/2 = B(x,z)B(y,w) - B(y,z)B(x,w), both
+        zero unless z^w holds q(x) or q(y); a wedge u^v is +key at the
+        read-off position (u, q(v)) and -key at (v, q(u))."""
+        keys, qmap, index = self.keys, self.qmap, self.index
+        holders = {v: [n for n, pq in enumerate(vectors) if v in pq]
+                   for v in qmap}
+        self.table, self.pairing = {}, {}
+        for k1, (x, y) in zip(keys, vectors):
+            qx, qy = qmap[x], qmap[y]
+            for n2 in sorted({*holders[qx], *holders[qy]}):
+                k2, (z, w) = keys[n2], vectors[n2]
+                terms = []
+                for on, s, u, v in ((z == qy, 1, x, w), (w == qy, -1, x, z),
+                                    (z == qx, -1, y, w), (w == qx, 1, y, z)):
+                    if on and u != v:
+                        if (u, qmap[v]) not in index:
+                            u, v, s = v, u, -s
+                        if (u, qmap[v]) not in index:
+                            raise AssertionError(
+                                f"GradedAlgebra: {side} wedge {v}^{u} of "
+                                f"[{k1}, {k2}] is no basis key")
+                        terms.append(index[u, qmap[v]] + (s,))
+                coeffs: Dict[BasisKey, int] = {}
+                accumulate(coeffs, (t[1:] for t in sorted(terms)))
+                if coeffs:
+                    self.table[(k1, k2)] = tuple(coeffs.items())
+                pair = (z == qx) * (w == qy) - (z == qy) * (w == qx)
+                if pair:
+                    self.pairing[(k1, k2)] = pair
 
     def expand(self, m: Dict[Tuple[int, int], object]
                ) -> Optional[Dict[BasisKey, object]]:
@@ -201,8 +199,7 @@ class _Sides(dict):
     def __missing__(self, side: str) -> _Side:
         if side not in _SIDES:
             raise ValueError("algebra must be 'odd' or 'even'")
-        record = self[side] = _Side(self.l, side)
-        return record
+        return self.setdefault(side, _Side(self.l, side))
 
 
 # --------------------------------------------------------------------------

@@ -38,8 +38,8 @@ _PIECES = re.compile(r"\s+|\d+|sqrt2|D[xy]|.", re.S)
 
 # Resource guards: a power is built by repeated multiplication, each level
 # of '(' or unary '-' is one more level of recursion, int() refuses digit
-# runs longer than 4300, and the analysis grows quickly with the rank (flat
-# frames: l=7 takes 3.5 s, l=8 11 s).
+# runs longer than 4300, and the analysis grows with the rank (a cold flat
+# frame's analyze: about 0.14 CPU s at l=7, 0.16 s at l=8, 2-vCPU host).
 MAX_EXPONENT = 32
 MAX_NESTING = 100
 MAX_DIGITS = 1000

@@ -227,6 +227,8 @@ def quadratic_form_signature(b: List[List[ExactScalar]]) -> Tuple[int, int]:
     times the inverse of the Vandermonde matrix (t^k).
     """
     n = len(b)
+    if any(len(row) != n for row in b):
+        raise ValueError("matrix is not square")
     if any(b[i][j] != b[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     values = [_determinant([[(t if i == j else 0) - b[i][j]

@@ -66,8 +66,8 @@ def readoffs(ga, side):
 def dense_tables(ga, side):
     """Bracket and pairing tables by the full scan: every ordered basis
     pair, each commutator expanded by reading every read-off position in
-    basis order and reconstructed exactly.  The reference the
-    support-meeting build must equal, order included."""
+    basis order and reconstructed exactly.  The reference the build from
+    the form must equal, order included."""
     record = ga.sides[side]
     readoff = readoffs(ga, side)
     table, pairings = {}, {}
@@ -92,7 +92,7 @@ def dense_tables(ga, side):
     return table, pairings
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5])
+@pytest.mark.parametrize("l", range(2, 9))
 @pytest.mark.parametrize("side", [ODD, EVEN])
 def test_tables_match_full_scan(l, side):
     ga = GradedAlgebra(l)
@@ -104,20 +104,43 @@ def test_tables_match_full_scan(l, side):
 def test_even_tables_are_built_on_first_even_use(monkeypatch):
     """A new algebra holds the ODD tables only; the first EVEN read builds
     both EVEN tables and runs their dual-pairing check, which refuses a
-    doubled trace form (every pairing 2, not 1)."""
+    doubled pairing table (every pairing 2, not 1)."""
     ga = GradedAlgebra(3)
     assert list(ga.sides) == [ODD]
     assert ga.pairing_int(EVEN, ("tlo", (0, 1)), ("tup", (0, 1))) == 1
     assert list(ga.sides) == [ODD, EVEN]
     ga = GradedAlgebra(3)
-    trace = algebra_module._mat_trace_product
-    monkeypatch.setattr(algebra_module, "_mat_trace_product",
-                        lambda a, b: 2 * trace(a, b))
+    build = algebra_module._Side._build_tables
+
+    def doubled(record, *args):
+        build(record, *args)
+        record.pairing = {k: 2 * n for k, n in record.pairing.items()}
+
+    monkeypatch.setattr(algebra_module._Side, "_build_tables", doubled)
     with pytest.raises(AssertionError, match=r"^GradedAlgebra: pairing of "
                        r"\('tlo', \(0, 1\)\) with \('tup', \(0, 1\)\) is "
                        r"not 1$"):
         ga.bracket_table(EVEN, ("tlo", (0, 1)), ("tup", (0, 1)))
     assert list(ga.sides) == [ODD]
+
+
+def test_a_wedge_outside_the_basis_is_refused(monkeypatch):
+    """A bracket term whose wedge has no read-off position raises an
+    AssertionError naming the side, the wedge and the bracketed pair."""
+    build = algebra_module._Side._build_tables
+
+    def without_first_key(record, *args):
+        del record.index[next(iter(record.index))]
+        build(record, *args)
+
+    monkeypatch.setattr(algebra_module._Side, "_build_tables",
+                        without_first_key)
+    # ('lo2', (1, 2)) is the wedge 1^0, and [lo2 (1,2), zero (1,1)] its
+    # first multiple
+    with pytest.raises(AssertionError, match=r"^GradedAlgebra: odd wedge "
+                       r"1\^0 of \[\('lo2', \(1, 2\)\), \('zero', "
+                       r"\(1, 1\)\)\] is no basis key$"):
+        GradedAlgebra(3)
 
 
 def test_an_unknown_side_is_refused():

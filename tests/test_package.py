@@ -121,6 +121,22 @@ def test_curvature_engine_builds_no_matrix():
     assert found == []
 
 
+def test_side_tables_build_no_matrix():
+    """A side record reads its bracket and pairing tables off the form:
+    ``_Side`` calls no matrix commutator or trace product and no basis
+    expansion (``.expand(``), so the matrix scan cannot come back."""
+    side = next(node for node in ast.walk(
+        dict(_package_trees())["algebra.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "_Side")
+    found = [f"{node.lineno}" for node in ast.walk(side)
+             if isinstance(node, ast.Call) and (
+                 isinstance(node.func, ast.Name) and node.func.id in (
+                     "_mat_commutator", "_mat_trace_product")
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "expand")]
+    assert found == []
+
+
 def test_algebra_chooses_no_side_data_by_a_conditional():
     """Each side's data lives in one record built by one wedge rule, so
     algebra.py has no ``... if side == ODD else ...`` expression."""

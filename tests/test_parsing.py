@@ -407,14 +407,16 @@ def _binary(op, left, right):
 
 
 def expressions(leaves):
+    def extend(inner):
+        return st.one_of(
+            inner.map(_negation),
+            st.tuples(st.sampled_from("+-*"), inner, inner).map(
+                lambda t: _binary(*t)))
+
     return st.recursive(
         st.one_of(leaves, st.tuples(leaves, st.integers(0, 3)).map(
             lambda t: _power(*t))),
-        lambda inner: st.one_of(
-            inner.map(_negation),
-            st.tuples(st.sampled_from("+-*"), inner, inner).map(
-                lambda t: _binary(*t))),
-        max_leaves=8)
+        extend, max_leaves=8)
 
 
 def _refusal(parse):

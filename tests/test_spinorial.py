@@ -301,6 +301,13 @@ def test_signature_rejects_asymmetric():
         quadratic_form_signature([[sc(0), sc(1)], [sc(2), sc(0)]])
 
 
+def test_signature_rejects_a_non_square_matrix():
+    for b in ([[sc(1), sc(-5)]], [[sc(1), sc(0)], [sc(0)]],
+              [[sc(1)], [sc(0)]]):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            quadratic_form_signature(b)
+
+
 def test_signature_is_the_inertia_of_a_congruent_diagonal():
     """Sylvester's law of inertia, with no elimination in the reference:
     B = M^t diag(d) M, M with r <= n rows of full row rank over Q(sqrt2),
